@@ -289,44 +289,28 @@ class ComplianceReport:
         return not self.violations
 
 
-def _prop_atoms(fs) -> tuple[S.AtomKey, ...]:
-    keys: dict[S.AtomKey, None] = {}
-    for f in fs:
-        for a in F.atoms_of(f):
-            keys[S.atom_key(a)] = None
-    return tuple(keys)
-
-
-def _prop_value(f: F.Formula, assignment: dict[S.AtomKey, bool]) -> bool:
-    if isinstance(f, F.Atom):
-        if f.pred == F.RESERVED_ATOM:
-            return False
-        return assignment[S.atom_key(f)]
-    if isinstance(f, F.Not):
-        return not _prop_value(f.sub, assignment)
-    if isinstance(f, F.And):
-        return _prop_value(f.left, assignment) and _prop_value(f.right, assignment)
-    if isinstance(f, F.Or):
-        return _prop_value(f.left, assignment) or _prop_value(f.right, assignment)
-    if isinstance(f, F.Implies):
-        return (not _prop_value(f.left, assignment)) or _prop_value(f.right, assignment)
-    if isinstance(f, F.Iff):
-        return _prop_value(f.left, assignment) == _prop_value(f.right, assignment)
-    raise KBError(f"not a Boolean formula: {F.print_formula(f)}")
+_BOOLEAN = (F.Atom, F.Not, F.And, F.Or, F.Implies, F.Iff)
 
 
 def prop_entails(premises, goal: F.Formula) -> bool:
-    """Classical propositional entailment by truth-table enumeration."""
-    premises = list(premises)
-    atoms = _prop_atoms(premises + [goal])
-    if len(atoms) > 22:
+    """Classical propositional entailment, decided in one run of the
+    compiled formulas over the whole truth table: 2^k worlds, where
+    world w makes the i-th atom true iff bit i of w is set."""
+    fs = list(premises) + [goal]
+    for f in fs:
+        for g in F.subformulas(f):
+            if not isinstance(g, _BOOLEAN):
+                raise KBError(f"not a Boolean formula: {F.print_formula(g)}")
+    bank = S.CompiledBank(fs, "e")
+    k = len(bank.atoms)
+    if k > 22:
         raise KBError("too many distinct atoms for propositional entailment")
-    for bits in range(1 << len(atoms)):
-        assignment = {a: bool(bits >> i & 1) for i, a in enumerate(atoms)}
-        if all(_prop_value(p, assignment) for p in premises):
-            if not _prop_value(goal, assignment):
-                return False
-    return True
+    worlds = 1 << k
+    *masks, goal_mask = bank.masks_on(worlds, (), [S.bit_mask(i, worlds) for i in range(k)])
+    premise_mask = (1 << worlds) - 1
+    for m in masks:
+        premise_mask &= m
+    return premise_mask & ~goal_mask == 0
 
 
 def prop_satisfiable(fs) -> bool:

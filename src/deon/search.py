@@ -3,8 +3,10 @@
 Bounded search enumerates candidate models in a fixed canonical order:
 increasing world count, then relation bits ascending, then valuation
 bits ascending, with non-canonical representatives under world
-permutation pruned away.  Every returned witness is re-checked through
-the semantics module before it leaves this module.
+permutation pruned away.  Candidates stay raw relation rows and
+valuation masks, run through one semantics.CompiledBank per scan; only
+a hit becomes a model object, and every returned witness is re-checked
+through semantics.Evaluator before it leaves this module.
 
 Complete mode decides satisfiability outright instead of walking the
 whole bounded space.  Both logics admit a small-model argument through
@@ -63,7 +65,6 @@ class SearchConfig:
     frame: S.FrameConditions = S.FrameConditions()
     max_worlds: int = 3
     complete: bool = False
-    seed: int = 0  # used by corpus generators only; search is deterministic
     node_budget: int = field(default_factory=_default_budget)
 
     def __post_init__(self):
@@ -142,14 +143,9 @@ def _require_ground(fs) -> None:
                 raise SearchError("quantified input: expand with formula.ground first")
 
 
-def _atoms_and_domain(fs) -> tuple[tuple[S.AtomKey, ...], tuple[str, ...]]:
-    atoms: dict[S.AtomKey, None] = {}
-    consts: set[str] = set()
-    for f in fs:
-        for a in F.atoms_of(f):
-            atoms[S.atom_key(a)] = None
-            consts.update(t.name for t in a.args)
-    return tuple(sorted(atoms)), tuple(sorted(consts))
+def _domain(fs) -> tuple[str, ...]:
+    """The constants the formulas mention, sorted."""
+    return tuple(sorted({t.name for f in fs for a in F.atoms_of(f) for t in a.args}))
 
 
 def _check_cfg(cfg: SearchConfig) -> None:
@@ -208,37 +204,22 @@ class _Enum:
         return True
 
 
-def _light_model(logic: str, n: int, rows: tuple[int, ...],
-                 valuation: dict, domain: tuple[str, ...]):
-    cls = S.KripkeModel if logic == "sdl" else S.PreferenceModel
-    m = cls.__new__(cls)
-    m.n = n
-    m.full = (1 << n) - 1
-    m.rows = rows
-    m.relation = frozenset((s, t) for s in range(n) for t in range(n) if rows[s] >> t & 1)
-    m.valuation = valuation
-    m.domain = domain
-    return m
-
-
-def _iter_models(n: int, atoms: tuple[S.AtomKey, ...], cfg: SearchConfig,
-                 budget: _Budget, domain: tuple[str, ...],
+def _iter_models(n: int, k: int, cfg: SearchConfig, budget: _Budget,
                  frame_mode: str = "require"):
-    """Canonical candidates of exactly n worlds.
+    """Canonical candidates of exactly n worlds over k atoms, as raw
+    (relation rows, valuation masks).
 
     frame_mode "require" keeps models satisfying cfg.frame, "violate"
     keeps those failing at least one requested condition.
     """
     enum = _Enum(n)
-    k = len(atoms)
     full = (1 << n) - 1
     for rel in range(1 << (n * n)):
         rows = tuple((rel >> (s * n)) & full for s in range(n))
         if cfg.logic == "sdl" and not all(rows):
             continue
-        probe = _light_model(cfg.logic, n, rows, {}, domain)
         if not cfg.frame.none():
-            ok = S.satisfies_frame(probe, cfg.frame)
+            ok = S.frame_holds(n, rows, cfg.frame)
             if frame_mode == "require" and not ok:
                 continue
             if frame_mode == "violate" and ok:
@@ -251,15 +232,14 @@ def _iter_models(n: int, atoms: tuple[S.AtomKey, ...], cfg: SearchConfig,
             vals = tuple((vbits >> (i * n)) & full for i in range(k))
             if stab and not enum.val_canonical(vals, stab):
                 continue
-            valuation = {a: vals[i] for i, a in enumerate(atoms)}
-            yield _light_model(cfg.logic, n, rows, valuation, domain)
+            yield rows, vals
 
 
-def _finalize(model) -> object:
-    """Rebuild the witness through the public constructor and return it."""
-    valuation = {k: list(S._bits(m)) for k, m in model.valuation.items()}
-    cls = S.KripkeModel if type(model) is S.KripkeModel else S.PreferenceModel
-    return cls(model.n, sorted(model.relation), valuation, model.domain)
+def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals, domain):
+    """The public model object for a raw candidate."""
+    cls = S.KripkeModel if logic == "sdl" else S.PreferenceModel
+    relation = [(s, t) for s in range(n) for t in S._bits(rows[s])]
+    return cls(n, relation, {a: list(S._bits(v)) for a, v in zip(atoms, vals)}, domain)
 
 
 def _revalidate(model, fs, logic: str, false_somewhere: F.Formula | None = None,
@@ -277,159 +257,131 @@ def _revalidate(model, fs, logic: str, false_somewhere: F.Formula | None = None,
 # Complete decision, system E
 
 
-def _bit_mask(i: int, n_bits: int) -> int:
-    """Mask over all types 0..2^n_bits-1 selecting those with bit i set."""
-    width = 1 << (i + 1)
-    m = ((1 << (1 << i)) - 1) << (1 << i)
-    while width < n_bits:
-        m |= m << width
-        width <<= 1
-    return m
-
-
-def _type_masks(sigma, atoms: tuple[S.AtomKey, ...], boxes, obls, gbits: int,
-                atom_masks: list[int]):
-    """Truth of every subformula per atom-type, as bitmasks over types."""
-    k = len(atoms)
-    full = (1 << (1 << k)) - 1
-    atom_pos = {a: i for i, a in enumerate(atoms)}
-    box_bit = {b: (gbits >> i) & 1 for i, b in enumerate(boxes)}
-    obl_bit = {o: (gbits >> (len(boxes) + i)) & 1 for i, o in enumerate(obls)}
-    memo: dict[F.Formula, int] = {}
-
-    def tm(f: F.Formula) -> int:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, F.Atom):
-            if f.pred == F.RESERVED_ATOM:
-                m = 0
-            else:
-                m = atom_masks[atom_pos[S.atom_key(f)]]
-        elif isinstance(f, F.Not):
-            m = ~tm(f.sub) & full
-        elif isinstance(f, F.And):
-            m = tm(f.left) & tm(f.right)
-        elif isinstance(f, F.Or):
-            m = tm(f.left) | tm(f.right)
-        elif isinstance(f, F.Implies):
-            m = (~tm(f.left) & full) | tm(f.right)
-        elif isinstance(f, F.Iff):
-            m = ~(tm(f.left) ^ tm(f.right)) & full
-        elif isinstance(f, F.Box):
-            m = full if box_bit[f] else 0
-        elif isinstance(f, F.Oblig):
-            m = full if obl_bit[f] else 0
-        else:
-            raise SearchError(f"unexpected node in complete mode: {f!r}")
-        memo[f] = m
-        return m
-
-    return tm
+def _sigma(fs) -> dict[F.Formula, None]:
+    """Distinct subformulas of fs, in pre-order."""
+    sigma: dict[F.Formula, None] = {}
+    for f in fs:
+        for g in F.subformulas(f):
+            sigma[g] = None
+    return sigma
 
 
 def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budget):
     """Decide satisfiability: all of globals_ valid and every member of
-    locals_ true somewhere.  Returns (model, local_worlds) or None."""
-    gs = [F.desugar(f, "e") for f in globals_]
-    ls = [F.desugar(f, "e") for f in locals_]
-    sigma: dict[F.Formula, None] = {}
-    for f in gs + ls:
-        for g in F.subformulas(f):
-            sigma[g] = None
-    atoms, domain = _atoms_and_domain(gs + ls)
-    boxes = [f for f in sigma if isinstance(f, F.Box)]
-    obls = [f for f in sigma if isinstance(f, F.Oblig)]
-    k = len(atoms)
-    n_types = 1 << k
-    work = max(1, (len(sigma) * n_types) >> 6)
-    atom_masks = [_bit_mask(i, n_types) for i in range(k)]
+    locals_ true somewhere.  Returns (model, local_worlds) or None.
 
-    for gbits in range(1 << (len(boxes) + len(obls))):
+    The compiled inputs run over the 2^k atom-types as worlds, once per
+    truth assignment gbits to the boxes and obligations (bit i for the
+    i-th box, then one per obligation, each in pre-order), with those
+    modal ops bound to all types or none.
+    """
+    bank = S.CompiledBank(globals_ + locals_, "e")
+    sigma = _sigma(bank.formulas)
+    slot = bank.index
+    modal_fs = ([f for f in sigma if isinstance(f, F.Box)]
+                + [f for f in sigma if isinstance(f, F.Oblig)])
+    boxes = [slot[f.sub] for f in modal_fs if isinstance(f, F.Box)]
+    obls = [(slot[f.body], slot[f.cond]) for f in modal_fs if isinstance(f, F.Oblig)]
+    bit = {slot[f]: i for i, f in enumerate(modal_fs)}
+    bits = [bit[s] for s in bank.modal]
+    gs, ls = bank.roots[:len(globals_)], bank.roots[len(globals_):]
+    k = len(bank.atoms)
+    n_types = 1 << k
+    full = (1 << n_types) - 1
+    work = max(1, (len(sigma) * n_types) >> 6)
+    atom_masks = [S.bit_mask(i, n_types) for i in range(k)]
+    nboxes = len(boxes)
+
+    for gbits in range(1 << len(modal_fs)):
         budget.tick(work)
-        tm = _type_masks(sigma, atoms, boxes, obls, gbits, atom_masks)
-        core = (1 << n_types) - 1
+        tm = bank.run(n_types, (), atom_masks, [full if gbits >> b & 1 else 0 for b in bits])
+        core = full
         for g in gs:
-            core &= tm(g)
+            core &= tm[g]
         for i, b in enumerate(boxes):
             if gbits >> i & 1:
-                core &= tm(b.sub)
+                core &= tm[b]
         if not core:
             continue
-        if any(not (core & ~tm(b.sub)) for i, b in enumerate(boxes)
+        if any(not (core & ~tm[b]) for i, b in enumerate(boxes)
                if not gbits >> i & 1):
             continue
-        witnesses: list[tuple[F.Oblig, int]] = []
+        witnesses: list[tuple[int, int]] = []
         ok = True
-        for j, o in enumerate(obls):
-            if gbits >> (len(boxes) + j) & 1:
+        for j, (body, cond) in enumerate(obls):
+            if gbits >> (nboxes + j) & 1:
                 continue
-            cands = core & tm(o.cond) & ~tm(o.body)
+            cands = core & tm[cond] & ~tm[body]
             if not cands:
                 ok = False
                 break
             bad = 0
-            for m, om in enumerate(obls):
-                if not gbits >> (len(boxes) + m) & 1:
+            for m, (body_m, cond_m) in enumerate(obls):
+                if not gbits >> (nboxes + m) & 1:
                     continue
-                if not (core & tm(om.cond) & ~tm(o.cond)):  # cond_m types inside cond_j's
-                    bad |= tm(om.cond) & ~tm(om.body)
+                if not (core & tm[cond_m] & ~tm[cond]):  # cond_m types inside cond_j's
+                    bad |= tm[cond_m] & ~tm[body_m]
             cands &= ~bad
             if not cands:
                 ok = False
                 break
-            witnesses.append((o, (cands & -cands).bit_length() - 1))
+            witnesses.append((j, (cands & -cands).bit_length() - 1))
         if not ok:
             continue
         local_types = []
         for f in ls:
-            hits = core & tm(f)
+            hits = core & tm[f]
             if not hits:
                 ok = False
                 break
             local_types.append((hits & -hits).bit_length() - 1)
         if not ok:
             continue
-        return _build_e_witness(core, tm, atoms, domain, boxes, obls, gbits,
-                                witnesses, ls, local_types)
+        return _build_e_witness(core, tm, bank.atoms, _domain(bank.formulas), boxes, obls,
+                                gbits, witnesses, local_types)
     return None
 
 
-def _build_e_witness(core: int, tm, atoms, domain, boxes, obls, gbits,
-                     witnesses, locals_, local_types):
-    """Deterministic preference model realizing the chosen type assignment."""
+def _build_e_witness(core: int, tm: list[int], atoms, domain, boxes, obls, gbits,
+                     witnesses, local_types):
+    """Deterministic preference model realizing the chosen type assignment.
+
+    boxes holds the slot of each box's body and obls the (body, cond)
+    slots of each obligation; witnesses pairs each false obligation's
+    index with its witness type.
+    """
     nboxes = len(boxes)
     needed: dict[int, None] = {}
     for t in local_types:
         needed[t] = None
     for i, b in enumerate(boxes):
         if not gbits >> i & 1:  # a false box needs a realized counterexample type
-            wit = core & ~tm(b.sub)
+            wit = core & ~tm[b]
             needed[(wit & -wit).bit_length() - 1] = None
-    for o, t in witnesses:
+    for j, t in witnesses:
         needed[t] = None
         # separator types breaking the containment for each endangered
         # true obligation
-        for m, om in enumerate(obls):
+        for m, (body_m, cond_m) in enumerate(obls):
             if not gbits >> (nboxes + m) & 1:
                 continue
-            danger = tm(om.cond) & ~tm(om.body)
+            danger = tm[cond_m] & ~tm[body_m]
             if danger >> t & 1:
-                seps = core & tm(om.cond) & ~tm(o.cond)
+                seps = core & tm[cond_m] & ~tm[obls[j][1]]
                 needed[(seps & -seps).bit_length() - 1] = None
     if not needed:
         needed[(core & -core).bit_length() - 1] = None
     base_types = sorted(needed)
     world_type = list(base_types)
     witness_world: dict[int, int] = {}
-    for idx, (o, t) in enumerate(witnesses):
+    for idx, (j, t) in enumerate(witnesses):
         witness_world[idx] = len(world_type)
         world_type.append(t)
     n = len(world_type)
     relation = []
-    for idx, (o, t) in enumerate(witnesses):
+    for idx, (j, t) in enumerate(witnesses):
         w = witness_world[idx]
-        cond_mask = tm(o.cond)
+        cond_mask = tm[obls[j][1]]
         for u, ut in enumerate(world_type):
             if cond_mask >> ut & 1:
                 relation.append((w, u))
@@ -447,56 +399,30 @@ def _build_e_witness(core: int, tm, atoms, domain, boxes, obls, gbits,
 
 
 def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budget):
-    gs = [F.desugar(f, "sdl") for f in globals_]
-    ls = [F.desugar(f, "sdl") for f in locals_]
-    sigma: dict[F.Formula, None] = {}
-    for f in gs + ls:
-        for g in F.subformulas(f):
-            sigma[g] = None
-    atoms, domain = _atoms_and_domain(gs + ls)
+    """Type elimination.  A type is a (k + p)-bit index: the truth of the
+    k atoms, then of the p O-subformulas in pre-order; the compiled
+    inputs run once over all 2^(k+p) types as worlds, with atom i bound
+    to bit i and O-subformula j to bit k + j."""
+    bank = S.CompiledBank(globals_ + locals_, "sdl")
+    sigma = _sigma(bank.formulas)
     boxes = [f for f in sigma if isinstance(f, F.ObligM)]
-    k, p = len(atoms), len(boxes)
+    k, p = len(bank.atoms), len(boxes)
     n_types = 1 << (k + p)
     full = (1 << n_types) - 1
-    atom_pos = {a: i for i, a in enumerate(atoms)}
-    box_pos = {b: i for i, b in enumerate(boxes)}
     budget.tick(max(1, ((len(sigma) + (1 << p)) * n_types) >> 6))
 
-    bit_masks = [_bit_mask(i, n_types) for i in range(k + p)]
-
-    memo: dict[F.Formula, int] = {}
-
-    def tm(f: F.Formula) -> int:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, F.Atom):
-            m = 0 if f.pred == F.RESERVED_ATOM else bit_masks[atom_pos[S.atom_key(f)]]
-        elif isinstance(f, F.Not):
-            m = ~tm(f.sub) & full
-        elif isinstance(f, F.And):
-            m = tm(f.left) & tm(f.right)
-        elif isinstance(f, F.Or):
-            m = tm(f.left) | tm(f.right)
-        elif isinstance(f, F.Implies):
-            m = (~tm(f.left) & full) | tm(f.right)
-        elif isinstance(f, F.Iff):
-            m = ~(tm(f.left) ^ tm(f.right)) & full
-        elif isinstance(f, F.ObligM):
-            m = bit_masks[k + box_pos[f]]
-        else:
-            raise SearchError(f"unexpected node in complete mode: {f!r}")
-        memo[f] = m
-        return m
+    box_bit = {bank.index[b]: k + j for j, b in enumerate(boxes)}
+    tm = bank.run(n_types, (), [S.bit_mask(i, n_types) for i in range(k)],
+                  [S.bit_mask(box_bit[s], n_types) for s in bank.modal])
 
     survivors = full
-    for g in gs:
-        survivors &= tm(g)
+    for g in bank.roots[:len(globals_)]:
+        survivors &= tm[g]
     # types sharing a box-bit pattern b occupy the contiguous block
     # [b*2^k, (b+1)*2^k)
     block = (1 << (1 << k)) - 1
     pattern_mask = [block << (b << k) for b in range(1 << p)]
-    body_mask = [tm(box.sub) for box in boxes]
+    body_mask = [tm[bank.index[box.sub]] for box in boxes]
 
     while survivors:
         budget.tick(max(1, ((1 << p) * n_types) >> 6))
@@ -520,8 +446,8 @@ def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Bud
     if not survivors:
         return None
     local_types = []
-    for f in ls:
-        hits = survivors & tm(f)
+    for f in bank.roots[len(globals_):]:
+        hits = survivors & tm[f]
         if not hits:
             return None
         local_types.append((hits & -hits).bit_length() - 1)
@@ -564,8 +490,8 @@ def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Bud
             if all(body_mask[j] >> u & 1 for j in range(p) if b >> j & 1):
                 relation.append((index[t], index[u]))
     valuation = {a: [index[t] for t in world_type if t >> i & 1]
-                 for i, a in enumerate(atoms)}
-    model = S.KripkeModel(n, relation, valuation, domain)
+                 for i, a in enumerate(bank.atoms)}
+    model = S.KripkeModel(n, relation, valuation, _domain(bank.formulas))
     local_worlds = [index[t] for t in local_types]
     return model, local_worlds
 
@@ -586,7 +512,7 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
     fs = list(fs)
     _require_ground(fs)
     _check_cfg(cfg)
-    atoms, domain = _atoms_and_domain(fs)
+    domain = _domain(fs)
     budget = _Budget(cfg.node_budget)
 
     if cfg.complete:
@@ -594,40 +520,43 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
         if got is None:
             return DecidedUnsatisfiable(filtration_bound(fs))
         witness, _ = got
-        found = _bounded_scan(fs, None, atoms, domain, cfg, budget, witness.n)
+        found = _bounded_scan(fs, None, domain, cfg, budget, witness.n)
         if found is not None:
             return ModelFound(found[0])
         _revalidate(witness, fs, cfg.logic)
         return ModelFound(witness)
 
-    found = _bounded_scan(fs, None, atoms, domain, cfg, budget, cfg.max_worlds)
+    found = _bounded_scan(fs, None, domain, cfg, budget, cfg.max_worlds)
     if found is not None:
         return ModelFound(found[0])
     return NoModelUpTo(cfg.max_worlds)
 
 
-def _bounded_scan(valid_fs, falsify: F.Formula | None, atoms, domain,
+def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
                   cfg: SearchConfig, budget: _Budget, max_n: int,
                   frame_mode: str = "require"):
-    """Scan sizes 1..max_n; returns (finalized model, world) or None.
+    """Scan sizes 1..max_n; returns (model, world) or None.
 
     When falsify is given the world is the least world where it fails,
     and candidate models must additionally make it false somewhere.
     """
+    bank = S.CompiledBank(list(valid_fs) + ([falsify] if falsify is not None else []),
+                          cfg.logic)
+    n_valid = len(valid_fs)
     try:
         for n in range(1, max_n + 1):
-            for cand in _iter_models(n, atoms, cfg, budget, domain, frame_mode):
-                ev = S.Evaluator(cand, cfg.logic)
-                if not all(ev.valid(f) for f in valid_fs):
+            full = (1 << n) - 1
+            for rows, vals in _iter_models(n, len(bank.atoms), cfg, budget, frame_mode):
+                masks = bank.masks_on(n, rows, vals)
+                if any(m != full for m in masks[:n_valid]):
                     continue
                 world = None
                 if falsify is not None:
-                    m = ev.mask(falsify)
-                    if m == cand.full:
+                    false_at = ~masks[n_valid] & full
+                    if not false_at:
                         continue
-                    world = (~m & cand.full)
-                    world = (world & -world).bit_length() - 1
-                model = _finalize(cand)
+                    world = (false_at & -false_at).bit_length() - 1
+                model = _model(cfg.logic, n, rows, bank.atoms, vals, domain)
                 _revalidate(model, valid_fs, cfg.logic,
                             false_somewhere=falsify, world=world)
                 return model, world
@@ -643,7 +572,7 @@ def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
     assumptions = list(assumptions)
     _require_ground(assumptions + [goal])
     _check_cfg(cfg)
-    atoms, domain = _atoms_and_domain(assumptions + [goal])
+    domain = _domain(assumptions + [goal])
     budget = _Budget(cfg.node_budget)
 
     if cfg.complete:
@@ -651,14 +580,14 @@ def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
         if got is None:
             return Valid(filtration_bound(assumptions + [goal]))
         witness, worlds = got
-        found = _bounded_scan(assumptions, goal, atoms, domain, cfg, budget, witness.n)
+        found = _bounded_scan(assumptions, goal, domain, cfg, budget, witness.n)
         if found is not None:
             return CountermodelFound(found[0], found[1])
         _revalidate(witness, assumptions, cfg.logic, false_somewhere=goal,
                     world=worlds[0])
         return CountermodelFound(witness, worlds[0])
 
-    found = _bounded_scan(assumptions, goal, atoms, domain, cfg, budget, cfg.max_worlds)
+    found = _bounded_scan(assumptions, goal, domain, cfg, budget, cfg.max_worlds)
     if found is not None:
         return CountermodelFound(found[0], found[1])
     return NoModelUpTo(cfg.max_worlds)
@@ -696,20 +625,20 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
         raise SearchError("correspondence probes run over preference models")
     if frame.none():
         raise SearchError("correspondence needs at least one frame condition")
-    atoms, domain = _atoms_and_domain([schema])
+    domain = _domain([schema])
     probe_cfg = SearchConfig(logic="e", frame=frame, max_worlds=cfg.max_worlds,
                              node_budget=cfg.node_budget)
     budget = _Budget(cfg.node_budget)
 
     counterexample = None
-    found = _bounded_scan([], schema, atoms, domain, probe_cfg, budget,
+    found = _bounded_scan([], schema, domain, probe_cfg, budget,
                           cfg.max_worlds, frame_mode="require")
     if found is not None:
         counterexample = found[0]
 
     budget = _Budget(cfg.node_budget)
     witness = None
-    found = _bounded_scan([schema], None, atoms, domain, probe_cfg, budget,
+    found = _bounded_scan([schema], None, domain, probe_cfg, budget,
                           cfg.max_worlds, frame_mode="violate")
     if found is not None:
         witness = found[0]

@@ -10,7 +10,13 @@ preference models carry an unconstrained betterness relation, where
 the box quantifies over all worlds and the dyadic obligation uses the
 optimality rule: O(b/c) holds iff every c-world that is at least as
 good as all c-worlds satisfies b.  Both are therefore world-independent
-("rigid"): the evaluator computes them once per model.
+("rigid").
+
+One compiled evaluator, ``CompiledBank``, gives every connective and
+modal operator its meaning.  Model checking (``Evaluator``), bounded
+search, both type-elimination procedures (run over type space with the
+modal ops bound to chosen bits) and propositional compliance (run over
+a whole truth table) all go through it.
 """
 
 from __future__ import annotations
@@ -189,12 +195,12 @@ def model_from_json(text: str, require_serial: bool = True):
 def opt(model: PreferenceModel, worlds: Iterable[int]) -> frozenset[int]:
     """Optimal members of a world set: those at least as good as all of it."""
     s = _mask(worlds, model.n)
-    return frozenset(_bits(opt_mask(model, s)))
+    return frozenset(_bits(opt_mask(model.rows, s)))
 
 
-def opt_mask(model: PreferenceModel, s: int) -> int:
+def opt_mask(rows: tuple[int, ...], s: int) -> int:
+    """Members w of the world set s with s inside rows[w]."""
     out = 0
-    rows = model.rows
     rest = s
     w = 0
     while rest:
@@ -205,12 +211,25 @@ def opt_mask(model: PreferenceModel, s: int) -> int:
     return out
 
 
+def bit_mask(i: int, width: int) -> int:
+    """Mask over worlds 0..width-1 selecting those whose index has bit i
+    set; with width 2^k and i < k this is atom i's column of the truth
+    table whose worlds are the k-bit assignments."""
+    step = 1 << (i + 1)
+    m = ((1 << (1 << i)) - 1) << (1 << i)
+    while step < width:
+        m |= m << step
+        step <<= 1
+    return m
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
 class Evaluator:
-    """Memoizing truth-set evaluator for ground formulas over one model."""
+    """Truth sets of ground formulas over one model: each formula is
+    compiled by CompiledBank and run on the model, memoized per formula."""
 
     def __init__(self, model: _ModelBase, logic: str):
         if logic not in ("sdl", "e"):
@@ -226,66 +245,8 @@ class Evaluator:
     def mask(self, f: F.Formula) -> int:
         m = self._memo.get(f)
         if m is None:
-            m = self._compute(f)
-            self._memo[f] = m
+            m = self._memo[f] = CompiledBank([f], self.logic).masks(self.model)[0]
         return m
-
-    def _compute(self, f: F.Formula) -> int:
-        model, full = self.model, self.model.full
-        if isinstance(f, F.Atom):
-            return model.atom_mask(atom_key(f))
-        if isinstance(f, F.Not):
-            return ~self.mask(f.sub) & full
-        if isinstance(f, F.And):
-            return self.mask(f.left) & self.mask(f.right)
-        if isinstance(f, F.Or):
-            return self.mask(f.left) | self.mask(f.right)
-        if isinstance(f, F.Implies):
-            return (~self.mask(f.left) & full) | self.mask(f.right)
-        if isinstance(f, F.Iff):
-            return ~(self.mask(f.left) ^ self.mask(f.right)) & full
-        if isinstance(f, (F.Forall, F.Exists)):
-            raise SemanticsError("formula is not ground: quantifier present "
-                                 "(expand with formula.ground first)")
-        if self.logic == "sdl":
-            if isinstance(f, F.Oblig):
-                raise SemanticsError("dyadic obligation is not part of the SDL language")
-            if isinstance(f, (F.Box, F.ObligM)):
-                return self._box_sdl(self.mask(f.sub))
-            if isinstance(f, F.Dia):
-                sub = self.mask(f.sub)
-                return ~self._box_sdl(~sub & full) & full
-            if isinstance(f, F.Perm):
-                sub = self.mask(f.sub)
-                return ~self._box_sdl(~sub & full) & full
-            if isinstance(f, F.Forb):
-                return self._box_sdl(~self.mask(f.sub) & full)
-        else:
-            if isinstance(f, F.Box):
-                return full if self.mask(f.sub) == full else 0
-            if isinstance(f, F.Dia):
-                return full if self.mask(f.sub) != 0 else 0
-            if isinstance(f, F.Oblig):
-                return self._oblig_e(self.mask(f.body), self.mask(f.cond))
-            if isinstance(f, F.ObligM):
-                return self._oblig_e(self.mask(f.sub), full)
-            if isinstance(f, F.Perm):
-                return ~self._oblig_e(~self.mask(f.sub) & full, full) & full
-            if isinstance(f, F.Forb):
-                return self._oblig_e(~self.mask(f.sub) & full, full)
-        raise SemanticsError(f"cannot evaluate {f!r} in logic {self.logic}")
-
-    def _box_sdl(self, sub: int) -> int:
-        rows = self.model.rows
-        out = 0
-        for w in range(self.model.n):
-            if rows[w] & ~sub == 0:
-                out |= 1 << w
-        return out
-
-    def _oblig_e(self, body: int, cond: int) -> int:
-        best = opt_mask(self.model, cond)
-        return self.model.full if best & ~body == 0 else 0
 
     def holds(self, f: F.Formula, world: int) -> bool:
         if not 0 <= world < self.model.n:
@@ -306,33 +267,35 @@ def valid_in_model(model: _ModelBase, f: F.Formula, logic: str) -> bool:
 
 
 class CompiledBank:
-    """Batch evaluator for a fixed formula list over many models.
+    """The evaluator: compiles a formula list once, then runs it over any
+    number of finite structures.
 
-    Shared subformulas are computed once per model; the hot path takes
-    raw relation rows and valuation masks so exhaustive sweeps do not
-    pay per-model object construction.  Input formulas are desugared to
-    the logic's primitive operators at compile time.
+    The formulas are desugared to the logic's primitive operators and
+    every distinct node becomes one op in an array, children before
+    parents.  A run walks the array once over raw relation rows and
+    valuation masks (one int per atom, in the sorted order of
+    ``atoms``), so a caller needs no model object.  ``index`` maps each
+    desugared node to its slot, ``roots`` lists the slots of the input
+    formulas and ``modal`` the slots of the modal ops in op order.
     """
 
     def __init__(self, formulas: Iterable[F.Formula], logic: str):
         if logic not in ("sdl", "e"):
             raise SemanticsError(f"unknown logic {logic!r}")
         self.logic = logic
+        try:
+            self.formulas = [F.desugar(f, logic) for f in formulas]
+        except F.FormulaError as ex:
+            raise SemanticsError(str(ex)) from None
         index: dict[F.Formula, int] = {}
         ops: list[tuple] = []
-        atom_slot: dict[AtomKey, int] = {}
 
         def compile_node(f: F.Formula) -> int:
             got = index.get(f)
             if got is not None:
                 return got
             if isinstance(f, F.Atom):
-                if f.pred == F.RESERVED_ATOM:
-                    op = ("false",)
-                else:
-                    key = atom_key(f)
-                    slot = atom_slot.setdefault(key, len(atom_slot))
-                    op = ("atom", slot)
+                op = ("false",) if f.pred == F.RESERVED_ATOM else ("atom", atom_key(f))
             elif isinstance(f, F.Not):
                 op = ("not", compile_node(f.sub))
             elif isinstance(f, (F.And, F.Or, F.Implies, F.Iff)):
@@ -344,26 +307,36 @@ class CompiledBank:
                 op = ("boxe", compile_node(f.sub))
             elif isinstance(f, F.Oblig) and logic == "e":
                 op = ("oblig", compile_node(f.body), compile_node(f.cond))
+            elif isinstance(f, (F.Forall, F.Exists)):
+                raise SemanticsError("formula is not ground: quantifier present "
+                                     "(expand with formula.ground first)")
             else:
                 raise SemanticsError(f"cannot compile {f!r} for logic {logic}")
             index[f] = len(ops)
             ops.append(op)
             return index[f]
 
-        self.roots = [compile_node(F.desugar(f, logic)) for f in formulas]
-        self.ops = ops
-        self.atoms: tuple[AtomKey, ...] = tuple(atom_slot)
+        self.roots = [compile_node(f) for f in self.formulas]
+        self.index = index
+        self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
+        slot = {a: i for i, a in enumerate(self.atoms)}
+        self.ops = [("atom", slot[op[1]]) if op[0] == "atom" else op for op in ops]
+        self.modal = [i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig")]
 
-    def masks_on(self, n: int, rows: tuple[int, ...], vals: tuple[int, ...]) -> list[int]:
-        """Truth masks of the root formulas over an n-world structure."""
+    def run(self, n: int, rows: tuple[int, ...], vals, modal=None) -> list[int]:
+        """Truth mask of every slot over an n-world structure.
+
+        Given ``modal``, the i-th modal op takes modal[i] instead of
+        being computed from ``rows``: that binds the box and obligation
+        bits a type-space caller has chosen.
+        """
         full = (1 << n) - 1
+        bound = None if modal is None else iter(modal)
         out: list[int] = []
         for op in self.ops:
             tag = op[0]
             if tag == "atom":
                 m = vals[op[1]]
-            elif tag == "false":
-                m = 0
             elif tag == "not":
                 m = ~out[op[1]] & full
             elif tag == "and":
@@ -374,6 +347,10 @@ class CompiledBank:
                 m = (~out[op[1]] & full) | out[op[2]]
             elif tag == "iff":
                 m = ~(out[op[1]] ^ out[op[2]]) & full
+            elif tag == "false":
+                m = 0
+            elif bound is not None:
+                m = next(bound)
             elif tag == "boxe":
                 m = full if out[op[1]] == full else 0
             elif tag == "boxs":
@@ -383,24 +360,20 @@ class CompiledBank:
                     if rows[w] & ~sub == 0:
                         m |= 1 << w
             else:  # oblig
-                cond = out[op[2]]
-                best = 0
-                rest = cond
-                w = 0
-                while rest:
-                    if rest & 1 and cond & ~rows[w] == 0:
-                        best |= 1 << w
-                    rest >>= 1
-                    w += 1
-                m = full if best & ~out[op[1]] == 0 else 0
+                m = full if opt_mask(rows, out[op[2]]) & ~out[op[1]] == 0 else 0
             out.append(m)
+        return out
+
+    def masks_on(self, n: int, rows: tuple[int, ...], vals) -> list[int]:
+        """Truth masks of the input formulas over an n-world structure."""
+        out = self.run(n, rows, vals)
         return [out[r] for r in self.roots]
 
     def masks(self, model: _ModelBase) -> list[int]:
         vals = tuple(model.atom_mask(a) for a in self.atoms)
         return self.masks_on(model.n, model.rows, vals)
 
-    def all_valid_on(self, n: int, rows: tuple[int, ...], vals: tuple[int, ...]) -> bool:
+    def all_valid_on(self, n: int, rows: tuple[int, ...], vals) -> bool:
         full = (1 << n) - 1
         return all(m == full for m in self.masks_on(n, rows, vals))
 
@@ -433,8 +406,7 @@ class FrameCheck:
     witness: tuple[int, ...] | None  # counterexample worlds when it fails
 
 
-def _check_prop(model: _ModelBase, prop: str) -> FrameCheck:
-    n, rows = model.n, model.rows
+def _check_prop(n: int, rows: tuple[int, ...], prop: str) -> FrameCheck:
     if prop == "serial":
         for s in range(n):
             if not rows[s]:
@@ -463,11 +435,16 @@ def _check_prop(model: _ModelBase, prop: str) -> FrameCheck:
 
 def check_frame(model: _ModelBase, cond: FrameConditions) -> tuple[FrameCheck, ...]:
     """Check each requested property, with a witness tuple on failure."""
-    return tuple(_check_prop(model, p) for p in cond.flags())
+    return tuple(_check_prop(model.n, model.rows, p) for p in cond.flags())
 
 
 def satisfies_frame(model: _ModelBase, cond: FrameConditions) -> bool:
-    return all(c.holds for c in check_frame(model, cond))
+    return frame_holds(model.n, model.rows, cond)
+
+
+def frame_holds(n: int, rows: tuple[int, ...], cond: FrameConditions) -> bool:
+    """satisfies_frame over raw relation rows."""
+    return all(_check_prop(n, rows, p).holds for p in cond.flags())
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +465,17 @@ def iter_preference_models(n_worlds: int, atoms: Iterable[AtomKey | str],
     keys = tuple(parse_atom_key(a) if isinstance(a, str) else (a[0], tuple(a[1])) for a in atoms)
     n = n_worlds
     dom = tuple(domain)
+    full = (1 << n) - 1
     for rel_bits in range(1 << (n * n)):
-        rows = tuple((rel_bits >> (s * n)) & ((1 << n) - 1) for s in range(n))
-        m = PreferenceModel.__new__(PreferenceModel)
-        m.n = n
-        m.full = (1 << n) - 1
-        m.rows = rows
-        m.relation = frozenset((s, t) for s in range(n) for t in _bits(rows[s]))
-        m.domain = dom
-        if frame is not None and not satisfies_frame(m, frame):
+        rows = tuple((rel_bits >> (s * n)) & full for s in range(n))
+        if frame is not None and not frame_holds(n, rows, frame):
             continue
+        relation = frozenset((s, t) for s in range(n) for t in _bits(rows[s]))
         for val_bits in range(1 << (len(keys) * n)):
-            mm = PreferenceModel.__new__(PreferenceModel)
-            mm.n, mm.full, mm.rows, mm.relation, mm.domain = n, m.full, rows, m.relation, dom
-            mm.valuation = _decode_valuation(val_bits, keys, n)
-            yield mm
+            m = PreferenceModel.__new__(PreferenceModel)
+            m.n, m.full, m.rows, m.relation, m.domain = n, full, rows, relation, dom
+            m.valuation = _decode_valuation(val_bits, keys, n)
+            yield m
 
 
 def iter_serial_kripke_models(n_worlds: int, atoms: Iterable[AtomKey | str],

@@ -80,6 +80,22 @@ class TestExitCodes:
         assert run("eval", "~p", "--model", model).exit_code == 1
 
 
+class TestFailuresAreNotVerdicts:
+    def test_recursion_exhaustion_is_internal_error(self):
+        consts = ", ".join(f"a{i}" for i in range(1500))
+        r = run("check", "(forall x. P(x)) -> P(a0)", "--sig", f"pred P/1; const {consts}",
+                "--format", "json")
+        assert r.exit_code == 4
+        assert json.loads(r.stdout)["verdict"] == "internal_error"
+
+    def test_budget_overrun_still_reports(self, monkeypatch):
+        monkeypatch.setenv("DEON_NODE_BUDGET", "10")
+        r = run("model", "p & ~p", "--format", "json")
+        assert r.exit_code == 2
+        payload = json.loads(r.stdout)
+        assert payload["schema"] == 1 and payload["verdict"] == "budget_exceeded"
+
+
 class TestJsonReports:
     def test_consistency_report_schema(self):
         r, payload = run_json("kb", "consistency", FIXTURES / "gdpr_sdl.kb",

@@ -12,6 +12,8 @@ from deon import kb as KB
 from deon import search as SE
 from deon import semantics as S
 
+from helpers import P, Q, R, brute_sat
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 CFG_E = SE.SearchConfig(logic="e")
@@ -229,6 +231,37 @@ class TestCompliance:
         base = KB.load_kb("[signature]\npred p/0\n[facts]\np\n~p\n")
         with pytest.raises(KB.KBError, match="contradictory"):
             KB.compliance(base, CFG_E)
+
+
+def boolean_formula(rng: random.Random, depth: int) -> F.Formula:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([P, Q, R, F.TOP, F.BOT])
+    if rng.random() < 0.25:
+        return F.Not(boolean_formula(rng, depth - 1))
+    ctor = rng.choice([F.And, F.Or, F.Implies, F.Iff])
+    return ctor(boolean_formula(rng, depth - 1), boolean_formula(rng, depth - 1))
+
+
+class TestPropEntails:
+    def test_agrees_with_enumeration(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            premises = [boolean_formula(rng, 3) for _ in range(rng.randint(0, 3))]
+            goal = boolean_formula(rng, 3)
+            counter = F.Not(goal)
+            for p in premises:
+                counter = F.And(p, counter)
+            assert KB.prop_entails(premises, goal) == \
+                (not brute_sat("e", [], [counter], max_n=1))
+
+    def test_modal_premise_rejected(self):
+        with pytest.raises(KB.KBError, match="Boolean"):
+            KB.prop_entails([F.Box(P)], Q)
+
+    def test_atom_cap(self):
+        atoms = [F.Atom(f"a{i}") for i in range(23)]
+        with pytest.raises(KB.KBError, match="too many distinct atoms"):
+            KB.prop_entails(atoms, F.TOP)
 
 
 class TestCtdSignature:

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deon import embed as E
 from deon import formula as F
 from deon import semantics as S
 
@@ -176,15 +177,17 @@ class TestCompiledBank:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from(["sdl", "e"]))
     def test_agrees_with_evaluator(self, seed, logic):
+        """Compiled masks against the independent first-order evaluator
+        of the embedding, embed.fo_eval."""
         rng = random.Random(seed)
         m = gen_model(rng, logic)
         fs = [gen_formula(rng, logic, 3) for _ in range(4)]
-        bank = S.CompiledBank(fs, logic)
-        got = bank.masks(m)
-        ev = S.Evaluator(m, logic)
-        assert got == [ev.mask(F.desugar(f, logic)) for f in fs]
-        # desugaring preserves meaning
-        assert got == [ev.mask(f) for f in fs]
+        got = S.CompiledBank(fs, logic).masks(m)
+        for f, mask in zip(fs, got):
+            # desugaring preserves meaning: the oracle reads both forms
+            for g in (f, F.desugar(f, logic)):
+                assert E.fo_eval(E.translate(g, logic), m, logic) == (mask == m.full)
+                assert E.fo_eval(E.translate(F.Not(g), logic), m, logic) == (mask == 0)
 
 
 class TestEnumeration:
