@@ -161,39 +161,21 @@ def _ground_for_search(f: F.Formula, signature: F.Signature) -> F.Formula:
 
 
 def _run_guard(func):
-    """Translate domain errors to exit code 3, budget overruns to 2 and
-    exhausted recursion or memory to 4, so that no crash reads as a
-    verdict; the last two still emit a report under --format json."""
+    """Translate domain errors to exit code 3, budget overruns to 2."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
         try:
             return func(*args, **kwargs)
         except SE.BudgetExceeded as ex:
-            _abort(kwargs, t0, "budget_exceeded", f"budget exceeded: {ex}", 2)
-        except (RecursionError, MemoryError) as ex:
-            _abort(kwargs, t0, "internal_error",
-                   f"internal error: {type(ex).__name__}: {ex}", 4)
+            click.echo(f"budget exceeded: {ex}", err=True)
+            sys.exit(2)
         except (F.FormulaError, L.LamError, E.EmbedError, S.SemanticsError,
                 SE.SearchError, KB.KBError, OSError, json.JSONDecodeError) as ex:
             click.echo(f"error: {ex}", err=True)
             sys.exit(3)
 
     return wrapper
-
-
-def _abort(kwargs: dict, t0: float, verdict: str, message: str, code: int):
-    click.echo(message, err=True)
-    if kwargs.get("fmt") == "json":
-        ctx = click.get_current_context()
-        command = ctx.command_path[len(ctx.find_root().command_path):].strip()
-        rep = Report(command, kwargs.get("complete", False))
-        rep._t0 = t0
-        rep.data["verdict"] = verdict
-        rep.data["detail"] = {"error": message}
-        rep.emit("json", [])
-    sys.exit(code)
 
 
 logic_opt = click.option("--logic", type=click.Choice(["sdl", "e"]), default="e",
@@ -516,5 +498,17 @@ def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
     sys.exit(0 if report.compliant else 1)
 
 
+def entry(args=None):
+    """The ``deon`` program: ``main``, with exhausted recursion or memory
+    mapped to exit code 4 so that no crash exits 1, the code of a
+    negative verdict.  In-process callers of ``main`` see the exception
+    itself."""
+    try:
+        main(args)
+    except (RecursionError, MemoryError) as ex:
+        click.echo(f"internal error: {type(ex).__name__}: {ex}", err=True)
+        sys.exit(4)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

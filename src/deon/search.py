@@ -547,12 +547,12 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
         for n in range(1, max_n + 1):
             full = (1 << n) - 1
             for rows, vals in _iter_models(n, len(bank.atoms), cfg, budget, frame_mode):
-                masks = bank.masks_on(n, rows, vals)
-                if any(m != full for m in masks[:n_valid]):
+                out = bank.run(n, rows, vals, valid=n_valid)
+                if out is None:
                     continue
                 world = None
                 if falsify is not None:
-                    false_at = ~masks[n_valid] & full
+                    false_at = ~out[bank.roots[n_valid]] & full
                     if not false_at:
                         continue
                     world = (false_at & -false_at).bit_length() - 1

@@ -323,17 +323,24 @@ class CompiledBank:
         self.ops = [("atom", slot[op[1]]) if op[0] == "atom" else op for op in ops]
         self.modal = [i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig")]
 
-    def run(self, n: int, rows: tuple[int, ...], vals, modal=None) -> list[int]:
+    def run(self, n: int, rows: tuple[int, ...], vals, modal=None,
+            valid: int = 0) -> list[int] | None:
         """Truth mask of every slot over an n-world structure.
 
         Given ``modal``, the i-th modal op takes modal[i] instead of
         being computed from ``rows``: that binds the box and obligation
-        bits a type-space caller has chosen.
+        bits a type-space caller has chosen.  Given ``valid``, the first
+        ``valid`` input formulas must hold at every world: the run stops
+        with None at the first root slot that does not, so a rejected
+        candidate costs only the ops up to its first false root.
         """
         full = (1 << n) - 1
         bound = None if modal is None else iter(modal)
+        stops = sorted(set(self.roots[:valid]))
+        stops.append(-1)
+        si = 0
         out: list[int] = []
-        for op in self.ops:
+        for i, op in enumerate(self.ops):
             tag = op[0]
             if tag == "atom":
                 m = vals[op[1]]
@@ -362,6 +369,10 @@ class CompiledBank:
             else:  # oblig
                 m = full if opt_mask(rows, out[op[2]]) & ~out[op[1]] == 0 else 0
             out.append(m)
+            if i == stops[si]:
+                if m != full:
+                    return None
+                si += 1
         return out
 
     def masks_on(self, n: int, rows: tuple[int, ...], vals) -> list[int]:
@@ -374,8 +385,7 @@ class CompiledBank:
         return self.masks_on(model.n, model.rows, vals)
 
     def all_valid_on(self, n: int, rows: tuple[int, ...], vals) -> bool:
-        full = (1 << n) - 1
-        return all(m == full for m in self.masks_on(n, rows, vals))
+        return self.run(n, rows, vals, valid=len(self.roots)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -81,19 +81,30 @@ class TestExitCodes:
 
 
 class TestFailuresAreNotVerdicts:
-    def test_recursion_exhaustion_is_internal_error(self):
-        consts = ", ".join(f"a{i}" for i in range(1500))
-        r = run("check", "(forall x. P(x)) -> P(a0)", "--sig", f"pred P/1; const {consts}",
-                "--format", "json")
-        assert r.exit_code == 4
-        assert json.loads(r.stdout)["verdict"] == "internal_error"
+    def program(self, *args):
+        """Exit code of the ``deon`` program itself."""
+        with pytest.raises(SystemExit) as got:
+            cli.entry([str(a) for a in args])
+        return got.value.code
 
-    def test_budget_overrun_still_reports(self, monkeypatch):
-        monkeypatch.setenv("DEON_NODE_BUDGET", "10")
-        r = run("model", "p & ~p", "--format", "json")
-        assert r.exit_code == 2
-        payload = json.loads(r.stdout)
-        assert payload["schema"] == 1 and payload["verdict"] == "budget_exceeded"
+    def test_recursion_exhaustion_exits_4(self, capsys):
+        consts = ", ".join(f"a{i}" for i in range(1500))
+        argv = ("check", "(forall x. P(x)) -> P(a0)", "--sig", f"pred P/1; const {consts}")
+        assert isinstance(run(*argv).exception, RecursionError)
+        assert self.program(*argv) == 4
+        assert capsys.readouterr().err.startswith("internal error: RecursionError")
+
+    def test_memory_exhaustion_exits_4(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.SE, "find_model", boom)
+        assert self.program("model", "p") == 4
+        assert capsys.readouterr().err.startswith("internal error: MemoryError")
+
+    def test_verdicts_keep_their_codes(self, capsys):
+        assert self.program("model", "p") == 0
+        assert self.program("check", "p") == 1
 
 
 class TestJsonReports:

@@ -177,17 +177,24 @@ class TestCompiledBank:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from(["sdl", "e"]))
     def test_agrees_with_evaluator(self, seed, logic):
-        """Compiled masks against the independent first-order evaluator
-        of the embedding, embed.fo_eval."""
+        """Compiled masks, world by world, against the independent
+        first-order evaluator of the embedding, embed.fo_eval.  fo_eval
+        decides validity only, so a fresh atom z true at world w alone
+        reads one bit: z -> f is valid iff f holds at w."""
         rng = random.Random(seed)
         m = gen_model(rng, logic)
         fs = [gen_formula(rng, logic, 3) for _ in range(4)]
         got = S.CompiledBank(fs, logic).masks(m)
-        for f, mask in zip(fs, got):
-            # desugaring preserves meaning: the oracle reads both forms
-            for g in (f, F.desugar(f, logic)):
-                assert E.fo_eval(E.translate(g, logic), m, logic) == (mask == m.full)
-                assert E.fo_eval(E.translate(F.Not(g), logic), m, logic) == (mask == 0)
+        z = F.Atom("z")
+        for w in range(m.n):
+            valuation = {k: [v for v in m.worlds if mask >> v & 1]
+                         for k, mask in m.valuation.items()}
+            mw = type(m)(m.n, m.relation, {**valuation, ("z", ()): [w]}, m.domain)
+            for f, mask in zip(fs, got):
+                # desugaring preserves meaning: the oracle reads both forms
+                for g in (f, F.desugar(f, logic)):
+                    holds = E.fo_eval(E.translate(F.Implies(z, g), logic), mw, logic)
+                    assert holds == bool(mask >> w & 1)
 
 
 class TestEnumeration:
