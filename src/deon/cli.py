@@ -135,11 +135,13 @@ class Report:
 
     def emit(self, fmt: str, text_lines: list[str]) -> None:
         self.data["timing_ms"] = round((time.perf_counter() - self._t0) * 1000.0, 3)
+        # print, not click.echo: click caches every stream it writes to,
+        # which keeps each in-process (CliRunner) call's streams alive
         if fmt == "json":
-            click.echo(json.dumps(self.data, indent=2))
+            print(json.dumps(self.data, indent=2))
         else:
             for line in text_lines:
-                click.echo(line)
+                print(line)
 
 
 _EXIT = {"model_found": 0, "valid": 0, "countermodel": 1, "unsatisfiable": 1,
@@ -168,11 +170,11 @@ def _run_guard(func):
         try:
             return func(*args, **kwargs)
         except SE.BudgetExceeded as ex:
-            click.echo(f"budget exceeded: {ex}", err=True)
+            print(f"budget exceeded: {ex}", file=sys.stderr)
             sys.exit(2)
         except (F.FormulaError, L.LamError, E.EmbedError, S.SemanticsError,
                 SE.SearchError, KB.KBError, OSError, json.JSONDecodeError) as ex:
-            click.echo(f"error: {ex}", err=True)
+            print(f"error: {ex}", file=sys.stderr)
             sys.exit(3)
 
     return wrapper
@@ -506,7 +508,7 @@ def entry(args=None):
     try:
         main(args)
     except (RecursionError, MemoryError) as ex:
-        click.echo(f"internal error: {type(ex).__name__}: {ex}", err=True)
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         sys.exit(4)
 
 

@@ -5,6 +5,9 @@ Terms are named at the API boundary; normalization and alpha-equality
 convert to a de Bruijn form internally, so binder names never matter.
 Normal forms come back out with deterministic binder names v0, v1, ...
 (an unused name is chosen if a free variable already uses one).
+`normalize` evaluates the term once and reads the value back once
+(normalization by evaluation); the single-step reducer behind
+`normalize_steps` is kept for `--show-steps` and as the tests' oracle.
 
 Logical constants: not, or, and, imp, iff are ordinary constants of the
 expected Boolean types, and Pi is a family of constants (one per
@@ -15,8 +18,9 @@ is purely beta/eta.
 
 from __future__ import annotations
 
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class LamError(Exception):
@@ -107,9 +111,6 @@ AND = Const("and", fn(O, O, O))
 IMP = Const("imp", fn(O, O, O))
 IFF = Const("iff", fn(O, O, O))
 
-_CONNECTIVES = {"not": 1, "or": 2, "and": 2, "imp": 2, "iff": 2}
-
-
 def Pi(alpha: Ty) -> Const:
     """Universal quantifier constant over predicates of type alpha>o."""
     return Const("Pi", fn(fn(alpha, O), O))
@@ -135,10 +136,6 @@ def land(a: LTerm, b: LTerm) -> LTerm:
 
 def limp(a: LTerm, b: LTerm) -> LTerm:
     return app(IMP, a, b)
-
-
-def liff(a: LTerm, b: LTerm) -> LTerm:
-    return app(IFF, a, b)
 
 
 def forall(var: str, ty: Ty, body: LTerm) -> LTerm:
@@ -210,22 +207,10 @@ def substitute(t: LTerm, x: Var, s: LTerm) -> LTerm:
                 return u
             if u.var in fv_s and x.name in free_vars(u.body):
                 new = _fresh(u.var, fv_s | free_vars(u.body) | bound)
-                body = go_rename(u.body, u.var, Var(new, u.var_ty))
+                # renaming is itself a substitution, so it avoids capture too
+                body = substitute(u.body, Var(u.var, u.var_ty), Var(new, u.var_ty))
                 return Abs(new, u.var_ty, go(body, bound | {new}))
             return Abs(u.var, u.var_ty, go(u.body, bound | {u.var}))
-        raise LamError(f"unknown term {u!r}")
-
-    def go_rename(u: LTerm, old: str, new: Var) -> LTerm:
-        if isinstance(u, Var):
-            return new if u.name == old else u
-        if isinstance(u, Const):
-            return u
-        if isinstance(u, App):
-            return App(go_rename(u.fun, old, new), go_rename(u.arg, old, new))
-        if isinstance(u, Abs):
-            if u.var == old:
-                return u
-            return Abs(u.var, u.var_ty, go_rename(u.body, old, new))
         raise LamError(f"unknown term {u!r}")
 
     return go(t, set())
@@ -289,24 +274,28 @@ def _db_free_names(d) -> set[str]:
     return _db_free_names(d.fun) | _db_free_names(d.arg)
 
 
-def _from_db(d, taken: set[str], depth: int = 0,
-             env: tuple[tuple[str, Ty], ...] = ()) -> LTerm:
-    if isinstance(d, _DVar):
-        name, ty = env[d.idx]
-        return Var(name, ty)
-    if isinstance(d, _DFree):
-        return Var(d.name, d.ty)
-    if isinstance(d, _DConst):
-        return Const(d.name, d.ty)
-    if isinstance(d, _DAbs):
-        name = f"v{depth}"
-        while name in taken:
-            name += "'"
-        return Abs(name, d.var_ty,
-                   _from_db(d.body, taken, depth + 1, ((name, d.var_ty),) + env))
-    if isinstance(d, _DApp):
-        return App(_from_db(d.fun, taken, depth, env), _from_db(d.arg, taken, depth, env))
-    raise LamError(f"unknown de Bruijn node {d!r}")
+def _from_db(d, taken: set[str], pre_order: bool = False) -> LTerm:
+    """The named term of d: a binder at depth k is named v<k> (with
+    pre_order, the k-th binder in pre-order is), primed until the name
+    is not in taken."""
+    count = itertools.count()
+
+    def go(u, depth: int, env: tuple[tuple[str, Ty], ...]) -> LTerm:
+        if isinstance(u, _DVar):
+            name, ty = env[u.idx]
+            return Var(name, ty)
+        if isinstance(u, _DFree):
+            return Var(u.name, u.ty)
+        if isinstance(u, _DConst):
+            return Const(u.name, u.ty)
+        if isinstance(u, _DAbs):
+            name = _fresh(f"v{next(count) if pre_order else depth}", taken)
+            return Abs(name, u.var_ty, go(u.body, depth + 1, ((name, u.var_ty),) + env))
+        if isinstance(u, _DApp):
+            return App(go(u.fun, depth, env), go(u.arg, depth, env))
+        raise LamError(f"unknown de Bruijn node {u!r}")
+
+    return go(d, 0, ())
 
 
 def _shift(d, by: int, cutoff: int = 0):
@@ -389,32 +378,67 @@ def _eta_step(d):
     return None
 
 
-def _normalize_db(d, strategy: str):
-    while True:
-        r = _beta_step(d, strategy)
-        if r is None:
-            break
-        d = r
-    # eta after beta exhaustion; eta steps on a beta-normal term keep it
-    # beta-normal, so no interleaving is needed
-    while True:
-        r = _eta_step(d)
-        if r is None:
-            return d
-        d = r
+# Normalization by evaluation.  A value is a closure (a lambda body with
+# the values of its free de Bruijn indices, innermost first, as a cons
+# list) or a neutral term: a head applied to argument values.  The head
+# of a neutral is a _DFree, a _DConst or the de Bruijn *level* (int) of
+# a variable bound during read-back.
 
 
-def normalize(t: LTerm, strategy: str = "lo") -> LTerm:
-    """Beta-eta normal form with canonical binder names.
+_Clo = namedtuple("_Clo", "var_ty body env")
+_Neu = namedtuple("_Neu", "head args")
 
-    strategy "lo" picks the leftmost-outermost beta redex, "ri" the
-    rightmost-innermost one; simply typed terms reach the same normal
-    form either way (up to alpha, and names are canonical here).
+
+def _eval(d, env):
+    while isinstance(d, _DApp):
+        f = _eval(d.fun, env)
+        a = _eval(d.arg, env)
+        if isinstance(f, _Neu):
+            return _Neu(f.head, f.args + (a,))
+        d, env = f.body, (a, f.env)  # enter the closure's body in place
+    if isinstance(d, _DVar):
+        for _ in range(d.idx):
+            env = env[1]
+        return env[0]
+    if isinstance(d, _DAbs):
+        return _Clo(d.var_ty, d.body, env)
+    return _Neu(d, ())
+
+
+def _quote(v, lvl: int):
+    """Read a value back as a beta-eta normal de Bruijn term under lvl
+    binders, eta-contracting each lambda as soon as its body is built."""
+    if isinstance(v, _Clo):
+        body = _quote(_eval(v.body, (_Neu(lvl, ()), v.env)), lvl + 1)
+        if isinstance(body, _DApp) and body.arg == _DVar(0) and not _uses_idx(body.fun, 0):
+            return _shift(body.fun, -1)
+        return _DAbs(v.var_ty, body)
+    d = _DVar(lvl - v.head - 1) if isinstance(v.head, int) else v.head
+    for a in v.args:
+        d = _DApp(d, _quote(a, lvl))
+    return d
+
+
+def normalize(t: LTerm) -> LTerm:
+    """Beta-eta normal form with canonical binder names, in one pass.
+
+    The term is evaluated once into closures and neutral terms and read
+    back once (normalization by evaluation, Berger & Schwichtenberg
+    1991), eta-contracting each lambda as its body is read back.
+    Soundness:
+
+    - simply typed terms are strongly normalizing, so evaluation
+      terminates, and read-back applies only variable and constant
+      heads, so its result is a beta-normal form of the input;
+    - eta on a beta-normal term creates no beta redex: lambda x. M x
+      becomes M in a place no application has as its function;
+    - beta-eta normal forms are unique (Church-Rosser) and de Bruijn
+      terms identify alpha-equivalent ones, so the result is exactly the
+      stepper's (`normalize_steps`, either strategy), and `_from_db`
+      names it the same way.
     """
-    if strategy not in ("lo", "ri"):
-        raise LamError(f"unknown strategy {strategy!r}")
     type_of(t)
-    d = _normalize_db(_to_db(t), strategy)
+    d = _quote(_eval(_to_db(t), ()), 0)
     return _from_db(d, _db_free_names(d))
 
 
@@ -426,18 +450,11 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
     d = _to_db(t)
     taken = _db_free_names(d)
     steps = [_from_db(d, taken)]
-    while True:
-        r = _beta_step(d, strategy)
-        if r is None:
-            break
-        d = r
-        steps.append(_from_db(d, taken))
-    while True:
-        r = _eta_step(d)
-        if r is None:
-            break
-        d = r
-        steps.append(_from_db(d, taken))
+    # eta after beta exhaustion: an eta step keeps a term beta-normal
+    for step in (lambda u: _beta_step(u, strategy), _eta_step):
+        while (r := step(d)) is not None:
+            d = r
+            steps.append(_from_db(d, taken))
     return steps
 
 
@@ -450,30 +467,7 @@ def freshen(t: LTerm) -> LTerm:
     """Alpha-rename so every binder gets a distinct name v0, v1, ...
     numbered in pre-order (nested chains keep their normalize names)."""
     d = _to_db(t)
-    taken = _db_free_names(d)
-    counter = [0]
-
-    def go(u, env: tuple[tuple[str, Ty], ...]) -> LTerm:
-        if isinstance(u, _DVar):
-            name, ty = env[u.idx]
-            return Var(name, ty)
-        if isinstance(u, _DFree):
-            return Var(u.name, u.ty)
-        if isinstance(u, _DConst):
-            return Const(u.name, u.ty)
-        if isinstance(u, _DAbs):
-            name = f"v{counter[0]}"
-            counter[0] += 1
-            while name in taken:
-                name += "'"
-            return Abs(name, u.var_ty, go(u.body, ((name, u.var_ty),) + env))
-        return App(go(u.fun, env), go(u.arg, env))
-
-    return go(d, ())
-
-
-def beta_eta_eq(a: LTerm, b: LTerm) -> bool:
-    return alpha_eq(normalize(a), normalize(b))
+    return _from_db(d, _db_free_names(d), pre_order=True)
 
 
 # ---------------------------------------------------------------------------

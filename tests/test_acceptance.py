@@ -259,7 +259,9 @@ def test_criterion_7_lambda_kernel():
     for _ in range(1000):
         ty = rng.choice([L.O, L.TAU, L.Arrow(L.TAU, L.O)])
         t = gen_typed_term(rng, ty, depth=4)
-        assert L.alpha_eq(L.normalize(t, "lo"), L.normalize(t, "ri"))
+        nf = L.normalize(t)
+        assert L.alpha_eq(nf, L.normalize_steps(t, "lo")[-1])
+        assert L.alpha_eq(nf, L.normalize_steps(t, "ri")[-1])
         agree += 1
 
     for fname, text, logic, name in [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -205,6 +206,21 @@ class TestTranslate:
         assert r.exit_code == 0
         written = (tmp_path / "guarded_box.p").read_text()
         assert written == (FIXTURES / "golden_guarded_box.p").read_text()
+
+    def test_in_process_runs_free_their_streams(self):
+        # click.echo caches every sys.stdout it writes to, keyed weakly
+        # but holding the stream itself, so each CliRunner run would keep
+        # its captured streams and buffers alive for good
+        def live_streams():
+            gc.collect()
+            return sum(type(o).__module__ == "click.testing" for o in gc.get_objects())
+
+        for _ in range(3):
+            run("translate", "box p")
+        before = live_streams()
+        for _ in range(30):
+            assert run("translate", "box p", "--format", "json").exit_code == 0
+        assert live_streams() <= before
 
 
 class TestCorrespondence:

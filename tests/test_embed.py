@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -172,3 +173,79 @@ class TestFaithfulnessSpot:
             m = gen_model(rng, logic)
             direct = S.valid_in_model(m, F.ground(f, m.domain), logic)
             assert direct == E.fo_eval(fo, m, logic)
+
+
+def balanced(size: int, logic: str, depth: int = 0) -> F.Formula:
+    """A formula of exactly ``size`` nodes: modal at depths 1, 3 and 5,
+    Boolean elsewhere with the nodes split evenly, operators and atoms
+    cycled by size."""
+    atoms = (P, Q, R)
+    if size <= 2:
+        leaf = atoms[size % 3]
+        return leaf if size == 1 else F.Not(leaf)
+    if depth in (1, 3, 5):
+        if logic == "e" and size % 2:
+            return F.Oblig(balanced(size - 2, logic, depth + 1), atoms[size % 3])
+        op = (F.Box, F.Dia, F.ObligM, F.Perm)[size % 4]
+        return op(balanced(size - 1, logic, depth + 1))
+    left = (size - 1) // 2
+    op = (F.And, F.Or, F.Implies, F.Iff)[size % 4]
+    return op(balanced(left, logic, depth + 1), balanced(size - 1 - left, logic, depth + 1))
+
+
+def tree_size(f: F.Formula) -> int:
+    subs = [getattr(f, a) for a in ("sub", "left", "right", "body", "cond") if hasattr(f, a)]
+    return 1 + sum(tree_size(g) for g in subs)
+
+
+class TestNormalizerScales:
+    """Normalization is one evaluation and one read-back: time grows with
+    the size of the term, not with the number of beta steps."""
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_large_balanced_formula(self, logic):
+        f = balanced(1446, logic)
+        assert tree_size(f) == 1446
+        t0 = time.perf_counter()
+        fo = E.translate(f, logic)
+        # the single-step normalizer took 29.6 s on a formula of this size
+        assert time.perf_counter() - t0 < 5.0
+        rng = random.Random(3)
+        for _ in range(3):
+            m = gen_model(rng, logic, max_worlds=3)
+            assert S.valid_in_model(m, f, logic) == E.fo_eval(fo, m, logic)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_time_grows_linearly(self, logic):
+        def best_time(size):
+            t = E.vld(E.embed(balanced(size, logic), logic))
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                L.normalize(t)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        # four times the nodes: about 4x the time when linear, 16x when
+        # quadratic (the single-step normalizer measured about 10x)
+        assert best_time(1440) / best_time(360) < 8
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_deep_negation(self, logic):
+        f = P
+        for _ in range(300):
+            f = F.Not(f)
+        body = L.App(pc, x)
+        for _ in range(300):
+            body = L.neg(body)
+        expected = L.App(L.Pi(L.I), L.Abs("x", L.I, body))
+        assert L.alpha_eq(L.normalize(E.vld(E.embed(f, logic))), expected)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_deep_box(self, logic):
+        f = P
+        for _ in range(150):
+            f = F.Box(f)
+        nf = L.normalize(E.vld(E.embed(f, logic)))
+        assert L.type_of(nf) == L.O
+        assert L.show(nf).count("Π") == 151  # one quantifier per box, one for vld

@@ -49,6 +49,15 @@ class TestSubstitute:
         assert got == L.Abs("y'", L.I, y)
         assert "y" in L.free_vars(got)
 
+    def test_renamed_binder_not_captured_by_inner_binder(self):
+        # [y/x](lam y. lam y'. r x y): the outer binder becomes y', which
+        # an inner binder already uses; renaming must not capture there
+        y = L.Var("y", L.I)
+        r = L.Const("r", L.fn(L.I, L.I, L.O))
+        t = L.Abs("y", L.I, L.Abs("y'", L.I, L.app(r, x_i, y)))
+        expected = L.Abs("a", L.I, L.Abs("b", L.I, L.app(r, y, L.Var("a", L.I))))
+        assert L.alpha_eq(L.substitute(t, x_i, y), expected)
+
     def test_no_substitution_under_shadowing_binder(self):
         t = L.Abs("x", L.I, x_i)
         assert L.substitute(t, x_i, c_i) == t
@@ -117,7 +126,20 @@ class TestProperties:
     def test_confluence_across_strategies(self, seed, ty):
         rng = random.Random(seed)
         t = gen_typed_term(rng, ty, depth=4)
-        assert L.alpha_eq(L.normalize(t, "lo"), L.normalize(t, "ri"))
+        nf = L.normalize(t)
+        assert L.alpha_eq(nf, L.normalize_steps(t, "lo")[-1])
+        assert L.alpha_eq(nf, L.normalize_steps(t, "ri")[-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, st.sampled_from([L.O, L.I, L.TAU, L.Arrow(L.TAU, L.O)]),
+           st.sampled_from(["lo", "ri"]), st.integers(3, 5))
+    def test_same_names_as_the_stepper(self, seed, ty, strategy, depth):
+        # the stepper's final de Bruijn term, named from its own free
+        # names, is what normalize returned before it evaluated in one pass
+        rng = random.Random(seed)
+        t = gen_typed_term(rng, ty, depth=depth)
+        d = L._to_db(L.normalize_steps(t, strategy)[-1])
+        assert L.normalize(t) == L._from_db(d, L._db_free_names(d))
 
     @settings(max_examples=200, deadline=None)
     @given(SEEDS, st.sampled_from([L.O, L.I, L.TAU]))
