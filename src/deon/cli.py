@@ -148,10 +148,6 @@ _EXIT = {"model_found": 0, "valid": 0, "countermodel": 1, "unsatisfiable": 1,
          "no_model_up_to": 2, "budget_exceeded": 2}
 
 
-def _exit_for(tag: str) -> int:
-    return _EXIT[tag]
-
-
 def _ground_for_search(f: F.Formula, signature: F.Signature) -> F.Formula:
     if any(isinstance(g, (F.Forall, F.Exists)) for g in F.subformulas(f)):
         if not signature.constants:
@@ -275,7 +271,7 @@ def cmd_check(text, logic, frame, bound, complete, sig, fmt):
     if isinstance(v, SE.CountermodelFound):
         lines += [f"falsified at world {v.world}", v.model.to_json()]
     rep.emit(fmt, lines)
-    sys.exit(_exit_for(v.tag))
+    sys.exit(_EXIT[v.tag])
 
 
 @main.command("model")
@@ -300,7 +296,7 @@ def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     if isinstance(v, SE.ModelFound):
         lines.append(v.model.to_json())
     rep.emit(fmt, lines)
-    sys.exit(_exit_for(v.tag))
+    sys.exit(_EXIT[v.tag])
 
 
 @main.command("translate")
@@ -440,7 +436,7 @@ def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     if result.mus:
         lines.append("minimal unsatisfiable core: " + ", ".join(result.mus))
     rep.emit(fmt, lines)
-    sys.exit(_exit_for(result.verdict.tag))
+    sys.exit(_EXIT[result.verdict.tag])
 
 
 @kb_group.command("entail")
@@ -467,7 +463,7 @@ def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
                   f"satisfying {', '.join(result.labels)}:",
                   result.verdict.model.to_json()]
     rep.emit(fmt, lines)
-    sys.exit(_exit_for(result.verdict.tag))
+    sys.exit(_EXIT[result.verdict.tag])
 
 
 @kb_group.command("comply")

@@ -3,8 +3,9 @@
 A formula becomes a lambda term of type i>o (a predicate on worlds) by
 translating each operator to a defining lambda term and each atom to a
 constant; normalization then unfolds the definitions.  Wrapping with
-`vld` produces a closed term of type o, whose normal form reads off as
-a two-sorted first-order formula over worlds and individuals.  That
+`vld` produces a closed term of type o, whose normal form `lower` reads
+off, in one walk that also names binders and infers their sorts, as a
+two-sorted first-order formula over worlds and individuals.  That
 formula can be evaluated directly in a finite model or emitted as a
 TPTP FOF problem.
 
@@ -15,6 +16,7 @@ reading over the betterness constant Rb.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import formula as F
@@ -106,6 +108,12 @@ def _embed_term(t: F.Term) -> L.LTerm:
 
 
 def _embed(f: F.Formula, logic: str) -> L.LTerm:
+    """The embedding of f.  It has type i>o by construction, so it is
+    not type-checked: every combinator above is closed and well typed
+    and takes arguments of type i>o; the quantifier combinators instead
+    take a lambda over an individual whose body is an embedding; and an
+    atom's constant takes its arity from the atom, so it is applied to
+    exactly that many individual terms."""
     if isinstance(f, F.Atom):
         head = atom_const(f.pred, len(f.args))
         return L.app(head, *[_embed_term(t) for t in f.args])
@@ -154,18 +162,12 @@ def _embed(f: F.Formula, logic: str) -> L.LTerm:
 
 def embed_sdl(f: F.Formula) -> L.LTerm:
     """SDL embedding; the result has type i>o (unnormalized)."""
-    t = _embed(f, "sdl")
-    if L.type_of(t) != _tau:
-        raise EmbedError("embedding produced a non-predicate type")
-    return t
+    return _embed(f, "sdl")
 
 
 def embed_e(f: F.Formula) -> L.LTerm:
     """System-E embedding; the result has type i>o (unnormalized)."""
-    t = _embed(f, "e")
-    if L.type_of(t) != _tau:
-        raise EmbedError("embedding produced a non-predicate type")
-    return t
+    return _embed(f, "e")
 
 
 def embed(f: F.Formula, logic: str) -> L.LTerm:
@@ -174,8 +176,9 @@ def embed(f: F.Formula, logic: str) -> L.LTerm:
 
 def vld(t: L.LTerm, mode: str = "global") -> L.LTerm:
     """Validity wrapper: global quantifies the world, local plugs in aw."""
-    if L.type_of(t) != _tau:
-        raise EmbedError(f"vld expects a term of type {_tau}, got {L.type_of(t)}")
+    ty = L.type_of(t)
+    if ty != _tau:
+        raise EmbedError(f"vld expects a term of type {_tau}, got {ty}")
     if mode == "global":
         return L.forall("z", L.I, L.App(t, _v("z")))
     if mode == "local":
@@ -269,131 +272,81 @@ def _spine(t: L.LTerm) -> tuple[L.LTerm, list[L.LTerm]]:
 
 
 def lower(t: L.LTerm) -> FOFormula:
-    """Read a beta-eta-normal term of type o as a first-order formula.
+    """Read a beta-eta-normal term of type o as a first-order formula,
+    in one walk.
 
     Quantification is only readable at the base type i; a Pi over any
-    other type raises HigherOrderResidue.  A Pi binder that does not
-    occur in its body is dropped (sound: both sorts are nonempty).
-    Sorts are inferred afterwards: R/Rb arguments and the final argument
-    of a predicate are worlds, the remaining arguments individuals.
+    other type raises HigherOrderResidue.  The k-th binder in pre-order
+    is named v<k>, primed until it avoids the term's free names, so
+    binder names are unique and one dict holds every variable's sort:
+    R/Rb arguments and the final argument of a predicate are worlds, the
+    remaining arguments individuals.  A binder whose name has no sort
+    once its body is read does not occur there and is dropped (sound:
+    both sorts are nonempty).  A Pi over a non-lambda c reads as
+    forall q<depth>. c q<depth>; that binder is not counted.
     """
-    if L.type_of(t) != L.O:
-        raise LowerError(f"lowering expects type o, got {L.type_of(t)}")
-    raw = _lower(L.freshen(t), 0)  # sort inference wants unique binder names
-    sorts = _infer_sorts(raw)
-    return _apply_sorts(raw, sorts)
+    ty = L.type_of(t)
+    if ty != L.O:
+        raise LowerError(f"lowering expects type o, got {ty}")
+    taken = L.free_vars(t)
+    count = itertools.count()
+    sorts: dict[str, str] = {}
 
+    def quant(cls, var: str, var_ty: L.Ty, body: L.LTerm, env: dict[str, str],
+              depth: int, name: str | None = None) -> FOFormula:
+        if var_ty != L.I:
+            raise HigherOrderResidue(f"quantification over type {var_ty}")
+        if name is None:
+            name = L._fresh(f"v{next(count)}", taken)
+        body = walk(body, {**env, var: name}, depth + 1)
+        sort = sorts.get(name)
+        return body if sort is None else cls(name, sort, body)
 
-def _lower(t: L.LTerm, depth: int) -> FOFormula:
-    head, args = _spine(t)
-    if isinstance(head, L.Const):
+    def walk(u: L.LTerm, env: dict[str, str], depth: int) -> FOFormula:
+        head, args = _spine(u)
+        if isinstance(head, L.Var):
+            raise HigherOrderResidue(f"free predicate variable {head.name}")
+        if not isinstance(head, L.Const):
+            raise HigherOrderResidue(f"unreadable term {L.show(u)}")
         if head.name == "not" and len(args) == 1:
-            sub = args[0]
             # recognize the encoded existential: not (Pi (lam x. not b))
-            shead, sargs = _spine(sub)
+            shead, sargs = _spine(args[0])
             if (isinstance(shead, L.Const) and shead.name == "Pi" and len(sargs) == 1
                     and isinstance(sargs[0], L.Abs)):
                 inner = sargs[0]
                 ihead, iargs = _spine(inner.body)
                 if isinstance(ihead, L.Const) and ihead.name == "not" and len(iargs) == 1:
-                    if inner.var_ty != L.I:
-                        raise HigherOrderResidue(
-                            f"quantification over type {inner.var_ty}")
-                    body = _lower(iargs[0], depth + 1)
-                    if not _fo_uses(body, inner.var):
-                        return body
-                    return FOExists(inner.var, "?", body)
-            return FONot(_lower(sub, depth))
+                    return quant(FOExists, inner.var, inner.var_ty, iargs[0], env, depth)
+            return FONot(walk(args[0], env, depth))
         if head.name in _FO_BIN and len(args) == 2:
-            cls = _FO_BIN[head.name]
-            return cls(_lower(args[0], depth), _lower(args[1], depth))
+            return _FO_BIN[head.name](walk(args[0], env, depth), walk(args[1], env, depth))
         if head.name == "Pi" and len(args) == 1:
             arg = args[0]
-            if not isinstance(arg, L.Abs):
-                # eta-expand: Pi c reads as (forall x. c x)
-                aty = L.type_of(arg)
-                if not (isinstance(aty, L.Arrow) and aty.src == L.I):
-                    raise HigherOrderResidue(f"quantification over type {aty}")
-                fresh = f"q{depth}"
-                arg = L.Abs(fresh, L.I, L.App(arg, L.Var(fresh, L.I)))
-            if arg.var_ty != L.I:
-                raise HigherOrderResidue(f"quantification over type {arg.var_ty}")
-            body = _lower(arg.body, depth + 1)
-            if not _fo_uses(body, arg.var):
-                return body
-            return FOForall(arg.var, "?", body)
+            if isinstance(arg, L.Abs):
+                return quant(FOForall, arg.var, arg.var_ty, arg.body, env, depth)
+            aty = L.type_of(arg)
+            if not (isinstance(aty, L.Arrow) and aty.src == L.I):
+                raise HigherOrderResidue(f"quantification over type {aty}")
+            key = L._fresh(f"q{depth}", {*taken, *env})  # names no variable of arg
+            return quant(FOForall, key, L.I, L.App(arg, L.Var(key, L.I)), env, depth,
+                         name=f"q{depth}")
         # predicate constant applied to base-sorted arguments
-        fo_args = []
-        for a in args:
-            if isinstance(a, L.Var) and a.ty == L.I:
-                fo_args.append(FOVar(a.name))
-            elif isinstance(a, L.Const) and a.ty == L.I:
+        fo_args: list[FOTerm] = []
+        for i, a in enumerate(args):
+            if isinstance(a, L.Const) and a.ty == L.I:
                 fo_args.append(FOConst(a.name))
-            else:
+                continue
+            if not (isinstance(a, L.Var) and a.ty == L.I):
                 raise HigherOrderResidue(
                     f"argument {L.show(a)} of {head.name} is not base-sorted")
+            name = env.get(a.name, a.name)
+            sort = WORLD if head.name in ("R", "Rb") or i == len(args) - 1 else INDIV
+            if sorts.setdefault(name, sort) != sort:
+                raise LowerError(f"variable {name} used as both sorts")
+            fo_args.append(FOVar(name))
         return FOAtom(head.name, tuple(fo_args))
-    if isinstance(head, L.Var):
-        raise HigherOrderResidue(f"free predicate variable {head.name}")
-    raise HigherOrderResidue(f"unreadable term {L.show(t)}")
 
-
-def _fo_uses(f: FOFormula, var: str) -> bool:
-    if isinstance(f, FOAtom):
-        return any(isinstance(a, FOVar) and a.name == var for a in f.args)
-    if isinstance(f, FONot):
-        return _fo_uses(f.sub, var)
-    if isinstance(f, (FOAnd, FOOr, FOImp, FOIff)):
-        return _fo_uses(f.left, var) or _fo_uses(f.right, var)
-    if isinstance(f, (FOForall, FOExists)):
-        return f.var != var and _fo_uses(f.body, var)
-    raise LowerError(f"unknown FO node {f!r}")
-
-
-def _infer_sorts(f: FOFormula) -> dict[str, str]:
-    sorts: dict[str, str] = {}
-
-    def put(term: FOTerm, sort: str):
-        if isinstance(term, FOVar):
-            old = sorts.get(term.name)
-            if old is not None and old != sort:
-                raise LowerError(f"variable {term.name} used as both sorts")
-            sorts[term.name] = sort
-
-    def walk(g: FOFormula):
-        if isinstance(g, FOAtom):
-            if g.pred in ("R", "Rb"):
-                for a in g.args:
-                    put(a, WORLD)
-            elif g.args:
-                for a in g.args[:-1]:
-                    put(a, INDIV)
-                put(g.args[-1], WORLD)
-        elif isinstance(g, FONot):
-            walk(g.sub)
-        elif isinstance(g, (FOAnd, FOOr, FOImp, FOIff)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (FOForall, FOExists)):
-            walk(g.body)
-        else:
-            raise LowerError(f"unknown FO node {g!r}")
-
-    walk(f)
-    return sorts
-
-
-def _apply_sorts(f: FOFormula, sorts: dict[str, str]) -> FOFormula:
-    if isinstance(f, FOAtom):
-        return f
-    if isinstance(f, FONot):
-        return FONot(_apply_sorts(f.sub, sorts))
-    if isinstance(f, (FOAnd, FOOr, FOImp, FOIff)):
-        return type(f)(_apply_sorts(f.left, sorts), _apply_sorts(f.right, sorts))
-    if isinstance(f, (FOForall, FOExists)):
-        sort = sorts.get(f.var, INDIV)  # unused binder defaults to individual
-        return type(f)(f.var, sort, _apply_sorts(f.body, sorts))
-    raise LowerError(f"unknown FO node {f!r}")
+    return walk(t, {}, 0)
 
 
 def translate(f: F.Formula, logic: str, mode: str = "global") -> FOFormula:

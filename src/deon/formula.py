@@ -240,10 +240,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     return out
 
 
-def is_closed(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def atoms_of(f: Formula) -> tuple[Atom, ...]:
     """Distinct atoms occurring in f, reserved atom excluded."""
     out: dict[Atom, None] = {}

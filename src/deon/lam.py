@@ -18,7 +18,6 @@ is purely beta/eta.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -274,11 +273,9 @@ def _db_free_names(d) -> set[str]:
     return _db_free_names(d.fun) | _db_free_names(d.arg)
 
 
-def _from_db(d, taken: set[str], pre_order: bool = False) -> LTerm:
-    """The named term of d: a binder at depth k is named v<k> (with
-    pre_order, the k-th binder in pre-order is), primed until the name
-    is not in taken."""
-    count = itertools.count()
+def _from_db(d, taken: set[str]) -> LTerm:
+    """The named term of d: a binder at depth k is named v<k>, primed
+    until the name is not in taken."""
 
     def go(u, depth: int, env: tuple[tuple[str, Ty], ...]) -> LTerm:
         if isinstance(u, _DVar):
@@ -289,7 +286,7 @@ def _from_db(d, taken: set[str], pre_order: bool = False) -> LTerm:
         if isinstance(u, _DConst):
             return Const(u.name, u.ty)
         if isinstance(u, _DAbs):
-            name = _fresh(f"v{next(count) if pre_order else depth}", taken)
+            name = _fresh(f"v{depth}", taken)
             return Abs(name, u.var_ty, go(u.body, depth + 1, ((name, u.var_ty),) + env))
         if isinstance(u, _DApp):
             return App(go(u.fun, depth, env), go(u.arg, depth, env))
@@ -461,13 +458,6 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
 def alpha_eq(a: LTerm, b: LTerm) -> bool:
     """Equality up to renaming of bound variables."""
     return _to_db(a) == _to_db(b)
-
-
-def freshen(t: LTerm) -> LTerm:
-    """Alpha-rename so every binder gets a distinct name v0, v1, ...
-    numbered in pre-order (nested chains keep their normalize names)."""
-    d = _to_db(t)
-    return _from_db(d, _db_free_names(d), pre_order=True)
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,7 @@ class _Budget:
 
 def filtration_bound(fs: list[F.Formula]) -> int:
     """2 to the number of distinct subformulas across the input set."""
-    seen: dict[F.Formula, None] = {}
-    for f in fs:
-        for g in F.subformulas(f):
-            seen[g] = None
-    return 1 << len(seen)
+    return 1 << len(_sigma(fs))
 
 
 def _require_ground(fs) -> None:
@@ -182,7 +178,7 @@ class _Enum:
         self.n = n
         perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
         self.rel_tables = [_perm_rel_table(n, p) for p in perms]
-        self.world_tables = [p for p in perms]
+        self.world_tables = perms
 
     def rel_status(self, rel: int) -> tuple[bool, list[tuple[int, ...]]]:
         """Is rel minimal among its permutations, and its stabilizer."""
@@ -337,12 +333,12 @@ def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budge
             local_types.append((hits & -hits).bit_length() - 1)
         if not ok:
             continue
-        return _build_e_witness(core, tm, bank.atoms, _domain(bank.formulas), boxes, obls,
+        return _build_e_witness(core, tm, bank.atoms, boxes, obls,
                                 gbits, witnesses, local_types)
     return None
 
 
-def _build_e_witness(core: int, tm: list[int], atoms, domain, boxes, obls, gbits,
+def _build_e_witness(core: int, tm: list[int], atoms, boxes, obls, gbits,
                      witnesses, local_types):
     """Deterministic preference model realizing the chosen type assignment.
 
@@ -389,6 +385,8 @@ def _build_e_witness(core: int, tm: list[int], atoms, domain, boxes, obls, gbits
     for i, a in enumerate(atoms):
         valuation_worlds = [w for w, ut in enumerate(world_type) if ut >> i & 1]
         valuationat[a] = valuation_worlds
+    # the domain is the constants the atoms mention (the model sorts it)
+    domain = {c for _, args in atoms for c in args}
     model = S.PreferenceModel(n, relation, valuationat, domain)
     local_worlds = [base_types.index(t) for t in local_types]
     return model, local_worlds
@@ -491,7 +489,8 @@ def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Bud
                 relation.append((index[t], index[u]))
     valuation = {a: [index[t] for t in world_type if t >> i & 1]
                  for i, a in enumerate(bank.atoms)}
-    model = S.KripkeModel(n, relation, valuation, _domain(bank.formulas))
+    domain = {c for _, args in bank.atoms for c in args}
+    model = S.KripkeModel(n, relation, valuation, domain)
     local_worlds = [index[t] for t in local_types]
     return model, local_worlds
 

@@ -131,6 +131,30 @@ class TestLower:
         assert isinstance(fo, E.FOForall)
         assert not isinstance(fo.body, E.FOForall) or fo.body.var != fo.var
 
+    def test_shadowed_binder(self):
+        x = L.Var("x", L.I)
+        t = L.forall("x", L.I, L.forall("x", L.I, L.app(E.R_ACC, x, x)))
+        assert E.lower(t) == E.FOForall(
+            "v1", E.WORLD, E.FOAtom("R", (E.FOVar("v1"), E.FOVar("v1"))))
+
+    def test_binder_names_avoid_free_names(self):
+        pred = L.Const("P", L.fn(L.I, L.I, L.O))
+        t = L.forall("x", L.I, L.app(pred, L.Var("v0", L.I), L.Var("x", L.I)))
+        assert E.lower(t) == E.FOForall(
+            "v0'", E.WORLD, E.FOAtom("P", (E.FOVar("v0"), E.FOVar("v0'"))))
+
+    def test_eta_binder_not_captured_by_a_same_named_binder(self):
+        pred = L.Const("P", L.fn(L.I, L.I, L.O))
+        t = L.forall("q1", L.I, L.App(L.Pi(L.I), L.App(pred, L.Var("q1", L.I))))
+        assert E.lower(t) == E.FOForall("v0", E.INDIV, E.FOForall(
+            "q1", E.WORLD, E.FOAtom("P", (E.FOVar("v0"), E.FOVar("q1")))))
+
+    def test_sort_conflict(self):
+        pred = L.Const("P", L.fn(L.I, L.I, L.O))
+        x = L.Var("x", L.I)
+        with pytest.raises(E.LowerError, match="both sorts"):
+            E.lower(L.forall("x", L.I, L.app(pred, x, x)))
+
 
 class TestGuardedFragment:
     @settings(max_examples=150, deadline=None)
