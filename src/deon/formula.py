@@ -19,13 +19,21 @@ the internal atom `__t`, which user signatures can never declare.
 
 In logic "e" the monadic `O p` elaborates to the dyadic `O{p | true}`;
 in logic "sdl" monadic `O` is primitive and `O{...}` is rejected.
+
+Terms and formulas are hash-consed, so equality is identity and hashing
+is O(1) at any size.  The walks are iterative folds (`fold`) that visit
+each distinct subformula once; `subformulas` is an explicit-stack
+pre-order walk.  Only the parser and the printer recurse here (outside
+this module, so do the compiler in `semantics` and the walks of `lam`).
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 
 # Hard keywords can never be declared.  O, P and F are operator keywords
@@ -82,108 +90,129 @@ class Signature:
                 raise FormulaError(f"predicate {name}: arity must be a non-negative int")
 
 
-class Term:
+class _Node:
+    """A hash-consed, immutable syntax node.
+
+    Building a node returns the live node of the same class with the
+    same fields, if there is one, so structurally equal nodes are one
+    object: equality is identity and hashing is O(1) at any size.  The
+    table holds nodes weakly, under the key `(class, *fields)` that each
+    node keeps as `_key`.  Each class names its fields in `_fields`.
+    """
+
+    __slots__ = ("__weakref__", "_key")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} field(s), got {len(args)}")
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_key", key)
+            _TABLE[key] = node
+        return node
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
 # ---------------------------------------------------------------------------
 # Formula AST
 
 
-class Formula:
+class Formula(_Node):
     __slots__ = ()
+    _lead = 0  # leading fields that are not subformulas; the rest are
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    pred: str
-    args: tuple[Term, ...] = ()
+    __slots__ = _fields = ("pred", "args")
+    _lead = 2
+
+    def __new__(cls, pred: str, args: tuple[Term, ...] = ()):
+        return super().__new__(cls, pred, args)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Dia(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Oblig(Formula):
     """Dyadic obligation: body is obligatory given cond."""
 
-    body: Formula
-    cond: Formula
+    __slots__ = _fields = ("body", "cond")
 
 
-@dataclass(frozen=True)
 class ObligM(Formula):
     """Monadic obligation (primitive in SDL only)."""
 
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Perm(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Forb(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
+    _lead = 1
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
+    _lead = 1
 
 
 RESERVED_ATOM = "__t"
@@ -196,123 +225,129 @@ _QUANT = (Forall, Exists)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, _UNARY):
-        return (f.sub,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, Oblig):
-        return (f.body, f.cond)
-    if isinstance(f, _QUANT):
-        return (f.body,)
-    raise FormulaError(f"unknown formula node {f!r}")
+    return f._key[f._lead + 1:]
+
+
+def fold(f: Formula, visit: Callable[[Formula, list], Any]) -> Any:
+    """Bottom-up value of f: visit(g, the values of g's children).
+
+    Post-order over an explicit stack, memoized per node: visit runs once
+    per distinct subformula, children left to right, at any depth.
+    """
+    memo: dict[Formula, Any] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in memo:
+            stack.pop()
+            continue
+        kids = children(g)
+        todo = [c for c in kids if c not in memo]
+        if todo:
+            stack.extend(reversed(todo))
+        else:
+            stack.pop()
+            memo[g] = visit(g, [memo[c] for c in kids])
+    return memo[f]
+
+
+def _rebuild(g: Formula, kids: list[Formula]) -> Formula:
+    """The node of g's class and leading fields over new children."""
+    return type(g)(*g._key[1:g._lead + 1], *kids)
 
 
 def size(f: Formula) -> int:
     """Number of formula nodes, counted with multiplicity."""
-    return 1 + sum(size(c) for c in children(f))
+    return fold(f, lambda g, kids: 1 + sum(kids))
 
 
 def subformulas(f: Formula) -> tuple[Formula, ...]:
     """All subformulas of f including f itself, deduplicated, pre-order."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        seen[g] = None
-        for c in children(g):
-            walk(c)
-
-    walk(f)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen[g] = None
+            stack.extend(reversed(children(g)))
     return tuple(seen)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset(t.name for t in f.args if isinstance(t, Var))
-    if isinstance(f, _QUANT):
-        return free_vars(f.body) - {f.var}
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= free_vars(c)
-    return out
+    def visit(g: Formula, kids: list[frozenset[str]]) -> frozenset[str]:
+        if isinstance(g, Atom):
+            return frozenset(t.name for t in g.args if isinstance(t, Var))
+        if isinstance(g, _QUANT):
+            return kids[0] - {g.var}
+        return frozenset().union(*kids)
+
+    return fold(f, visit)
 
 
 def atoms_of(f: Formula) -> tuple[Atom, ...]:
     """Distinct atoms occurring in f, reserved atom excluded."""
-    out: dict[Atom, None] = {}
-    for g in subformulas(f):
-        if isinstance(g, Atom) and g.pred != RESERVED_ATOM:
-            out[g] = None
-    return tuple(out)
+    return tuple(g for g in subformulas(f) if isinstance(g, Atom) and g.pred != RESERVED_ATOM)
 
 
 def subst_var(f: Formula, var: str, c: Const) -> Formula:
     """Replace free occurrences of an individual variable by a constant."""
-    if isinstance(f, Atom):
-        args = tuple(c if isinstance(t, Var) and t.name == var else t for t in f.args)
-        return Atom(f.pred, args)
-    if isinstance(f, _QUANT):
-        if f.var == var:
-            return f
-        return type(f)(f.var, subst_var(f.body, var, c))
-    if isinstance(f, _UNARY):
-        return type(f)(subst_var(f.sub, var, c))
-    if isinstance(f, _BINARY):
-        return type(f)(subst_var(f.left, var, c), subst_var(f.right, var, c))
-    if isinstance(f, Oblig):
-        return Oblig(subst_var(f.body, var, c), subst_var(f.cond, var, c))
-    raise FormulaError(f"unknown formula node {f!r}")
+    v = Var(var)
+
+    def visit(g: Formula, kids: list[Formula]) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(c if t is v else t for t in g.args))
+        if isinstance(g, _QUANT) and g.var == var:
+            return g
+        return _rebuild(g, kids)
+
+    return fold(f, visit)
 
 
 def instantiate(schema: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Replace arity-0 atoms named in mapping by whole formulas."""
-    if isinstance(schema, Atom):
-        if not schema.args and schema.pred in mapping:
-            return mapping[schema.pred]
-        return schema
-    if isinstance(schema, _UNARY):
-        return type(schema)(instantiate(schema.sub, mapping))
-    if isinstance(schema, _BINARY):
-        return type(schema)(instantiate(schema.left, mapping), instantiate(schema.right, mapping))
-    if isinstance(schema, Oblig):
-        return Oblig(instantiate(schema.body, mapping), instantiate(schema.cond, mapping))
-    if isinstance(schema, _QUANT):
-        return type(schema)(schema.var, instantiate(schema.body, mapping))
-    raise FormulaError(f"unknown formula node {schema!r}")
+
+    def visit(g: Formula, kids: list[Formula]) -> Formula:
+        if isinstance(g, Atom) and not g.args and g.pred in mapping:
+            return mapping[g.pred]
+        return _rebuild(g, kids)
+
+    return fold(schema, visit)
 
 
 def ground(f: Formula, domain: Iterable[str | Const]) -> Formula:
     """Expand quantifiers over a finite, nonempty constant domain.
 
     Forall becomes a conjunction over the (sorted) domain, Exists a
-    disjunction; the result is quantifier free.
+    disjunction; the result is quantifier free.  Each quantifier's body
+    is grounded once and then instantiated per constant.
     """
     consts = sorted(c.name if isinstance(c, Const) else c for c in domain)
     if not consts:
         raise FormulaError("cannot ground over an empty domain")
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return g
+    def visit(g: Formula, kids: list[Formula]) -> Formula:
         if isinstance(g, _QUANT):
-            parts = [go(subst_var(g.body, g.var, Const(c))) for c in consts]
             join = And if isinstance(g, Forall) else Or
-            out = parts[0]
-            for p in parts[1:]:
-                out = join(out, p)
-            return out
-        if isinstance(g, _UNARY):
-            return type(g)(go(g.sub))
-        if isinstance(g, _BINARY):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, Oblig):
-            return Oblig(go(g.body), go(g.cond))
-        raise FormulaError(f"unknown formula node {g!r}")
+            return functools.reduce(join, [subst_var(kids[0], g.var, Const(c)) for c in consts])
+        return _rebuild(g, kids)
 
-    return go(f)
+    return fold(f, visit)
+
+
+# Derived operator -> its rewrite over already desugared children; nodes
+# of any other class keep their class.
+_DESUGAR_SDL = {
+    Box: ObligM,
+    Dia: lambda s: Not(ObligM(Not(s))),
+    Perm: lambda s: Not(ObligM(Not(s))),
+    Forb: lambda s: ObligM(Not(s)),
+}
+_DESUGAR_E = {
+    Dia: lambda s: Not(Box(Not(s))),
+    ObligM: lambda s: Oblig(s, TOP),
+    Perm: lambda s: Not(Oblig(Not(s), TOP)),
+    Forb: lambda s: Oblig(Not(s), TOP),
+}
 
 
 def desugar(f: Formula, logic: str) -> Formula:
@@ -322,89 +357,48 @@ def desugar(f: Formula, logic: str) -> Formula:
     the dyadic operator, dia to ~box~.  Used by the decision procedures;
     evaluation handles every node directly.
     """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, _BINARY):
-        return type(f)(desugar(f.left, logic), desugar(f.right, logic))
-    if isinstance(f, Not):
-        return Not(desugar(f.sub, logic))
-    if isinstance(f, _QUANT):
-        return type(f)(f.var, desugar(f.body, logic))
-    if logic == "sdl":
-        if isinstance(f, (Box, ObligM)):
-            return ObligM(desugar(f.sub, logic))
-        if isinstance(f, Dia):
-            return Not(ObligM(Not(desugar(f.sub, logic))))
-        if isinstance(f, Perm):
-            return Not(ObligM(Not(desugar(f.sub, logic))))
-        if isinstance(f, Forb):
-            return ObligM(Not(desugar(f.sub, logic)))
-        if isinstance(f, Oblig):
+    table = _DESUGAR_SDL if logic == "sdl" else _DESUGAR_E
+
+    def visit(g: Formula, kids: list[Formula]) -> Formula:
+        if isinstance(g, Oblig) and logic == "sdl":
             raise FormulaError("dyadic obligation is not part of the SDL language")
-    else:
-        if isinstance(f, Box):
-            return Box(desugar(f.sub, logic))
-        if isinstance(f, Dia):
-            return Not(Box(Not(desugar(f.sub, logic))))
-        if isinstance(f, ObligM):
-            return Oblig(desugar(f.sub, logic), TOP)
-        if isinstance(f, Perm):
-            return Not(Oblig(Not(desugar(f.sub, logic)), TOP))
-        if isinstance(f, Forb):
-            return Oblig(Not(desugar(f.sub, logic)), TOP)
-        if isinstance(f, Oblig):
-            return Oblig(desugar(f.body, logic), desugar(f.cond, logic))
-    raise FormulaError(f"unknown formula node {f!r}")
+        rule = table.get(type(g))
+        return rule(*kids) if rule else _rebuild(g, kids)
+
+    return fold(f, visit)
 
 
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # IDENT | PUNCT | EOF
     text: str
     line: int
     col: int
 
 
-_PUNCT = ("<->", "->", "~", "&", "|", "(", ")", "{", "}", ",", ".")
+# One alternative per lexical class; `bad` catches any other character.
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n) | (?P<blank>[ \t\r]+) | (?P<comment>\#[^\n]*)
+  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*) | (?P<PUNCT><->|->|[~&|(){},.]) | (?P<bad>.)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*", text[i:])
-        if m:
-            toks.append(_Tok("IDENT", m.group(0), line, col))
-            i += m.end()
-            col += m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok("PUNCT", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, col = 1, 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "comment":  # a comment does not advance the column
+            if kind != "blank":
+                toks.append(_Tok(kind, m.group(), line, col))
+            col += m.end() - m.start()
     toks.append(_Tok("EOF", "", line, col))
     return toks
 

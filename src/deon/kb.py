@@ -260,9 +260,7 @@ def consistency(kb: KnowledgeBase, cfg: SE.SearchConfig) -> TaskResult:
     verdict = SE.find_model(fs, cfg)
     mus = None
     if isinstance(verdict, SE.DecidedUnsatisfiable):
-        core = SE.minimal_unsat_subset(fs, cfg)
-        core_ids = set(map(id, core))
-        mus = tuple(lf.label for lf in labeled if id(lf.formula) in core_ids)
+        mus = tuple(labeled[j].label for j in SE.minimal_unsat_subset(fs, cfg))
     return TaskResult("consistency", verdict, tuple(lf.label for lf in labeled), mus)
 
 

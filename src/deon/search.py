@@ -649,11 +649,13 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
                                 counterexample is None, counterexample, witness)
 
 
-def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[F.Formula]:
+def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
     """Deletion-based shrink to a minimal unsatisfiable subset.
 
-    Requires complete mode; both the result's unsatisfiability and the
-    satisfiability of every one-element-removed subset are re-verified.
+    Returns the core as ascending positions in fs (equal formulas are
+    one object, so only positions tell them apart).  Requires complete
+    mode; both the result's unsatisfiability and the satisfiability of
+    every one-element-removed subset are re-verified.
     """
     fs = list(fs)
     if not cfg.complete:
@@ -662,19 +664,22 @@ def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[F.Formula]:
     if not isinstance(verdict, DecidedUnsatisfiable):
         raise SearchError("minimal_unsat_subset expects an unsatisfiable input set")
 
-    core = list(fs)
+    def model_of(positions: list[int]) -> Verdict:
+        return find_model([fs[j] for j in positions], cfg)
+
+    core = list(range(len(fs)))
     i = 0
     while i < len(core):
         trial = core[:i] + core[i + 1:]
-        if trial and isinstance(find_model(trial, cfg), DecidedUnsatisfiable):
+        if trial and isinstance(model_of(trial), DecidedUnsatisfiable):
             core = trial
         else:
             i += 1
 
-    if not isinstance(find_model(core, cfg), DecidedUnsatisfiable):
+    if not isinstance(model_of(core), DecidedUnsatisfiable):
         raise SearchError("internal error: shrunken core is satisfiable")
     for i in range(len(core)):
         trial = core[:i] + core[i + 1:]
-        if trial and not isinstance(find_model(trial, cfg), ModelFound):
+        if trial and not isinstance(model_of(trial), ModelFound):
             raise SearchError("internal error: core is not minimal")
     return core

@@ -118,6 +118,15 @@ class TestJsonReports:
         assert payload["complete"] is True
         assert isinstance(payload["timing_ms"], float)
 
+    def test_mus_labels_by_position_when_facts_repeat(self, tmp_path):
+        # equal formulas are one node, so the core maps back by position
+        kb = tmp_path / "dup.kb"
+        kb.write_text("[signature]\npred p/0\n[norms]\na1: O{ p | true }\n"
+                      "[facts]\n~p\n~p\n")
+        r, payload = run_json("kb", "consistency", kb, "--logic", "sdl", "--complete")
+        assert r.exit_code == 1
+        assert payload["mus"] == ["a1", "fact2"]
+
     def test_model_witness_round_trips(self):
         from deon import semantics as S
         r, payload = run_json("kb", "consistency", FIXTURES / "gdpr_e.kb")

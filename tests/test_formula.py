@@ -171,6 +171,66 @@ class TestStructure:
         assert F.free_vars(f.body) == frozenset({"d"})
 
 
+class TestInterning:
+    def test_equal_nodes_are_one_object(self):
+        assert F.And(F.Atom("p"), F.Atom("q")) is F.And(F.Atom("p"), F.Atom("q"))
+        assert F.TOP is F.Or(F.Atom("__t"), F.Not(F.Atom("__t")))
+
+    def test_walks_of_a_deep_chain_do_not_recurse(self):
+        depth = 10_000
+
+        def chain(base, box=F.Box):
+            f = base
+            for i in range(depth):
+                f = F.Not(f) if i % 2 else box(f)
+            return f
+
+        base = F.Atom("lawful", (F.Var("d"),))
+        f = chain(base)
+        assert len(F.subformulas(f)) == F.size(f) == depth + 1
+        assert F.free_vars(f) == frozenset({"d"})
+        assert F.desugar(f, "sdl") is chain(base, F.ObligM)
+        assert F.desugar(f, "e") is f
+        assert F.subst_var(f, "d", F.Const("a")) is chain(F.Atom("lawful", (F.Const("a"),)))
+        assert F.instantiate(chain(F.Atom("p")), {"p": F.Atom("q")}) is chain(F.Atom("q"))
+        grounded = F.ground(F.Forall("d", f), ["a", "b"])
+        assert grounded is F.And(F.subst_var(f, "d", F.Const("a")),
+                                 F.subst_var(f, "d", F.Const("b")))
+        assert hash(f) == hash(chain(base)) and f == chain(base)
+
+
+class TestTokenize:
+    @staticmethod
+    def stream(text):
+        return [(t.kind, t.text, t.line, t.col) for t in F._tokenize(text)]
+
+    def test_tokens_lines_and_columns(self):
+        # a comment does not advance the column: the EOF after a trailing
+        # comment keeps the column of its "#"
+        assert self.stream("p\t& q\r\n  # note\n~r -> (s<->t) # tail") == [
+            ("IDENT", "p", 1, 1), ("PUNCT", "&", 1, 3), ("IDENT", "q", 1, 5),
+            ("PUNCT", "~", 3, 1), ("IDENT", "r", 3, 2), ("PUNCT", "->", 3, 4),
+            ("PUNCT", "(", 3, 7), ("IDENT", "s", 3, 8), ("PUNCT", "<->", 3, 9),
+            ("IDENT", "t", 3, 12), ("PUNCT", ")", 3, 13), ("EOF", "", 3, 15)]
+        assert self.stream("O{a|b}, forall x. c_1") == [
+            ("IDENT", "O", 1, 1), ("PUNCT", "{", 1, 2), ("IDENT", "a", 1, 3),
+            ("PUNCT", "|", 1, 4), ("IDENT", "b", 1, 5), ("PUNCT", "}", 1, 6),
+            ("PUNCT", ",", 1, 7), ("IDENT", "forall", 1, 9), ("IDENT", "x", 1, 16),
+            ("PUNCT", ".", 1, 17), ("IDENT", "c_1", 1, 19), ("EOF", "", 1, 22)]
+
+    @pytest.mark.parametrize("text, char, line, col", [
+        ("p - q", "-", 1, 3),
+        ("p <- q", "<", 1, 3),
+        ("a\n\t$b", "$", 2, 2),
+        ("# c\n\r@", "@", 2, 2),
+    ])
+    def test_unexpected_character_position(self, text, char, line, col):
+        with pytest.raises(F.ParseError) as got:
+            F._tokenize(text)
+        assert got.value.message == f"unexpected character {char!r}"
+        assert (got.value.line, got.value.col) == (line, col)
+
+
 class TestGround:
     def test_forall_expands_to_conjunction(self):
         f = F.Forall("d", F.Atom("P", (F.Var("d"),)))

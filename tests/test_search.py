@@ -253,12 +253,13 @@ class TestCorrespondence:
 
 class TestMus:
     def test_simple_core(self):
-        core = SE.minimal_unsat_subset([P, F.Not(P), Q], CFG_EC)
+        fs = [P, F.Not(P), Q]
+        core = [fs[i] for i in SE.minimal_unsat_subset(fs, CFG_EC)]
         assert core == [P, F.Not(P)]
 
     def test_already_minimal_unchanged(self):
         fs = [P, F.Not(P)]
-        assert SE.minimal_unsat_subset(fs, CFG_EC) == fs
+        assert [fs[i] for i in SE.minimal_unsat_subset(fs, CFG_EC)] == fs
 
     def test_precondition_enforced(self):
         with pytest.raises(SE.SearchError):
@@ -275,7 +276,7 @@ class TestMus:
             cfg = SE.SearchConfig(logic=logic, complete=True)
             if not isinstance(SE.find_model(fs, cfg), SE.DecidedUnsatisfiable):
                 continue
-            core = SE.minimal_unsat_subset(fs, cfg)
+            core = [fs[i] for i in SE.minimal_unsat_subset(fs, cfg)]
             assert isinstance(SE.find_model(core, cfg), SE.DecidedUnsatisfiable)
             for i in range(len(core)):
                 rest = core[:i] + core[i + 1:]
