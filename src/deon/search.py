@@ -24,10 +24,19 @@ whole bounded space.  Both logics admit a small-model argument through
   witness type (c and not b) that is not forced optimal into a true
   obligation O(b'/c') whose c'-types are contained in the c-types; a
   larger realized-type set only makes these conditions easier, so only
-  the maximal consistent type set needs checking.
+  the maximal consistent type set needs checking.  Types are never
+  listed: the candidates and every question about their types are
+  queries to the DPLL solver of deon.sat over the Tseitin clauses of
+  the compiled inputs, so memory grows with the input, not with 2^atoms.
 
+SDL runs the compiled inputs over all its types as bitmask worlds; E asks
+the solver, and runs the compiled inputs only over the types it picked.
 Either way a satisfiable input has a model no bigger than 2^|subformulas|,
-the bound recorded on Valid/DecidedUnsatisfiable verdicts.
+the bound recorded on Valid/DecidedUnsatisfiable verdicts.  A satisfiable
+complete-mode answer then goes through the canonical bounded scan up to
+the constructed witness's size, with its own node budget charged one
+unit per compiled op per candidate; if that runs out, the constructed
+witness is returned.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import formula as F
+from . import sat
 from . import semantics as S
 
 
@@ -201,9 +211,9 @@ class _Enum:
 
 
 def _iter_models(n: int, k: int, cfg: SearchConfig, budget: _Budget,
-                 frame_mode: str = "require"):
+                 frame_mode: str = "require", cost: int = 1):
     """Canonical candidates of exactly n worlds over k atoms, as raw
-    (relation rows, valuation masks).
+    (relation rows, valuation masks), each charged cost budget units.
 
     frame_mode "require" keeps models satisfying cfg.frame, "violate"
     keeps those failing at least one requested condition.
@@ -224,7 +234,7 @@ def _iter_models(n: int, k: int, cfg: SearchConfig, budget: _Budget,
         if not minimal:
             continue
         for vbits in range(1 << (k * n)):
-            budget.tick()
+            budget.tick(cost)
             vals = tuple((vbits >> (i * n)) & full for i in range(k))
             if stab and not enum.val_canonical(vals, stab):
                 continue
@@ -262,134 +272,151 @@ def _sigma(fs) -> dict[F.Formula, None]:
     return sigma
 
 
+class _Unrealizable(Exception):
+    """A type the realizability of an E candidate needs does not exist."""
+
+
 def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budget):
     """Decide satisfiability: all of globals_ valid and every member of
     locals_ true somewhere.  Returns (model, local_worlds) or None.
 
-    The compiled inputs run over the 2^k atom-types as worlds, once per
-    truth assignment gbits to the boxes and obligations (bit i for the
-    i-th box, then one per obligation, each in pre-order), with those
-    modal ops bound to all types or none.
+    A candidate is a truth assignment gbits to the boxes and obligations
+    (bit i for the i-th box, then one per obligation, each in pre-order)
+    whose core, the atom-types (bit i of a type is atom i) where the
+    globals and the true boxes' bodies hold, is not empty.  It is
+    realizable when every false box has a core type falsifying its body,
+    every false obligation j has a witness type in core, cond_j and not
+    body_j outside ``bad`` (the cond_m-and-not-body_m types of each true
+    obligation m whose core cond_m-types all lie in cond_j), and every
+    local holds at some core type.  _build_e_witness turns the least
+    such types into a model.
+
+    Each question is one query to a sat.Solver holding the Tseitin
+    clauses of the compiled inputs, the globals as units, the clause
+    "box_i false or body_i" for every box, and one variable per
+    obligation m equivalent to "cond_m implies body_m".  The order
+    argument, which makes the result the one of a plain loop over
+    gbits = 0, 1, 2, ... that skips empty cores and takes least types:
+
+    * The candidate search decides the modal variables first, most
+      significant gbits bit first, then atom k-1 down to atom 0, false
+      first, so its first model is the least gbits with a non-empty core
+      together with that core's least type.  Unit propagation fixes a
+      global root that is a box or obligation before any decision.
+    * A realizability query fixes the modal variables by assumptions and
+      decides only the atoms, most significant first, so its model is
+      the least type with the asked property; the containment
+      "core cond_m-types inside cond_j" is the query for core, cond_m
+      and not cond_j coming back empty, and otherwise its model is the
+      separator type that _build_e_witness needs.
+    * A candidate that fails is blocked: the candidate search resumes
+      past its modal assignment (``Solver.models`` with ``keep`` the
+      modal variables), the backtrack a clause blocking exactly that
+      assignment would cause.  It rules out that one gbits and nothing
+      else, so it is sound (no realizable candidate is lost) and the
+      next model is the next candidate of the loop.  The search ends at
+      the least realizable gbits, or with None when no candidate is left.
     """
     bank = S.CompiledBank(globals_ + locals_, "e")
     sigma = _sigma(bank.formulas)
     slot = bank.index
     modal_fs = ([f for f in sigma if isinstance(f, F.Box)]
                 + [f for f in sigma if isinstance(f, F.Oblig)])
-    boxes = [slot[f.sub] for f in modal_fs if isinstance(f, F.Box)]
-    obls = [(slot[f.body], slot[f.cond]) for f in modal_fs if isinstance(f, F.Oblig)]
+    nboxes = sum(isinstance(f, F.Box) for f in modal_fs)
+    boxes = [slot[f.sub] for f in modal_fs[:nboxes]]
+    obls = [(slot[f.body], slot[f.cond]) for f in modal_fs[nboxes:]]
     bit = {slot[f]: i for i, f in enumerate(modal_fs)}
     bits = [bit[s] for s in bank.modal]
     gs, ls = bank.roots[:len(globals_)], bank.roots[len(globals_):]
-    k = len(bank.atoms)
-    n_types = 1 << k
-    full = (1 << n_types) - 1
-    work = max(1, (len(sigma) * n_types) >> 6)
-    atom_masks = [S.bit_mask(i, n_types) for i in range(k)]
-    nboxes = len(boxes)
+    k, n_ops = len(bank.atoms), len(bank.ops)
 
-    for gbits in range(1 << len(modal_fs)):
-        budget.tick(work)
-        tm = bank.run(n_types, (), atom_masks, [full if gbits >> b & 1 else 0 for b in bits])
-        core = full
-        for g in gs:
-            core &= tm[g]
-        for i, b in enumerate(boxes):
-            if gbits >> i & 1:
-                core &= tm[b]
-        if not core:
-            continue
-        if any(not (core & ~tm[b]) for i, b in enumerate(boxes)
-               if not gbits >> i & 1):
-            continue
-        witnesses: list[tuple[int, int]] = []
-        ok = True
-        for j, (body, cond) in enumerate(obls):
-            if gbits >> (nboxes + j) & 1:
-                continue
-            cands = core & tm[cond] & ~tm[body]
-            if not cands:
-                ok = False
-                break
-            bad = 0
-            for m, (body_m, cond_m) in enumerate(obls):
-                if not gbits >> (nboxes + m) & 1:
+    # variable s + 1 is slot s; variable n_ops + 1 + m is "cond_m implies body_m"
+    modal_vars = [slot[f] + 1 for f in modal_fs]
+    clauses = list(sat.bank_clauses(bank.ops))
+    clauses += [[g + 1] for g in gs] + [[-v, b + 1] for v, b in zip(modal_vars, boxes)]
+    for m, (body, cond) in enumerate(obls):
+        clauses += sat.TSEITIN["imp"](n_ops + 1 + m, cond + 1, body + 1)
+    atom_var = {op[1]: s + 1 for s, op in enumerate(bank.ops) if op[0] == "atom"}
+    types = [atom_var[i] for i in reversed(range(k))]
+    solver = sat.Solver(n_ops + len(obls), clauses)  # answers the queries
+
+    def least(*lits):
+        t = solver.solve(types, fixed + list(lits), budget)
+        if t is None:
+            raise _Unrealizable
+        return t
+
+    for model in sat.Solver(n_ops + len(obls), clauses).models(
+            modal_vars[::-1] + types, (), budget, keep=len(modal_vars)):
+        gbits = model >> k
+        fixed = [v if gbits >> i & 1 else -v for i, v in enumerate(modal_vars)]
+        true_obls = [m for m in range(len(obls)) if gbits >> (nboxes + m) & 1]
+        try:
+            box_types = [least(-(b + 1)) for i, b in enumerate(boxes) if not gbits >> i & 1]
+            witnesses, seps = [], {}
+            for j, (body, cond) in enumerate(obls):
+                if gbits >> (nboxes + j) & 1:
                     continue
-                if not (core & tm[cond_m] & ~tm[cond]):  # cond_m types inside cond_j's
-                    bad |= tm[cond_m] & ~tm[body_m]
-            cands &= ~bad
-            if not cands:
-                ok = False
-                break
-            witnesses.append((j, (cands & -cands).bit_length() - 1))
-        if not ok:
+                found = [(m, solver.solve(types, fixed + [obls[m][1] + 1, -(cond + 1)], budget))
+                         for m in true_obls]
+                # a true obligation whose core cond_m-types lie inside cond_j's
+                # must not see the witness among its cond_m-and-not-body_m types
+                safe = [n_ops + 1 + m for m, sep in found if sep is None]
+                witnesses.append((j, least(cond + 1, -(body + 1), *safe)))
+                seps[j] = [(m, sep) for m, sep in found if sep is not None]
+            local_types = [least(f + 1) for f in ls]
+        except _Unrealizable:
             continue
-        local_types = []
-        for f in ls:
-            hits = core & tm[f]
-            if not hits:
-                ok = False
-                break
-            local_types.append((hits & -hits).bit_length() - 1)
-        if not ok:
-            continue
-        return _build_e_witness(core, tm, bank.atoms, boxes, obls,
-                                gbits, witnesses, local_types)
+        return _build_e_witness(bank, gbits, bits, boxes, obls, model & ((1 << k) - 1),
+                                box_types, witnesses, seps, local_types, len(globals_))
     return None
 
 
-def _build_e_witness(core: int, tm: list[int], atoms, boxes, obls, gbits,
-                     witnesses, local_types):
+def _build_e_witness(bank: S.CompiledBank, gbits: int, bits, boxes, obls, core_type,
+                     box_types, witnesses, seps, local_types, n_globals: int):
     """Deterministic preference model realizing the chosen type assignment.
 
     boxes holds the slot of each box's body and obls the (body, cond)
-    slots of each obligation; witnesses pairs each false obligation's
-    index with its witness type.
+    slots of each obligation; box_types are the false boxes' counterexample
+    types, witnesses pairs each false obligation's index with its witness
+    type, seps maps that index to the (true obligation, separator type)
+    pairs breaking a containment, and core_type is the least core type.
+    One compiled run over the chosen types re-checks the solver's answers.
     """
-    nboxes = len(boxes)
-    needed: dict[int, None] = {}
-    for t in local_types:
-        needed[t] = None
-    for i, b in enumerate(boxes):
-        if not gbits >> i & 1:  # a false box needs a realized counterexample type
-            wit = core & ~tm[b]
-            needed[(wit & -wit).bit_length() - 1] = None
+    k = len(bank.atoms)
+    needed = dict.fromkeys(local_types + box_types)
     for j, t in witnesses:
         needed[t] = None
         # separator types breaking the containment for each endangered
         # true obligation
-        for m, (body_m, cond_m) in enumerate(obls):
-            if not gbits >> (nboxes + m) & 1:
-                continue
-            danger = tm[cond_m] & ~tm[body_m]
-            if danger >> t & 1:
-                seps = core & tm[cond_m] & ~tm[obls[j][1]]
-                needed[(seps & -seps).bit_length() - 1] = None
+        at = bank.run(1, (), [t >> i & 1 for i in range(k)], [gbits >> b & 1 for b in bits])
+        for m, sep in seps[j]:
+            body_m, cond_m = obls[m]
+            if at[cond_m] and not at[body_m]:
+                needed[sep] = None
     if not needed:
-        needed[(core & -core).bit_length() - 1] = None
+        needed[core_type] = None
     base_types = sorted(needed)
-    world_type = list(base_types)
-    witness_world: dict[int, int] = {}
-    for idx, (j, t) in enumerate(witnesses):
-        witness_world[idx] = len(world_type)
-        world_type.append(t)
+    world_type = base_types + [t for _, t in witnesses]
     n = len(world_type)
-    relation = []
-    for idx, (j, t) in enumerate(witnesses):
-        w = witness_world[idx]
-        cond_mask = tm[obls[j][1]]
-        for u, ut in enumerate(world_type):
-            if cond_mask >> ut & 1:
-                relation.append((w, u))
-    valuationat = {}
-    for i, a in enumerate(atoms):
-        valuation_worlds = [w for w, ut in enumerate(world_type) if ut >> i & 1]
-        valuationat[a] = valuation_worlds
-    # the domain is the constants the atoms mention (the model sorts it)
-    domain = {c for _, args in atoms for c in args}
-    model = S.PreferenceModel(n, relation, valuationat, domain)
+    full = (1 << n) - 1
+    vals = [sum(1 << w for w, t in enumerate(world_type) if t >> i & 1) for i in range(k)]
+    tm = bank.run(n, (), vals, [full if gbits >> b & 1 else 0 for b in bits])
     local_worlds = [base_types.index(t) for t in local_types]
-    return model, local_worlds
+    witness_worlds = list(enumerate(witnesses, len(base_types)))
+    if not (all(tm[g] == full for g in bank.roots[:n_globals])
+            and all((tm[b] == full) == bool(gbits >> i & 1) for i, b in enumerate(boxes))
+            and all(tm[f] >> w & 1 for f, w in zip(bank.roots[n_globals:], local_worlds))
+            and all(tm[obls[j][1]] >> w & ~tm[obls[j][0]] >> w & 1
+                    for w, (j, _) in witness_worlds)):
+        raise SearchError("internal error: a chosen world type fails the compiled check")
+    relation = [(w, u) for w, (j, _) in witness_worlds for u in range(n)
+                if tm[obls[j][1]] >> u & 1]
+    valuation = {a: [w for w, t in enumerate(world_type) if t >> i & 1]
+                 for i, a in enumerate(bank.atoms)}
+    # the domain is the constants the atoms mention (the model sorts it)
+    domain = {c for _, args in bank.atoms for c in args}
+    return S.PreferenceModel(n, relation, valuation, domain), local_worlds
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +433,8 @@ def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Bud
     boxes = [f for f in sigma if isinstance(f, F.ObligM)]
     k, p = len(bank.atoms), len(boxes)
     n_types = 1 << (k + p)
+    budget.tick(max(1, ((len(sigma) + (1 << p)) * n_types) >> 6))  # before any mask
     full = (1 << n_types) - 1
-    budget.tick(max(1, ((len(sigma) + (1 << p)) * n_types) >> 6))
 
     box_bit = {bank.index[b]: k + j for j, b in enumerate(boxes)}
     tm = bank.run(n_types, (), [S.bit_mask(i, n_types) for i in range(k)],
@@ -519,7 +546,7 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
         if got is None:
             return DecidedUnsatisfiable(filtration_bound(fs))
         witness, _ = got
-        found = _bounded_scan(fs, None, domain, cfg, budget, witness.n)
+        found = _bounded_scan(fs, None, domain, cfg, _Budget(cfg.node_budget), witness.n)
         if found is not None:
             return ModelFound(found[0])
         _revalidate(witness, fs, cfg.logic)
@@ -538,14 +565,19 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
 
     When falsify is given the world is the least world where it fails,
     and candidate models must additionally make it false somewhere.
+    In complete mode this is the canonical re-scan below a constructed
+    witness: each candidate costs one unit per compiled op, and running
+    out of budget returns None instead of raising.
     """
     bank = S.CompiledBank(list(valid_fs) + ([falsify] if falsify is not None else []),
                           cfg.logic)
     n_valid = len(valid_fs)
+    cost = len(bank.ops) if cfg.complete else 1
     try:
         for n in range(1, max_n + 1):
             full = (1 << n) - 1
-            for rows, vals in _iter_models(n, len(bank.atoms), cfg, budget, frame_mode):
+            for rows, vals in _iter_models(n, len(bank.atoms), cfg, budget, frame_mode,
+                                           cost):
                 out = bank.run(n, rows, vals, valid=n_valid)
                 if out is None:
                     continue
@@ -579,7 +611,8 @@ def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
         if got is None:
             return Valid(filtration_bound(assumptions + [goal]))
         witness, worlds = got
-        found = _bounded_scan(assumptions, goal, domain, cfg, budget, witness.n)
+        found = _bounded_scan(assumptions, goal, domain, cfg, _Budget(cfg.node_budget),
+                              witness.n)
         if found is not None:
             return CountermodelFound(found[0], found[1])
         _revalidate(witness, assumptions, cfg.logic, false_somewhere=goal,

@@ -241,3 +241,26 @@ class TestCorrespondence:
     def test_unknown_frame_rejected(self):
         r = run("correspondence", "cv", "--frame", "shiny")
         assert r.exit_code == 3
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" /
+                     "kb_complete_reports.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenReports:
+    """Complete-mode reports on every fixture KB, frozen: verdicts,
+    canonical first witnesses, MUS labels, exit codes and stderr."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:3] + c["argv"][-4:-3]))
+    def test_report_is_unchanged(self, case, monkeypatch):
+        monkeypatch.delenv("DEON_NODE_BUDGET", raising=False)
+        argv = [str(FIXTURES.parent / a) if a.startswith("fixtures/") else a
+                for a in case["argv"]]
+        result = runner.invoke(cli.main, argv)
+        assert (result.exit_code, result.stderr) == (case["exit"], case["stderr"])
+        if case["report"] is None:
+            assert result.stdout == ""
+        else:
+            report = json.loads(result.stdout)
+            del report["timing_ms"]
+            assert json.dumps(report, indent=2) == json.dumps(case["report"], indent=2)

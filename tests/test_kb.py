@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,3 +284,79 @@ class TestCtdSignature:
             assert isinstance(sdl.verdict, SE.DecidedUnsatisfiable)
             e_res = KB.consistency(base, CFG_E)
             assert isinstance(e_res.verdict, SE.ModelFound)
+
+
+def gdpr_kb(n: int, logic: str) -> str:
+    """GDPR-N: the shipped GDPR scenario over individuals d1..dN (dyadic
+    reading in E, the monadic one of gdpr_sdl.kb in SDL)."""
+    if logic == "e":
+        norms = ["a1: O{ process_lawfully(d) | is_protected_by_GDPR(d) } forall d",
+                 "a2: O{ erase(d) | is_protected_by_GDPR(d) & ~process_lawfully(d) } forall d",
+                 "a3: O{ ~erase(d) | is_protected_by_GDPR(d) & process_lawfully(d) } forall d"]
+        facts = ["~process_lawfully(d1)"]
+    else:
+        norms = ["a1: O{ process_lawfully(d) | true } forall d",
+                 "a2: O{ ~erase(d) | process_lawfully(d) } forall d",
+                 "a3: O{ erase(d) | ~process_lawfully(d) } forall d"]
+        facts = ["~process_lawfully(d1)", "is_protected_by_GDPR(d1)"]
+    preds = ["process_lawfully", "erase", "is_protected_by_GDPR", "kill"]
+    return "\n".join(["[signature]"] + [f"pred {p}/1" for p in preds]
+                     + ["[individuals]"] + [f"d{i}" for i in range(1, n + 1)]
+                     + ["[norms]"] + norms + ["[facts]"] + facts) + "\n"
+
+
+def chisholm_kb(n: int) -> str:
+    """Chisholm-N: O{p1|true}, O{p(i+1)|pi}, O{~p(i+1)|~pi}, fact ~p1."""
+    lines = ["[signature]"] + [f"pred p{i}/0" for i in range(1, n + 2)] + ["[norms]"]
+    lines.append("c0: O{ p1 | true }")
+    for i in range(1, n + 1):
+        lines += [f"t{i}: O{{ p{i + 1} | p{i} }}", f"n{i}: O{{ ~p{i + 1} | ~p{i} }}"]
+    return "\n".join(lines + ["[facts]", "~p1"]) + "\n"
+
+
+class TestScaling:
+    """Complete mode on the GDPR-N and Chisholm-N families, at sizes the
+    2^k-bit type masks of the old System E procedure could not reach."""
+
+    @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
+    def test_e_at_forty_individuals(self, family):
+        base = KB.load_kb(gdpr_kb(40, "e") if family == "gdpr" else chisholm_kb(40))
+        for task in ("consistency", "entail", "comply"):
+            t0 = time.perf_counter()
+            if task == "consistency":
+                assert isinstance(KB.consistency(base, CFG_EC).verdict, SE.ModelFound)
+            elif task == "entail":
+                verdict = KB.entailment(base, F.BOT, CFG_EC).verdict
+                assert isinstance(verdict, SE.CountermodelFound)
+            else:
+                report = KB.compliance(base, CFG_EC)
+                assert report.consistent
+                detached = [label for label, _ in report.detached]
+                violated = [label for label, _ in report.violations]
+                if family == "gdpr":  # the only fact satisfies no condition
+                    assert detached == violated == []
+                else:
+                    assert (detached, violated) == (["c0", "n1"], ["c0"])
+            assert time.perf_counter() - t0 < 2.0, task
+
+    def test_unrelated_obligation_not_entailed_at_thirty(self):
+        # the canonical re-scan over 91 atoms cannot finish; its own
+        # allowance runs out and the constructed witness is returned
+        base = KB.load_kb(gdpr_kb(30, "e"))
+        goal = F.parse("O kill(d1)", base.signature, logic="e")
+        t0 = time.perf_counter()
+        verdict = KB.entailment(base, goal, CFG_EC).verdict
+        assert isinstance(verdict, SE.CountermodelFound)
+        assert time.perf_counter() - t0 < 15.0
+
+    def test_sdl_budget_is_charged_before_the_type_masks(self):
+        # GDPR-SDL-6 has 2^31 types: a mask over them is a 256 MB integer
+        base = KB.load_kb(gdpr_kb(6, "sdl"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SE.BudgetExceeded):
+                KB.consistency(base, CFG_SC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20

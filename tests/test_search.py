@@ -217,6 +217,66 @@ class TestExactAgainstEnumeration:
         assert checked_valid > 0
 
 
+class TestExactE:
+    """System E complete mode (the lazy SAT search) on global/local sets."""
+
+    @staticmethod
+    def check_witness(got, globals_, locals_):
+        model, worlds = got
+        SE._revalidate(model, globals_, "e")
+        ev = S.Evaluator(model, "e")
+        assert all(ev.holds(f, w) for f, w in zip(locals_, worlds))
+
+    def test_verdicts_agree_with_brute_force(self):
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(150):
+            gl = [gen_formula(rng, "e", 2) for _ in range(rng.randint(0, 3))]
+            lo = [gen_formula(rng, "e", 2) for _ in range(rng.randint(0, 2))]
+            got = SE._exact_e(gl, lo, SE._Budget(10_000_000))
+            if got is None:
+                assert not brute_sat("e", gl, lo, max_n=2)
+            else:
+                self.check_witness(got, gl, lo)
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
+
+    def test_witnesses_beyond_brute_force(self):
+        # 12 to 40 atoms: far past any enumeration, and past the 2^k-bit
+        # type masks of the old procedure at the upper end
+        rng = random.Random(23)
+        sat_inputs = 0
+        for _ in range(30):
+            pool = [F.Atom(f"a{i}") for i in range(rng.randint(12, 40))]
+
+            def boolean(depth):
+                if depth == 0 or rng.random() < 0.1:
+                    return rng.choice(pool)
+                if rng.random() < 0.2:
+                    return F.Not(boolean(depth - 1))
+                return rng.choice([F.And, F.Or, F.Implies])(boolean(depth - 1),
+                                                            boolean(depth - 1))
+
+            def modal():
+                roll = rng.random()
+                if roll < 0.5:
+                    return F.Oblig(boolean(3), boolean(2))
+                if roll < 0.7:
+                    return rng.choice([F.Box, F.Dia])(boolean(3))
+                if roll < 0.8:
+                    return F.Not(modal())
+                return rng.choice([F.And, F.Or, F.Implies])(modal(), boolean(2))
+
+            gl, lo = [modal()], []
+            while len({a for f in gl + lo for a in F.atoms_of(f)}) < max(12, 0.75 * len(pool)):
+                (gl if rng.random() < 0.7 else lo).append(modal())
+            got = SE._exact_e(gl, lo, SE._Budget(10_000_000))
+            if got is not None:
+                self.check_witness(got, gl, lo)
+                sat_inputs += 1
+        assert sat_inputs >= 20
+
+
 class TestNodeBudgetEnv:
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("DEON_NODE_BUDGET", "123")
