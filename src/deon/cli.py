@@ -4,8 +4,8 @@ One subcommand per pipeline stage: parse, eval, check (validity), model
 (satisfiability), translate (the embedding pipeline), correspondence,
 and the kb group (consistency, entail, comply).  Exit codes: 0 positive
 verdict, 1 negative verdict, 2 undetermined (bound or budget exhausted),
-3 usage or input error, 4 internal error (recursion or memory
-exhausted).  --format json emits a stable schema-1 report.
+3 usage or input error, 4 internal error (any other exception).
+--format json emits a stable schema-1 report.
 """
 
 from __future__ import annotations
@@ -497,13 +497,13 @@ def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
 
 
 def entry(args=None):
-    """The ``deon`` program: ``main``, with exhausted recursion or memory
-    mapped to exit code 4 so that no crash exits 1, the code of a
-    negative verdict.  In-process callers of ``main`` see the exception
-    itself."""
+    """The ``deon`` program: ``main``, with every unexpected exception
+    (exhausted recursion or memory included) mapped to exit code 4, so
+    that no crash exits 1, the code of a negative verdict.  In-process
+    callers of ``main`` see the exception itself."""
     try:
         main(args)
-    except (RecursionError, MemoryError) as ex:
+    except Exception as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         sys.exit(4)
 

@@ -277,18 +277,21 @@ def lower(t: L.LTerm) -> FOFormula:
 
     Quantification is only readable at the base type i; a Pi over any
     other type raises HigherOrderResidue.  The k-th binder in pre-order
-    is named v<k>, primed until it avoids the term's free names, so
+    is named v<k>, primed until it avoids the term's L.names(), so
     binder names are unique and one dict holds every variable's sort:
     R/Rb arguments and the final argument of a predicate are worlds, the
     remaining arguments individuals.  A binder whose name has no sort
     once its body is read does not occur there and is dropped (sound:
     both sorts are nonempty).  A Pi over a non-lambda c reads as
-    forall q<depth>. c q<depth>; that binder is not counted.
+    forall q<depth>. c q<depth> (primed alike); it is not counted.
     """
     ty = L.type_of(t)
     if ty != L.O:
         raise LowerError(f"lowering expects type o, got {ty}")
-    taken = L.free_vars(t)
+    taken = L.names(t)
+    # TPTP writes a prime as an underscore (_tptp_var): a binder must not
+    # take a primed name whose TPTP form is already a free name's
+    taken |= {n.replace("_", "'") for n in taken}
     count = itertools.count()
     sorts: dict[str, str] = {}
 
@@ -329,7 +332,7 @@ def lower(t: L.LTerm) -> FOFormula:
                 raise HigherOrderResidue(f"quantification over type {aty}")
             key = L._fresh(f"q{depth}", {*taken, *env})  # names no variable of arg
             return quant(FOForall, key, L.I, L.App(arg, L.Var(key, L.I)), env, depth,
-                         name=f"q{depth}")
+                         name=L._fresh(f"q{depth}", taken))
         # predicate constant applied to base-sorted arguments
         fo_args: list[FOTerm] = []
         for i, a in enumerate(args):
@@ -463,7 +466,8 @@ def _fo_paren(f: FOFormula) -> str:
 
 
 def _tptp_var(name: str) -> str:
-    return name[0].upper() + name[1:]
+    """Capitalized, with a renamed binder's primes (illegal in TPTP) as _."""
+    return name[0].upper() + name[1:].replace("'", "_")
 
 
 def _tptp_pred(name: str) -> str:

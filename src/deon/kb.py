@@ -24,14 +24,20 @@ conditional obligation O{b|c} is rendered as the classical pair
 {c -> O b, O(c -> b)} (factual and deontic detachment), a prohibition
 as the same pair for ~b, and a permission as c -> ~O~b; unconditional
 norms collapse to the single monadic formula.
+
+Compliance decides each detachment question with one query to a deon.sat
+solver shared by the run, so the node budget, not the atom count, limits
+it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from . import formula as F
+from . import sat
 from . import search as SE
 from . import semantics as S
 
@@ -75,7 +81,7 @@ _NORM_RE = re.compile(
 )
 
 
-def _boolean_only(f: F.Formula, what: str, line: int) -> None:
+def _boolean_only(f: F.Formula, what: str, line: int | None) -> None:
     for g in F.subformulas(f):
         if isinstance(g, _MODAL):
             raise KBError(f"{what} must be a Boolean combination of atoms", line)
@@ -287,32 +293,26 @@ class ComplianceReport:
         return not self.violations
 
 
-_BOOLEAN = (F.Atom, F.Not, F.And, F.Or, F.Implies, F.Iff)
+def _entailed(premises, goals, budget: SE._Budget):
+    """A function telling whether the premises propositionally entail
+    goal j: one sat.Solver holds the Tseitin clauses of them all, with
+    the premises' roots as units, and goal j is entailed iff assuming
+    its root false leaves no model (charged to budget)."""
+    premises = list(premises)
+    fs = premises + list(goals)
+    for f in fs:
+        _boolean_only(f, "an entailment's input", None)
+    bank = S.CompiledBank(fs, "e")
+    units = [[r + 1] for r in bank.roots[:len(premises)]]
+    solver = sat.Solver(len(bank.ops), chain(sat.bank_clauses(bank.ops), units))
+    goal_roots = bank.roots[len(premises):]
+    return lambda j: solver.solve((), [-(goal_roots[j] + 1)], budget) is None
 
 
 def prop_entails(premises, goal: F.Formula) -> bool:
-    """Classical propositional entailment, decided in one run of the
-    compiled formulas over the whole truth table: 2^k worlds, where
-    world w makes the i-th atom true iff bit i of w is set."""
-    fs = list(premises) + [goal]
-    for f in fs:
-        for g in F.subformulas(f):
-            if not isinstance(g, _BOOLEAN):
-                raise KBError(f"not a Boolean formula: {F.print_formula(g)}")
-    bank = S.CompiledBank(fs, "e")
-    k = len(bank.atoms)
-    if k > 22:
-        raise KBError("too many distinct atoms for propositional entailment")
-    worlds = 1 << k
-    *masks, goal_mask = bank.masks_on(worlds, (), [S.bit_mask(i, worlds) for i in range(k)])
-    premise_mask = (1 << worlds) - 1
-    for m in masks:
-        premise_mask &= m
-    return premise_mask & ~goal_mask == 0
-
-
-def prop_satisfiable(fs) -> bool:
-    return not prop_entails(fs, F.BOT)
+    """Classical propositional entailment, one query to the solver of
+    ``_entailed`` under the default node budget."""
+    return _entailed(premises, [goal], SE._Budget(SE._default_budget()))(0)
 
 
 def compliance(kb: KnowledgeBase, cfg: SE.SearchConfig) -> ComplianceReport:
@@ -325,20 +325,22 @@ def compliance(kb: KnowledgeBase, cfg: SE.SearchConfig) -> ComplianceReport:
     semantics alone never licenses factual detachment.  Permissions
     detach nothing and cannot be violated.
     """
-    facts = list(kb.facts)
-    if not prop_satisfiable(facts):
+    instances = [(norm.id + suffix, body if norm.kind == "obligation" else F.Not(body), cond)
+                 for norm in kb.norms if norm.kind != "permission"
+                 for suffix, body, cond in _instances(norm, kb.individuals)]
+    # goal 0 (false) is entailed iff the facts are contradictory; instance
+    # i asks for its condition (goal 2i + 1), then for its effect's negation
+    goals = [F.BOT] + [g for _, eff, cond in instances for g in (cond, F.Not(eff))]
+    entailed = _entailed(kb.facts, goals, SE._Budget(cfg.node_budget))
+    if entailed(0):
         raise KBError("facts are propositionally contradictory")
     detached: list[tuple[str, F.Formula]] = []
     violations: list[tuple[str, F.Formula]] = []
-    for norm in kb.norms:
-        if norm.kind == "permission":
-            continue
-        for suffix, body, cond in _instances(norm, kb.individuals):
-            eff = body if norm.kind == "obligation" else F.Not(body)
-            if prop_entails(facts, cond):
-                detached.append((norm.id + suffix, eff))
-                if prop_entails(facts, F.Not(eff)):
-                    violations.append((norm.id + suffix, eff))
+    for i, (label, eff, _) in enumerate(instances):
+        if entailed(2 * i + 1):
+            detached.append((label, eff))
+            if entailed(2 * i + 2):
+                violations.append((label, eff))
     result = consistency(kb, cfg)
     consistent = isinstance(result.verdict, SE.ModelFound)
     witness = result.verdict.model if consistent else None

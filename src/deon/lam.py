@@ -4,7 +4,7 @@ beta-eta normalization.
 Terms are named at the API boundary; normalization and alpha-equality
 convert to a de Bruijn form internally, so binder names never matter.
 Normal forms come back out with deterministic binder names v0, v1, ...
-(an unused name is chosen if a free variable already uses one).
+(primed if a free variable or a constant already uses the name).
 `normalize` evaluates the term once and reads the value back once
 (normalization by evaluation); the single-step reducer behind
 `normalize_steps` is kept for `--show-steps` and as the tests' oracle.
@@ -157,9 +157,15 @@ def type_of(t: LTerm, env: dict[str, Ty] | None = None) -> Ty:
             raise LamTypeError(f"variable {t.name} annotated {t.ty}, bound at {env[t.name]}")
         return t.ty
     if isinstance(t, Abs):
-        inner = dict(env)
-        inner[t.var] = t.var_ty
-        return Arrow(t.var_ty, type_of(t.body, inner))
+        shadowed = env.get(t.var)
+        env[t.var] = t.var_ty
+        try:
+            return Arrow(t.var_ty, type_of(t.body, env))
+        finally:
+            if shadowed is None:
+                del env[t.var]
+            else:
+                env[t.var] = shadowed
     if isinstance(t, App):
         ft = type_of(t.fun, env)
         at = type_of(t.arg, env)
@@ -179,6 +185,22 @@ def free_vars(t: LTerm) -> frozenset[str]:
     if isinstance(t, Abs):
         return free_vars(t.body) - {t.var}
     return free_vars(t.fun) | free_vars(t.arg)
+
+
+def names(t: LTerm) -> set[str]:
+    """The names of t's free variables and constants: the names a new
+    binder must avoid to be read unambiguously."""
+    out: set[str] = set()
+    stack: list[tuple[LTerm, frozenset[str]]] = [(t, frozenset())]
+    while stack:
+        u, bound = stack.pop()
+        if isinstance(u, Const) or (isinstance(u, Var) and u.name not in bound):
+            out.add(u.name)
+        elif isinstance(u, Abs):
+            stack.append((u.body, bound | {u.var}))
+        elif isinstance(u, App):
+            stack += [(u.fun, bound), (u.arg, bound)]
+    return out
 
 
 def _fresh(base: str, avoid: set[str]) -> str:
@@ -261,16 +283,6 @@ def _to_db(t: LTerm, env: tuple[tuple[str, Ty], ...] = ()):
     if isinstance(t, App):
         return _DApp(_to_db(t.fun, env), _to_db(t.arg, env))
     raise LamError(f"unknown term {t!r}")
-
-
-def _db_free_names(d) -> set[str]:
-    if isinstance(d, _DFree):
-        return {d.name}
-    if isinstance(d, (_DVar, _DConst)):
-        return set()
-    if isinstance(d, _DAbs):
-        return _db_free_names(d.body)
-    return _db_free_names(d.fun) | _db_free_names(d.arg)
 
 
 def _from_db(d, taken: set[str]) -> LTerm:
@@ -432,11 +444,10 @@ def normalize(t: LTerm) -> LTerm:
     - beta-eta normal forms are unique (Church-Rosser) and de Bruijn
       terms identify alpha-equivalent ones, so the result is exactly the
       stepper's (`normalize_steps`, either strategy), and `_from_db`
-      names it the same way.
+      names it the same way, avoiding the input's names().
     """
     type_of(t)
-    d = _quote(_eval(_to_db(t), ()), 0)
-    return _from_db(d, _db_free_names(d))
+    return _from_db(_quote(_eval(_to_db(t), ()), 0), names(t))
 
 
 def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
@@ -445,7 +456,7 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
         raise LamError(f"unknown strategy {strategy!r}")
     type_of(t)
     d = _to_db(t)
-    taken = _db_free_names(d)
+    taken = names(t)
     steps = [_from_db(d, taken)]
     # eta after beta exhaustion: an eta step keeps a term beta-normal
     for step in (lambda u: _beta_step(u, strategy), _eta_step):

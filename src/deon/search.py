@@ -36,7 +36,8 @@ the bound recorded on Valid/DecidedUnsatisfiable verdicts.  A satisfiable
 complete-mode answer then goes through the canonical bounded scan up to
 the constructed witness's size, with its own node budget charged one
 unit per compiled op per candidate; if that runs out, the constructed
-witness is returned.
+witness is returned.  The node budget is the only limit on the size of
+an input: an input too large to decide ends in BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -522,40 +523,8 @@ def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Bud
     return model, local_worlds
 
 
-def _exact(globals_, locals_, cfg: SearchConfig, budget: _Budget):
-    if cfg.logic == "sdl":
-        return _exact_sdl(globals_, locals_, budget)
-    return _exact_e(globals_, locals_, budget)
-
-
 # ---------------------------------------------------------------------------
 # Public operations
-
-
-def find_model(fs, cfg: SearchConfig) -> Verdict:
-    """First canonical model making every formula valid, or a negative
-    verdict; complete mode turns exhaustion into DecidedUnsatisfiable."""
-    fs = list(fs)
-    _require_ground(fs)
-    _check_cfg(cfg)
-    domain = _domain(fs)
-    budget = _Budget(cfg.node_budget)
-
-    if cfg.complete:
-        got = _exact(fs, [], cfg, budget)
-        if got is None:
-            return DecidedUnsatisfiable(filtration_bound(fs))
-        witness, _ = got
-        found = _bounded_scan(fs, None, domain, cfg, _Budget(cfg.node_budget), witness.n)
-        if found is not None:
-            return ModelFound(found[0])
-        _revalidate(witness, fs, cfg.logic)
-        return ModelFound(witness)
-
-    found = _bounded_scan(fs, None, domain, cfg, budget, cfg.max_worlds)
-    if found is not None:
-        return ModelFound(found[0])
-    return NoModelUpTo(cfg.max_worlds)
 
 
 def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
@@ -598,39 +567,54 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
     return None
 
 
+def _search(valid_fs: list[F.Formula], falsify: F.Formula | None, cfg: SearchConfig):
+    """find_model and entails: (model, world) as _bounded_scan gives it,
+    or None; complete mode decides first, then re-scans canonically."""
+    every = valid_fs + ([] if falsify is None else [falsify])
+    _require_ground(every)
+    _check_cfg(cfg)
+    domain = _domain(every)
+    budget = _Budget(cfg.node_budget)
+    if not cfg.complete:
+        return _bounded_scan(valid_fs, falsify, domain, cfg, budget, cfg.max_worlds)
+    exact = _exact_sdl if cfg.logic == "sdl" else _exact_e
+    got = exact(valid_fs, [] if falsify is None else [F.Not(falsify)], budget)
+    if got is None:
+        return None
+    witness, worlds = got
+    found = _bounded_scan(valid_fs, falsify, domain, cfg, _Budget(cfg.node_budget), witness.n)
+    if found is not None:
+        return found
+    world = None if falsify is None else worlds[0]
+    _revalidate(witness, valid_fs, cfg.logic, false_somewhere=falsify, world=world)
+    return witness, world
+
+
+def find_model(fs, cfg: SearchConfig) -> Verdict:
+    """First canonical model making every formula valid, or a negative
+    verdict; complete mode turns exhaustion into DecidedUnsatisfiable."""
+    fs = list(fs)
+    found = _search(fs, None, cfg)
+    if found is not None:
+        return ModelFound(found[0])
+    if cfg.complete:
+        return DecidedUnsatisfiable(filtration_bound(fs))
+    return NoModelUpTo(cfg.max_worlds)
+
+
 def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
     """Countermodel search: assumptions valid, goal false at some world."""
     assumptions = list(assumptions)
-    _require_ground(assumptions + [goal])
-    _check_cfg(cfg)
-    domain = _domain(assumptions + [goal])
-    budget = _Budget(cfg.node_budget)
-
-    if cfg.complete:
-        got = _exact(assumptions, [F.Not(goal)], cfg, budget)
-        if got is None:
-            return Valid(filtration_bound(assumptions + [goal]))
-        witness, worlds = got
-        found = _bounded_scan(assumptions, goal, domain, cfg, _Budget(cfg.node_budget),
-                              witness.n)
-        if found is not None:
-            return CountermodelFound(found[0], found[1])
-        _revalidate(witness, assumptions, cfg.logic, false_somewhere=goal,
-                    world=worlds[0])
-        return CountermodelFound(witness, worlds[0])
-
-    found = _bounded_scan(assumptions, goal, domain, cfg, budget, cfg.max_worlds)
+    found = _search(assumptions, goal, cfg)
     if found is not None:
-        return CountermodelFound(found[0], found[1])
+        return CountermodelFound(*found)
+    if cfg.complete:
+        return Valid(filtration_bound(assumptions + [goal]))
     return NoModelUpTo(cfg.max_worlds)
 
 
 def decide_valid(f: F.Formula, cfg: SearchConfig) -> Verdict:
     """Validity via countermodel search; complete mode decides it."""
-    _require_ground([f])
-    _check_cfg(cfg)
-    if cfg.complete and len(F.subformulas(f)) > 20:
-        raise SearchError("complete mode rejects formulas with more than 20 subformulas")
     return entails([], f, cfg)
 
 

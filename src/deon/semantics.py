@@ -14,9 +14,10 @@ good as all c-worlds satisfies b.  Both are therefore world-independent
 
 One compiled evaluator, ``CompiledBank``, gives every connective and
 modal operator its meaning.  Model checking (``Evaluator``), bounded
-search, both type-elimination procedures (run over type space with the
-modal ops bound to chosen bits) and propositional compliance (run over
-a whole truth table) all go through it.
+search and both type-elimination procedures (run over type space with
+the modal ops bound to chosen bits) go through it, and ``deon.sat``
+reads its op array as clauses for System E complete mode and
+propositional compliance.
 """
 
 from __future__ import annotations
@@ -375,17 +376,10 @@ class CompiledBank:
                 si += 1
         return out
 
-    def masks_on(self, n: int, rows: tuple[int, ...], vals) -> list[int]:
-        """Truth masks of the input formulas over an n-world structure."""
-        out = self.run(n, rows, vals)
-        return [out[r] for r in self.roots]
-
     def masks(self, model: _ModelBase) -> list[int]:
-        vals = tuple(model.atom_mask(a) for a in self.atoms)
-        return self.masks_on(model.n, model.rows, vals)
-
-    def all_valid_on(self, n: int, rows: tuple[int, ...], vals) -> bool:
-        return self.run(n, rows, vals, valid=len(self.roots)) is not None
+        """Truth masks of the input formulas over the model."""
+        out = self.run(model.n, model.rows, tuple(model.atom_mask(a) for a in self.atoms))
+        return [out[r] for r in self.roots]
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_criterion_3_system_e_soundness_exhaustive():
             for vbits in range(1 << (3 * n)):
                 raw = tuple((vbits >> (i * n)) & full for i in range(3))
                 vals = tuple(raw[order[i]] for i in range(3))
-                ok = bank.all_valid_on(n, rows, vals)
+                ok = bank.run(n, rows, vals, valid=len(bank.roots)) is not None
                 if not ok:
                     pytest.fail(f"axiom instance fails: n={n} rel={rel} val={vbits}")
                 counts["all"] += 1
@@ -176,7 +176,8 @@ def test_criterion_4_sdl_kd_suite_exhaustive():
         for rows in itertools.product(rowspace, repeat=n):
             for vbits in range(1 << (2 * n)):
                 vals = tuple((vbits >> (i * n)) & full for i in range(2))
-                masks = bank.masks_on(n, rows, vals)
+                out = bank.run(n, rows, vals)
+                masks = [out[r] for r in bank.roots]
                 kd = masks[:len(k_instances) + len(d_instances)]
                 assert all(m == full for m in kd)
                 phi = masks[len(kd):len(kd) + len(nec_sources)]

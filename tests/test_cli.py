@@ -103,6 +103,13 @@ class TestFailuresAreNotVerdicts:
         assert self.program("model", "p") == 4
         assert capsys.readouterr().err.startswith("internal error: MemoryError")
 
+    def test_any_crash_exits_4(self, capsys):
+        # a --sig predicate without arity is an unpacking ValueError
+        argv = ("model", "p", "--sig", "pred p")
+        assert isinstance(run(*argv).exception, ValueError)
+        assert self.program(*argv) == 4
+        assert capsys.readouterr().err.startswith("internal error: ValueError")
+
     def test_verdicts_keep_their_codes(self, capsys):
         assert self.program("model", "p") == 0
         assert self.program("check", "p") == 1

@@ -143,6 +143,30 @@ class TestLower:
         assert E.lower(t) == E.FOForall(
             "v0'", E.WORLD, E.FOAtom("P", (E.FOVar("v0"), E.FOVar("v0'"))))
 
+    @pytest.mark.parametrize("const,logic,fo,tptp_var", [
+        ("v1", "sdl", "∀v0:world. ∀v1':world. (¬R(v0, v1')) ∨ P(v1, v1')", "V1_"),
+        ("q1", "e", "∀q1':world. P(q1, q1')", "Q1_"),
+    ])
+    def test_binder_names_avoid_constant_names(self, const, logic, fo, tptp_var):
+        f = F.parse(f"box P({const})", F.Signature({"P": 1}, frozenset({const})), logic=logic)
+        nf = L.normalize(E.vld(E.embed(f, logic)))
+        lowered = E.lower(nf)
+        assert E.fo_show(lowered) == fo
+        tptp = E.emit_tptp(lowered, "goal", "conjecture", logic=logic)
+        assert f"! [{tptp_var}]" in tptp and "'" not in tptp
+        if logic == "sdl":
+            assert L.show(nf) == "Π(λv0. Π(λv1'. ¬(R v0 v1') ∨ (P v1 v1')))"
+
+    def test_tptp_names_of_primed_binders_stay_distinct(self):
+        # a primed binder is written with an underscore in TPTP, so it
+        # must also avoid the free names that end in underscores
+        pred = L.Const("P", L.fn(L.I, L.I, L.I, L.O))
+        free = [L.Var("v0", L.I), L.Var("v0_", L.I)]
+        t = L.forall("x", L.I, L.app(pred, *free, L.Var("x", L.I)))
+        fo = E.lower(t)
+        assert fo.var == "v0''"
+        assert "! [V0__]" in E.emit_tptp(fo, "goal", "conjecture")
+
     def test_eta_binder_not_captured_by_a_same_named_binder(self):
         pred = L.Const("P", L.fn(L.I, L.I, L.O))
         t = L.forall("q1", L.I, L.App(L.Pi(L.I), L.App(pred, L.Var("q1", L.I))))

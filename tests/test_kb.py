@@ -247,7 +247,7 @@ def boolean_formula(rng: random.Random, depth: int) -> F.Formula:
 class TestPropEntails:
     def test_agrees_with_enumeration(self):
         rng = random.Random(31)
-        for _ in range(200):
+        for _ in range(1200):
             premises = [boolean_formula(rng, 3) for _ in range(rng.randint(0, 3))]
             goal = boolean_formula(rng, 3)
             counter = F.Not(goal)
@@ -260,10 +260,14 @@ class TestPropEntails:
         with pytest.raises(KB.KBError, match="Boolean"):
             KB.prop_entails([F.Box(P)], Q)
 
-    def test_atom_cap(self):
-        atoms = [F.Atom(f"a{i}") for i in range(23)]
-        with pytest.raises(KB.KBError, match="too many distinct atoms"):
-            KB.prop_entails(atoms, F.TOP)
+    def test_no_atom_cap(self):
+        # 41 atoms, past the 2^22-row truth table of the old procedure
+        atoms = [F.Atom(f"a{i}") for i in range(41)]
+        chain = [F.Implies(a, b) for a, b in zip(atoms, atoms[1:])]
+        assert KB.prop_entails(chain + [atoms[0]], atoms[-1])
+        assert not KB.prop_entails(chain, atoms[-1])
+        assert not KB.prop_entails(chain + [atoms[0]], F.Not(atoms[-1]))
+        assert KB.prop_entails(chain + [atoms[0], F.Not(atoms[-1])], F.BOT)
 
 
 class TestCtdSignature:
@@ -303,6 +307,14 @@ def gdpr_kb(n: int, logic: str) -> str:
     return "\n".join(["[signature]"] + [f"pred {p}/1" for p in preds]
                      + ["[individuals]"] + [f"d{i}" for i in range(1, n + 1)]
                      + ["[norms]"] + norms + ["[facts]"] + facts) + "\n"
+
+
+def gdpr_facts_kb(n: int) -> str:
+    """GDPR-E-N with ~process_lawfully(di) and is_protected_by_GDPR(di)
+    for every individual: 2N fact atoms."""
+    return gdpr_kb(n, "e") + "".join(
+        [f"~process_lawfully(d{i})\n" for i in range(2, n + 1)]
+        + [f"is_protected_by_GDPR(d{i})\n" for i in range(1, n + 1)])
 
 
 def chisholm_kb(n: int) -> str:
@@ -348,6 +360,25 @@ class TestScaling:
         verdict = KB.entailment(base, goal, CFG_EC).verdict
         assert isinstance(verdict, SE.CountermodelFound)
         assert time.perf_counter() - t0 < 15.0
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_e_compliance_with_both_facts(self, n):
+        # by construction: every a1 and a2 instance is detached, and only
+        # a1 (process lawfully) is violated; 2N atoms are past the old
+        # 22-atom cap of the truth-table detachment
+        report = KB.compliance(KB.load_kb(gdpr_facts_kb(n)), CFG_EC)
+        individuals = range(1, n + 1)
+        assert [label for label, _ in report.detached] == \
+            [f"a1[d{i}]" for i in individuals] + [f"a2[d{i}]" for i in individuals]
+        assert [label for label, _ in report.violations] == \
+            [f"a1[d{i}]" for i in individuals]
+        assert report.consistent
+
+    def test_compliance_runs_out_of_budget_not_memory(self, monkeypatch):
+        monkeypatch.setenv("DEON_NODE_BUDGET", "1000")
+        cfg = SE.SearchConfig(logic="e", complete=True)
+        with pytest.raises(SE.BudgetExceeded):
+            KB.compliance(KB.load_kb(gdpr_facts_kb(64)), cfg)
 
     def test_sdl_budget_is_charged_before_the_type_masks(self):
         # GDPR-SDL-6 has 2^31 types: a mask over them is a 256 MB integer

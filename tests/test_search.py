@@ -99,12 +99,14 @@ class TestDecideValid:
     def test_excluded_middle(self):
         assert SE.decide_valid(F.Or(P, F.Not(P)), CFG_EC) == SE.Valid(8)
 
-    def test_complete_mode_guard(self):
+    def test_complete_mode_has_no_size_guard(self):
         big = P
         for _ in range(21):
-            big = F.And(big, F.Not(big))
-        with pytest.raises(SE.SearchError, match="20"):
-            SE.decide_valid(big, CFG_EC)
+            big = F.And(big, F.Not(big))  # 43 distinct subformulas, always false
+        for cfg in (CFG_EC, CFG_SC):
+            v = SE.decide_valid(big, cfg)
+            assert isinstance(v, SE.CountermodelFound)
+            assert SE.decide_valid(F.Or(big, F.Not(big)), cfg) == SE.Valid(1 << 45)
 
     def test_bound_recorded_is_subformula_exponential(self):
         v = SE.decide_valid(F.Implies(P, P), CFG_EC)
