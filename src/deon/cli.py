@@ -67,6 +67,15 @@ def infer_signature(text: str) -> F.Signature:
                 elif tt.kind == "IDENT" and depth == 1:
                     args.append(tt.text)
                 j += 1
+            # O, P and F before anything but a comma list of identifiers
+            # are operators over a parenthesized formula, as
+            # formula.print_formula writes them
+            group = toks[i + 2:j - 1]
+            if t.text in F.SOFT_KEYWORDS and not (len(group) % 2 and all(
+                    tt.kind == "IDENT" if n % 2 == 0 else tt.text == ","
+                    for n, tt in enumerate(group))):
+                i += 1
+                continue
             old = predicates.get(t.text)
             if old is not None and old != arity:
                 raise F.FormulaError(f"{t.text!r} used with arities {old} and {arity}")

@@ -15,12 +15,13 @@ that order: every model whose assignment to order[:i] is smaller is
 ruled out before the search reaches position i, because unit
 propagation only assigns values that every model extending the current
 decisions shares.  ``solve`` returns that model read as a binary number
-whose most significant bit is order[0].
+whose most significant bit is order[0].  A caller may add clauses
+between queries (``add``), and may ask whether propagation alone
+refutes some assumptions (``conflicts``).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 
 # Clauses tying an op's literal o to its children's literals a and b.
 TSEITIN = {
@@ -33,9 +34,11 @@ TSEITIN = {
 }
 
 
-def bank_clauses(ops):
-    """Tseitin clauses of a CompiledBank op array (slot s is variable s + 1)."""
-    for s, op in enumerate(ops):
+def bank_clauses(ops, slots=None):
+    """Tseitin clauses of a CompiledBank op array (slot s is variable
+    s + 1), of the given slots only when they are given."""
+    for s in range(len(ops)) if slots is None else slots:
+        op = ops[s]
         rule = TSEITIN.get(op[0])
         if rule is not None:
             a, b = ([c + 1 for c in op[1:]] + [0, 0])[:2]
@@ -49,6 +52,11 @@ class Solver:
     the list has 2n + 1 entries, so ``val[-l]`` is a distinct entry
     (Python's negative indexing) and both polarities share one list.
     ``watch[l]`` holds the clauses watching l, visited when l turns false.
+    The unit clauses are propagated once, into the root trail ``root``,
+    which every query starts from and leaves in place; ``ok`` is False
+    when that propagation already conflicts.  The root literals are
+    charged to the budget of the first query that gets past its
+    assumptions, and those ``add`` brings in to the next one.
     """
 
     def __init__(self, n: int, clauses=()):
@@ -56,15 +64,39 @@ class Solver:
         self.val = [0] * (2 * n + 1)
         self.watch: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.units: list[int] = []
+        self.used: set[int] = set()  # the variables some clause mentions
+        self.root: list[int] = []
+        self.paid = 0
+        self._attach(clauses)
+        self._settle()
+
+    def _attach(self, clauses) -> None:
+        units, watch = self.units, self.watch
         for clause in clauses:
             c = list(dict.fromkeys(clause))  # a copy: propagation reorders it
-            if any(-l in c for l in c):
+            vs = set(map(abs, c))
+            if len(vs) < len(c):  # holds both polarities of a variable
                 continue
+            self.used |= vs
             if len(c) == 1:
-                self.units.append(c[0])
+                units.append(c[0])
             else:
-                self.watch[c[0]].append(c)
-                self.watch[c[1]].append(c)
+                watch[c[0]].append(c)
+                watch[c[1]].append(c)
+
+    def _settle(self) -> None:
+        """Propagate the unit clauses from an empty assignment into the
+        root trail, so every clause's watches are consistent with it."""
+        for l in self.root:
+            self.val[l] = self.val[-l] = 0
+        self.root, self.ok = [], True
+        self.ok = self._assume(self.units, self.root)
+        self.tail = sorted(self.used)
+
+    def add(self, clause) -> None:
+        """Add a non-empty clause and settle the root trail again."""
+        self._attach([clause])
+        self._settle()
 
     def _propagate(self, trail: list[int], head: int) -> bool:
         """Unit propagation of trail[head:]; False on a conflict."""
@@ -97,6 +129,38 @@ class Solver:
                     i += 1
         return True
 
+    def _assume(self, assume, trail: list[int]) -> bool:
+        """Assign the assumption literals on top of the current
+        assignment, recording them in trail, and propagate them; False
+        on a conflict."""
+        if not self.ok:
+            return False
+        val = self.val
+        for lit in assume:
+            if val[lit] < 0:
+                return False
+            if not val[lit]:
+                val[lit], val[-lit] = 1, -1
+                trail.append(lit)
+        return self._propagate(trail, 0)
+
+    def _charge(self, budget, n: int) -> None:
+        """Charge n literals plus the root literals not yet paid for."""
+        budget.tick(len(self.root) - self.paid + n)
+        self.paid = len(self.root)
+
+    def conflicts(self, assume, budget) -> bool:
+        """Does unit propagation alone refute the assumptions?  True
+        means there is no model; False decides nothing."""
+        trail: list[int] = []
+        try:
+            refuted = not self._assume(assume, trail)
+            self._charge(budget, len(trail))
+            return refuted
+        finally:
+            for l in trail:
+                self.val[l] = self.val[-l] = 0
+
     def solve(self, order, assume, budget) -> int | None:
         """The least model in ``order`` under the assumption literals,
         read as an integer with order[0] most significant; None when
@@ -115,25 +179,19 @@ class Solver:
         what a clause blocking that model's assignment to order[:keep]
         would make chronological backtracking do; so the next model is
         the least one that differs from it there.  Variables outside
-        ``order`` are decided last, in index order.  Each assigned
-        literal costs one budget unit.
+        ``order`` that some clause mentions are decided last, in index
+        order; no clause constrains the others.  Each assigned
+        literal costs one budget unit.  The assignment is back at the
+        root trail when the generator finishes or is closed.
         """
         val = self.val
         keep = len(order) if keep is None else keep
         trail: list[int] = []
-        seq = list(order)
-        chosen = set(seq)
-        seq += [v for v in range(1, self.n + 1) if v not in chosen]
+        seq = [*order, *self.tail]  # a variable seen again is assigned already
         try:
-            for lit in chain(self.units, assume):
-                if val[lit] < 0:
-                    return
-                if not val[lit]:
-                    val[lit], val[-lit] = 1, -1
-                    trail.append(lit)
-            if not self._propagate(trail, 0):
+            if not self._assume(assume, trail):
                 return
-            budget.tick(len(trail))
+            self._charge(budget, len(trail))
             stack: list[tuple[int, int, int, bool]] = []  # (trail length, lit, seq index, flipped)
             i, ok, limit = 0, True, len(seq)
             while True:

@@ -17,6 +17,9 @@ whole bounded space.  Both logics admit a small-model argument through
   surviving type can serve as successor (realizing seriality and every
   negative O-bit); the survivors themselves form a model, so the input
   is satisfiable iff a survivor meeting the local constraints remains.
+  Elimination is lazy: a closure over least types asks the solver for
+  each successor, and a failed request teaches the solver a clause that
+  removes the types which cannot have one.
 * System E (preference): the box and the dyadic obligation are global,
   so a candidate is a truth assignment to the modal subformulas plus a
   set of realized atom-types.  Such a candidate is realizable by an
@@ -24,15 +27,14 @@ whole bounded space.  Both logics admit a small-model argument through
   witness type (c and not b) that is not forced optimal into a true
   obligation O(b'/c') whose c'-types are contained in the c-types; a
   larger realized-type set only makes these conditions easier, so only
-  the maximal consistent type set needs checking.  Types are never
-  listed: the candidates and every question about their types are
-  queries to the DPLL solver of deon.sat over the Tseitin clauses of
-  the compiled inputs, so memory grows with the input, not with 2^atoms.
+  the maximal consistent type set needs checking.
 
-SDL runs the compiled inputs over all its types as bitmask worlds; E asks
-the solver, and runs the compiled inputs only over the types it picked.
-Either way a satisfiable input has a model no bigger than 2^|subformulas|,
-the bound recorded on Valid/DecidedUnsatisfiable verdicts.  A satisfiable
+Neither logic lists its types: every question about them is a query to
+the DPLL solver of deon.sat over the Tseitin clauses of the compiled
+inputs, so memory grows with the input, not with 2^atoms, and the
+compiled inputs run only over the types picked for a witness.  A
+satisfiable input has a model no bigger than 2^|subformulas|, the bound
+recorded on Valid/DecidedUnsatisfiable verdicts.  A satisfiable
 complete-mode answer then goes through the canonical bounded scan up to
 the constructed witness's size, with its own node budget charged one
 unit per compiled op per candidate; if that runs out, the constructed
@@ -43,8 +45,9 @@ an input: an input too large to decide ends in BudgetExceeded.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 
 from . import formula as F
 from . import sat
@@ -425,102 +428,157 @@ def _build_e_witness(bank: S.CompiledBank, gbits: int, bits, boxes, obls, core_t
 
 
 def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budget):
-    """Type elimination.  A type is a (k + p)-bit index: the truth of the
-    k atoms, then of the p O-subformulas in pre-order; the compiled
-    inputs run once over all 2^(k+p) types as worlds, with atom i bound
-    to bit i and O-subformula j to bit k + j."""
+    """Type elimination on the solver of deon.sat, in the spirit of
+    global caching (Goré & Nguyen 2007).  Returns (model, local_worlds)
+    or None.
+
+    A type assigns truth to the k atoms and the p O-subformulas (in
+    pre-order); its index has atom i at bit i and O_j at bit k + j.  The
+    types are never listed: S, the current type set, is the models of a
+    sat.Solver holding the Tseitin clauses of the compiled inputs, the
+    globals as units and the clauses learned so far.  The solver decides
+    O_p-1 ... O_0, then atom k-1 ... 0, false first, so its least model
+    under assumptions is the least type index with that property.  The
+    bodies follow in the order, body_p-1 ... body_0 (propagation fixes
+    them), so a type is read as its index shifted left by p, with bit j
+    the truth of body_j.
+
+    A type with true O's T needs a successor in S satisfying every body
+    of T (seriality), and for each false O_j one that also falsifies
+    body_j.  The closure starts from the least type where each local
+    holds (or else the least type), and meets each need with the first
+    included type that meets it, else with the least type of S that
+    does.  When that query fails, QuickXplain shrinks its assumptions
+    (the bodies of T, and not body_j) to a core C, and the solver learns
+    "some O_i whose body is in C is false, or O_j is true" (without O_j
+    when not body_j is outside C); then the closure starts again.
+
+    Soundness: a type the clause removes makes the O's of C true and O_j
+    false, so its successors lie among the types of S satisfying C's
+    bodies, and none of those falsifies body_j (or there are none): it
+    fails the elimination rule in S.  S only shrinks, so the greatest
+    fixpoint of elimination, which lies in S, loses nothing.  Each clause
+    removes at least the type whose need failed, so the loop ends.  A
+    pass that learns nothing leaves a closed set: every included type
+    has its needs met by included types, so the set lies in the greatest
+    fixpoint, and a type that is least in S is least in the fixpoint.
+    The pass therefore makes the choices the closure over the fixpoint
+    makes with explicit type masks (kept with the tests as the
+    reference), and builds the same model.  One compiled run re-checks
+    it.
+    """
     bank = S.CompiledBank(globals_ + locals_, "sdl")
-    sigma = _sigma(bank.formulas)
+    n = len(globals_)
+    return _sdl_types(bank, range(n), range(n, len(bank.roots)), budget)
+
+
+def _sdl_types(bank: S.CompiledBank, globals_at, locals_at, budget: _Budget,
+               reflexive: bool = False):
+    """_exact_sdl over the inputs of a compiled bank at the given
+    positions: only the ops they reach go into the solver, and atoms
+    they do not mention are false in the model.  With ``reflexive``
+    (decide-only callers), the solver is first asked for a type with
+    O_j equivalent to body_j for every j: one such world seeing itself
+    is a serial model."""
+    sigma = _sigma([bank.formulas[i] for i in chain(globals_at, locals_at)])
+    cone = sorted(bank.index[g] for g in sigma)
     boxes = [f for f in sigma if isinstance(f, F.ObligM)]
-    k, p = len(bank.atoms), len(boxes)
-    n_types = 1 << (k + p)
-    budget.tick(max(1, ((len(sigma) + (1 << p)) * n_types) >> 6))  # before any mask
-    full = (1 << n_types) - 1
+    atoms = sorted((bank.ops[s][1], s + 1) for s in cone if bank.ops[s][0] == "atom")
+    k, p = len(atoms), len(boxes)
+    o_var = [bank.index[b] + 1 for b in boxes]
+    body = [bank.index[b.sub] + 1 for b in boxes]
+    order = o_var[::-1] + [v for _, v in reversed(atoms)] + body[::-1]
+    gs, ls = [bank.roots[i] for i in globals_at], [bank.roots[i] for i in locals_at]
+    clauses = list(sat.bank_clauses(bank.ops, cone)) + [[g + 1] for g in gs]
+    n_vars = len(bank.ops)
+    if reflexive:  # variable n_vars selects the types with O_j <-> body_j
+        n_vars += 1
+        for o, b in zip(o_var, body):
+            clauses += [[-n_vars, -o, b], [-n_vars, o, -b]]
+    solver = sat.Solver(n_vars, clauses)
+    # an assumption literal and the literal it contributes to a learned clause
+    blame = {b: -o for o, b in zip(o_var, body)} | {-b: o for o, b in zip(o_var, body)}
 
-    box_bit = {bank.index[b]: k + j for j, b in enumerate(boxes)}
-    tm = bank.run(n_types, (), [S.bit_mask(i, n_types) for i in range(k)],
-                  [S.bit_mask(box_bit[s], n_types) for s in bank.modal])
+    def least(lits):
+        return solver.solve(order, lits, budget)
 
-    survivors = full
-    for g in bank.roots[:len(globals_)]:
-        survivors &= tm[g]
-    # types sharing a box-bit pattern b occupy the contiguous block
-    # [b*2^k, (b+1)*2^k)
-    block = (1 << (1 << k)) - 1
-    pattern_mask = [block << (b << k) for b in range(1 << p)]
-    body_mask = [tm[bank.index[box.sub]] for box in boxes]
+    def learn(lits):
+        if solver.conflicts(lits, budget):
+            core = _quickxplain(lits, lambda c: solver.conflicts(c, budget))
+        else:
+            core = _quickxplain(lits, lambda c: least(c) is None)
+        solver.add([blame[l] for l in core])
 
-    while survivors:
-        budget.tick(max(1, ((1 << p) * n_types) >> 6))
-        keep = 0
-        for b in range(1 << p):
-            if not survivors & pattern_mask[b]:
-                continue
-            succ = survivors
-            for j in range(p):
-                if b >> j & 1:
-                    succ &= body_mask[j]
-            if not succ:
-                continue
-            if any(not (succ & ~body_mask[j]) for j in range(p) if not b >> j & 1):
-                continue
-            keep |= pattern_mask[b]
-        new = survivors & keep
-        if new == survivors:
-            break
-        survivors = new
-    if not survivors:
-        return None
-    local_types = []
-    for f in bank.roots[len(globals_):]:
-        hits = survivors & tm[f]
-        if not hits:
+    included = None
+    if reflexive:
+        t = least([n_vars] + [f + 1 for f in ls])
+        if t is not None:
+            included, local_types = {t: None}, [t] * len(ls)
+    while included is None:
+        start = [least([f + 1]) for f in ls] or [least([])]
+        if None in start:
             return None
-        local_types.append((hits & -hits).bit_length() - 1)
-
-    # closure construction: start from the needed types, add successors
-    start = list(dict.fromkeys(local_types)) or [(survivors & -survivors).bit_length() - 1]
-    included: dict[int, None] = dict.fromkeys(start)
-    queue = list(included)
-    while queue:
-        t = queue.pop(0)
-        b = t >> k
-        succ = survivors
-        for j in range(p):
-            if b >> j & 1:
-                succ &= body_mask[j]
-        picks = []
-        for j in range(p):
-            if not b >> j & 1:
-                need = succ & ~body_mask[j]
-                hit = next((u for u in included if need >> u & 1), None)
-                if hit is None:
-                    hit = (need & -need).bit_length() - 1
+        local_types = start[:len(ls)]
+        included = dict.fromkeys(start)
+        queue = deque(included)
+        while queue:
+            t = queue.popleft()
+            pat = t >> (k + p)  # bit i: O_i is true at t, so body_i holds at every successor
+            bodies = [body[i] for i in range(p) if pat >> i & 1]
+            picks = []
+            for j in [j for j in range(p) if not pat >> j & 1] or [None]:
+                hit = next((u for u in included
+                            if (u & pat) == pat and (j is None or not u >> j & 1)), None)
+                lits = bodies if j is None else bodies + [-body[j]]
+                if hit is None and (hit := least(lits)) is None:
+                    learn(lits)
+                    included = None
+                    break
                 picks.append(hit)
-        if not picks:
-            hit = next((u for u in included if succ >> u & 1), None)
-            if hit is None:
-                hit = (succ & -succ).bit_length() - 1
-            picks.append(hit)
-        for u in picks:
-            if u not in included:
-                included[u] = None
-                queue.append(u)
+            if included is None:
+                break
+            for u in picks:
+                if u not in included:
+                    included[u] = None
+                    queue.append(u)
+
     world_type = sorted(included)
-    index = {t: w for w, t in enumerate(world_type)}
     n = len(world_type)
-    relation = []
-    for t in world_type:
-        b = t >> k
-        for u in world_type:
-            if all(body_mask[j] >> u & 1 for j in range(p) if b >> j & 1):
-                relation.append((index[t], index[u]))
-    valuation = {a: [index[t] for t in world_type if t >> i & 1]
-                 for i, a in enumerate(bank.atoms)}
-    domain = {c for _, args in bank.atoms for c in args}
-    model = S.KripkeModel(n, relation, valuation, domain)
-    local_worlds = [index[t] for t in local_types]
-    return model, local_worlds
+    pats = [t >> (k + p) for t in world_type]
+    rows = tuple(sum(1 << w for w, u in enumerate(world_type) if (u & pat) == pat) for pat in pats)
+    vals = [0] * len(bank.atoms)
+    for i, (a, _) in enumerate(atoms):
+        vals[a] = sum(1 << w for w, t in enumerate(world_type) if t >> (p + i) & 1)
+    local_worlds = [world_type.index(t) for t in local_types]
+    tm = bank.run(n, rows, vals)
+    if not (all(tm[g] == (1 << n) - 1 for g in gs)
+            and all(tm[f] >> w & 1 for f, w in zip(ls, local_worlds))):
+        raise SearchError("internal error: a closed type set fails the compiled check")
+    return _model("sdl", n, rows, bank.atoms, vals, {c for _, a in bank.atoms for c in a}), \
+        local_worlds
+
+
+def _quickxplain(items, refuted) -> list:
+    """QuickXplain (Junker 2004): a minimal refuted sublist of items,
+    which must be refuted as a whole; ``refuted`` must be monotone (a
+    list containing a refuted list is refuted).
+
+    Of the minimal refuted sublists it returns the preferred one: it
+    keeps the item that ends the shortest refuted prefix, then makes the
+    same choice among the items before it with that item kept.  Over
+    positions taken in reverse, that is the core a front-to-back deletion
+    loop keeps.
+    """
+    def shrink(background: list, items: list, fresh: bool) -> list:
+        if fresh and refuted(background):
+            return []
+        if len(items) <= 1:
+            return items
+        half = len(items) // 2
+        later = shrink(background + items[:half], items[half:], True)
+        return shrink(background + later, items[:half], bool(later)) + later
+
+    return shrink([], list(items), False)
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +725,17 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
 
 
 def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
-    """Deletion-based shrink to a minimal unsatisfiable subset.
+    """A minimal unsatisfiable subset, found by QuickXplain.
 
     Returns the core as ascending positions in fs (equal formulas are
-    one object, so only positions tell them apart).  Requires complete
-    mode; both the result's unsatisfiability and the satisfiability of
-    every one-element-removed subset are re-verified.
+    one object, so only positions tell them apart).  QuickXplain runs
+    over the positions in reverse, so the core is the one a
+    front-to-back deletion loop keeps.  Its oracle only decides: the
+    complete procedure with no canonical re-scan, each satisfiable
+    answer re-checked by one compiled run (SDL first tries a one-world
+    reflexive model).  Requires complete mode; both the result's
+    unsatisfiability and the satisfiability of every one-element-removed
+    subset are re-verified.
     """
     fs = list(fs)
     if not cfg.complete:
@@ -681,22 +744,19 @@ def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
     if not isinstance(verdict, DecidedUnsatisfiable):
         raise SearchError("minimal_unsat_subset expects an unsatisfiable input set")
 
-    def model_of(positions: list[int]) -> Verdict:
-        return find_model([fs[j] for j in positions], cfg)
+    bank = S.CompiledBank(fs, "sdl") if cfg.logic == "sdl" else None
 
-    core = list(range(len(fs)))
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1:]
-        if trial and isinstance(model_of(trial), DecidedUnsatisfiable):
-            core = trial
-        else:
-            i += 1
+    def refuted(positions) -> bool:
+        budget = _Budget(cfg.node_budget)
+        if bank is not None:
+            return _sdl_types(bank, sorted(positions), (), budget, reflexive=True) is None
+        return _exact_e([fs[j] for j in sorted(positions)], [], budget) is None
 
-    if not isinstance(model_of(core), DecidedUnsatisfiable):
+    core = sorted(_quickxplain(range(len(fs) - 1, -1, -1), refuted))
+    if not refuted(core):
         raise SearchError("internal error: shrunken core is satisfiable")
     for i in range(len(core)):
         trial = core[:i] + core[i + 1:]
-        if trial and not isinstance(model_of(trial), ModelFound):
+        if trial and refuted(trial):
             raise SearchError("internal error: core is not minimal")
     return core

@@ -212,18 +212,6 @@ def opt_mask(rows: tuple[int, ...], s: int) -> int:
     return out
 
 
-def bit_mask(i: int, width: int) -> int:
-    """Mask over worlds 0..width-1 selecting those whose index has bit i
-    set; with width 2^k and i < k this is atom i's column of the truth
-    table whose worlds are the k-bit assignments."""
-    step = 1 << (i + 1)
-    m = ((1 << (1 << i)) - 1) << (1 << i)
-    while step < width:
-        m |= m << step
-        step <<= 1
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 

@@ -69,14 +69,16 @@ def gen_model(rng: random.Random, logic: str, max_worlds: int = 4,
 def brute_sat(logic: str, globals_, locals_, max_n: int = 3) -> bool:
     """Enumeration oracle: is there a model of at most max_n worlds making
     every global valid and each local true somewhere?"""
-    atoms = sorted({S.atom_key(a) for f in list(globals_) + list(locals_)
-                    for a in F.atoms_of(f)})
+    fs = list(globals_) + list(locals_)
+    atoms = sorted({S.atom_key(a) for f in fs for a in F.atoms_of(f)})
     iterator = S.iter_preference_models if logic == "e" else S.iter_serial_kripke_models
+    bank = S.CompiledBank(fs, logic)  # what Evaluator runs, compiled once
+    n_globals = len(globals_)
     for n in range(1, max_n + 1):
         for m in iterator(n, atoms):
-            ev = S.Evaluator(m, logic)
-            if all(ev.valid(f) for f in globals_) and \
-                    all(ev.mask(f) != 0 for f in locals_):
+            # the run stops at the first global that is not valid
+            out = bank.run(n, m.rows, [m.valuation[a] for a in bank.atoms], valid=n_globals)
+            if out is not None and all(out[r] for r in bank.roots[n_globals:]):
                 return True
     return False
 

@@ -1,0 +1,144 @@
+"""Reference implementations the complete-mode procedures are checked
+against: SDL type elimination over explicit 2^(k+p)-bit type masks, and
+the front-to-back deletion shrink of an unsatisfiable set."""
+
+from __future__ import annotations
+
+from deon import formula as F
+from deon import search as SE
+from deon import semantics as S
+
+
+def bit_mask(i: int, width: int) -> int:
+    """Mask over worlds 0..width-1 selecting those whose index has bit i
+    set; with width 2^k and i < k this is atom i's column of the truth
+    table whose worlds are the k-bit assignments."""
+    step = 1 << (i + 1)
+    m = ((1 << (1 << i)) - 1) << (1 << i)
+    while step < width:
+        m |= m << step
+        step <<= 1
+    return m
+
+
+def mask_exact_sdl(globals_, locals_, budget):
+    """Type elimination.  A type is a (k + p)-bit index: the truth of the
+    k atoms, then of the p O-subformulas in pre-order; the compiled
+    inputs run once over all 2^(k+p) types as worlds, with atom i bound
+    to bit i and O-subformula j to bit k + j.  Returns (model,
+    local_worlds) or None, as search._exact_sdl does."""
+    bank = S.CompiledBank(globals_ + locals_, "sdl")
+    sigma = SE._sigma(bank.formulas)
+    boxes = [f for f in sigma if isinstance(f, F.ObligM)]
+    k, p = len(bank.atoms), len(boxes)
+    n_types = 1 << (k + p)
+    budget.tick(max(1, ((len(sigma) + (1 << p)) * n_types) >> 6))  # before any mask
+    full = (1 << n_types) - 1
+
+    box_bit = {bank.index[b]: k + j for j, b in enumerate(boxes)}
+    tm = bank.run(n_types, (), [bit_mask(i, n_types) for i in range(k)],
+                  [bit_mask(box_bit[s], n_types) for s in bank.modal])
+
+    survivors = full
+    for g in bank.roots[:len(globals_)]:
+        survivors &= tm[g]
+    # types sharing a box-bit pattern b occupy the contiguous block
+    # [b*2^k, (b+1)*2^k)
+    block = (1 << (1 << k)) - 1
+    pattern_mask = [block << (b << k) for b in range(1 << p)]
+    body_mask = [tm[bank.index[box.sub]] for box in boxes]
+
+    while survivors:
+        budget.tick(max(1, ((1 << p) * n_types) >> 6))
+        keep = 0
+        for b in range(1 << p):
+            if not survivors & pattern_mask[b]:
+                continue
+            succ = survivors
+            for j in range(p):
+                if b >> j & 1:
+                    succ &= body_mask[j]
+            if not succ:
+                continue
+            if any(not (succ & ~body_mask[j]) for j in range(p) if not b >> j & 1):
+                continue
+            keep |= pattern_mask[b]
+        new = survivors & keep
+        if new == survivors:
+            break
+        survivors = new
+    if not survivors:
+        return None
+    local_types = []
+    for f in bank.roots[len(globals_):]:
+        hits = survivors & tm[f]
+        if not hits:
+            return None
+        local_types.append((hits & -hits).bit_length() - 1)
+
+    # closure construction: start from the needed types, add successors
+    start = list(dict.fromkeys(local_types)) or [(survivors & -survivors).bit_length() - 1]
+    included: dict[int, None] = dict.fromkeys(start)
+    queue = list(included)
+    while queue:
+        t = queue.pop(0)
+        b = t >> k
+        succ = survivors
+        for j in range(p):
+            if b >> j & 1:
+                succ &= body_mask[j]
+        picks = []
+        for j in range(p):
+            if not b >> j & 1:
+                need = succ & ~body_mask[j]
+                hit = next((u for u in included if need >> u & 1), None)
+                if hit is None:
+                    hit = (need & -need).bit_length() - 1
+                picks.append(hit)
+        if not picks:
+            hit = next((u for u in included if succ >> u & 1), None)
+            if hit is None:
+                hit = (succ & -succ).bit_length() - 1
+            picks.append(hit)
+        for u in picks:
+            if u not in included:
+                included[u] = None
+                queue.append(u)
+    world_type = sorted(included)
+    index = {t: w for w, t in enumerate(world_type)}
+    n = len(world_type)
+    relation = []
+    for t in world_type:
+        b = t >> k
+        for u in world_type:
+            if all(body_mask[j] >> u & 1 for j in range(p) if b >> j & 1):
+                relation.append((index[t], index[u]))
+    valuation = {a: [index[t] for t in world_type if t >> i & 1]
+                 for i, a in enumerate(bank.atoms)}
+    domain = {c for _, args in bank.atoms for c in args}
+    model = S.KripkeModel(n, relation, valuation, domain)
+    local_worlds = [index[t] for t in local_types]
+    return model, local_worlds
+
+
+def deletion_mus(fs, cfg) -> list[int]:
+    """Front-to-back deletion: drop each position whose removal leaves
+    the set unsatisfiable; ascending positions of the core that is left.
+    A set is unsatisfiable when the complete procedure finds no model,
+    which is when find_model says DecidedUnsatisfiable (the canonical
+    re-scan it adds changes only the witness); SDL asks the type masks
+    above."""
+    def unsat(positions) -> bool:
+        sub, budget = [fs[j] for j in positions], SE._Budget(cfg.node_budget)
+        exact = mask_exact_sdl if cfg.logic == "sdl" else SE._exact_e
+        return exact(sub, [], budget) is None
+
+    core = list(range(len(fs)))
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1:]
+        if trial and unsat(trial):
+            core = trial
+        else:
+            i += 1
+    return core

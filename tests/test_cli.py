@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from click.testing import CliRunner
 
 from deon import cli
 from deon import formula as F
+
+from helpers import gen_formula
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,6 +48,20 @@ class TestInferSignature:
     def test_arity_conflict_rejected(self):
         with pytest.raises(F.FormulaError):
             cli.infer_signature("erase(d1) & erase(d1, d2)")
+
+    def test_operator_before_a_parenthesized_formula(self):
+        sig = cli.infer_signature("O (p & q) -> P(c1, c2) | F (~r)")
+        assert sig.predicates == {"p": 0, "q": 0, "P": 2, "r": 0}
+        assert sig.constants == {"c1", "c2"}
+        assert run("model", "O (p & q)").exit_code == 0
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_printed_formulas_parse_back(self, logic):
+        rng = random.Random(5)
+        for _ in range(3000):
+            f = gen_formula(rng, logic, rng.randint(1, 4))
+            text = F.print_formula(f)
+            assert F.parse(text, cli.infer_signature(text), logic=logic) is f, text
 
 
 class TestExitCodes:

@@ -328,7 +328,7 @@ def chisholm_kb(n: int) -> str:
 
 class TestScaling:
     """Complete mode on the GDPR-N and Chisholm-N families, at sizes the
-    2^k-bit type masks of the old System E procedure could not reach."""
+    explicit type masks of the old E and SDL procedures could not reach."""
 
     @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
     def test_e_at_forty_individuals(self, family):
@@ -380,14 +380,27 @@ class TestScaling:
         with pytest.raises(SE.BudgetExceeded):
             KB.compliance(KB.load_kb(gdpr_facts_kb(64)), cfg)
 
-    def test_sdl_budget_is_charged_before_the_type_masks(self):
-        # GDPR-SDL-6 has 2^31 types: a mask over them is a 256 MB integer
+    def test_sdl_decided_without_type_masks(self):
+        # GDPR-SDL-6 has 2^31 types: a mask over them would be a 256 MB
+        # integer; the solver decides it in a few megabytes
         base = KB.load_kb(gdpr_kb(6, "sdl"))
         tracemalloc.start()
         try:
-            with pytest.raises(SE.BudgetExceeded):
-                KB.consistency(base, CFG_SC)
+            result = KB.consistency(base, CFG_SC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert isinstance(result.verdict, SE.DecidedUnsatisfiable)
+        assert result.mus == ("a1[d1]", "fact1")
         assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
+    def test_sdl_at_sixty_four_individuals(self, family):
+        # by construction: O p against the settled ~p is the only conflict
+        base = KB.load_kb(gdpr_kb(64, "sdl") if family == "gdpr" else chisholm_kb(64))
+        core = ("a1[d1]", "fact1") if family == "gdpr" else ("c0", "fact1")
+        t0 = time.perf_counter()
+        result = KB.consistency(base, CFG_SC)
+        assert time.perf_counter() - t0 < 3.0
+        assert isinstance(result.verdict, SE.DecidedUnsatisfiable)
+        assert result.mus == core

@@ -104,11 +104,55 @@ class TestLeastModel:
                 continue
             a = rng.choice(names)
             order = [var[n] for n in names]
+            root = list(solver.val)
             models = brute_models(f, names, var, extra + [[var[a]]])
             got = solver.solve(order, [var[a]], BUDGET)
             assert got == (models[0] if models else None)
             assert solver.solve(order, [var[a]], BUDGET) == got
-            assert not any(solver.val)  # every solve leaves all variables open
+            # every solve leaves exactly the root-level assignment: the
+            # root trail's literals true, every other variable open
+            assert solver.val == root
+            assert {l for l in range(-solver.n, solver.n + 1)
+                    if l and root[l] == 1} == set(solver.root)
+
+    def test_added_clauses_agree_with_brute_force(self):
+        rng = random.Random(6)
+        refuted = 0
+        for _ in range(300):
+            f, names, var, extra, solver = instance(rng)
+            if not names:
+                continue
+            order = [var[a] for a in names]
+            for _ in range(rng.randint(1, 4)):
+                clause = [rng.choice([1, -1]) * var[rng.choice(names)]
+                          for _ in range(rng.randint(1, 3))]
+                solver.add(clause)
+                extra = extra + [clause]
+                models = brute_models(f, names, var, extra)
+                assert solver.solve(order, (), BUDGET) == (models[0] if models else None)
+                assert solver.ok or not models  # a root conflict refutes the clauses
+                refuted += not solver.ok
+        assert refuted > 0
+
+    def test_propagation_conflicts_are_refutations(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(400):
+            f, names, var, extra, solver = instance(rng)
+            if not names:
+                continue
+            picked = rng.sample(names, rng.randint(1, len(names)))
+            assume = [rng.choice([1, -1]) * var[a] for a in picked]
+            models = brute_models(f, names, var, extra + [[l] for l in assume])
+            root = list(solver.val)
+            got = solver.conflicts(assume, BUDGET)
+            assert solver.val == root
+            if got:
+                assert not models
+            if len(picked) == len(names):  # every atom fixed: propagation decides
+                assert got == (not models)
+            outcomes.add(got)
+        assert outcomes == {True, False}
 
     def test_charges_the_budget(self):
         solver = sat.Solver(20, [[v, v + 1] for v in range(1, 20)])

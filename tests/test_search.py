@@ -11,6 +11,7 @@ from deon import formula as F
 from deon import search as SE
 from deon import semantics as S
 
+import oracles
 from helpers import P, Q, R, brute_sat, gen_formula
 
 CFG_E = SE.SearchConfig(logic="e")
@@ -279,6 +280,44 @@ class TestExactE:
         assert sat_inputs >= 20
 
 
+class TestExactSdl:
+    """SDL complete mode (type elimination on the solver) against the
+    explicit type masks of tests/oracles.py and the enumeration oracle."""
+
+    @pytest.mark.parametrize("seed", [29, 31])
+    def test_same_witness_as_the_type_masks(self, seed):
+        rng = random.Random(seed)
+        verdicts = set()
+        for _ in range(3000):
+            gl = [gen_formula(rng, "sdl", rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+            lo = [gen_formula(rng, "sdl", rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+            got = SE._exact_sdl(gl, lo, SE._Budget(10**9))
+            assert got == oracles.mask_exact_sdl(gl, lo, SE._Budget(10**9))
+            # the decide-only variant tries a one-world reflexive model first
+            quick = SE._sdl_types(S.CompiledBank(gl + lo, "sdl"), range(len(gl)),
+                                  range(len(gl), len(gl) + len(lo)), SE._Budget(10**9),
+                                  reflexive=True)
+            assert (quick is None) == (got is None)
+            if got is None:
+                assert not brute_sat("sdl", gl, lo, max_n=2)
+            for model, worlds in [m for m in (got, quick) if m is not None]:
+                ev = S.Evaluator(model, "sdl")
+                assert all(ev.valid(f) for f in gl)
+                assert all(ev.holds(f, w) for f, w in zip(lo, worlds))
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
+
+    def test_a_learned_clause_empties_the_type_set(self):
+        # every world sees only q-worlds (O q) and a q-world only p-worlds
+        # (q -> O p), so no successor of a world falsifies p & q as
+        # ~O(p & q) asks: the least type's need fails, and the clause the
+        # solver learns leaves no type
+        gl = [F.Implies(Q, F.ObligM(P)), F.Not(F.ObligM(F.And(P, Q))), F.ObligM(Q)]
+        assert SE._exact_sdl(gl, [Q], SE._Budget(10**6)) is None
+        assert oracles.mask_exact_sdl(gl, [Q], SE._Budget(10**9)) is None
+        assert not brute_sat("sdl", gl, [Q])
+
+
 class TestNodeBudgetEnv:
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("DEON_NODE_BUDGET", "123")
@@ -328,6 +367,18 @@ class TestMus:
             SE.minimal_unsat_subset([P], CFG_EC)
         with pytest.raises(SE.SearchError):
             SE.minimal_unsat_subset([P, F.Not(P)], CFG_E)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_same_core_as_front_to_back_deletion(self, logic):
+        rng = random.Random(41)
+        cfg = SE.SearchConfig(logic=logic, complete=True)
+        exact = SE._exact_sdl if logic == "sdl" else SE._exact_e
+        done = 0
+        while done < 300:
+            fs = [gen_formula(rng, logic, 2) for _ in range(rng.randint(2, 7))]
+            if exact(fs, [], SE._Budget(10**7)) is None:
+                assert SE.minimal_unsat_subset(fs, cfg) == oracles.deletion_mus(fs, cfg)
+                done += 1
 
     def test_contract_on_random_cores(self):
         rng = random.Random(17)
