@@ -115,6 +115,9 @@ def _witness_dict(model) -> dict | None:
 
 
 class Report:
+    """A command's report; a command creates it on entry, so that
+    ``timing_ms`` covers all of the command's work."""
+
     def __init__(self, command: str, complete: bool = False):
         self.data = {
             "schema": SCHEMA_VERSION,
@@ -229,8 +232,8 @@ def main():
 @_run_guard
 def cmd_parse(text, logic, sig, fmt):
     """Parse a formula and print its canonical form."""
-    f = F.parse(text, _signature(sig, text), logic=logic)
     rep = Report("parse")
+    f = F.parse(text, _signature(sig, text), logic=logic)
     rep.data["verdict"] = "parsed"
     rep.data["detail"] = {"pretty": F.print_formula(f), "size": F.size(f)}
     rep.emit(fmt, [F.print_formula(f)])
@@ -247,13 +250,13 @@ def cmd_parse(text, logic, sig, fmt):
 @_run_guard
 def cmd_eval(text, model_path, world, logic, sig, fmt):
     """Evaluate a formula at a world of a finite model."""
+    rep = Report("eval")
     with open(model_path, "r", encoding="utf-8") as fh:
         model = S.model_from_json(fh.read(), require_serial=(logic == "sdl"))
     f = F.parse(text, _signature(sig, text), logic=logic)
     if F.free_vars(f) or any(isinstance(g, (F.Forall, F.Exists)) for g in F.subformulas(f)):
         f = F.ground(f, model.domain)
     value = S.eval_formula(model, world, f, logic)
-    rep = Report("eval")
     rep.data["verdict"] = "true" if value else "false"
     rep.data["detail"] = {"world": world}
     rep.emit(fmt, [f"{'true' if value else 'false'} at world {world}"])
@@ -271,11 +274,12 @@ def cmd_eval(text, model_path, world, logic, sig, fmt):
 @_run_guard
 def cmd_check(text, logic, frame, bound, complete, sig, fmt):
     """Decide validity of a formula (countermodel search)."""
+    rep = Report("check", complete)
     signature = _signature(sig, text)
     f = _ground_for_search(F.parse(text, signature, logic=logic), signature)
     cfg = _config(logic, frame, bound, complete)
     v = SE.decide_valid(f, cfg)
-    rep = Report("check", complete).verdict(v)
+    rep.verdict(v)
     lines = [f"verdict: {v.tag}"]
     if isinstance(v, SE.CountermodelFound):
         lines += [f"falsified at world {v.world}", v.model.to_json()]
@@ -294,13 +298,14 @@ def cmd_check(text, logic, frame, bound, complete, sig, fmt):
 @_run_guard
 def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     """Search for a model making every given formula valid."""
+    rep = Report("model", complete)
     joined = " & ".join(f"({t})" for t in texts)
     signature = _signature(sig, joined)
     fs = [_ground_for_search(F.parse(t, signature, logic=logic), signature)
           for t in texts]
     cfg = _config(logic, frame, bound, complete)
     v = SE.find_model(fs, cfg)
-    rep = Report("model", complete).verdict(v)
+    rep.verdict(v)
     lines = [f"verdict: {v.tag}"]
     if isinstance(v, SE.ModelFound):
         lines.append(v.model.to_json())
@@ -324,6 +329,7 @@ def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
 @_run_guard
 def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt):
     """Embed a formula, normalize, lower to first order, emit TPTP."""
+    rep = Report("translate")
     f = F.parse(text, _signature(sig, text), logic=logic)
     mode = "local" if local else "global"
     term = E.vld(E.embed(f, logic), mode)
@@ -335,7 +341,6 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{name}.p"), "w", encoding="utf-8") as fh:
             fh.write(tptp)
-    rep = Report("translate")
     rep.data["verdict"] = "translated"
     rep.data["detail"] = {
         "input": F.print_formula(f),
@@ -383,13 +388,13 @@ def cmd_correspondence(schema, frame, bound, fmt):
     SCHEMA is a named schema (cv, id, k, 4, 5, cok, sh, abs, nec, ext)
     or a formula over atoms p, q, r.
     """
+    rep = Report("correspondence")
     text = _SCHEMAS.get(schema.lower(), schema)
     sig = F.Signature({"p": 0, "q": 0, "r": 0})
     f = F.parse(text, sig, logic="e")
     cond = _frame_option(frame)
     cfg = SE.SearchConfig(logic="e", max_worlds=bound)
     report = SE.correspondence(f, cond, cfg)
-    rep = Report("correspondence")
     ok = report.holds_under_frame and report.violating_witness is not None
     rep.data["verdict"] = "correspondence_confirmed" if ok else "correspondence_incomplete"
     rep.data["detail"] = {
@@ -433,10 +438,11 @@ def _load(path: str) -> KB.KnowledgeBase:
 @_run_guard
 def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     """Is the knowledge base consistent?"""
+    rep = Report("kb consistency", complete)
     base = _load(kbfile)
     cfg = _config(logic, frame, bound, complete)
     result = KB.consistency(base, cfg)
-    rep = Report("kb consistency", complete).verdict(result.verdict)
+    rep.verdict(result.verdict)
     rep.data["mus"] = list(result.mus) if result.mus else None
     rep.data["detail"] = {"assumptions": list(result.labels)}
     lines = [f"verdict: {result.verdict.tag}"]
@@ -459,11 +465,12 @@ def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
 @_run_guard
 def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
     """Does the knowledge base entail the goal?"""
+    rep = Report("kb entail", complete)
     base = _load(kbfile)
     query = F.parse(goal, base.signature, logic=logic)
     cfg = _config(logic, frame, bound, complete)
     result = KB.entailment(base, query, cfg)
-    rep = Report("kb entail", complete).verdict(result.verdict)
+    rep.verdict(result.verdict)
     rep.data["detail"] = {"assumptions": list(result.labels),
                           "goal": F.print_formula(query)}
     lines = [f"verdict: {result.verdict.tag}"]
@@ -485,10 +492,10 @@ def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
 @_run_guard
 def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
     """Detachment-based compliance report for the current situation."""
+    rep = Report("kb comply", complete)
     base = _load(kbfile)
     cfg = _config(logic, frame, bound, complete)
     report = KB.compliance(base, cfg)
-    rep = Report("kb comply", complete)
     rep.data["verdict"] = "compliant" if report.compliant else "violations"
     rep.data["witness"] = _witness_dict(report.witness)
     rep.data["mus"] = list(report.mus) if report.mus else None

@@ -1,8 +1,8 @@
 """Simply typed lambda terms with capture-avoiding substitution and
 beta-eta normalization.
 
-Terms are named at the API boundary; normalization and alpha-equality
-convert to a de Bruijn form internally, so binder names never matter.
+Terms are named at the API boundary; normalization converts to a de
+Bruijn form internally, so binder names never matter.
 Normal forms come back out with deterministic binder names v0, v1, ...
 (primed if a free variable or a constant already uses the name).
 `normalize` evaluates the term once and reads the value back once
@@ -464,11 +464,6 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
             d = r
             steps.append(_from_db(d, taken))
     return steps
-
-
-def alpha_eq(a: LTerm, b: LTerm) -> bool:
-    """Equality up to renaming of bound variables."""
-    return _to_db(a) == _to_db(b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,21 @@ Bounded search enumerates candidate models in a fixed canonical order:
 increasing world count, then relation bits ascending, then valuation
 bits ascending, with non-canonical representatives under world
 permutation pruned away.  Candidates stay raw relation rows and
-valuation masks, run through one semantics.CompiledBank per scan; only
-a hit becomes a model object, and every returned witness is re-checked
-through semantics.Evaluator before it leaves this module.
+valuation masks, run through one semantics.CompiledBank per scan, and
+bit-parallel: one run decides a chunk of up to 2^CHUNK_BITS valuations
+of one relation, each in its own lane of the masks.  The hit is the
+least canonical lane that passes, and the chunk is charged what a loop
+over one candidate at a time charges up to that hit (or for the whole
+chunk).  That loop runs out as soon as its running charge passes the
+budget, so it runs out inside a chunk exactly when the chunk's charge
+passes the budget: the hit, the budget left and the point at which the
+budget runs out are that loop's (it is kept with the tests as the
+reference).  Testing a
+relation for canonicity costs one unit per permutation applied, and a
+world count whose n! - 1 permutations the budget cannot pay for is
+refused before they are listed.  Only a hit becomes a model object, and
+every returned witness is re-checked through semantics.Evaluator before
+it leaves this module.
 
 Complete mode decides satisfiability outright instead of walking the
 whole bounded space.  Both logics admit a small-model argument through
@@ -48,6 +60,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, permutations
+from math import factorial
 
 from . import formula as F
 from . import sat
@@ -126,6 +139,11 @@ class CountermodelFound:
 Verdict = ModelFound | NoModelUpTo | DecidedUnsatisfiable | Valid | CountermodelFound
 
 
+# The bounded scan decides up to 2^CHUNK_BITS valuations of one relation
+# with one compiled run.
+CHUNK_BITS = 12
+
+
 class _Budget:
     __slots__ = ("left", "total")
 
@@ -186,10 +204,16 @@ def _apply_bits(bits: int, table: tuple[int, ...]) -> int:
 
 
 class _Enum:
-    """Per-size canonical enumeration state."""
+    """Per-size canonical enumeration state.  Testing a relation charges
+    one budget unit per permutation applied to it."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, budget: _Budget):
+        # the first relation that reaches rel_status is canonical (the
+        # frame filters are invariant under permutation), so it applies
+        # all n! - 1 permutations: refuse before listing them
+        if factorial(n) - 1 > budget.left:
+            raise BudgetExceeded(budget.total)
+        self.budget = budget
         perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
         self.rel_tables = [_perm_rel_table(n, p) for p in perms]
         self.world_tables = perms
@@ -197,12 +221,14 @@ class _Enum:
     def rel_status(self, rel: int) -> tuple[bool, list[tuple[int, ...]]]:
         """Is rel minimal among its permutations, and its stabilizer."""
         stab = []
-        for tab, wt in zip(self.rel_tables, self.world_tables):
+        for applied, (tab, wt) in enumerate(zip(self.rel_tables, self.world_tables), 1):
             pr = _apply_bits(rel, tab)
             if pr < rel:
+                self.budget.tick(applied)
                 return False, []
             if pr == rel:
                 stab.append(wt)
+        self.budget.tick(len(self.rel_tables))
         return True, stab
 
     @staticmethod
@@ -214,15 +240,15 @@ class _Enum:
         return True
 
 
-def _iter_models(n: int, k: int, cfg: SearchConfig, budget: _Budget,
-                 frame_mode: str = "require", cost: int = 1):
-    """Canonical candidates of exactly n worlds over k atoms, as raw
-    (relation rows, valuation masks), each charged cost budget units.
+def _canonical_relations(n: int, cfg: SearchConfig, budget: _Budget,
+                         frame_mode: str = "require"):
+    """Relations of exactly n worlds that are least among their
+    permutations, ascending, as (rows, stabilizer).
 
-    frame_mode "require" keeps models satisfying cfg.frame, "violate"
+    frame_mode "require" keeps relations satisfying cfg.frame, "violate"
     keeps those failing at least one requested condition.
     """
-    enum = _Enum(n)
+    enum = _Enum(n, budget)
     full = (1 << n) - 1
     for rel in range(1 << (n * n)):
         rows = tuple((rel >> (s * n)) & full for s in range(n))
@@ -235,14 +261,20 @@ def _iter_models(n: int, k: int, cfg: SearchConfig, budget: _Budget,
             if frame_mode == "violate" and ok:
                 continue
         minimal, stab = enum.rel_status(rel)
-        if not minimal:
-            continue
-        for vbits in range(1 << (k * n)):
-            budget.tick(cost)
-            vals = tuple((vbits >> (i * n)) & full for i in range(k))
-            if stab and not enum.val_canonical(vals, stab):
-                continue
-            yield rows, vals
+        if minimal:
+            yield rows, stab
+
+
+def _lane_column(q: int, n: int, count: int) -> int:
+    """Bit 0 of the n-bit block of every lane among count (a power of
+    two) whose index has bit q, built by shift-doubling."""
+    run = ((1 << (n << q)) - 1) // ((1 << n) - 1)  # bit 0 of 2^q blocks
+    m = run << (n << q)
+    step = n << (q + 1)
+    while step < n * count:
+        m |= m << step
+        step <<= 1
+    return m
 
 
 def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals, domain):
@@ -592,32 +624,63 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
 
     When falsify is given the world is the least world where it fails,
     and candidate models must additionally make it false somewhere.
-    In complete mode this is the canonical re-scan below a constructed
-    witness: each candidate costs one unit per compiled op, and running
-    out of budget returns None instead of raising.
+    Each candidate costs one budget unit; in complete mode this is the
+    canonical re-scan below a constructed witness: each candidate costs
+    one unit per compiled op, and running out of budget returns None
+    instead of raising.
+
+    The valuations of each relation go through the compiled bank in
+    chunks of up to 2^CHUNK_BITS lanes, lane b of chunk h holding
+    valuation bits h * lanes + b: the low atoms take every value inside
+    a chunk and the others are constant.  The least canonical lane that
+    passes is the hit; the chunk is charged one cost per lane up to and
+    including it, or per lane when there is none, so the budget runs out
+    where the one-candidate-at-a-time loop's would.
     """
     bank = S.CompiledBank(list(valid_fs) + ([falsify] if falsify is not None else []),
                           cfg.logic)
     n_valid = len(valid_fs)
+    k = len(bank.atoms)
     cost = len(bank.ops) if cfg.complete else 1
     try:
         for n in range(1, max_n + 1):
             full = (1 << n) - 1
-            for rows, vals in _iter_models(n, len(bank.atoms), cfg, budget, frame_mode,
-                                           cost):
-                out = bank.run(n, rows, vals, valid=n_valid)
-                if out is None:
-                    continue
-                world = None
-                if falsify is not None:
-                    false_at = ~out[bank.roots[n_valid]] & full
-                    if not false_at:
+            low_atoms = min(k, CHUNK_BITS // n)
+            count = 1 << (low_atoms * n)
+            lanes = S.Lanes(n, count)
+            columns = [sum(_lane_column(i * n + w, n, count) << w for w in range(n))
+                       for i in range(low_atoms)]
+            for rows, stab in _canonical_relations(n, cfg, budget, frame_mode):
+                for high in range(1 << ((k - low_atoms) * n)):
+                    masks = columns + [(high >> (i * n) & full) * lanes.low
+                                       for i in range(k - low_atoms)]
+                    out = bank.run(n, rows, masks, valid=n_valid, lanes=count)
+                    passed = 0
+                    if out is not None:
+                        passed = lanes.low
+                        for r in bank.roots[:n_valid]:
+                            passed &= lanes.whole(out[r])
+                        if falsify is not None:
+                            passed &= ~lanes.empty(~out[bank.roots[n_valid]] & lanes.full)
+                    while passed:
+                        lane = ((passed & -passed).bit_length() - 1) // n
+                        vbits = high << (low_atoms * n) | lane
+                        vals = tuple((vbits >> (i * n)) & full for i in range(k))
+                        if not stab or _Enum.val_canonical(vals, stab):
+                            break
+                        passed &= passed - 1
+                    else:
+                        budget.tick(cost * count)
                         continue
-                    world = (false_at & -false_at).bit_length() - 1
-                model = _model(cfg.logic, n, rows, bank.atoms, vals, domain)
-                _revalidate(model, valid_fs, cfg.logic,
-                            false_somewhere=falsify, world=world)
-                return model, world
+                    budget.tick(cost * (lane + 1))
+                    world = None
+                    if falsify is not None:
+                        false_at = ~out[bank.roots[n_valid]] >> (lane * n) & full
+                        world = (false_at & -false_at).bit_length() - 1
+                    model = _model(cfg.logic, n, rows, bank.atoms, vals, domain)
+                    _revalidate(model, valid_fs, cfg.logic,
+                                false_somewhere=falsify, world=world)
+                    return model, world
     except BudgetExceeded:
         if cfg.complete:
             return None  # caller falls back to the constructed witness

@@ -190,29 +190,6 @@ def model_from_json(text: str, require_serial: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# The optimality rule
-
-
-def opt(model: PreferenceModel, worlds: Iterable[int]) -> frozenset[int]:
-    """Optimal members of a world set: those at least as good as all of it."""
-    s = _mask(worlds, model.n)
-    return frozenset(_bits(opt_mask(model.rows, s)))
-
-
-def opt_mask(rows: tuple[int, ...], s: int) -> int:
-    """Members w of the world set s with s inside rows[w]."""
-    out = 0
-    rest = s
-    w = 0
-    while rest:
-        if rest & 1 and s & ~rows[w] == 0:
-            out |= 1 << w
-        rest >>= 1
-        w += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -250,9 +227,35 @@ def eval_formula(model: _ModelBase, world: int, f: F.Formula, logic: str) -> boo
     return Evaluator(model, logic).holds(f, world)
 
 
-def valid_in_model(model: _ModelBase, f: F.Formula, logic: str) -> bool:
-    """True iff f holds at every world of the model."""
-    return Evaluator(model, logic).valid(f)
+class Lanes:
+    """Block arithmetic on masks made of ``count`` n-bit blocks, one per
+    lane: a block-wide test costs a few big-int operations however many
+    lanes there are."""
+
+    __slots__ = ("n", "full", "low", "high", "rest")
+
+    def __init__(self, n: int, count: int = 1):
+        self.n = n
+        self.full = (1 << (n * count)) - 1
+        self.low = self.full // ((1 << n) - 1)  # bit 0 of every block
+        self.high = self.low << (n - 1)         # top bit of every block
+        self.rest = self.high - self.low        # the other n-1 bits
+
+    # A block's low n-1 bits plus rest reach its top bit iff one of them
+    # is set, and plus 1 iff all are; neither carries out of the block.
+
+    def empty(self, x: int) -> int:
+        """Bit 0 of every block of x that is 0."""
+        rest = self.rest
+        return (~(((x & rest) + rest) | x) & self.high) >> (self.n - 1)
+
+    def whole(self, x: int) -> int:
+        """Bit 0 of every block of x that is all ones."""
+        return (((x & self.rest) + self.low) & x & self.high) >> (self.n - 1)
+
+    def spread(self, a: int) -> int:
+        """Every bit 0 of a, set across its block."""
+        return (a << self.n) - a
 
 
 class CompiledBank:
@@ -266,6 +269,11 @@ class CompiledBank:
     ``atoms``), so a caller needs no model object.  ``index`` maps each
     desugared node to its slot, ``roots`` lists the slots of the input
     formulas and ``modal`` the slots of the modal ops in op order.
+
+    One run can also evaluate many valuations over one relation side by
+    side, each in its own lane of every mask (bitslicing, as in Biham's
+    DES of 1997, with Python's big ints as the wide word): the bounded
+    scan decides a whole chunk of candidates with one walk of the ops.
     """
 
     def __init__(self, formulas: Iterable[F.Formula], logic: str):
@@ -313,21 +321,33 @@ class CompiledBank:
         self.modal = [i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig")]
 
     def run(self, n: int, rows: tuple[int, ...], vals, modal=None,
-            valid: int = 0) -> list[int] | None:
-        """Truth mask of every slot over an n-world structure.
+            valid: int = 0, lanes: int = 1) -> list[int] | None:
+        """Truth mask of every slot over ``lanes`` n-world structures.
+
+        The structures share the relation ``rows`` and each has its own
+        valuation: lane b holds worlds b*n ... b*n+n-1 of every mask, so
+        ``vals`` gives one lanes*n-bit mask per atom.  The connectives
+        are bitwise and never mix lanes; a modal op tests each n-bit
+        block as a whole (see ``Lanes``) and spreads the block's answer
+        over the block.  With one lane this is a single structure.
 
         Given ``modal``, the i-th modal op takes modal[i] instead of
         being computed from ``rows``: that binds the box and obligation
         bits a type-space caller has chosen.  Given ``valid``, the first
         ``valid`` input formulas must hold at every world: the run stops
-        with None at the first root slot that does not, so a rejected
-        candidate costs only the ops up to its first false root.
+        with None at the first root slot after which no lane has them
+        all, so a rejected chunk costs only the ops up to that slot.  A
+        lane's own verdict is read from the returned root masks.
         """
-        full = (1 << n) - 1
+        ln = Lanes(n, lanes)
+        full, low, empty, whole, spread = ln.full, ln.low, ln.empty, ln.whole, ln.spread
         bound = None if modal is None else iter(modal)
+        if bound is None and self.modal:
+            seen = [r * low for r in rows]  # rows[w] in every block
         stops = sorted(set(self.roots[:valid]))
         stops.append(-1)
         si = 0
+        alive = low
         out: list[int] = []
         for i, op in enumerate(self.ops):
             tag = op[0]
@@ -348,19 +368,32 @@ class CompiledBank:
             elif bound is not None:
                 m = next(bound)
             elif tag == "boxe":
-                m = full if out[op[1]] == full else 0
+                m = out[op[1]]
+                m = full if m == full else spread(whole(m))
             elif tag == "boxs":
-                sub = out[op[1]]
+                # w is in the box when no world of its row lies outside sub
+                gap = ~out[op[1]]
                 m = 0
                 for w in range(n):
-                    if rows[w] & ~sub == 0:
-                        m |= 1 << w
+                    m |= empty(gap & seen[w]) << w
             else:  # oblig
-                m = full if opt_mask(rows, out[op[2]]) & ~out[op[1]] == 0 else 0
+                # O(body | c) fails in a lane when some w of c outside body
+                # is optimal: opt(c)(w) = c(w) and not c(u) for every u
+                # outside rows[w]
+                c = out[op[2]]
+                m = full
+                if viol := c & ~out[op[1]]:
+                    bad = 0
+                    for w in range(n):
+                        if at := viol >> w & low:
+                            bad |= at & empty(c & ~seen[w])
+                    m ^= spread(bad)
             out.append(m)
             if i == stops[si]:
                 if m != full:
-                    return None
+                    alive &= whole(m)
+                    if not alive:
+                        return None
                 si += 1
         return out
 
@@ -430,12 +463,8 @@ def check_frame(model: _ModelBase, cond: FrameConditions) -> tuple[FrameCheck, .
     return tuple(_check_prop(model.n, model.rows, p) for p in cond.flags())
 
 
-def satisfies_frame(model: _ModelBase, cond: FrameConditions) -> bool:
-    return frame_holds(model.n, model.rows, cond)
-
-
 def frame_holds(n: int, rows: tuple[int, ...], cond: FrameConditions) -> bool:
-    """satisfies_frame over raw relation rows."""
+    """Does the relation given by its rows satisfy every requested property?"""
     return all(_check_prop(n, rows, p).holds for p in cond.flags())
 
 

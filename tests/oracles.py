@@ -1,12 +1,84 @@
-"""Reference implementations the complete-mode procedures are checked
-against: SDL type elimination over explicit 2^(k+p)-bit type masks, and
-the front-to-back deletion shrink of an unsatisfiable set."""
+"""Reference implementations the program is checked against: the
+optimality rule, validity and frame conditions read off a model, alpha
+equality of λ-terms, the bounded scan one candidate at a time, SDL type
+elimination over explicit 2^(k+p)-bit type masks, and the front-to-back
+deletion shrink of an unsatisfiable set."""
 
 from __future__ import annotations
 
 from deon import formula as F
+from deon import lam as L
 from deon import search as SE
 from deon import semantics as S
+
+
+def opt(model, worlds) -> frozenset[int]:
+    """Optimal members of a world set: those at least as good as all of it."""
+    s = set(worlds)
+    return frozenset(w for w in s if all(model.rows[w] >> u & 1 for u in s))
+
+
+def valid_in_model(model, f: F.Formula, logic: str) -> bool:
+    """True iff f holds at every world of the model."""
+    return S.Evaluator(model, logic).valid(f)
+
+
+def satisfies_frame(model, cond: S.FrameConditions) -> bool:
+    return all(check.holds for check in S.check_frame(model, cond))
+
+
+def alpha_eq(a: L.LTerm, b: L.LTerm) -> bool:
+    """Equality up to renaming of bound variables: a bound variable is
+    compared by the depth of its binder, a free one by name and type."""
+    def go(x, y, bound_x: tuple[str, ...], bound_y: tuple[str, ...]) -> bool:
+        if isinstance(x, L.Var) and isinstance(y, L.Var):
+            i = bound_x.index(x.name) if x.name in bound_x else None
+            j = bound_y.index(y.name) if y.name in bound_y else None
+            return i == j and (i is not None or (x.name, x.ty) == (y.name, y.ty))
+        if isinstance(x, L.Abs) and isinstance(y, L.Abs):
+            return x.var_ty == y.var_ty and go(x.body, y.body, (x.var,) + bound_x,
+                                               (y.var,) + bound_y)
+        if isinstance(x, L.App) and isinstance(y, L.App):
+            return go(x.fun, y.fun, bound_x, bound_y) and go(x.arg, y.arg, bound_x, bound_y)
+        return isinstance(x, L.Const) and x == y
+
+    return go(a, b, (), ())
+
+
+def sequential_scan(valid_fs, falsify, domain, cfg, budget, max_n, frame_mode="require"):
+    """search._bounded_scan one candidate at a time: every valuation of
+    each canonical relation in ascending order, charged before it runs
+    through the compiled bank on its own; the first canonical candidate
+    that passes is the hit.  Returns (model, world) or None."""
+    bank = S.CompiledBank(list(valid_fs) + ([falsify] if falsify is not None else []),
+                          cfg.logic)
+    n_valid = len(valid_fs)
+    k = len(bank.atoms)
+    cost = len(bank.ops) if cfg.complete else 1
+    try:
+        for n in range(1, max_n + 1):
+            full = (1 << n) - 1
+            for rows, stab in SE._canonical_relations(n, cfg, budget, frame_mode):
+                for vbits in range(1 << (k * n)):
+                    budget.tick(cost)
+                    vals = tuple((vbits >> (i * n)) & full for i in range(k))
+                    if stab and not SE._Enum.val_canonical(vals, stab):
+                        continue
+                    out = bank.run(n, rows, vals, valid=n_valid)
+                    if out is None:
+                        continue
+                    world = None
+                    if falsify is not None:
+                        false_at = ~out[bank.roots[n_valid]] & full
+                        if not false_at:
+                            continue
+                        world = (false_at & -false_at).bit_length() - 1
+                    return SE._model(cfg.logic, n, rows, bank.atoms, vals, domain), world
+    except SE.BudgetExceeded:
+        if cfg.complete:
+            return None
+        raise
+    return None
 
 
 def bit_mask(i: int, width: int) -> int:

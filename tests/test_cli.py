@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,18 @@ class TestJsonReports:
         assert payload["mus"] == ["a1[d1]", "fact1"]
         assert payload["complete"] is True
         assert isinstance(payload["timing_ms"], float)
+
+    def test_timing_covers_the_decision(self, monkeypatch):
+        decide_valid = cli.SE.decide_valid
+
+        def slow(f, cfg):
+            time.sleep(0.05)
+            return decide_valid(f, cfg)
+
+        monkeypatch.setattr(cli.SE, "decide_valid", slow)
+        r, payload = run_json("check", "p -> p")
+        assert payload["verdict"] == "no_model_up_to"
+        assert payload["timing_ms"] >= 50
 
     def test_mus_labels_by_position_when_facts_repeat(self, tmp_path):
         # equal formulas are one node, so the core maps back by position

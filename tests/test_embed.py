@@ -14,6 +14,7 @@ from deon import formula as F
 from deon import lam as L
 from deon import semantics as S
 
+import oracles
 from helpers import P, Q, R, gen_formula, gen_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,17 +53,17 @@ class TestNormalForms:
         expected = L.Abs("w", L.I, L.neg(L.App(L.Pi(L.I), L.Abs("v", L.I, L.neg(
             L.land(L.app(E.R_ACC, w, v),
                    L.App(L.Pi(L.I), L.Abs("x", L.I, L.app(Pc, x, v)))))))))
-        assert L.alpha_eq(nf, expected)
+        assert oracles.alpha_eq(nf, expected)
 
     def test_chain_is_step_listable(self):
         f = F.parse("dia forall x. P(x)", sig, logic="sdl")
         steps = L.normalize_steps(E.embed_sdl(f))
         assert len(steps) >= 4  # several definition-unfolding beta steps
-        assert L.alpha_eq(steps[-1], L.normalize(E.embed_sdl(f)))
+        assert oracles.alpha_eq(steps[-1], L.normalize(E.embed_sdl(f)))
 
     def test_e_box_is_unguarded_global(self):
         nf = L.normalize(E.embed_e(F.Box(P)))
-        assert L.alpha_eq(nf, L.Abs("x", L.I, L.App(L.Pi(L.I), pc)))
+        assert oracles.alpha_eq(nf, L.Abs("x", L.I, L.App(L.Pi(L.I), pc)))
 
     def test_e_oblig_normal_form(self):
         nf = L.normalize(E.embed_e(F.Oblig(Q, P)))
@@ -72,12 +73,12 @@ class TestNormalForms:
                                                            L.app(E.R_BET, w, y))))),
             L.App(qc, w))
         expected = L.Abs("x", L.I, L.App(L.Pi(L.I), L.Abs("w", L.I, inner)))
-        assert L.alpha_eq(nf, expected)
+        assert oracles.alpha_eq(nf, expected)
 
     def test_monadic_equals_dyadic_with_top(self):
         a = L.normalize(E.embed_e(F.ObligM(P)))
         b = L.normalize(E.embed_e(F.Oblig(P, F.TOP)))
-        assert L.alpha_eq(a, b)
+        assert oracles.alpha_eq(a, b)
 
 
 class TestVld:
@@ -219,7 +220,7 @@ class TestFaithfulnessSpot:
         fo = E.translate(f, logic)
         for _ in range(3):
             m = gen_model(rng, logic)
-            direct = S.valid_in_model(m, F.ground(f, m.domain), logic)
+            direct = oracles.valid_in_model(m, F.ground(f, m.domain), logic)
             assert direct == E.fo_eval(fo, m, logic)
 
 
@@ -261,7 +262,7 @@ class TestNormalizerScales:
         rng = random.Random(3)
         for _ in range(3):
             m = gen_model(rng, logic, max_worlds=3)
-            assert S.valid_in_model(m, f, logic) == E.fo_eval(fo, m, logic)
+            assert oracles.valid_in_model(m, f, logic) == E.fo_eval(fo, m, logic)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_time_grows_linearly(self, logic):
@@ -287,7 +288,7 @@ class TestNormalizerScales:
         for _ in range(300):
             body = L.neg(body)
         expected = L.App(L.Pi(L.I), L.Abs("x", L.I, body))
-        assert L.alpha_eq(L.normalize(E.vld(E.embed(f, logic))), expected)
+        assert oracles.alpha_eq(L.normalize(E.vld(E.embed(f, logic))), expected)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_deep_box(self, logic):

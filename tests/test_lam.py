@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from deon import lam as L
 
+import oracles
 from helpers import gen_typed_term
 
 x_i = L.Var("x", L.I)
@@ -68,7 +69,7 @@ class TestSubstitute:
         r = L.Const("r", L.fn(L.I, L.I, L.O))
         t = L.Abs("y", L.I, L.Abs("y'", L.I, L.app(r, x_i, y)))
         expected = L.Abs("a", L.I, L.Abs("b", L.I, L.app(r, y, L.Var("a", L.I))))
-        assert L.alpha_eq(L.substitute(t, x_i, y), expected)
+        assert oracles.alpha_eq(L.substitute(t, x_i, y), expected)
 
     def test_no_substitution_under_shadowing_binder(self):
         t = L.Abs("x", L.I, x_i)
@@ -110,16 +111,16 @@ class TestNormalize:
     def test_alpha_eq(self):
         a = L.Abs("x", L.I, x_i)
         b = L.Abs("y", L.I, L.Var("y", L.I))
-        assert L.alpha_eq(a, b)
+        assert oracles.alpha_eq(a, b)
         k1 = L.Abs("x", L.I, L.Abs("y", L.I, x_i))
         k2 = L.Abs("x", L.I, L.Abs("y", L.I, L.Var("y", L.I)))
-        assert not L.alpha_eq(k1, k2)
+        assert not oracles.alpha_eq(k1, k2)
 
     def test_steps_recorded(self):
         t = L.App(L.Abs("x", L.I, x_i), c_i)
         steps = L.normalize_steps(t)
         assert len(steps) == 2
-        assert L.alpha_eq(steps[0], t) and steps[-1] == c_i
+        assert oracles.alpha_eq(steps[0], t) and steps[-1] == c_i
 
 
 SEEDS = st.integers(0, 10**9)
@@ -139,8 +140,8 @@ class TestProperties:
         rng = random.Random(seed)
         t = gen_typed_term(rng, ty, depth=4)
         nf = L.normalize(t)
-        assert L.alpha_eq(nf, L.normalize_steps(t, "lo")[-1])
-        assert L.alpha_eq(nf, L.normalize_steps(t, "ri")[-1])
+        assert oracles.alpha_eq(nf, L.normalize_steps(t, "lo")[-1])
+        assert oracles.alpha_eq(nf, L.normalize_steps(t, "ri")[-1])
 
     @settings(max_examples=300, deadline=None)
     @given(SEEDS, st.sampled_from([L.O, L.I, L.TAU, L.Arrow(L.TAU, L.O)]),
@@ -158,7 +159,7 @@ class TestProperties:
         rng = random.Random(seed)
         t = gen_typed_term(rng, ty, depth=4)
         nf = L.normalize(t)
-        assert L.alpha_eq(L.normalize(nf), nf)
+        assert oracles.alpha_eq(L.normalize(nf), nf)
 
 
 class TestShow:

@@ -35,7 +35,7 @@ class TestFindModel:
         assert isinstance(v, SE.ModelFound)
         revalidate(v.model, fs, "e")
         # the witness works by making no world optimal
-        assert S.opt(v.model, range(v.model.n)) == frozenset()
+        assert oracles.opt(v.model, range(v.model.n)) == frozenset()
 
     def test_negated_obligation_conflict_unsatisfiable(self):
         fs = [F.Oblig(P, F.TOP), F.Not(F.Oblig(P, F.TOP))]
@@ -64,7 +64,7 @@ class TestFindModel:
         cfg = SE.SearchConfig(logic="e", frame=S.FrameConditions(reflexive=True))
         v = SE.find_model([P], cfg)
         assert isinstance(v, SE.ModelFound)
-        assert S.satisfies_frame(v.model, S.FrameConditions(reflexive=True))
+        assert oracles.satisfies_frame(v.model, S.FrameConditions(reflexive=True))
 
 
 class TestEntails:
@@ -139,7 +139,7 @@ class TestDecideValid:
         d = F.Not(F.And(F.Oblig(P, F.TOP), F.Oblig(F.Not(P), F.TOP)))
         verdict = SE.decide_valid(d, CFG_EC)
         assert isinstance(verdict, SE.CountermodelFound)
-        assert S.opt(verdict.model, range(verdict.model.n)) == frozenset()
+        assert oracles.opt(verdict.model, range(verdict.model.n)) == frozenset()
 
     def test_verdicts_agree_with_enumeration_oracle(self):
         rng = random.Random(11)
@@ -318,6 +318,115 @@ class TestExactSdl:
         assert not brute_sat("sdl", gl, [Q])
 
 
+def _scan_case(rng: random.Random, logic: str):
+    """A random bounded scan: assumptions, maybe a goal to falsify, a
+    frame in either mode (E), maybe the complete-mode allowance."""
+    valid = [gen_formula(rng, logic, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    falsify = gen_formula(rng, logic, rng.randint(1, 3)) if rng.random() < 0.6 else None
+    every = valid + ([falsify] if falsify is not None else [])
+    frame, mode = S.FrameConditions(), "require"
+    if logic == "e" and rng.random() < 0.5:
+        frame = rng.choice([S.FrameConditions(reflexive=True), S.FrameConditions(total=True),
+                            S.FrameConditions(transitive=True, serial=True)])
+        mode = rng.choice(["require", "violate"])
+    k = len(S.CompiledBank(every, logic).atoms)
+    cfg = SE.SearchConfig(logic=logic, frame=frame, max_worlds=3 if k <= 2 else 2,
+                          complete=rng.random() < 0.3)
+    return valid, falsify, SE._domain(every), cfg, mode
+
+
+def _both_scans(case, budget: int):
+    """(outcome, budget left) of the chunked scan and of the reference;
+    an outcome is the (model, world) found, None, or BudgetExceeded, and
+    a negative budget left reads -1."""
+    valid, falsify, domain, cfg, mode = case
+    got = []
+    for scan in (SE._bounded_scan, oracles.sequential_scan):
+        b = SE._Budget(budget)
+        try:
+            found = scan(valid, falsify, domain, cfg, b, cfg.max_worlds, mode)
+        except SE.BudgetExceeded:
+            found = SE.BudgetExceeded
+        got.append((found, max(b.left, -1)))
+    return got
+
+
+class TestBitParallelScan:
+    """The bounded scan decides a chunk of valuations per compiled run;
+    it must find what the one-candidate-at-a-time loop finds and charge
+    what it charges."""
+
+    @pytest.mark.parametrize("chunk_bits", [1, 3, SE.CHUNK_BITS])
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_same_hit_and_budget_as_the_sequential_scan(self, logic, chunk_bits,
+                                                        monkeypatch):
+        monkeypatch.setattr(SE, "CHUNK_BITS", chunk_bits)
+        rng = random.Random(chunk_bits * 7 + (logic == "e"))
+        outcomes = set()
+        for _ in range(40):
+            case = _scan_case(rng, logic)
+            chunked, sequential = _both_scans(case, 10**7)
+            assert chunked == sequential
+            found = chunked[0]
+            outcomes.add(found is None)
+            # spent is the reference's whole charge; the budget must run
+            # out below it, mid-chunk too, and not at or above it
+            spent = 10**7 - sequential[1]
+            for budget in {0, spent // 3, spent // 2, spent - 2, spent - 1, spent, spent + 1}:
+                if budget >= 0:
+                    chunked, sequential = _both_scans(case, budget)
+                    assert chunked == sequential
+                    if budget >= spent:
+                        assert chunked == (found, budget - spent)
+                    else:
+                        assert chunked[0] is (None if case[3].complete else SE.BudgetExceeded)
+        assert outcomes == {True, False}
+
+    def test_hit_in_a_later_chunk_of_its_relation(self):
+        # three worlds are needed, and a3/a4 first take the needed values
+        # past the first 2^12 valuations of the empty relation
+        a = [F.Atom(f"a{i}") for i in range(5)]
+        goal = F.Not(F.And(F.And(F.Dia(F.And(a[4], a[3])), F.Dia(F.And(a[4], F.Not(a[3])))),
+                           F.And(F.Dia(F.Not(a[4])), F.Or(a[0], F.Or(a[1], a[2])))))
+        cfg = SE.SearchConfig(logic="e", max_worlds=3)
+        chunked, sequential = _both_scans(([], goal, (), cfg, "require"), 10**7)
+        assert chunked == sequential
+        model, world = chunked[0]
+        assert model.n == 3 and not model.relation
+
+    def test_a_passing_lane_that_is_not_canonical_is_skipped(self):
+        # on the empty two-world relation, p = {1}, q = {0} (valuation
+        # bits 6) passes before p = {0}, q = {1} (bits 9), but swapping
+        # the worlds maps it to the smaller valuation tuple
+        fs = [F.Dia(P), F.Dia(F.Not(P)), F.Iff(Q, F.Not(P))]
+        cfg = SE.SearchConfig(logic="e", max_worlds=2)
+        chunked, sequential = _both_scans((fs, None, (), cfg, "require"), 10**7)
+        assert chunked == sequential
+        model = chunked[0][0]
+        assert model.valuation[("p", ())] == 0b01 and not model.relation
+
+    def test_relation_walk_is_charged(self, monkeypatch):
+        applied = 0
+        apply_bits = SE._apply_bits
+
+        def counting(bits, table):
+            nonlocal applied
+            applied += 1
+            return apply_bits(bits, table)
+
+        # no atoms, so every permutation applied is applied to a relation
+        monkeypatch.setattr(SE, "_apply_bits", counting)
+        cfg = SE.SearchConfig(logic="e", max_worlds=5, node_budget=20_000)
+        with pytest.raises(SE.BudgetExceeded):
+            SE.decide_valid(F.TOP, cfg)
+        assert 0 < applied <= 20_000
+
+    def test_permutation_tables_need_the_budget_first(self):
+        relations = SE._canonical_relations(12, SE.SearchConfig(), SE._Budget(10**7))
+        with pytest.raises(SE.BudgetExceeded):
+            next(relations)
+
+
 class TestNodeBudgetEnv:
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("DEON_NODE_BUDGET", "123")
@@ -349,7 +458,7 @@ class TestCorrespondence:
         witness = rep.violating_witness
         assert witness is not None and witness.n == 1
         assert witness.relation == frozenset()
-        assert S.valid_in_model(witness, F.Oblig(P, P), "e")
+        assert oracles.valid_in_model(witness, F.Oblig(P, P), "e")
 
 
 class TestMus:

@@ -12,6 +12,7 @@ from deon import embed as E
 from deon import formula as F
 from deon import semantics as S
 
+import oracles
 from helpers import P, Q, R, gen_formula, gen_model
 
 d1 = F.Const("d1")
@@ -24,15 +25,15 @@ def pref(n, relation, valuation, domain=()):
 class TestOpt:
     def test_empty_set(self):
         m = pref(2, [(0, 0)], {"p": []})
-        assert S.opt(m, []) == frozenset()
+        assert oracles.opt(m, []) == frozenset()
 
     def test_singleton_reflexive(self):
         m = pref(1, [(0, 0)], {"p": [0]})
-        assert S.opt(m, [0]) == frozenset({0})
+        assert oracles.opt(m, [0]) == frozenset({0})
 
     def test_singleton_irreflexive(self):
         m = pref(1, [], {"p": [0]})
-        assert S.opt(m, [0]) == frozenset()
+        assert oracles.opt(m, [0]) == frozenset()
 
     def test_incomparable_pair_has_no_optimum(self):
         # two mutually incomparable p-worlds: opt is empty, so any
@@ -40,8 +41,8 @@ class TestOpt:
         # exhaustively over every 2-world valuation with p = {0, 1}
         for bits in range(4):
             m = pref(2, [], {"p": [0, 1], "q": [w for w in range(2) if bits >> w & 1]})
-            assert S.opt(m, [0, 1]) == frozenset()
-            assert S.valid_in_model(m, F.Oblig(Q, P), "e")
+            assert oracles.opt(m, [0, 1]) == frozenset()
+            assert oracles.valid_in_model(m, F.Oblig(Q, P), "e")
 
 
 class TestEval:
@@ -99,17 +100,17 @@ class TestEval:
 class TestValidInModel:
     def test_top(self):
         m = pref(2, [], {"p": [0]})
-        assert S.valid_in_model(m, F.TOP, "e")
+        assert oracles.valid_in_model(m, F.TOP, "e")
 
     def test_fails_somewhere(self):
         m = pref(2, [], {"p": [0]})
-        assert not S.valid_in_model(m, P, "e")
+        assert not oracles.valid_in_model(m, P, "e")
 
     def test_id_instance_valid_in_sampled_models(self):
         rng = random.Random(8)
         for _ in range(80):
             m = gen_model(rng, "e")
-            assert S.valid_in_model(m, F.Oblig(P, P), "e")
+            assert oracles.valid_in_model(m, F.Oblig(P, P), "e")
 
 
 class TestIsomorphismInvariance:
@@ -197,6 +198,55 @@ class TestCompiledBank:
                     assert holds == bool(mask >> w & 1)
 
 
+class TestLanes:
+    def test_block_tests_agree_with_each_block(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            n, count = rng.randint(1, 5), rng.randint(1, 20)
+            ln = S.Lanes(n, count)
+            x = rng.getrandbits(n * count) & rng.getrandbits(n * count)
+            if rng.random() < 0.3:
+                x |= rng.getrandbits(n * count) | rng.getrandbits(n * count)
+            blocks = [x >> (b * n) & ((1 << n) - 1) for b in range(count)]
+            assert ln.empty(x) == sum(1 << (b * n) for b, v in enumerate(blocks) if v == 0)
+            assert ln.whole(x) == sum(1 << (b * n) for b, v in enumerate(blocks)
+                                      if v == (1 << n) - 1)
+            assert ln.spread(ln.empty(x)) == sum(((1 << n) - 1) << (b * n)
+                                                 for b, v in enumerate(blocks) if v == 0)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_lanes_agree_with_one_run_per_lane(self, logic):
+        """One run over many valuations side by side gives every lane the
+        masks of a run over that valuation alone; with ``valid`` it stops
+        only when no lane has every valid root full."""
+        rng = random.Random(11 if logic == "e" else 13)
+        stopped = 0
+        for _ in range(400):
+            fs = [gen_formula(rng, logic, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            bank = S.CompiledBank(fs, logic)
+            n, count = rng.randint(1, 4), rng.randint(1, 24)
+            full = (1 << n) - 1
+            rows = tuple(rng.randint(logic == "sdl", full) for _ in range(n))
+            lane_vals = [[rng.getrandbits(n) for _ in bank.atoms] for _ in range(count)]
+            vals = [sum(v[i] << (b * n) for b, v in enumerate(lane_vals))
+                    for i in range(len(bank.atoms))]
+            valid = rng.randint(0, len(fs))
+            out = bank.run(n, rows, vals, valid=valid, lanes=count)
+            alive = [bank.run(n, rows, v, valid=valid) is not None for v in lane_vals]
+            assert (out is None) == (not any(alive))
+            if out is None:
+                stopped += 1
+                continue
+            ln = S.Lanes(n, count)
+            passed = ln.low
+            for r in bank.roots[:valid]:
+                passed &= ln.whole(out[r])
+            for b, v in enumerate(lane_vals):
+                assert [m >> (b * n) & full for m in out] == bank.run(n, rows, v)
+                assert bool(passed >> (b * n) & 1) == alive[b]
+        assert 0 < stopped < 400
+
+
 class TestEnumeration:
     def test_counts_without_pruning(self):
         models = list(S.iter_preference_models(2, ["p"]))
@@ -208,4 +258,4 @@ class TestEnumeration:
         cond = S.FrameConditions(reflexive=True)
         models = list(S.iter_preference_models(2, [], frame=cond))
         assert len(models) == 4  # diagonal forced, two free off-diagonal bits
-        assert all(S.satisfies_frame(m, cond) for m in models)
+        assert all(oracles.satisfies_frame(m, cond) for m in models)
