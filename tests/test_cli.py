@@ -280,13 +280,16 @@ class TestCorrespondence:
         assert r.exit_code == 3
 
 
-GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" /
-                     "kb_complete_reports.json").read_text(encoding="utf-8"))
+GOLDEN = [case for name in ("kb_complete_reports.json", "translate_reports.json")
+          for case in json.loads((Path(__file__).resolve().parent / "golden" / name)
+                                 .read_text(encoding="utf-8"))]
 
 
 class TestGoldenReports:
-    """Complete-mode reports on every fixture KB, frozen: verdicts,
-    canonical first witnesses, MUS labels, exit codes and stderr."""
+    """Complete-mode reports on every fixture KB and `translate` reports
+    on seeded random formulas, frozen: verdicts, canonical first
+    witnesses, MUS labels, normal forms, reduction steps, first-order
+    and TPTP text, exit codes and stderr."""
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:3] + c["argv"][-4:-3]))
     def test_report_is_unchanged(self, case, monkeypatch):
