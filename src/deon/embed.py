@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import formula as F
 from . import lam as L
@@ -284,6 +285,8 @@ def lower(t: L.LTerm) -> FOFormula:
     once its body is read does not occur there and is dropped (sound:
     both sorts are nonempty).  A Pi over a non-lambda c reads as
     forall q<depth>. c q<depth> (primed alike); it is not counted.
+    Bound variables are indices, so each is found in the walk's binder
+    stack and no name of the term can capture it.
     """
     ty = L.type_of(t)
     if ty != L.O:
@@ -295,61 +298,72 @@ def lower(t: L.LTerm) -> FOFormula:
     count = itertools.count()
     sorts: dict[str, str] = {}
 
-    def quant(cls, var: str, var_ty: L.Ty, body: L.LTerm, env: dict[str, str],
-              depth: int, name: str | None = None) -> FOFormula:
-        if var_ty != L.I:
-            raise HigherOrderResidue(f"quantification over type {var_ty}")
-        if name is None:
-            name = L._fresh(f"v{next(count)}", taken)
-        body = walk(body, {**env, var: name}, depth + 1)
-        sort = sorts.get(name)
-        return body if sort is None else cls(name, sort, body)
+    def show(u: L.LTerm, env: tuple) -> str:
+        return L._show(u, False, tuple(var for _, var in env))
 
-    def walk(u: L.LTerm, env: dict[str, str], depth: int) -> FOFormula:
+    # env: per enclosing binder, innermost first, its first-order name and
+    # the term's name for it (for messages).  A quantifier is read in the
+    # frame that finds it, so each level of nesting costs one frame.
+    def walk(u: L.LTerm, env: tuple) -> FOFormula:
         head, args = _spine(u)
-        if isinstance(head, L.Var):
-            raise HigherOrderResidue(f"free predicate variable {head.name}")
+        if isinstance(head, (L.Var, L.BVar)):
+            name = head.name if isinstance(head, L.Var) else env[head.idx][1]
+            raise HigherOrderResidue(f"free predicate variable {name}")
         if not isinstance(head, L.Const):
-            raise HigherOrderResidue(f"unreadable term {L.show(u)}")
+            raise HigherOrderResidue(f"unreadable term {show(u, env)}")
+        name = None
         if head.name == "not" and len(args) == 1:
             # recognize the encoded existential: not (Pi (lam x. not b))
             shead, sargs = _spine(args[0])
-            if (isinstance(shead, L.Const) and shead.name == "Pi" and len(sargs) == 1
+            if not (isinstance(shead, L.Const) and shead.name == "Pi" and len(sargs) == 1
                     and isinstance(sargs[0], L.Abs)):
-                inner = sargs[0]
-                ihead, iargs = _spine(inner.body)
-                if isinstance(ihead, L.Const) and ihead.name == "not" and len(iargs) == 1:
-                    return quant(FOExists, inner.var, inner.var_ty, iargs[0], env, depth)
-            return FONot(walk(args[0], env, depth))
-        if head.name in _FO_BIN and len(args) == 2:
-            return _FO_BIN[head.name](walk(args[0], env, depth), walk(args[1], env, depth))
-        if head.name == "Pi" and len(args) == 1:
+                return FONot(walk(args[0], env))
+            inner = sargs[0]
+            ihead, iargs = _spine(inner.scope)
+            if not (isinstance(ihead, L.Const) and ihead.name == "not" and len(iargs) == 1):
+                return FONot(walk(args[0], env))
+            cls, var, var_ty, scope = FOExists, inner.var, inner.var_ty, iargs[0]
+        elif head.name in _FO_BIN and len(args) == 2:
+            return _FO_BIN[head.name](walk(args[0], env), walk(args[1], env))
+        elif head.name == "Pi" and len(args) == 1:
             arg = args[0]
             if isinstance(arg, L.Abs):
-                return quant(FOForall, arg.var, arg.var_ty, arg.body, env, depth)
-            aty = L.type_of(arg)
-            if not (isinstance(aty, L.Arrow) and aty.src == L.I):
-                raise HigherOrderResidue(f"quantification over type {aty}")
-            key = L._fresh(f"q{depth}", {*taken, *env})  # names no variable of arg
-            return quant(FOForall, key, L.I, L.App(arg, L.Var(key, L.I)), env, depth,
-                         name=L._fresh(f"q{depth}", taken))
-        # predicate constant applied to base-sorted arguments
+                cls, var, var_ty, scope = FOForall, arg.var, arg.var_ty, arg.scope
+            else:
+                aty = arg.ty
+                if not (isinstance(aty, L.Arrow) and aty.src is L.I):
+                    raise HigherOrderResidue(f"quantification over type {aty}")
+                name = L._fresh(f"q{len(env)}", taken)
+                cls, var, var_ty = FOForall, name, L.I
+                scope = L.App(L._shift(arg, 1), L.BVar(0, L.I))
+        else:
+            return atom(head, args, env)
+        if var_ty is not L.I:
+            raise HigherOrderResidue(f"quantification over type {var_ty}")
+        if name is None:
+            name = L._fresh(f"v{next(count)}", taken)
+        body = walk(scope, ((name, var),) + env)
+        sort = sorts.get(name)
+        return body if sort is None else cls(name, sort, body)
+
+    def atom(head: L.Const, args: list[L.LTerm], env: tuple) -> FOAtom:
+        """A predicate constant applied to base-sorted arguments."""
         fo_args: list[FOTerm] = []
         for i, a in enumerate(args):
-            if isinstance(a, L.Const) and a.ty == L.I:
+            if isinstance(a, L.Const) and a.ty is L.I:
                 fo_args.append(FOConst(a.name))
                 continue
-            if not (isinstance(a, L.Var) and a.ty == L.I):
+            if not (isinstance(a, (L.Var, L.BVar)) and a.ty is L.I):
                 raise HigherOrderResidue(
-                    f"argument {L.show(a)} of {head.name} is not base-sorted")
-            name = env.get(a.name, a.name)
+                    f"argument {show(a, env)} of {head.name} is not base-sorted")
+            name = a.name if isinstance(a, L.Var) else env[a.idx][0]
             sort = WORLD if head.name in ("R", "Rb") or i == len(args) - 1 else INDIV
             if sorts.setdefault(name, sort) != sort:
                 raise LowerError(f"variable {name} used as both sorts")
             fo_args.append(FOVar(name))
         return FOAtom(head.name, tuple(fo_args))
 
-    return walk(t, {}, 0)
+    return walk(t, ())
 
 
 def translate(f: F.Formula, logic: str, mode: str = "global") -> FOFormula:
@@ -442,29 +456,6 @@ def in_guarded_fragment(f: FOFormula, outermost: bool = True) -> bool:
 # Printing and TPTP emission
 
 
-def fo_show(f: FOFormula) -> str:
-    if isinstance(f, FOAtom):
-        if f.pred == F.RESERVED_ATOM:
-            return "$false"
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(a.name for a in f.args)})"
-    if isinstance(f, FONot):
-        return f"¬{_fo_paren(f.sub)}"
-    if isinstance(f, (FOAnd, FOOr, FOImp, FOIff)):
-        op = {FOAnd: "∧", FOOr: "∨", FOImp: "→", FOIff: "↔"}[type(f)]
-        return f"{_fo_paren(f.left)} {op} {_fo_paren(f.right)}"
-    if isinstance(f, (FOForall, FOExists)):
-        q = "∀" if isinstance(f, FOForall) else "∃"
-        return f"{q}{f.var}:{f.sort}. {fo_show(f.body)}"
-    raise LowerError(f"unknown FO node {f!r}")
-
-
-def _fo_paren(f: FOFormula) -> str:
-    s = fo_show(f)
-    return s if isinstance(f, FOAtom) else f"({s})"
-
-
 def _tptp_var(name: str) -> str:
     """Capitalized, with a renamed binder's primes (illegal in TPTP) as _."""
     return name[0].upper() + name[1:].replace("'", "_")
@@ -474,49 +465,90 @@ def _tptp_pred(name: str) -> str:
     return name[0].lower() + name[1:]
 
 
-def _tptp_formula(f: FOFormula) -> str:
-    if isinstance(f, FOAtom):
-        if f.pred == F.RESERVED_ATOM:
-            return "$false"
-        if not f.args:
-            return _tptp_pred(f.pred)
-        args = ",".join(_tptp_var(a.name) if isinstance(a, FOVar) else _tptp_pred(a.name)
-                        for a in f.args)
-        return f"{_tptp_pred(f.pred)}({args})"
-    if isinstance(f, FONot):
-        return f"~ {_tptp_sub(f.sub)}"
-    if isinstance(f, (FOAnd, FOOr, FOImp, FOIff)):
-        op = {FOAnd: "&", FOOr: "|", FOImp: "=>", FOIff: "<=>"}[type(f)]
-        return f"{_tptp_sub(f.left)} {op} {_tptp_sub(f.right)}"
-    if isinstance(f, FOForall):
-        return f"! [{_tptp_var(f.var)}] : ({f.sort}({_tptp_var(f.var)}) => {_tptp_sub(f.body)})"
-    if isinstance(f, FOExists):
-        return f"? [{_tptp_var(f.var)}] : ({f.sort}({_tptp_var(f.var)}) & {_tptp_sub(f.body)})"
-    raise LowerError(f"unknown FO node {f!r}")
+class _Syntax(NamedTuple):
+    """How one printer writes each kind of node."""
+
+    pred: Callable[[str], str]        # predicate and constant names
+    var: Callable[[str], str]
+    comma: str                        # between atom arguments
+    neg: str
+    ops: dict                         # binary class -> infix with spaces
+    quant: dict                       # quantifier class -> prefix template
+    close: str                        # after a quantifier's body
+    body_parens: bool                 # parenthesize a quantifier's body
 
 
-def _tptp_sub(f: FOFormula) -> str:
-    s = _tptp_formula(f)
-    return s if isinstance(f, FOAtom) else f"({s})"
+_SHOW = _Syntax(str, str, ", ", "¬",
+                {FOAnd: " ∧ ", FOOr: " ∨ ", FOImp: " → ", FOIff: " ↔ "},
+                {FOForall: "∀{v}:{s}. ", FOExists: "∃{v}:{s}. "}, "", False)
+_TPTP = _Syntax(_tptp_pred, _tptp_var, ",", "~ ",
+                {FOAnd: " & ", FOOr: " | ", FOImp: " => ", FOIff: " <=> "},
+                {FOForall: "! [{v}] : ({s}({v}) => ", FOExists: "? [{v}] : ({s}({v}) & "},
+                ")", True)
 
 
-def _fo_sorts_used(f: FOFormula, acc: set[str]):
-    if isinstance(f, (FOForall, FOExists)):
-        acc.add(f.sort)
-        _fo_sorts_used(f.body, acc)
-    elif isinstance(f, FONot):
-        _fo_sorts_used(f.sub, acc)
-    elif isinstance(f, (FOAnd, FOOr, FOImp, FOIff)):
-        _fo_sorts_used(f.left, acc)
-        _fo_sorts_used(f.right, acc)
+def _print(f: FOFormula, syn: _Syntax) -> str:
+    """f in the given syntax, by one explicit-stack walk: any non-atomic
+    operand is parenthesized.  A stack entry is text still to write or a
+    (formula, parenthesize) pair still to print."""
+    out: list[str] = []
+    stack: list = [(f, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, parens = item
+        if isinstance(g, FOAtom):
+            if g.pred == F.RESERVED_ATOM:
+                out.append("$false")
+            elif not g.args:
+                out.append(syn.pred(g.pred))
+            else:
+                args = syn.comma.join(syn.var(a.name) if isinstance(a, FOVar) else syn.pred(a.name)
+                                      for a in g.args)
+                out.append(f"{syn.pred(g.pred)}({args})")
+            continue
+        if parens:
+            out.append("(")
+            stack.append(")")
+        if isinstance(g, FONot):
+            out.append(syn.neg)
+            stack.append((g.sub, True))
+        elif type(g) in syn.ops:
+            stack += [(g.right, True), syn.ops[type(g)], (g.left, True)]
+        elif type(g) in syn.quant:
+            out.append(syn.quant[type(g)].format(v=syn.var(g.var), s=g.sort))
+            stack += [syn.close, (g.body, syn.body_parens)]
+        else:
+            raise LowerError(f"unknown FO node {g!r}")
+    return "".join(out)
+
+
+def fo_show(f: FOFormula) -> str:
+    return _print(f, _SHOW)
+
+
+def _fo_sorts_used(f: FOFormula) -> set[str]:
+    sorts: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (FOForall, FOExists)):
+            sorts.add(g.sort)
+            stack.append(g.body)
+        elif isinstance(g, FONot):
+            stack.append(g.sub)
+        elif not isinstance(g, FOAtom):
+            stack += [g.left, g.right]
+    return sorts
 
 
 def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> str:
     """A complete TPTP FOF problem: sort nonemptiness axioms for the
     sorts the formula quantifies over, the SDL seriality axiom when
     logic is sdl, then the formula itself under the given name/role."""
-    sorts: set[str] = set()
-    _fo_sorts_used(f, sorts)
+    sorts = _fo_sorts_used(f)
     lines = []
     if WORLD in sorts or logic == "sdl":
         lines.append("fof(world_nonempty, axiom, ? [W] : world(W)).")
@@ -525,5 +557,5 @@ def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> s
     if logic == "sdl":
         lines.append("fof(seriality, axiom, ! [W] : (world(W) => "
                      "(? [V] : (world(V) & r(W,V))))).")
-    lines.append(f"fof({name}, {role}, {_tptp_formula(f)}).")
+    lines.append(f"fof({name}, {role}, {_print(f, _TPTP)}).")
     return "\n".join(lines) + "\n"

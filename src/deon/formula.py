@@ -303,17 +303,6 @@ def subst_var(f: Formula, var: str, c: Const) -> Formula:
     return fold(f, visit)
 
 
-def instantiate(schema: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Replace arity-0 atoms named in mapping by whole formulas."""
-
-    def visit(g: Formula, kids: list[Formula]) -> Formula:
-        if isinstance(g, Atom) and not g.args and g.pred in mapping:
-            return mapping[g.pred]
-        return _rebuild(g, kids)
-
-    return fold(schema, visit)
-
-
 def ground(f: Formula, domain: Iterable[str | Const]) -> Formula:
     """Expand quantifiers over a finite, nonempty constant domain.
 

@@ -1,13 +1,25 @@
-"""Simply typed lambda terms with capture-avoiding substitution and
-beta-eta normalization.
+"""Simply typed lambda terms, one hash-consed, locally nameless node
+family, with beta-eta normalization.
 
-Terms are named at the API boundary; normalization converts to a de
-Bruijn form internally, so binder names never matter.
-Normal forms come back out with deterministic binder names v0, v1, ...
-(primed if a free variable or a constant already uses the name).
-`normalize` evaluates the term once and reads the value back once
-(normalization by evaluation); the single-step reducer behind
-`normalize_steps` is kept for `--show-steps` and as the tests' oracle.
+Terms are built through the named API (`Const`, `Var`, `Abs`, `App`)
+and stored locally nameless (Charguéraud 2012): `Abs(var, ty, body)`
+turns the occurrences of `var` in `body` into de Bruijn indices
+(`BVar`) when the node is built, and only the `Abs` node keeps the
+binder name, so `.body` gives the named body back and `==` still tells
+binder names apart.  Free variables and constants keep their names.
+Types and terms are hash-consed on `formula._Node` (Filliâtre & Conchon
+2006): equality is identity and hashing is O(1) at any size.  Each node
+records its type when it is built, from its children's, so `type_of` of
+a built term reads one field; only an ill-typed term is walked, to say
+why.
+
+Normalization and the single-step reducer work on these nodes directly.
+Names are made only at the boundary: a binder of a normal form or of a
+reduction step at depth k is named v<k>, primed while a free variable
+or a constant of the input uses the name.  `normalize` evaluates the
+term once and reads the value back once (normalization by evaluation);
+the stepper behind `normalize_steps` is kept for `--show-steps` and as
+the tests' oracle.
 
 Logical constants: not, or, and, imp, iff are ordinary constants of the
 expected Boolean types, and Pi is a family of constants (one per
@@ -19,7 +31,8 @@ is purely beta/eta.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+
+from . import formula as F
 
 
 class LamError(Exception):
@@ -34,22 +47,19 @@ class LamTypeError(LamError):
 # Types
 
 
-class Ty:
+class Ty(F._Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Base(Ty):
-    name: str
+    __slots__ = _fields = ("name",)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow(Ty):
-    src: Ty
-    dst: Ty
+    __slots__ = _fields = ("src", "dst")
 
     def __str__(self):
         s = f"({self.src})" if isinstance(self.src, Arrow) else str(self.src)
@@ -72,36 +82,133 @@ def fn(*types: Ty) -> Ty:
 
 
 # ---------------------------------------------------------------------------
-# Terms (named)
+# Terms
+
+_TABLE = F._TABLE
 
 
-class LTerm:
-    __slots__ = ()
+class LTerm(F._Node):
+    """A term node.  Besides its fields, each node records `ty`, its type
+    (None if it is ill-typed), `_loose`, one more than the largest de
+    Bruijn index free in it (0 if none is), and `_open`, whether a free
+    variable occurs in it."""
+
+    __slots__ = ("ty", "_loose", "_open")
 
 
-@dataclass(frozen=True)
+def _record(key: tuple, ty: Ty | None, loose: int, open_: bool) -> LTerm:
+    """Make, enter in the table and return the new node of key."""
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, key[1:]):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_key", key)
+    object.__setattr__(node, "ty", ty)
+    object.__setattr__(node, "_loose", loose)
+    object.__setattr__(node, "_open", open_)
+    _TABLE[key] = node
+    return node
+
+
 class Const(LTerm):
-    name: str
-    ty: Ty
+    __slots__ = ("name",)
+    _fields = ("name", "ty")
+
+    def __new__(cls, name: str, ty: Ty):
+        key = (Const, name, ty)
+        return _TABLE.get(key) or _record(key, ty, 0, False)
 
 
-@dataclass(frozen=True)
 class Var(LTerm):
-    name: str
-    ty: Ty
+    """A free variable."""
+
+    __slots__ = ("name",)
+    _fields = ("name", "ty")
+
+    def __new__(cls, name: str, ty: Ty):
+        key = (Var, name, ty)
+        return _TABLE.get(key) or _record(key, ty, 0, True)
 
 
-@dataclass(frozen=True)
-class Abs(LTerm):
-    var: str
-    var_ty: Ty
-    body: LTerm
+class BVar(LTerm):
+    """A bound variable: the de Bruijn index of its binder, and its type."""
+
+    __slots__ = ("idx",)
+    _fields = ("idx", "ty")
+
+    def __new__(cls, idx: int, ty: Ty):
+        key = (BVar, idx, ty)
+        return _TABLE.get(key) or _record(key, ty, idx + 1, False)
 
 
-@dataclass(frozen=True)
 class App(LTerm):
-    fun: LTerm
-    arg: LTerm
+    __slots__ = _fields = ("fun", "arg")
+
+    def __new__(cls, fun: LTerm, arg: LTerm):
+        key = (App, fun, arg)
+        node = _TABLE.get(key)
+        if node is None:
+            ft = fun.ty
+            ty = ft.dst if type(ft) is Arrow and ft.src is arg.ty else None
+            node = _record(key, ty, max(fun._loose, arg._loose), fun._open or arg._open)
+        return node
+
+
+class Abs(LTerm):
+    """λvar:var_ty. body.  Building it turns the free occurrences of var
+    in body into indices; `scope` is the result and `body` reads it back
+    with var in place of its index."""
+
+    __slots__ = _fields = ("var", "var_ty", "scope")
+
+    def __new__(cls, var: str, var_ty: Ty, body: LTerm):
+        clash: list[Var] = []
+        return _abs(var, var_ty, _close(body, var, var_ty, 0, clash), not clash)
+
+    @property
+    def body(self) -> LTerm:
+        return _subst_db(self.scope, 0, Var(self.var, self.var_ty))
+
+    def __repr__(self) -> str:
+        return f"Abs(var={self.var!r}, var_ty={self.var_ty!r}, body={self.body!r})"
+
+
+def _abs(var: str, var_ty: Ty, scope: LTerm, typed: bool = True) -> Abs:
+    """The binder over a scope; typed=False marks a scope in which a free
+    variable named var has another type than var_ty."""
+    key = (Abs, var, var_ty, scope)
+    node = _TABLE.get(key)
+    if node is None:
+        ty = Arrow(var_ty, scope.ty) if typed and scope.ty is not None else None
+        node = _record(key, ty, max(scope._loose - 1, 0), scope._open)
+    return node
+
+
+def _rebind(u: Abs, scope: LTerm, var: str | None = None) -> Abs:
+    """u's binder over a new scope whose indices have the same types."""
+    return _abs(u.var if var is None else var, u.var_ty, scope,
+                u.ty is not None or u.scope.ty is None)
+
+
+def _close(u: LTerm, x: str, ty: Ty, depth: int, clash: list) -> LTerm:
+    """u with each free occurrence of x, at binder depth `depth`, made the
+    index of that binder.  An occurrence annotated with another type
+    than ty stays free and goes to clash: it makes the binder ill-typed,
+    and type_of reports it where it occurs."""
+    if not u._open:
+        return u
+    if type(u) is Var:
+        if u.name != x:
+            return u
+        if u.ty is ty:
+            return BVar(depth, ty)
+        clash.append(u)
+        return u
+    if type(u) is App:
+        return App(_close(u.fun, x, ty, depth, clash), _close(u.arg, x, ty, depth, clash))
+    if u.var == x:  # x is shadowed in u
+        return u
+    return _rebind(u, _close(u.scope, x, ty, depth + 1, clash))
 
 
 NOT = Const("not", fn(O, O))
@@ -150,56 +257,62 @@ def exists(var: str, ty: Ty, body: LTerm) -> LTerm:
 
 
 def type_of(t: LTerm, env: dict[str, Ty] | None = None) -> Ty:
-    """The unique simple type of t, or LamTypeError."""
-    env = env or {}
-    if isinstance(t, (Const, Var)):
-        if isinstance(t, Var) and t.name in env and env[t.name] != t.ty:
+    """The unique simple type of t, whose free variables env may type, or
+    LamTypeError.  A built term records its type; it is walked only
+    when it is ill-typed, or when env could disagree with it."""
+    ty = getattr(t, "ty", None)
+    if ty is not None and not (env and t._open):
+        return ty
+    return _check(t, dict(env or {}))
+
+
+def _check(t: LTerm, env: dict[str, Ty]) -> Ty:
+    """The type of t, or the first type error in depth-first order, with
+    each binder's name in env while its scope is walked."""
+    if type(t) is Var:
+        if t.name in env and env[t.name] is not t.ty:
             raise LamTypeError(f"variable {t.name} annotated {t.ty}, bound at {env[t.name]}")
         return t.ty
-    if isinstance(t, Abs):
+    if type(t) in (Const, BVar):
+        return t.ty
+    if type(t) is Abs:
         shadowed = env.get(t.var)
         env[t.var] = t.var_ty
         try:
-            return Arrow(t.var_ty, type_of(t.body, env))
+            return Arrow(t.var_ty, _check(t.scope, env))
         finally:
             if shadowed is None:
                 del env[t.var]
             else:
                 env[t.var] = shadowed
-    if isinstance(t, App):
-        ft = type_of(t.fun, env)
-        at = type_of(t.arg, env)
+    if type(t) is App:
+        ft = _check(t.fun, env)
+        at = _check(t.arg, env)
         if not isinstance(ft, Arrow):
             raise LamTypeError(f"applying non-function of type {ft}")
-        if ft.src != at:
+        if ft.src is not at:
             raise LamTypeError(f"argument type mismatch: expected {ft.src}, got {at}")
         return ft.dst
     raise LamError(f"unknown term {t!r}")
-
-
-def free_vars(t: LTerm) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.var}
-    return free_vars(t.fun) | free_vars(t.arg)
 
 
 def names(t: LTerm) -> set[str]:
     """The names of t's free variables and constants: the names a new
     binder must avoid to be read unambiguously."""
     out: set[str] = set()
-    stack: list[tuple[LTerm, frozenset[str]]] = [(t, frozenset())]
+    seen: set[LTerm] = set()
+    stack = [t]
     while stack:
-        u, bound = stack.pop()
-        if isinstance(u, Const) or (isinstance(u, Var) and u.name not in bound):
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        if type(u) is App:
+            stack += (u.fun, u.arg)
+        elif type(u) is Abs:
+            stack.append(u.scope)
+        elif type(u) is not BVar:
             out.add(u.name)
-        elif isinstance(u, Abs):
-            stack.append((u.body, bound | {u.var}))
-        elif isinstance(u, App):
-            stack += [(u.fun, bound), (u.arg, bound)]
     return out
 
 
@@ -210,187 +323,111 @@ def _fresh(base: str, avoid: set[str]) -> str:
     return name
 
 
-def substitute(t: LTerm, x: Var, s: LTerm) -> LTerm:
-    """Capture-avoiding [s/x]t; binders of t are renamed away from s."""
-    if type_of(s) != x.ty:
-        raise LamTypeError(f"substituting {type_of(s)} term for {x.ty} variable")
-    fv_s = free_vars(s)
-
-    def go(u: LTerm, bound: set[str]) -> LTerm:
-        if isinstance(u, Var):
-            return s if u.name == x.name else u
-        if isinstance(u, Const):
-            return u
-        if isinstance(u, App):
-            return App(go(u.fun, bound), go(u.arg, bound))
-        if isinstance(u, Abs):
-            if u.var == x.name:
-                return u
-            if u.var in fv_s and x.name in free_vars(u.body):
-                new = _fresh(u.var, fv_s | free_vars(u.body) | bound)
-                # renaming is itself a substitution, so it avoids capture too
-                body = substitute(u.body, Var(u.var, u.var_ty), Var(new, u.var_ty))
-                return Abs(new, u.var_ty, go(body, bound | {new}))
-            return Abs(u.var, u.var_ty, go(u.body, bound | {u.var}))
-        raise LamError(f"unknown term {u!r}")
-
-    return go(t, set())
-
-
 # ---------------------------------------------------------------------------
-# De Bruijn machinery (internal)
+# Index operations and the single-step reducer.  Each skips a subterm in
+# which no index it acts on is free.
 
 
-@dataclass(frozen=True)
-class _DVar:
-    idx: int
-
-
-@dataclass(frozen=True)
-class _DFree:
-    name: str
-    ty: Ty
-
-
-@dataclass(frozen=True)
-class _DConst:
-    name: str
-    ty: Ty
-
-
-@dataclass(frozen=True)
-class _DAbs:
-    var_ty: Ty
-    body: object
-
-
-@dataclass(frozen=True)
-class _DApp:
-    fun: object
-    arg: object
-
-
-def _to_db(t: LTerm, env: tuple[tuple[str, Ty], ...] = ()):
-    if isinstance(t, Var):
-        for i, (name, ty) in enumerate(env):
-            if name == t.name:
-                return _DVar(i)
-        return _DFree(t.name, t.ty)
-    if isinstance(t, Const):
-        return _DConst(t.name, t.ty)
-    if isinstance(t, Abs):
-        return _DAbs(t.var_ty, _to_db(t.body, ((t.var, t.var_ty),) + env))
-    if isinstance(t, App):
-        return _DApp(_to_db(t.fun, env), _to_db(t.arg, env))
-    raise LamError(f"unknown term {t!r}")
-
-
-def _from_db(d, taken: set[str]) -> LTerm:
-    """The named term of d: a binder at depth k is named v<k>, primed
-    until the name is not in taken."""
-
-    def go(u, depth: int, env: tuple[tuple[str, Ty], ...]) -> LTerm:
-        if isinstance(u, _DVar):
-            name, ty = env[u.idx]
-            return Var(name, ty)
-        if isinstance(u, _DFree):
-            return Var(u.name, u.ty)
-        if isinstance(u, _DConst):
-            return Const(u.name, u.ty)
-        if isinstance(u, _DAbs):
-            name = _fresh(f"v{depth}", taken)
-            return Abs(name, u.var_ty, go(u.body, depth + 1, ((name, u.var_ty),) + env))
-        if isinstance(u, _DApp):
-            return App(go(u.fun, depth, env), go(u.arg, depth, env))
-        raise LamError(f"unknown de Bruijn node {u!r}")
-
-    return go(d, 0, ())
-
-
-def _shift(d, by: int, cutoff: int = 0):
-    if isinstance(d, _DVar):
-        return _DVar(d.idx + by) if d.idx >= cutoff else d
-    if isinstance(d, (_DFree, _DConst)):
+def _shift(d: LTerm, by: int, cutoff: int = 0) -> LTerm:
+    if d._loose <= cutoff:
         return d
-    if isinstance(d, _DAbs):
-        return _DAbs(d.var_ty, _shift(d.body, by, cutoff + 1))
-    return _DApp(_shift(d.fun, by, cutoff), _shift(d.arg, by, cutoff))
+    if type(d) is BVar:
+        return BVar(d.idx + by, d.ty)
+    if type(d) is Abs:
+        return _rebind(d, _shift(d.scope, by, cutoff + 1))
+    return App(_shift(d.fun, by, cutoff), _shift(d.arg, by, cutoff))
 
 
-def _subst_db(d, idx: int, s):
-    if isinstance(d, _DVar):
-        if d.idx == idx:
-            return _shift(s, idx)
-        return _DVar(d.idx - 1) if d.idx > idx else d
-    if isinstance(d, (_DFree, _DConst)):
+def _subst_db(d: LTerm, idx: int, s: LTerm) -> LTerm:
+    if d._loose <= idx:
         return d
-    if isinstance(d, _DAbs):
-        return _DAbs(d.var_ty, _subst_db(d.body, idx + 1, s))
-    return _DApp(_subst_db(d.fun, idx, s), _subst_db(d.arg, idx, s))
+    if type(d) is BVar:
+        return _shift(s, idx) if d.idx == idx else BVar(d.idx - 1, d.ty)
+    if type(d) is Abs:
+        return _rebind(d, _subst_db(d.scope, idx + 1, s))
+    return App(_subst_db(d.fun, idx, s), _subst_db(d.arg, idx, s))
 
 
-def _beta_step(d, strategy: str):
-    """One beta step at the strategy's redex, or None if beta-normal."""
-    if strategy == "lo":
-        if isinstance(d, _DApp) and isinstance(d.fun, _DAbs):
-            return _subst_db(d.fun.body, 0, d.arg)
-        if isinstance(d, _DAbs):
-            r = _beta_step(d.body, strategy)
-            return None if r is None else _DAbs(d.var_ty, r)
-        if isinstance(d, _DApp):
-            r = _beta_step(d.fun, strategy)
-            if r is not None:
-                return _DApp(r, d.arg)
-            r = _beta_step(d.arg, strategy)
-            return None if r is None else _DApp(d.fun, r)
-        return None
-    # rightmost-innermost: reduce inside subterms first, arguments before
-    # functions, and the root redex only when both sides are normal
-    if isinstance(d, _DAbs):
-        r = _beta_step(d.body, strategy)
-        return None if r is None else _DAbs(d.var_ty, r)
-    if isinstance(d, _DApp):
-        r = _beta_step(d.arg, strategy)
-        if r is not None:
-            return _DApp(d.fun, r)
-        r = _beta_step(d.fun, strategy)
-        if r is not None:
-            return _DApp(r, d.arg)
-        if isinstance(d.fun, _DAbs):
-            return _subst_db(d.fun.body, 0, d.arg)
-    return None
-
-
-def _uses_idx(d, idx: int) -> bool:
-    if isinstance(d, _DVar):
-        return d.idx == idx
-    if isinstance(d, (_DFree, _DConst)):
+def _uses_idx(d: LTerm, idx: int) -> bool:
+    if d._loose <= idx:
         return False
-    if isinstance(d, _DAbs):
-        return _uses_idx(d.body, idx + 1)
+    if type(d) is BVar:
+        return d.idx == idx
+    if type(d) is Abs:
+        return _uses_idx(d.scope, idx + 1)
     return _uses_idx(d.fun, idx) or _uses_idx(d.arg, idx)
 
 
-def _eta_step(d):
-    if isinstance(d, _DAbs):
-        b = d.body
-        if isinstance(b, _DApp) and b.arg == _DVar(0) and not _uses_idx(b.fun, 0):
-            return _shift(b.fun, -1)
-        r = _eta_step(d.body)
-        return None if r is None else _DAbs(d.var_ty, r)
-    if isinstance(d, _DApp):
-        r = _eta_step(d.fun)
-        if r is not None:
-            return _DApp(r, d.arg)
-        r = _eta_step(d.arg)
-        return None if r is None else _DApp(d.fun, r)
+def _eta_redex(b: LTerm) -> LTerm | None:
+    """M, shifted out of the binder, if the scope b is M 0 with index 0
+    not free in M: the eta-contraction of the binder over b."""
+    if type(b) is App and type(b.arg) is BVar and b.arg.idx == 0 and not _uses_idx(b.fun, 0):
+        return _shift(b.fun, -1)
     return None
 
 
-# Normalization by evaluation.  A value is a closure (a lambda body with
-# the values of its free de Bruijn indices, innermost first, as a cons
-# list) or a neutral term: a head applied to argument values.  The head
-# of a neutral is a _DFree, a _DConst or the de Bruijn *level* (int) of
+def _beta_step(d: LTerm, strategy: str) -> LTerm | None:
+    """One beta step at the strategy's redex, or None if beta-normal."""
+    if strategy == "lo":
+        if type(d) is App and type(d.fun) is Abs:
+            return _subst_db(d.fun.scope, 0, d.arg)
+        if type(d) is Abs:
+            r = _beta_step(d.scope, strategy)
+            return None if r is None else _rebind(d, r)
+        if type(d) is App:
+            r = _beta_step(d.fun, strategy)
+            if r is not None:
+                return App(r, d.arg)
+            r = _beta_step(d.arg, strategy)
+            return None if r is None else App(d.fun, r)
+        return None
+    # rightmost-innermost: reduce inside subterms first, arguments before
+    # functions, and the root redex only when both sides are normal
+    if type(d) is Abs:
+        r = _beta_step(d.scope, strategy)
+        return None if r is None else _rebind(d, r)
+    if type(d) is App:
+        r = _beta_step(d.arg, strategy)
+        if r is not None:
+            return App(d.fun, r)
+        r = _beta_step(d.fun, strategy)
+        if r is not None:
+            return App(r, d.arg)
+        if type(d.fun) is Abs:
+            return _subst_db(d.fun.scope, 0, d.arg)
+    return None
+
+
+def _eta_step(d: LTerm) -> LTerm | None:
+    if type(d) is Abs:
+        r = _eta_redex(d.scope)
+        if r is not None:
+            return r
+        r = _eta_step(d.scope)
+        return None if r is None else _rebind(d, r)
+    if type(d) is App:
+        r = _eta_step(d.fun)
+        if r is not None:
+            return App(r, d.arg)
+        r = _eta_step(d.arg)
+        return None if r is None else App(d.fun, r)
+    return None
+
+
+def _name(d: LTerm, taken: set[str], depth: int = 0) -> LTerm:
+    """d with each binder at depth k named v<k>, primed until the name is
+    not in taken."""
+    if type(d) is App:
+        return App(_name(d.fun, taken, depth), _name(d.arg, taken, depth))
+    if type(d) is Abs:
+        return _rebind(d, _name(d.scope, taken, depth + 1), _fresh(f"v{depth}", taken))
+    return d
+
+
+# Normalization by evaluation.  A value is a closure (a lambda's scope
+# with the values of its free de Bruijn indices, innermost first, as a
+# cons list) or a neutral term: a head applied to argument values.  The
+# head of a neutral is a Const, a Var, or the (de Bruijn level, type) of
 # a variable bound during read-back.
 
 
@@ -398,33 +435,40 @@ _Clo = namedtuple("_Clo", "var_ty body env")
 _Neu = namedtuple("_Neu", "head args")
 
 
-def _eval(d, env):
-    while isinstance(d, _DApp):
+def _eval(d: LTerm, env):
+    while type(d) is App:
         f = _eval(d.fun, env)
         a = _eval(d.arg, env)
-        if isinstance(f, _Neu):
+        if type(f) is _Neu:
             return _Neu(f.head, f.args + (a,))
         d, env = f.body, (a, f.env)  # enter the closure's body in place
-    if isinstance(d, _DVar):
+    if type(d) is BVar:
         for _ in range(d.idx):
             env = env[1]
         return env[0]
-    if isinstance(d, _DAbs):
-        return _Clo(d.var_ty, d.body, env)
+    if type(d) is Abs:
+        return _Clo(d.var_ty, d.scope, env)
     return _Neu(d, ())
 
 
-def _quote(v, lvl: int):
-    """Read a value back as a beta-eta normal de Bruijn term under lvl
-    binders, eta-contracting each lambda as soon as its body is built."""
-    if isinstance(v, _Clo):
-        body = _quote(_eval(v.body, (_Neu(lvl, ()), v.env)), lvl + 1)
-        if isinstance(body, _DApp) and body.arg == _DVar(0) and not _uses_idx(body.fun, 0):
-            return _shift(body.fun, -1)
-        return _DAbs(v.var_ty, body)
-    d = _DVar(lvl - v.head - 1) if isinstance(v.head, int) else v.head
+def _quote(v, lvl: int, taken: set[str]) -> LTerm:
+    """Read a value back as a beta-eta normal term under lvl binders,
+    naming each binder by its depth and eta-contracting it as soon as its
+    body is built.  A run of nested lambdas is read back in one frame."""
+    var_tys = []
+    while type(v) is _Clo:
+        var_tys.append(v.var_ty)
+        v = _eval(v.body, (_Neu((lvl, v.var_ty), ()), v.env))
+        lvl += 1
+    head = v.head
+    d = BVar(lvl - head[0] - 1, head[1]) if type(head) is tuple else head
     for a in v.args:
-        d = _DApp(d, _quote(a, lvl))
+        d = App(d, _quote(a, lvl, taken))
+    for var_ty in reversed(var_tys):
+        lvl -= 1
+        fun = _eta_redex(d)
+        # the binders of fun were named a level deeper
+        d = _abs(_fresh(f"v{lvl}", taken), var_ty, d) if fun is None else _name(fun, taken, lvl)
     return d
 
 
@@ -441,13 +485,14 @@ def normalize(t: LTerm) -> LTerm:
       heads, so its result is a beta-normal form of the input;
     - eta on a beta-normal term creates no beta redex: lambda x. M x
       becomes M in a place no application has as its function;
-    - beta-eta normal forms are unique (Church-Rosser) and de Bruijn
-      terms identify alpha-equivalent ones, so the result is exactly the
-      stepper's (`normalize_steps`, either strategy), and `_from_db`
-      names it the same way, avoiding the input's names().
+    - beta-eta normal forms are unique (Church-Rosser) and bound
+      variables are indices, so alpha-equivalent terms are equal up to
+      binder names; the result is exactly the stepper's
+      (`normalize_steps`, either strategy), with each binder named by
+      its depth the same way, avoiding the input's names().
     """
     type_of(t)
-    return _from_db(_quote(_eval(_to_db(t), ()), 0), names(t))
+    return _quote(_eval(t, ()), 0, names(t))
 
 
 def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
@@ -455,14 +500,13 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
     if strategy not in ("lo", "ri"):
         raise LamError(f"unknown strategy {strategy!r}")
     type_of(t)
-    d = _to_db(t)
     taken = names(t)
-    steps = [_from_db(d, taken)]
+    steps = [_name(t, taken)]
     # eta after beta exhaustion: an eta step keeps a term beta-normal
     for step in (lambda u: _beta_step(u, strategy), _eta_step):
-        while (r := step(d)) is not None:
-            d = r
-            steps.append(_from_db(d, taken))
+        while (r := step(t)) is not None:
+            t = r
+            steps.append(_name(t, taken))
     return steps
 
 
@@ -474,12 +518,20 @@ _INFIX = {"or": "∨", "and": "∧", "imp": "→", "iff": "↔"}
 
 def show(t: LTerm, types: bool = False) -> str:
     """Debug printer; types=True annotates binders and standalone constants."""
+    return _show(t, types, ())
 
-    def go(u: LTerm, ctx: int) -> str:
+
+def _show(t: LTerm, types: bool, bound: tuple[str, ...]) -> str:
+    """show of t under binders named bound, innermost first: t may be a
+    subterm whose indices point out of it."""
+
+    def go(u: LTerm, ctx: int, bound: tuple[str, ...]) -> str:
         # ctx: 0 = top, 1 = operand of an application, 2 = function position
-        if isinstance(u, Var):
+        if type(u) is Var:
             return u.name
-        if isinstance(u, Const):
+        if type(u) is BVar:
+            return bound[u.idx]
+        if type(u) is Const:
             if u.name in _INFIX or u.name == "not":
                 sym = "¬" if u.name == "not" else _INFIX[u.name]
             elif u.name == "Pi":
@@ -487,23 +539,24 @@ def show(t: LTerm, types: bool = False) -> str:
             else:
                 sym = u.name
             return f"{sym}:{u.ty}" if types and ctx == 0 else sym
-        if isinstance(u, Abs):
+        if type(u) is Abs:
             ann = f"{u.var}:{u.var_ty}" if types else u.var
-            s = f"λ{ann}. {go(u.body, 0)}"
+            s = f"λ{ann}. {go(u.scope, 0, (u.var,) + bound)}"
             return f"({s})" if ctx else s
-        if isinstance(u, App):
+        if type(u) is App:
             # binary connectives print infix, negation prefix
-            if isinstance(u.fun, App) and isinstance(u.fun.fun, Const) and u.fun.fun.name in _INFIX:
-                s = f"{go(u.fun.arg, 1)} {_INFIX[u.fun.fun.name]} {go(u.arg, 1)}"
+            f = u.fun
+            if type(f) is App and type(f.fun) is Const and f.fun.name in _INFIX:
+                s = f"{go(f.arg, 1, bound)} {_INFIX[f.fun.name]} {go(u.arg, 1, bound)}"
                 return f"({s})" if ctx else s
-            if isinstance(u.fun, Const) and u.fun.name == "not":
-                return f"¬{go(u.arg, 1)}"
-            if isinstance(u.fun, Const) and u.fun.name == "Pi" and isinstance(u.arg, Abs):
-                ann = f"{u.arg.var}:{u.arg.var_ty}" if types else u.arg.var
-                s = f"Π(λ{ann}. {go(u.arg.body, 0)})"
-                return s
-            s = f"{go(u.fun, 2)} {go(u.arg, 1)}"
+            if type(f) is Const and f.name == "not":
+                return f"¬{go(u.arg, 1, bound)}"
+            if type(f) is Const and f.name == "Pi" and type(u.arg) is Abs:
+                a = u.arg
+                ann = f"{a.var}:{a.var_ty}" if types else a.var
+                return f"Π(λ{ann}. {go(a.scope, 0, (a.var,) + bound)})"
+            s = f"{go(f, 2, bound)} {go(u.arg, 1, bound)}"
             return f"({s})" if ctx == 1 else s
         raise LamError(f"unknown term {u!r}")
 
-    return go(t, 0)
+    return go(t, 0, bound)

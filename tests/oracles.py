@@ -1,6 +1,7 @@
 """Reference implementations the program is checked against: the
 optimality rule, validity and frame conditions read off a model, alpha
-equality of λ-terms, the bounded scan one candidate at a time, SDL type
+equality and named capture-avoiding substitution of λ-terms, schema
+instantiation of formulas, the bounded scan one candidate at a time, SDL type
 elimination over explicit 2^(k+p)-bit type masks, and the front-to-back
 deletion shrink of an unsatisfiable set."""
 
@@ -43,6 +44,60 @@ def alpha_eq(a: L.LTerm, b: L.LTerm) -> bool:
         return isinstance(x, L.Const) and x == y
 
     return go(a, b, (), ())
+
+
+def free_vars(t: L.LTerm) -> frozenset[str]:
+    if isinstance(t, L.Var):
+        return frozenset({t.name})
+    if isinstance(t, L.Const):
+        return frozenset()
+    if isinstance(t, L.Abs):
+        return free_vars(t.body) - {t.var}
+    return free_vars(t.fun) | free_vars(t.arg)
+
+
+def substitute(t: L.LTerm, x: L.Var, s: L.LTerm) -> L.LTerm:
+    """Capture-avoiding [s/x]t on named terms; binders of t are renamed
+    away from s."""
+    if L.type_of(s) != x.ty:
+        raise L.LamTypeError(f"substituting {L.type_of(s)} term for {x.ty} variable")
+    fv_s = free_vars(s)
+
+    def fresh(name: str, avoid: frozenset[str]) -> str:
+        while name in avoid:
+            name += "'"
+        return name
+
+    def go(u: L.LTerm, bound: frozenset[str]) -> L.LTerm:
+        if isinstance(u, L.Var):
+            return s if u.name == x.name else u
+        if isinstance(u, L.Const):
+            return u
+        if isinstance(u, L.App):
+            return L.App(go(u.fun, bound), go(u.arg, bound))
+        if u.var == x.name:
+            return u
+        if u.var in fv_s and x.name in free_vars(u.body):
+            new = fresh(u.var, fv_s | free_vars(u.body) | bound)
+            # renaming is itself a substitution, so it avoids capture too
+            body = substitute(u.body, L.Var(u.var, u.var_ty), L.Var(new, u.var_ty))
+            return L.Abs(new, u.var_ty, go(body, bound | {new}))
+        return L.Abs(u.var, u.var_ty, go(u.body, bound | {u.var}))
+
+    return go(t, frozenset())
+
+
+def instantiate(schema: F.Formula, mapping) -> F.Formula:
+    """Replace arity-0 atoms named in mapping by whole formulas."""
+
+    def visit(g: F.Formula, kids: list[F.Formula]) -> F.Formula:
+        if isinstance(g, F.Atom):
+            return mapping.get(g.pred, g) if not g.args else g
+        if isinstance(g, (F.Forall, F.Exists)):
+            return type(g)(g.var, *kids)
+        return type(g)(*kids)
+
+    return F.fold(schema, visit)
 
 
 def sequential_scan(valid_fs, falsify, domain, cfg, budget, max_n, frame_mode="require"):

