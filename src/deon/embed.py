@@ -487,39 +487,42 @@ _TPTP = _Syntax(_tptp_pred, _tptp_var, ",", "~ ",
                 ")", True)
 
 
+def _operand(f: FOFormula) -> tuple:
+    """The stack entries that print f as an operand: parenthesized
+    unless it is atomic (pushed in reverse)."""
+    return (f,) if type(f) is FOAtom else (")", f, "(")
+
+
 def _print(f: FOFormula, syn: _Syntax) -> str:
-    """f in the given syntax, by one explicit-stack walk: any non-atomic
-    operand is parenthesized.  A stack entry is text still to write or a
-    (formula, parenthesize) pair still to print."""
+    """f in the given syntax, by one explicit-stack walk.  A stack entry
+    is text still to write or a formula still to print."""
     out: list[str] = []
-    stack: list = [(f, False)]
+    stack: list = [f]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        g, parens = item
-        if isinstance(g, FOAtom):
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is FOAtom:
             if g.pred == F.RESERVED_ATOM:
                 out.append("$false")
             elif not g.args:
                 out.append(syn.pred(g.pred))
             else:
-                args = syn.comma.join(syn.var(a.name) if isinstance(a, FOVar) else syn.pred(a.name)
+                args = syn.comma.join(syn.var(a.name) if type(a) is FOVar else syn.pred(a.name)
                                       for a in g.args)
                 out.append(f"{syn.pred(g.pred)}({args})")
-            continue
-        if parens:
-            out.append("(")
-            stack.append(")")
-        if isinstance(g, FONot):
+        elif t is FONot:
             out.append(syn.neg)
-            stack.append((g.sub, True))
-        elif type(g) in syn.ops:
-            stack += [(g.right, True), syn.ops[type(g)], (g.left, True)]
-        elif type(g) in syn.quant:
-            out.append(syn.quant[type(g)].format(v=syn.var(g.var), s=g.sort))
-            stack += [syn.close, (g.body, syn.body_parens)]
+            stack += _operand(g.sub)
+        elif t in syn.ops:
+            stack += _operand(g.right)
+            stack.append(syn.ops[t])
+            stack += _operand(g.left)
+        elif t in syn.quant:
+            out.append(syn.quant[t].format(v=syn.var(g.var), s=g.sort))
+            stack.append(syn.close)
+            stack += _operand(g.body) if syn.body_parens else (g.body,)
         else:
             raise LowerError(f"unknown FO node {g!r}")
     return "".join(out)
