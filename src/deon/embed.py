@@ -5,9 +5,12 @@ translating each operator to a defining lambda term and each atom to a
 constant; normalization then unfolds the definitions.  Wrapping with
 `vld` produces a closed term of type o, whose normal form `lower` reads
 off, in one walk that also names binders and infers their sorts, as a
-two-sorted first-order formula over worlds and individuals.  That
-formula can be evaluated directly in a finite model or emitted as a
-TPTP FOF problem.
+two-sorted first-order formula over worlds and individuals.  The terms
+are `lam`'s locally nameless nodes, which record their types: `lower`
+finds each bound variable by its index in its stack of binders, and
+makes the first-order names as it reads the binders.  The first-order
+formula can be evaluated directly in a finite model, or printed, as
+text or as a TPTP FOF problem, by one explicit-stack printer.
 
 SDL translates box through a guarded accessibility quantifier; system E
 gives box the global reading and the dyadic obligation the optimality
@@ -43,10 +46,7 @@ R_BET = L.Const("Rb", L.fn(L.I, L.I, L.O))    # betterness in system E
 AW = L.Const("aw", L.I)                        # actual world (local validity)
 
 _tau = L.TAU
-
-
-def _abs(v, ty, body):
-    return L.Abs(v, ty, body)
+_abs = L.Abs
 
 
 def _v(name, ty=L.I):
@@ -108,6 +108,25 @@ def _embed_term(t: F.Term) -> L.LTerm:
     return L.Var(t.name, L.I)
 
 
+def _neg(a: L.LTerm) -> L.LTerm:
+    return L.App(NOT_PW, a)
+
+
+# Per logic, each operator's embedding as a function of its operands'.
+_PW = {F.Not: _neg, F.And: lambda a, b: L.app(AND_PW, a, b),
+       F.Or: lambda a, b: L.app(OR_PW, a, b), F.Implies: lambda a, b: L.app(IMP_PW, a, b),
+       F.Iff: lambda a, b: L.app(IFF_PW, a, b)}
+_OPS = {"sdl": {**_PW, F.Box: lambda a: L.App(SDL_BOX, a), F.Dia: lambda a: L.App(SDL_DIA, a),
+                F.ObligM: lambda a: L.App(SDL_BOX, a),
+                F.Perm: lambda a: _neg(L.App(SDL_BOX, _neg(a))),
+                F.Forb: lambda a: L.App(SDL_BOX, _neg(a))},
+        "e": {**_PW, F.Box: lambda a: L.App(E_BOX, a), F.Dia: lambda a: L.App(E_DIA, a),
+              F.Oblig: lambda body, cond: L.app(E_OBLIG, body, cond),
+              F.ObligM: lambda a: L.app(E_OBLIG, a, _TOP_E),
+              F.Perm: lambda a: _neg(L.app(E_OBLIG, _neg(a), _TOP_E)),
+              F.Forb: lambda a: L.app(E_OBLIG, _neg(a), _TOP_E)}}
+
+
 def _embed(f: F.Formula, logic: str) -> L.LTerm:
     """The embedding of f.  It has type i>o by construction, so it is
     not type-checked: every combinator above is closed and well typed
@@ -118,48 +137,19 @@ def _embed(f: F.Formula, logic: str) -> L.LTerm:
     if isinstance(f, F.Atom):
         head = atom_const(f.pred, len(f.args))
         return L.app(head, *[_embed_term(t) for t in f.args])
-    if isinstance(f, F.Not):
-        return L.App(NOT_PW, _embed(f.sub, logic))
-    if isinstance(f, F.And):
-        return L.app(AND_PW, _embed(f.left, logic), _embed(f.right, logic))
-    if isinstance(f, F.Or):
-        return L.app(OR_PW, _embed(f.left, logic), _embed(f.right, logic))
-    if isinstance(f, F.Implies):
-        return L.app(IMP_PW, _embed(f.left, logic), _embed(f.right, logic))
-    if isinstance(f, F.Iff):
-        return L.app(IFF_PW, _embed(f.left, logic), _embed(f.right, logic))
     if isinstance(f, (F.Forall, F.Exists)):
         comb = FORALL_PW if isinstance(f, F.Forall) else EXISTS_PW
         return L.App(comb, L.Abs(f.var, L.I, _embed(f.body, logic)))
-    if logic == "sdl":
-        if isinstance(f, F.Box):
-            return L.App(SDL_BOX, _embed(f.sub, logic))
-        if isinstance(f, F.Dia):
-            return L.App(SDL_DIA, _embed(f.sub, logic))
-        if isinstance(f, F.ObligM):
-            return L.App(SDL_BOX, _embed(f.sub, logic))
-        if isinstance(f, F.Perm):
-            return L.App(NOT_PW, L.App(SDL_BOX, L.App(NOT_PW, _embed(f.sub, logic))))
-        if isinstance(f, F.Forb):
-            return L.App(SDL_BOX, L.App(NOT_PW, _embed(f.sub, logic)))
-        if isinstance(f, F.Oblig):
-            raise EmbedError("dyadic obligation is not part of the SDL language")
-    else:
-        if isinstance(f, F.Box):
-            return L.App(E_BOX, _embed(f.sub, logic))
-        if isinstance(f, F.Dia):
-            return L.App(E_DIA, _embed(f.sub, logic))
-        if isinstance(f, F.Oblig):
-            return L.app(E_OBLIG, _embed(f.body, logic), _embed(f.cond, logic))
-        if isinstance(f, F.ObligM):
-            return L.app(E_OBLIG, _embed(f.sub, logic), _embed(F.TOP, logic))
-        if isinstance(f, F.Perm):
-            return L.App(NOT_PW, L.app(E_OBLIG, L.App(NOT_PW, _embed(f.sub, logic)),
-                                       _embed(F.TOP, logic)))
-        if isinstance(f, F.Forb):
-            return L.app(E_OBLIG, L.App(NOT_PW, _embed(f.sub, logic)), _embed(F.TOP, logic))
-    raise EmbedError(f"cannot embed {f!r}")
+    build = _OPS[logic].get(type(f))
+    if build is None and logic == "sdl" and isinstance(f, F.Oblig):
+        raise EmbedError("dyadic obligation is not part of the SDL language")
+    if build is None:
+        raise EmbedError(f"cannot embed {f!r}")
+    # map, unlike a comprehension, adds no frame per level of nesting
+    return build(*map(_embed, F.children(f), itertools.repeat(logic)))
 
+
+_TOP_E = _embed(F.TOP, "e")
 
 def embed_sdl(f: F.Formula) -> L.LTerm:
     """SDL embedding; the result has type i>o (unnormalized)."""
@@ -224,41 +214,26 @@ class FONot(FOFormula):
 
 
 @dataclass(frozen=True)
-class FOAnd(FOFormula):
+class _FOBinary(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
-class FOOr(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class FOAnd(_FOBinary): pass
+class FOOr(_FOBinary): pass
+class FOImp(_FOBinary): pass
+class FOIff(_FOBinary): pass
 
 
 @dataclass(frozen=True)
-class FOImp(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@dataclass(frozen=True)
-class FOIff(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@dataclass(frozen=True)
-class FOForall(FOFormula):
+class _FOQuant(FOFormula):
     var: str
     sort: str
     body: FOFormula
 
 
-@dataclass(frozen=True)
-class FOExists(FOFormula):
-    var: str
-    sort: str
-    body: FOFormula
+class FOForall(_FOQuant): pass
+class FOExists(_FOQuant): pass
 
 
 _FO_BIN = {"or": FOOr, "and": FOAnd, "imp": FOImp, "iff": FOIff}
@@ -285,8 +260,6 @@ def lower(t: L.LTerm) -> FOFormula:
     once its body is read does not occur there and is dropped (sound:
     both sorts are nonempty).  A Pi over a non-lambda c reads as
     forall q<depth>. c q<depth> (primed alike); it is not counted.
-    Bound variables are indices, so each is found in the walk's binder
-    stack and no name of the term can capture it.
     """
     ty = L.type_of(t)
     if ty != L.O:
@@ -298,65 +271,52 @@ def lower(t: L.LTerm) -> FOFormula:
     count = itertools.count()
     sorts: dict[str, str] = {}
 
-    def show(u: L.LTerm, env: tuple) -> str:
-        return L._show(u, False, tuple(var for _, var in env))
-
-    # env: per enclosing binder, innermost first, its first-order name and
-    # the term's name for it (for messages).  A quantifier is read in the
-    # frame that finds it, so each level of nesting costs one frame.
-    def walk(u: L.LTerm, env: tuple) -> FOFormula:
+    # env: the first-order name of each enclosing binder, by de Bruijn
+    # index.  A quantifier is read in the frame that finds it.
+    def walk(u: L.LTerm, env: tuple[str, ...]) -> FOFormula:
         head, args = _spine(u)
         if isinstance(head, (L.Var, L.BVar)):
-            name = head.name if isinstance(head, L.Var) else env[head.idx][1]
-            raise HigherOrderResidue(f"free predicate variable {name}")
+            raise HigherOrderResidue(f"free predicate variable {L.show(head)}")
         if not isinstance(head, L.Const):
-            raise HigherOrderResidue(f"unreadable term {show(u, env)}")
+            raise HigherOrderResidue(f"unreadable term {L.show(u)}")
         name = None
         if head.name == "not" and len(args) == 1:
             # recognize the encoded existential: not (Pi (lam x. not b))
             shead, sargs = _spine(args[0])
-            if not (isinstance(shead, L.Const) and shead.name == "Pi" and len(sargs) == 1
-                    and isinstance(sargs[0], L.Abs)):
-                return FONot(walk(args[0], env))
-            inner = sargs[0]
-            ihead, iargs = _spine(inner.scope)
+            pi = isinstance(shead, L.Const) and shead.name == "Pi" and len(sargs) == 1
+            inner = sargs[0] if pi and isinstance(sargs[0], L.Abs) else None
+            ihead, iargs = _spine(inner.scope) if inner else (None, ())
             if not (isinstance(ihead, L.Const) and ihead.name == "not" and len(iargs) == 1):
                 return FONot(walk(args[0], env))
-            cls, var, var_ty, scope = FOExists, inner.var, inner.var_ty, iargs[0]
+            cls, var_ty, scope = FOExists, inner.var_ty, iargs[0]
         elif head.name in _FO_BIN and len(args) == 2:
             return _FO_BIN[head.name](walk(args[0], env), walk(args[1], env))
+        elif head.name == "Pi" and len(args) == 1 and isinstance(args[0], L.Abs):
+            cls, var_ty, scope = FOForall, args[0].var_ty, args[0].scope
         elif head.name == "Pi" and len(args) == 1:
-            arg = args[0]
-            if isinstance(arg, L.Abs):
-                cls, var, var_ty, scope = FOForall, arg.var, arg.var_ty, arg.scope
-            else:
-                aty = arg.ty
-                if not (isinstance(aty, L.Arrow) and aty.src is L.I):
-                    raise HigherOrderResidue(f"quantification over type {aty}")
-                name = L._fresh(f"q{len(env)}", taken)
-                cls, var, var_ty = FOForall, name, L.I
-                scope = L.App(L._shift(arg, 1), L.BVar(0, L.I))
+            aty = args[0].ty
+            if not (isinstance(aty, L.Arrow) and aty.src is L.I):
+                raise HigherOrderResidue(f"quantification over type {aty}")
+            cls, var_ty, name = FOForall, L.I, L._fresh(f"q{len(env)}", taken)
+            scope = L.App(L._shift(args[0], 1), L.BVar(0, L.I))
         else:
             return atom(head, args, env)
         if var_ty is not L.I:
             raise HigherOrderResidue(f"quantification over type {var_ty}")
-        if name is None:
-            name = L._fresh(f"v{next(count)}", taken)
-        body = walk(scope, ((name, var),) + env)
+        name = name or L._fresh(f"v{next(count)}", taken)
+        body = walk(scope, (name,) + env)
         sort = sorts.get(name)
         return body if sort is None else cls(name, sort, body)
 
-    def atom(head: L.Const, args: list[L.LTerm], env: tuple) -> FOAtom:
-        """A predicate constant applied to base-sorted arguments."""
+    def atom(head: L.Const, args: list[L.LTerm], env: tuple[str, ...]) -> FOAtom:
         fo_args: list[FOTerm] = []
         for i, a in enumerate(args):
             if isinstance(a, L.Const) and a.ty is L.I:
                 fo_args.append(FOConst(a.name))
                 continue
             if not (isinstance(a, (L.Var, L.BVar)) and a.ty is L.I):
-                raise HigherOrderResidue(
-                    f"argument {show(a, env)} of {head.name} is not base-sorted")
-            name = a.name if isinstance(a, L.Var) else env[a.idx][0]
+                raise HigherOrderResidue(f"argument {L.show(a)} of {head.name} is not base-sorted")
+            name = a.name if isinstance(a, L.Var) else env[a.idx]
             sort = WORLD if head.name in ("R", "Rb") or i == len(args) - 1 else INDIV
             if sorts.setdefault(name, sort) != sort:
                 raise LowerError(f"variable {name} used as both sorts")
@@ -430,25 +390,18 @@ def in_guarded_fragment(f: FOFormula, outermost: bool = True) -> bool:
         return True
     if isinstance(f, FONot):
         return in_guarded_fragment(f.sub, False)
-    if isinstance(f, (FOAnd, FOOr, FOImp, FOIff)):
+    if isinstance(f, _FOBinary):
         return in_guarded_fragment(f.left, False) and in_guarded_fragment(f.right, False)
-    if isinstance(f, FOForall):
-        if f.sort != WORLD or outermost:
-            return in_guarded_fragment(f.body, False)
-        ok = (isinstance(f.body, FOOr)
-              and isinstance(f.body.left, FONot)
-              and isinstance(f.body.left.sub, FOAtom)
-              and f.body.left.sub.pred in ("R", "Rb")
-              and FOVar(f.var) in f.body.left.sub.args)
-        return ok and in_guarded_fragment(f.body.right, False)
-    if isinstance(f, FOExists):
-        if f.sort != WORLD:
-            return in_guarded_fragment(f.body, False)
-        ok = (isinstance(f.body, FOAnd)
-              and isinstance(f.body.left, FOAtom)
-              and f.body.left.pred in ("R", "Rb")
-              and FOVar(f.var) in f.body.left.args)
-        return ok and in_guarded_fragment(f.body.right, False)
+    if isinstance(f, _FOQuant):
+        b = f.body
+        if f.sort != WORLD or (outermost and isinstance(f, FOForall)):
+            return in_guarded_fragment(b, False)
+        if isinstance(f, FOForall):
+            guard = b.left.sub if isinstance(b, FOOr) and isinstance(b.left, FONot) else None
+        else:
+            guard = b.left if isinstance(b, FOAnd) else None
+        return (isinstance(guard, FOAtom) and guard.pred in ("R", "Rb")
+                and FOVar(f.var) in guard.args and in_guarded_fragment(b.right, False))
     raise LowerError(f"unknown FO node {f!r}")
 
 
@@ -466,36 +419,34 @@ def _tptp_pred(name: str) -> str:
 
 
 class _Syntax(NamedTuple):
-    """How one printer writes each kind of node."""
+    """How a printer writes names, atoms and each connective."""
 
     pred: Callable[[str], str]        # predicate and constant names
     var: Callable[[str], str]
-    comma: str                        # between atom arguments
-    neg: str
-    ops: dict                         # binary class -> infix with spaces
-    quant: dict                       # quantifier class -> prefix template
-    close: str                        # after a quantifier's body
-    body_parens: bool                 # parenthesize a quantifier's body
+    comma: str
+    ops: dict                         # class -> its text; {v}, {s}: variable, sort
+    close: str                        # after a quantifier's body, if it is
+                                      # parenthesized unless atomic
 
 
-_SHOW = _Syntax(str, str, ", ", "¬",
-                {FOAnd: " ∧ ", FOOr: " ∨ ", FOImp: " → ", FOIff: " ↔ "},
-                {FOForall: "∀{v}:{s}. ", FOExists: "∃{v}:{s}. "}, "", False)
-_TPTP = _Syntax(_tptp_pred, _tptp_var, ",", "~ ",
-                {FOAnd: " & ", FOOr: " | ", FOImp: " => ", FOIff: " <=> "},
-                {FOForall: "! [{v}] : ({s}({v}) => ", FOExists: "? [{v}] : ({s}({v}) & "},
-                ")", True)
+_SHOW = _Syntax(str, str, ", ", {FONot: "¬", FOAnd: " ∧ ", FOOr: " ∨ ", FOImp: " → ",
+                                 FOIff: " ↔ ", FOForall: "∀{v}:{s}. ", FOExists: "∃{v}:{s}. "},
+                "")
+_TPTP = _Syntax(_tptp_pred, _tptp_var, ",",
+                {FONot: "~ ", FOAnd: " & ", FOOr: " | ", FOImp: " => ", FOIff: " <=> ",
+                 FOForall: "! [{v}] : ({s}({v}) => ", FOExists: "? [{v}] : ({s}({v}) & "},
+                ")")
 
 
 def _operand(f: FOFormula) -> tuple:
-    """The stack entries that print f as an operand: parenthesized
-    unless it is atomic (pushed in reverse)."""
+    """The stack entries that print f parenthesized unless atomic."""
     return (f,) if type(f) is FOAtom else (")", f, "(")
 
 
-def _print(f: FOFormula, syn: _Syntax) -> str:
-    """f in the given syntax, by one explicit-stack walk.  A stack entry
-    is text still to write or a formula still to print."""
+def _print(f: FOFormula, syn: _Syntax, sorts: set[str] | None = None) -> str:
+    """f in the given syntax, by one explicit-stack walk whose entries
+    are text still to write or formulas still to print; adds the sort of
+    each quantifier to sorts."""
     out: list[str] = []
     stack: list = [f]
     while stack:
@@ -513,16 +464,18 @@ def _print(f: FOFormula, syn: _Syntax) -> str:
                                       for a in g.args)
                 out.append(f"{syn.pred(g.pred)}({args})")
         elif t is FONot:
-            out.append(syn.neg)
+            out.append(syn.ops[t])
             stack += _operand(g.sub)
+        elif t in (FOForall, FOExists):
+            out.append(syn.ops[t].format(v=syn.var(g.var), s=g.sort))
+            stack.append(syn.close)
+            stack += _operand(g.body) if syn.close else (g.body,)
+            if sorts is not None:
+                sorts.add(g.sort)
         elif t in syn.ops:
             stack += _operand(g.right)
             stack.append(syn.ops[t])
             stack += _operand(g.left)
-        elif t in syn.quant:
-            out.append(syn.quant[t].format(v=syn.var(g.var), s=g.sort))
-            stack.append(syn.close)
-            stack += _operand(g.body) if syn.body_parens else (g.body,)
         else:
             raise LowerError(f"unknown FO node {g!r}")
     return "".join(out)
@@ -532,26 +485,12 @@ def fo_show(f: FOFormula) -> str:
     return _print(f, _SHOW)
 
 
-def _fo_sorts_used(f: FOFormula) -> set[str]:
-    sorts: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (FOForall, FOExists)):
-            sorts.add(g.sort)
-            stack.append(g.body)
-        elif isinstance(g, FONot):
-            stack.append(g.sub)
-        elif not isinstance(g, FOAtom):
-            stack += [g.left, g.right]
-    return sorts
-
-
 def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> str:
     """A complete TPTP FOF problem: sort nonemptiness axioms for the
     sorts the formula quantifies over, the SDL seriality axiom when
     logic is sdl, then the formula itself under the given name/role."""
-    sorts = _fo_sorts_used(f)
+    sorts: set[str] = set()
+    text = _print(f, _TPTP, sorts)
     lines = []
     if WORLD in sorts or logic == "sdl":
         lines.append("fof(world_nonempty, axiom, ? [W] : world(W)).")
@@ -560,5 +499,5 @@ def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> s
     if logic == "sdl":
         lines.append("fof(seriality, axiom, ! [W] : (world(W) => "
                      "(? [V] : (world(V) & r(W,V))))).")
-    lines.append(f"fof({name}, {role}, {_print(f, _TPTP)}).")
+    lines.append(f"fof({name}, {role}, {text}).")
     return "\n".join(lines) + "\n"

@@ -1,25 +1,19 @@
-"""Simply typed lambda terms, one hash-consed, locally nameless node
-family, with beta-eta normalization.
+"""Simply typed lambda terms in one node family, with beta-eta
+normalization.
 
-Terms are built through the named API (`Const`, `Var`, `Abs`, `App`)
-and stored locally nameless (Charguéraud 2012): `Abs(var, ty, body)`
-turns the occurrences of `var` in `body` into de Bruijn indices
-(`BVar`) when the node is built, and only the `Abs` node keeps the
-binder name, so `.body` gives the named body back and `==` still tells
-binder names apart.  Free variables and constants keep their names.
-Types and terms are hash-consed on `formula._Node` (Filliâtre & Conchon
-2006): equality is identity and hashing is O(1) at any size.  Each node
-records its type when it is built, from its children's, so `type_of` of
-a built term reads one field; only an ill-typed term is walked, to say
-why.
+Terms are built with named binders and stored locally nameless
+(Charguéraud 2012): building `Abs(var, ty, body)` turns the occurrences
+of var in body into de Bruijn indices (`BVar`), and only the binder
+keeps the name, so `.body` reads the named body back and `==` still
+tells binder names apart.  Free variables and constants keep their
+names.  Nodes are hash-consed on `formula._Node` (Filliâtre & Conchon
+2006), so equality is identity and hashing is O(1), and each node
+records its type when it is built, so `type_of` reads a field.
 
-Normalization and the single-step reducer work on these nodes directly.
-Names are made only at the boundary: a binder of a normal form or of a
-reduction step at depth k is named v<k>, primed while a free variable
-or a constant of the input uses the name.  `normalize` evaluates the
-term once and reads the value back once (normalization by evaluation);
-the stepper behind `normalize_steps` is kept for `--show-steps` and as
-the tests' oracle.
+Normalization, the single-step reducer and `show` work on these nodes;
+names are made only at the boundary, where a binder of a normal form or
+of a reduction step at depth k is named v<k>, primed while a free
+variable or a constant of the input has the name.
 
 Logical constants: not, or, and, imp, iff are ordinary constants of the
 expected Boolean types, and Pi is a family of constants (one per
@@ -84,39 +78,30 @@ def fn(*types: Ty) -> Ty:
 # ---------------------------------------------------------------------------
 # Terms
 
-_TABLE = F._TABLE
-
-
 class LTerm(F._Node):
-    """A term node.  Besides its fields, each node records `ty`, its type
-    (None if it is ill-typed), `_loose`, one more than the largest de
-    Bruijn index free in it (0 if none is), and `_open`, whether a free
-    variable occurs in it."""
+    """A term node.  Besides its fields it records, when it is made,
+    what `_derive` gives from them: `ty`, its type (None if ill-typed);
+    `_loose`, one more than the largest de Bruijn index free in it (0 if
+    none is); and `_open`, whether a free variable occurs in it."""
 
     __slots__ = ("ty", "_loose", "_open")
 
-
-def _record(key: tuple, ty: Ty | None, loose: int, open_: bool) -> LTerm:
-    """Make, enter in the table and return the new node of key."""
-    cls = key[0]
-    node = object.__new__(cls)
-    for name, value in zip(cls._fields, key[1:]):
-        object.__setattr__(node, name, value)
-    object.__setattr__(node, "_key", key)
-    object.__setattr__(node, "ty", ty)
-    object.__setattr__(node, "_loose", loose)
-    object.__setattr__(node, "_open", open_)
-    _TABLE[key] = node
-    return node
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = F._TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields + LTerm.__slots__, fields + cls._derive(*fields)):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_key", key)
+            F._TABLE[key] = node
+        return node
 
 
 class Const(LTerm):
     __slots__ = ("name",)
     _fields = ("name", "ty")
-
-    def __new__(cls, name: str, ty: Ty):
-        key = (Const, name, ty)
-        return _TABLE.get(key) or _record(key, ty, 0, False)
+    _derive = staticmethod(lambda name, ty: (ty, 0, False))
 
 
 class Var(LTerm):
@@ -124,10 +109,7 @@ class Var(LTerm):
 
     __slots__ = ("name",)
     _fields = ("name", "ty")
-
-    def __new__(cls, name: str, ty: Ty):
-        key = (Var, name, ty)
-        return _TABLE.get(key) or _record(key, ty, 0, True)
+    _derive = staticmethod(lambda name, ty: (ty, 0, True))
 
 
 class BVar(LTerm):
@@ -135,35 +117,34 @@ class BVar(LTerm):
 
     __slots__ = ("idx",)
     _fields = ("idx", "ty")
-
-    def __new__(cls, idx: int, ty: Ty):
-        key = (BVar, idx, ty)
-        return _TABLE.get(key) or _record(key, ty, idx + 1, False)
+    _derive = staticmethod(lambda idx, ty: (ty, idx + 1, False))
 
 
 class App(LTerm):
     __slots__ = _fields = ("fun", "arg")
 
-    def __new__(cls, fun: LTerm, arg: LTerm):
-        key = (App, fun, arg)
-        node = _TABLE.get(key)
-        if node is None:
-            ft = fun.ty
-            ty = ft.dst if type(ft) is Arrow and ft.src is arg.ty else None
-            node = _record(key, ty, max(fun._loose, arg._loose), fun._open or arg._open)
-        return node
+    @staticmethod
+    def _derive(fun, arg):
+        ft = fun.ty
+        return (ft.dst if type(ft) is Arrow and ft.src is arg.ty else None,
+                max(fun._loose, arg._loose), fun._open or arg._open)
 
 
 class Abs(LTerm):
-    """λvar:var_ty. body.  Building it turns the free occurrences of var
-    in body into indices; `scope` is the result and `body` reads it back
-    with var in place of its index."""
+    """λvar:var_ty. body, stored as its `scope`: body with var as index
+    0.  `_typed` is False when an occurrence of var in body has another
+    type than var_ty; it stays free in the scope, for type_of to report."""
 
-    __slots__ = _fields = ("var", "var_ty", "scope")
+    __slots__ = _fields = ("var", "var_ty", "scope", "_typed")
 
     def __new__(cls, var: str, var_ty: Ty, body: LTerm):
         clash: list[Var] = []
-        return _abs(var, var_ty, _close(body, var, var_ty, 0, clash), not clash)
+        return LTerm.__new__(Abs, var, var_ty, _close(body, var, var_ty, 0, clash), not clash)
+
+    @staticmethod
+    def _derive(var, var_ty, scope, typed):
+        ty = Arrow(var_ty, scope.ty) if typed and scope.ty is not None else None
+        return ty, max(scope._loose - 1, 0), scope._open
 
     @property
     def body(self) -> LTerm:
@@ -173,36 +154,21 @@ class Abs(LTerm):
         return f"Abs(var={self.var!r}, var_ty={self.var_ty!r}, body={self.body!r})"
 
 
-def _abs(var: str, var_ty: Ty, scope: LTerm, typed: bool = True) -> Abs:
-    """The binder over a scope; typed=False marks a scope in which a free
-    variable named var has another type than var_ty."""
-    key = (Abs, var, var_ty, scope)
-    node = _TABLE.get(key)
-    if node is None:
-        ty = Arrow(var_ty, scope.ty) if typed and scope.ty is not None else None
-        node = _record(key, ty, max(scope._loose - 1, 0), scope._open)
-    return node
-
-
 def _rebind(u: Abs, scope: LTerm, var: str | None = None) -> Abs:
-    """u's binder over a new scope whose indices have the same types."""
-    return _abs(u.var if var is None else var, u.var_ty, scope,
-                u.ty is not None or u.scope.ty is None)
+    """u's binder, or one named var, over a scope of the same types."""
+    return LTerm.__new__(Abs, var or u.var, u.var_ty, scope, u._typed)
 
 
 def _close(u: LTerm, x: str, ty: Ty, depth: int, clash: list) -> LTerm:
-    """u with each free occurrence of x, at binder depth `depth`, made the
-    index of that binder.  An occurrence annotated with another type
-    than ty stays free and goes to clash: it makes the binder ill-typed,
-    and type_of reports it where it occurs."""
+    """u with each free occurrence of x made the index of a binder depth
+    levels up; an occurrence of another type than ty stays, in clash."""
     if not u._open:
         return u
     if type(u) is Var:
-        if u.name != x:
-            return u
-        if u.ty is ty:
+        if u.name == x and u.ty is ty:
             return BVar(depth, ty)
-        clash.append(u)
+        if u.name == x:
+            clash.append(u)
         return u
     if type(u) is App:
         return App(_close(u.fun, x, ty, depth, clash), _close(u.arg, x, ty, depth, clash))
@@ -257,34 +223,24 @@ def exists(var: str, ty: Ty, body: LTerm) -> LTerm:
 
 
 def type_of(t: LTerm, env: dict[str, Ty] | None = None) -> Ty:
-    """The unique simple type of t, whose free variables env may type, or
-    LamTypeError.  A built term records its type; it is walked only
-    when it is ill-typed, or when env could disagree with it."""
+    """The unique simple type of t, env typing its free variables, or
+    LamTypeError.  t is walked only if it is ill-typed, or if env could
+    disagree with it."""
     ty = getattr(t, "ty", None)
     if ty is not None and not (env and t._open):
         return ty
-    return _check(t, dict(env or {}))
+    return _check(t, env or {})
 
 
 def _check(t: LTerm, env: dict[str, Ty]) -> Ty:
-    """The type of t, or the first type error in depth-first order, with
-    each binder's name in env while its scope is walked."""
-    if type(t) is Var:
-        if t.name in env and env[t.name] is not t.ty:
-            raise LamTypeError(f"variable {t.name} annotated {t.ty}, bound at {env[t.name]}")
-        return t.ty
-    if type(t) in (Const, BVar):
+    """The type of t, or its first type error in depth-first order, each
+    binder's name typed in env while its scope is walked."""
+    if type(t) is Var and t.name in env and env[t.name] is not t.ty:
+        raise LamTypeError(f"variable {t.name} annotated {t.ty}, bound at {env[t.name]}")
+    if type(t) in (Const, Var, BVar):
         return t.ty
     if type(t) is Abs:
-        shadowed = env.get(t.var)
-        env[t.var] = t.var_ty
-        try:
-            return Arrow(t.var_ty, _check(t.scope, env))
-        finally:
-            if shadowed is None:
-                del env[t.var]
-            else:
-                env[t.var] = shadowed
+        return Arrow(t.var_ty, _check(t.scope, {**env, t.var: t.var_ty}))
     if type(t) is App:
         ft = _check(t.fun, env)
         at = _check(t.arg, env)
@@ -298,20 +254,21 @@ def _check(t: LTerm, env: dict[str, Ty]) -> Ty:
 
 def names(t: LTerm) -> set[str]:
     """The names of t's free variables and constants: the names a new
-    binder must avoid to be read unambiguously."""
-    out: set[str] = set()
-    seen: set[LTerm] = set()
-    stack = [t]
+    binder must avoid to be read unambiguously.  A variable left free in
+    the scope of a same-named binder of another type (an ill-typed term)
+    belongs to that binder and is not counted."""
+    out, seen, stack = set(), set(), [(t, frozenset())]
     while stack:
-        u = stack.pop()
-        if u in seen:
+        item = stack.pop()
+        if item in seen:
             continue
-        seen.add(u)
+        seen.add(item)
+        u, bound = item
         if type(u) is App:
-            stack += (u.fun, u.arg)
+            stack += ((u.fun, bound), (u.arg, bound))
         elif type(u) is Abs:
-            stack.append(u.scope)
-        elif type(u) is not BVar:
+            stack.append((u.scope, bound if u._typed else bound | {u.var}))
+        elif type(u) is Const or (type(u) is Var and u.name not in bound):
             out.add(u.name)
     return out
 
@@ -324,8 +281,8 @@ def _fresh(base: str, avoid: set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Index operations and the single-step reducer.  Each skips a subterm in
-# which no index it acts on is free.
+# Index operations and the single-step reducer.  The index operations
+# skip each subterm in which no index they act on is free.
 
 
 def _shift(d: LTerm, by: int, cutoff: int = 0) -> LTerm:
@@ -359,64 +316,42 @@ def _uses_idx(d: LTerm, idx: int) -> bool:
 
 
 def _eta_redex(b: LTerm) -> LTerm | None:
-    """M, shifted out of the binder, if the scope b is M 0 with index 0
-    not free in M: the eta-contraction of the binder over b."""
+    """M, shifted out of its binder, if that binder's scope b is M 0 with
+    index 0 not free in M."""
     if type(b) is App and type(b.arg) is BVar and b.arg.idx == 0 and not _uses_idx(b.fun, 0):
         return _shift(b.fun, -1)
     return None
 
 
-def _beta_step(d: LTerm, strategy: str) -> LTerm | None:
-    """One beta step at the strategy's redex, or None if beta-normal."""
-    if strategy == "lo":
-        if type(d) is App and type(d.fun) is Abs:
-            return _subst_db(d.fun.scope, 0, d.arg)
-        if type(d) is Abs:
-            r = _beta_step(d.scope, strategy)
-            return None if r is None else _rebind(d, r)
-        if type(d) is App:
-            r = _beta_step(d.fun, strategy)
+def _beta_root(d: LTerm) -> LTerm | None:
+    return _subst_db(d.fun.scope, 0, d.arg) if type(d) is App and type(d.fun) is Abs else None
+
+
+def _eta_root(d: LTerm) -> LTerm | None:
+    return _eta_redex(d.scope) if type(d) is Abs else None
+
+
+def _step(d: LTerm, root, inner_first: bool) -> LTerm | None:
+    """One step at the first place where root(u) reduces a subterm u, or
+    None: outermost first and functions before arguments, or, with
+    inner_first, innermost first and arguments before functions."""
+    if not inner_first and (r := root(d)) is not None:
+        return r
+    if type(d) is Abs:
+        r = _step(d.scope, root, inner_first)
+        if r is not None:
+            return _rebind(d, r)
+    elif type(d) is App:
+        for i in ((1, 0) if inner_first else (0, 1)):
+            r = _step((d.fun, d.arg)[i], root, inner_first)
             if r is not None:
-                return App(r, d.arg)
-            r = _beta_step(d.arg, strategy)
-            return None if r is None else App(d.fun, r)
-        return None
-    # rightmost-innermost: reduce inside subterms first, arguments before
-    # functions, and the root redex only when both sides are normal
-    if type(d) is Abs:
-        r = _beta_step(d.scope, strategy)
-        return None if r is None else _rebind(d, r)
-    if type(d) is App:
-        r = _beta_step(d.arg, strategy)
-        if r is not None:
-            return App(d.fun, r)
-        r = _beta_step(d.fun, strategy)
-        if r is not None:
-            return App(r, d.arg)
-        if type(d.fun) is Abs:
-            return _subst_db(d.fun.scope, 0, d.arg)
-    return None
-
-
-def _eta_step(d: LTerm) -> LTerm | None:
-    if type(d) is Abs:
-        r = _eta_redex(d.scope)
-        if r is not None:
-            return r
-        r = _eta_step(d.scope)
-        return None if r is None else _rebind(d, r)
-    if type(d) is App:
-        r = _eta_step(d.fun)
-        if r is not None:
-            return App(r, d.arg)
-        r = _eta_step(d.arg)
-        return None if r is None else App(d.fun, r)
-    return None
+                return App(d.fun, r) if i else App(r, d.arg)
+    return root(d) if inner_first else None
 
 
 def _name(d: LTerm, taken: set[str], depth: int = 0) -> LTerm:
-    """d with each binder at depth k named v<k>, primed until the name is
-    not in taken."""
+    """d with each binder at depth k named v<k>, primed while the name is
+    in taken."""
     if type(d) is App:
         return App(_name(d.fun, taken, depth), _name(d.arg, taken, depth))
     if type(d) is Abs:
@@ -467,8 +402,10 @@ def _quote(v, lvl: int, taken: set[str]) -> LTerm:
     for var_ty in reversed(var_tys):
         lvl -= 1
         fun = _eta_redex(d)
-        # the binders of fun were named a level deeper
-        d = _abs(_fresh(f"v{lvl}", taken), var_ty, d) if fun is None else _name(fun, taken, lvl)
+        if fun is None:
+            d = LTerm.__new__(Abs, _fresh(f"v{lvl}", taken), var_ty, d, True)
+        else:
+            d = _name(fun, taken, lvl)  # its binders were named a level deeper
     return d
 
 
@@ -486,10 +423,10 @@ def normalize(t: LTerm) -> LTerm:
     - eta on a beta-normal term creates no beta redex: lambda x. M x
       becomes M in a place no application has as its function;
     - beta-eta normal forms are unique (Church-Rosser) and bound
-      variables are indices, so alpha-equivalent terms are equal up to
-      binder names; the result is exactly the stepper's
-      (`normalize_steps`, either strategy), with each binder named by
-      its depth the same way, avoiding the input's names().
+      variables are indices, so the result is the stepper's
+      (`normalize_steps`, either strategy) up to binder names, and both
+      name a binder by its depth the same way, avoiding the input's
+      names().
     """
     type_of(t)
     return _quote(_eval(t, ()), 0, names(t))
@@ -503,8 +440,8 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
     taken = names(t)
     steps = [_name(t, taken)]
     # eta after beta exhaustion: an eta step keeps a term beta-normal
-    for step in (lambda u: _beta_step(u, strategy), _eta_step):
-        while (r := step(t)) is not None:
+    for root, inner_first in ((_beta_root, strategy == "ri"), (_eta_root, False)):
+        while (r := _step(t, root, inner_first)) is not None:
             t = r
             steps.append(_name(t, taken))
     return steps
@@ -514,30 +451,21 @@ def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
 # Printing
 
 _INFIX = {"or": "∨", "and": "∧", "imp": "→", "iff": "↔"}
+_SYMBOL = {**_INFIX, "not": "¬", "Pi": "Π"}
 
 
 def show(t: LTerm, types: bool = False) -> str:
-    """Debug printer; types=True annotates binders and standalone constants."""
-    return _show(t, types, ())
-
-
-def _show(t: LTerm, types: bool, bound: tuple[str, ...]) -> str:
-    """show of t under binders named bound, innermost first: t may be a
-    subterm whose indices point out of it."""
+    """Debug printer; types=True annotates binders and standalone
+    constants.  An index pointing out of t prints as #<index>."""
 
     def go(u: LTerm, ctx: int, bound: tuple[str, ...]) -> str:
         # ctx: 0 = top, 1 = operand of an application, 2 = function position
         if type(u) is Var:
             return u.name
         if type(u) is BVar:
-            return bound[u.idx]
+            return bound[u.idx] if u.idx < len(bound) else f"#{u.idx - len(bound)}"
         if type(u) is Const:
-            if u.name in _INFIX or u.name == "not":
-                sym = "¬" if u.name == "not" else _INFIX[u.name]
-            elif u.name == "Pi":
-                sym = "Π"
-            else:
-                sym = u.name
+            sym = _SYMBOL.get(u.name, u.name)
             return f"{sym}:{u.ty}" if types and ctx == 0 else sym
         if type(u) is Abs:
             ann = f"{u.var}:{u.var_ty}" if types else u.var
@@ -559,4 +487,4 @@ def _show(t: LTerm, types: bool, bound: tuple[str, ...]) -> str:
             return f"({s})" if ctx == 1 else s
         raise LamError(f"unknown term {u!r}")
 
-    return go(t, 0, bound)
+    return go(t, 0, ())
