@@ -342,19 +342,19 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
         with open(os.path.join(out_dir, f"{name}.p"), "w", encoding="utf-8") as fh:
             fh.write(tptp)
     rep.data["verdict"] = "translated"
-    d = rep.data["detail"] = {
+    rep.data["detail"] = {
         "input": F.print_formula(f),
         "steps": [L.show(s) for s in steps] if steps is not None else None,
         "normal_form": L.show(nf),
         "fo": E.fo_show(fo),
         "tptp": tptp,
     }
-    lines = [f"input:       {d['input']}"]
+    lines = [f"input:       {F.print_formula(f)}"]
     if steps is not None:
         lines.append("reduction:")
-        lines += [f"  [{i}] {s}" for i, s in enumerate(d["steps"])]
-    lines += [f"normal form: {d['normal_form']}",
-              f"first-order: {d['fo']}",
+        lines += [f"  [{i}] {L.show(s)}" for i, s in enumerate(steps)]
+    lines += [f"normal form: {L.show(nf)}",
+              f"first-order: {E.fo_show(fo)}",
               "tptp:",
               tptp.rstrip("\n")]
     rep.emit(fmt, lines)

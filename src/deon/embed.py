@@ -151,6 +151,7 @@ def _embed(f: F.Formula, logic: str) -> L.LTerm:
 
 _TOP_E = _embed(F.TOP, "e")
 
+
 def embed_sdl(f: F.Formula) -> L.LTerm:
     """SDL embedding; the result has type i>o (unnormalized)."""
     return _embed(f, "sdl")
@@ -425,8 +426,8 @@ class _Syntax(NamedTuple):
     var: Callable[[str], str]
     comma: str
     ops: dict                         # class -> its text; {v}, {s}: variable, sort
-    close: str                        # after a quantifier's body, if it is
-                                      # parenthesized unless atomic
+    close: str                        # ends a quantifier; if nonempty, the
+                                      # body is parenthesized unless atomic
 
 
 _SHOW = _Syntax(str, str, ", ", {FONot: "¬", FOAnd: " ∧ ", FOOr: " ∨ ", FOImp: " → ",
