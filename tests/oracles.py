@@ -1,9 +1,9 @@
 """Reference implementations the program is checked against: the
 optimality rule, validity and frame conditions read off a model, alpha
 equality and named capture-avoiding substitution of λ-terms, schema
-instantiation of formulas, the bounded scan one candidate at a time, SDL type
-elimination over explicit 2^(k+p)-bit type masks, and the front-to-back
-deletion shrink of an unsatisfiable set."""
+instantiation of formulas, the bounded scan one candidate at a time,
+SDL type elimination over explicit 2^(k+p)-bit type masks, and the
+front-to-back deletion shrink of an unsatisfiable set."""
 
 from __future__ import annotations
 

@@ -115,7 +115,7 @@ class TestFailuresAreNotVerdicts:
 
     def test_deep_sdl_translation_is_printed(self):
         # 300 nested boxes: the first-order and TPTP printers use an
-        # explicit stack, and each read-back walk one frame per level
+        # explicit stack, and no read-back walk takes over two frames a box
         r = run("translate", "box " * 300 + "p", "--logic", "sdl", "--format", "json")
         assert r.exit_code == 0
         assert json.loads(r.stdout)["detail"]["fo"].count("∀") == 301
