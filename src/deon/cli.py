@@ -35,61 +35,59 @@ def infer_signature(text: str) -> F.Signature:
     """Best-effort signature for ad-hoc formulas: applied identifiers
     become predicates, quantifier-bound names variables, other argument
     names constants, remaining bare identifiers propositional atoms."""
-    toks = F._tokenize(text)
+    toks = F.tokens(text)  # the token texts, "" last
     binders: set[str] = set()
     for i, t in enumerate(toks):
-        if t.kind == "IDENT" and t.text in ("forall", "exists") and i + 1 < len(toks):
-            nxt = toks[i + 1]
-            if nxt.kind == "IDENT":
-                binders.add(nxt.text)
+        if t in ("forall", "exists") and toks[i + 1][:1].isalpha():
+            binders.add(toks[i + 1])
     predicates: dict[str, int] = {}
     constants: set[str] = set()
     skip = F.RESERVED_WORDS
     i = 0
     while i < len(toks):
         t = toks[i]
-        if t.kind != "IDENT" or t.text in skip or t.text in binders:
+        if not t[:1].isalpha() or t in skip or t in binders:
             i += 1
             continue
-        if t.kind == "IDENT" and i + 1 < len(toks) and toks[i + 1].text == "(":
+        if toks[i + 1] == "(":
             j = i + 2
             depth = 1
             arity = 1
             args: list[str] = []
             while j < len(toks) and depth:
                 tt = toks[j]
-                if tt.text == "(":
+                if tt == "(":
                     depth += 1
-                elif tt.text == ")":
+                elif tt == ")":
                     depth -= 1
-                elif tt.text == "," and depth == 1:
+                elif tt == "," and depth == 1:
                     arity += 1
-                elif tt.kind == "IDENT" and depth == 1:
-                    args.append(tt.text)
+                elif tt[:1].isalpha() and depth == 1:
+                    args.append(tt)
                 j += 1
             # O, P and F before anything but a comma list of identifiers
             # are operators over a parenthesized formula, as
             # formula.print_formula writes them
             group = toks[i + 2:j - 1]
-            if t.text in F.SOFT_KEYWORDS and not (len(group) % 2 and all(
-                    tt.kind == "IDENT" if n % 2 == 0 else tt.text == ","
+            if t in F.SOFT_KEYWORDS and not (len(group) % 2 and all(
+                    tt[:1].isalpha() if n % 2 == 0 else tt == ","
                     for n, tt in enumerate(group))):
                 i += 1
                 continue
-            old = predicates.get(t.text)
+            old = predicates.get(t)
             if old is not None and old != arity:
-                raise F.FormulaError(f"{t.text!r} used with arities {old} and {arity}")
-            predicates[t.text] = arity
+                raise F.FormulaError(f"{t!r} used with arities {old} and {arity}")
+            predicates[t] = arity
             for a in args:
                 if a not in binders:
                     constants.add(a)
             i += 1  # argument identifiers are revisited but end up as constants
             continue
-        if t.text in F.SOFT_KEYWORDS:
+        if t in F.SOFT_KEYWORDS:
             i += 1
             continue
-        if t.text not in constants:
-            predicates.setdefault(t.text, 0)
+        if t not in constants:
+            predicates.setdefault(t, 0)
         i += 1
     for c in constants:
         predicates.pop(c, None)
@@ -234,9 +232,10 @@ def cmd_parse(text, logic, sig, fmt):
     """Parse a formula and print its canonical form."""
     rep = Report("parse")
     f = F.parse(text, _signature(sig, text), logic=logic)
+    pretty = F.print_formula(f)
     rep.data["verdict"] = "parsed"
-    rep.data["detail"] = {"pretty": F.print_formula(f), "size": F.size(f)}
-    rep.emit(fmt, [F.print_formula(f)])
+    rep.data["detail"] = {"pretty": pretty, "size": F.size(f)}
+    rep.emit(fmt, [pretty])
 
 
 @main.command("eval")
@@ -341,20 +340,21 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{name}.p"), "w", encoding="utf-8") as fh:
             fh.write(tptp)
-    rep.data["verdict"] = "translated"
-    rep.data["detail"] = {
+    detail = {
         "input": F.print_formula(f),
         "steps": [L.show(s) for s in steps] if steps is not None else None,
         "normal_form": L.show(nf),
         "fo": E.fo_show(fo),
         "tptp": tptp,
     }
-    lines = [f"input:       {F.print_formula(f)}"]
+    rep.data["verdict"] = "translated"
+    rep.data["detail"] = detail
+    lines = [f"input:       {detail['input']}"]
     if steps is not None:
         lines.append("reduction:")
-        lines += [f"  [{i}] {L.show(s)}" for i, s in enumerate(steps)]
-    lines += [f"normal form: {L.show(nf)}",
-              f"first-order: {E.fo_show(fo)}",
+        lines += [f"  [{i}] {s}" for i, s in enumerate(detail["steps"])]
+    lines += [f"normal form: {detail['normal_form']}",
+              f"first-order: {detail['fo']}",
               "tptp:",
               tptp.rstrip("\n")]
     rep.emit(fmt, lines)

@@ -23,8 +23,9 @@ in logic "sdl" monadic `O` is primitive and `O{...}` is rejected.
 Terms and formulas are hash-consed, so equality is identity and hashing
 is O(1) at any size.  The walks are iterative folds (`fold`) that visit
 each distinct subformula once; `subformulas` is an explicit-stack
-pre-order walk.  Only the parser and the printer recurse here (outside
-this module, so do the compiler in `semantics` and the walks of `lam`).
+pre-order walk.  The parser is one precedence-climbing loop over the
+token texts of `tokens`, and the printer an explicit-stack walk, so
+nothing here recurses at any nesting depth.
 """
 
 from __future__ import annotations
@@ -228,13 +229,17 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return f._key[f._lead + 1:]
 
 
-def fold(f: Formula, visit: Callable[[Formula, list], Any]) -> Any:
+def fold(f: Formula, visit: Callable[[Formula, list], Any],
+         memo: dict[Formula, Any] | None = None) -> Any:
     """Bottom-up value of f: visit(g, the values of g's children).
 
     Post-order over an explicit stack, memoized per node: visit runs once
-    per distinct subformula, children left to right, at any depth.
+    per distinct subformula, children left to right, at any depth.  A
+    memo passed in holds values already known and gets the new ones, so
+    that folds of several formulas share their common nodes.
     """
-    memo: dict[Formula, Any] = {}
+    if memo is None:
+        memo = {}
     stack = [f]
     while stack:
         g = stack[-1]
@@ -376,6 +381,8 @@ _TOKEN_RE = re.compile(r"""
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """Tokens with their lines and columns, to place an error; the
+    parser reads `tokens`."""
     toks: list[_Tok] = []
     line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
@@ -392,198 +399,77 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok], sig: Signature, logic: str):
-        self.toks = toks
-        self.pos = 0
-        self.sig = sig
-        self.logic = logic
-        self.scope: list[str] = []
+# The lexical classes of `_TOKEN_RE` but `bad`, taken possessively: a
+# text with a character no class takes fails at once, not after trying
+# every split of its identifiers.
+_LEXICON_RE = re.compile(r"(?:[ \t\r\n]++|\#[^\n]*+|[A-Za-z][A-Za-z0-9_]*+|<->|->|[~&|(){},.])*+")
+_COMMENT_RE = re.compile(r"\#[^\n]*")
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|<->|->|[~&|(){},.]")
+_PUNCT = frozenset({"<->", "->", "~", "&", "|", "(", ")", "{", "}", ",", "."})
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+@functools.lru_cache(maxsize=1)
+def tokens(text: str) -> tuple[str, ...]:
+    """The texts of `_tokenize(text)`, "" last for the end of input.
 
-    def fail(self, msg: str, tok: _Tok | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(msg, tok.line, tok.col)
+    One match checks the whole text and one `findall` cuts it; no
+    position is kept, since only an error needs one.  The last text's
+    tokens are kept, so that a signature inferred from a text and the
+    parse of it read one token stream.
+    """
+    if _LEXICON_RE.fullmatch(text) is None:
+        _tokenize(text)  # raises at the first character no class takes
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    return (*_WORD_RE.findall(text), "")
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text:
-            raise self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.next()
 
-    def formula(self) -> Formula:
-        return self.iff()
+def _braces(toks: list[str]) -> dict[int, tuple[int | None, int | None]]:
+    """(first "|", "}") at the depth just inside each "{", by its index.
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek().text == "<->":
-            self.next()
-            f = Iff(f, self.imp())
-        return f
+    The depth before a token counts the "(" and "{" before it up and the
+    ")" and "}" down; one pass right to left keeps, per depth, the
+    nearest "|" and "}" seen.  A "|" past the "}" does not belong to it.
+    """
+    depths = []
+    d = 0
+    for t in toks:
+        depths.append(d)
+        if t == "(" or t == "{":
+            d += 1
+        elif t == ")" or t == "}":
+            d -= 1
+    pipes: dict[int, int] = {}
+    shuts: dict[int, int] = {}
+    found = {}
+    for j in range(len(toks) - 1, -1, -1):
+        t = toks[j]
+        if t == "}":
+            shuts[depths[j]] = j
+        elif t == "|":
+            pipes[depths[j]] = j
+        elif t == "{":
+            found[j] = (pipes.get(depths[j] + 1), shuts.get(depths[j] + 1))
+    return found
 
-    def imp(self) -> Formula:
-        f = self.or_()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(f, self.imp())
-        return f
 
-    def or_(self) -> Formula:
-        f = self.and_()
-        while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.and_())
-        return f
+def _error(msg: str, text: str, toks: list[str], j: int, close: int) -> ParseError:
+    """The error at token j, placed by `_tokenize`; an end of input at
+    the end of an O{...} part is placed at its "}", token close."""
+    tok = _tokenize(text)[j if toks[j] else close]
+    return ParseError(msg, tok.line, tok.col)
 
-    def and_(self) -> Formula:
-        f = self.unary()
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
 
-    def _is_operator_ident(self, t: _Tok) -> bool:
-        if t.kind != "IDENT":
-            return False
-        if t.text in ("box", "dia"):
-            return True
-        if t.text in SOFT_KEYWORDS:
-            declared = (t.text in self.sig.predicates or t.text in self.sig.constants
-                        or t.text in self.scope)
-            return not declared
-        return False
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+_PREFIX = {"~": Not, "box": Box, "dia": Dia}
+# binary operator -> (precedence, class, the least precedence it reduces
+# on its left: its own when left associative, one more for "->")
+_INFIX = {"<->": (_PREC_IFF, Iff, _PREC_IFF), "->": (_PREC_IMP, Implies, _PREC_IMP + 1),
+          "|": (_PREC_OR, Or, _PREC_OR), "&": (_PREC_AND, And, _PREC_AND)}
 
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t.text == "~":
-            self.next()
-            return Not(self.unary())
-        if self._is_operator_ident(t):
-            self.next()
-            if t.text == "O" and self.peek().text == "{":
-                if self.logic == "sdl":
-                    raise self.fail("dyadic obligation O{...} requires logic e", t)
-                self.next()
-                return self.dyadic_tail(t)
-            sub = self.unary()
-            if t.text == "box":
-                return Box(sub)
-            if t.text == "dia":
-                return Dia(sub)
-            if t.text == "O":
-                return Oblig(sub, TOP) if self.logic == "e" else ObligM(sub)
-            if t.text == "P":
-                return Perm(sub)
-            return Forb(sub)
-        if t.kind == "IDENT" and t.text in ("forall", "exists"):
-            self.next()
-            v = self.peek()
-            if v.kind != "IDENT" or v.text in RESERVED_WORDS:
-                raise self.fail("expected a variable name after quantifier")
-            self.next()
-            self.expect(".")
-            if v.text in self.scope:
-                raise self.fail(f"variable {v.text!r} already bound", v)
-            self.scope.append(v.text)
-            body = self.formula()
-            self.scope.pop()
-            return Forall(v.text, body) if t.text == "forall" else Exists(v.text, body)
-        if t.text == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if t.kind == "IDENT":
-            return self.atom()
-        raise self.fail(f"expected a formula, found {t.text or 'end of input'!r}")
 
-    def dyadic_tail(self, opener: _Tok) -> Formula:
-        # Inside O{ body | cond } the first top-level "|" separates body
-        # from condition; a disjunctive body needs parentheses.
-        pipe = close = None
-        depth = 0
-        i = self.pos
-        while i < len(self.toks):
-            text = self.toks[i].text
-            if text in ("(", "{"):
-                depth += 1
-            elif text == ")":
-                depth -= 1
-            elif text == "}":
-                if depth == 0:
-                    close = i
-                    break
-                depth -= 1
-            elif text == "|" and depth == 0 and pipe is None:
-                pipe = i
-            i += 1
-        if close is None:
-            raise self.fail("unterminated O{...}", opener)
-        if pipe is None:
-            raise self.fail("O{...} needs a '|' separating body and condition", opener)
-        eof = self.toks[close]
-        body = self._sub_parse(self.toks[self.pos:pipe] + [_Tok("EOF", "", eof.line, eof.col)])
-        cond = self._sub_parse(self.toks[pipe + 1:close] + [_Tok("EOF", "", eof.line, eof.col)])
-        self.pos = close + 1
-        return Oblig(body, cond)
-
-    def _sub_parse(self, toks: list[_Tok]) -> Formula:
-        sub = _Parser(toks, self.sig, self.logic)
-        sub.scope = list(self.scope)
-        f = sub.formula()
-        if sub.peek().kind != "EOF":
-            raise sub.fail(f"unexpected trailing input {sub.peek().text!r}")
-        return f
-
-    def atom(self) -> Formula:
-        t = self.next()
-        name = t.text
-        if name == "true":
-            return TOP
-        if name == "false":
-            return BOT
-        if self.peek().text == "(":
-            self.next()
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            if name not in self.sig.predicates:
-                raise self.fail(f"unknown predicate {name!r}", t)
-            arity = self.sig.predicates[name]
-            if arity != len(args):
-                raise self.fail(
-                    f"predicate {name!r} expects {arity} argument(s), got {len(args)}", t
-                )
-            return Atom(name, tuple(args))
-        if name in self.scope:
-            raise self.fail(f"variable {name!r} used as a formula", t)
-        if name not in self.sig.predicates:
-            raise self.fail(f"unknown predicate {name!r}", t)
-        if self.sig.predicates[name] != 0:
-            raise self.fail(
-                f"predicate {name!r} expects {self.sig.predicates[name]} argument(s), got 0", t
-            )
-        return Atom(name)
-
-    def term(self) -> Term:
-        t = self.peek()
-        if t.kind != "IDENT" or t.text in RESERVED_WORDS:
-            raise self.fail("expected a term")
-        self.next()
-        if t.text in self.scope:
-            return Var(t.text)
-        if t.text in self.sig.constants:
-            return Const(t.text)
-        raise self.fail(f"unknown constant {t.text!r}", t)
+def _oblig_top(sub: Formula) -> Formula:
+    return Oblig(sub, TOP)
 
 
 def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
@@ -591,84 +477,241 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
 
     logic selects the obligation sublanguage: in "e" the monadic O is
     sugar for O{.|true}; in "sdl" the dyadic O{...} is rejected.
+
+    One precedence-climbing loop (Pratt, "Top down operator precedence",
+    1973) over an operator stack and a stack of left operands, so no
+    nesting depth recurses.  The operator stack holds prefix operators
+    (precedence 5), binary ones (1-4) and markers (0) that no reduction
+    passes: the end, "(", a quantifier, whose body reaches as far as a
+    formula can, and the two parts of O{body | cond}.  Inside the braces
+    the first top-level "|" and then the "}" (`_braces`) read as the end
+    of input.
     """
     if logic not in ("sdl", "e"):
         raise FormulaError(f"unknown logic {logic!r}")
-    p = _Parser(_tokenize(text), sig, logic)
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise p.fail(f"unexpected trailing input {tok.text!r}")
-    return f
+    toks = tokens(text)
+    preds, consts = sig.predicates, sig.constants
+    monadic_o = ObligM if logic == "sdl" else _oblig_top
+    braces = None
+    if "{" in text:
+        toks = list(toks)  # the ends of O{...} parts are blanked below
+        braces = _braces(toks)
+    end = close = len(toks) - 1  # the end of input, and where it is placed
+    scope: list[str] = []  # bound variables, innermost last
+    ops: list[tuple] = [(0, "end")]
+    left: list[Formula] = []
+    i = 0
+    while True:
+        # An operand: prefix operators and openers, then one atom.
+        t = toks[i]
+        op = _PREFIX.get(t)
+        if op is None and t in SOFT_KEYWORDS and not (t in preds or t in consts or t in scope):
+            if t == "O" and toks[i + 1] == "{":
+                if logic == "sdl":
+                    raise _error("dyadic obligation O{...} requires logic e", text, toks, i, close)
+                pipe, shut = braces[i + 1]
+                if shut is None or shut >= end:
+                    raise _error("unterminated O{...}", text, toks, i, close)
+                if pipe is None or pipe > shut:
+                    raise _error("O{...} needs a '|' separating body and condition",
+                                 text, toks, i, close)
+                ops.append((0, "body", end, close))
+                toks[pipe] = toks[shut] = ""
+                end, close = pipe, shut
+                i += 2
+                continue
+            op = monadic_o if t == "O" else Perm if t == "P" else Forb
+        if op is not None:
+            ops.append((_PREC_UNARY, op))
+            i += 1
+            continue
+        if t == "(":
+            ops.append((0, "("))
+            i += 1
+            continue
+        if t == "forall" or t == "exists":
+            v = toks[i + 1]
+            if not v or v in _PUNCT or v in RESERVED_WORDS:
+                raise _error("expected a variable name after quantifier", text, toks, i + 1, close)
+            if toks[i + 2] != ".":
+                raise _error(f"expected '.', found {toks[i + 2] or 'end of input'!r}",
+                             text, toks, i + 2, close)
+            if v in scope:
+                raise _error(f"variable {v!r} already bound", text, toks, i + 1, close)
+            scope.append(v)
+            ops.append((0, t, v))
+            i += 3
+            continue
+        if not t or t in _PUNCT:
+            raise _error(f"expected a formula, found {t or 'end of input'!r}", text, toks, i, close)
+        if t == "true":
+            f = TOP
+        elif t == "false":
+            f = BOT
+        elif toks[i + 1] == "(":
+            at = i  # the predicate's token
+            args: list[Term] = []
+            while True:
+                i += 2
+                a = toks[i]
+                if not a or a in _PUNCT or a in RESERVED_WORDS:
+                    raise _error("expected a term", text, toks, i, close)
+                if a in scope:
+                    args.append(Var(a))
+                elif a in consts:
+                    args.append(Const(a))
+                else:
+                    raise _error(f"unknown constant {a!r}", text, toks, i, close)
+                if toks[i + 1] != ",":
+                    break
+            i += 1
+            if toks[i] != ")":
+                raise _error(f"expected ')', found {toks[i] or 'end of input'!r}",
+                             text, toks, i, close)
+            arity = preds.get(t)
+            if arity is None:
+                raise _error(f"unknown predicate {t!r}", text, toks, at, close)
+            if arity != len(args):
+                raise _error(f"predicate {t!r} expects {arity} argument(s), got {len(args)}",
+                             text, toks, at, close)
+            f = Atom(t, tuple(args))
+        else:
+            if t in scope:
+                raise _error(f"variable {t!r} used as a formula", text, toks, i, close)
+            arity = preds.get(t)
+            if arity is None:
+                raise _error(f"unknown predicate {t!r}", text, toks, i, close)
+            if arity:
+                raise _error(f"predicate {t!r} expects {arity} argument(s), got 0",
+                             text, toks, i, close)
+            f = Atom(t)
+        i += 1
+        # After an operand: a binary operator, or the end of what encloses it.
+        while True:
+            while ops[-1][0] == _PREC_UNARY:
+                f = ops.pop()[1](f)
+            t = toks[i]
+            b = _INFIX.get(t)
+            if b is not None:
+                stop = b[2]
+                while ops[-1][0] >= stop:
+                    f = ops.pop()[1](left.pop(), f)
+                left.append(f)
+                ops.append(b)
+                i += 1
+                break
+            while ops[-1][0]:
+                f = ops.pop()[1](left.pop(), f)
+            mark = ops.pop()
+            kind = mark[1]
+            if kind == "(":
+                if t != ")":
+                    raise _error(f"expected ')', found {t or 'end of input'!r}",
+                                 text, toks, i, close)
+                i += 1
+            elif kind == "forall" or kind == "exists":
+                scope.pop()
+                f = (Forall if kind == "forall" else Exists)(mark[2], f)
+            elif t:
+                raise _error(f"unexpected trailing input {t!r}", text, toks, i, close)
+            elif kind == "body":
+                left.append(f)
+                ops.append((0, "cond", *mark[2:]))
+                end = close
+                i += 1
+                break
+            elif kind == "cond":
+                f = Oblig(left.pop(), f)
+                end, close = mark[2:]
+                i += 1
+            else:
+                return f
 
 
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
-
-
-def _toplevel_pipe(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return True
-    return False
-
 _UNARY_HEADS = {Not: "~", Box: "box ", Dia: "dia ", ObligM: "O ", Perm: "P ", Forb: "F "}
+_BINARY_SHOW = {cls: (prec, f" {text} ") for text, (prec, cls, _) in _INFIX.items()}
 
 
 def print_formula(f: Formula) -> str:
-    """Render with minimal parentheses; parse(print(f)) == f."""
-    return _show(f, 0, rightmost=True)
+    """Render with minimal parentheses; parse(print(f)) == f.
 
-
-def _show(f: Formula, parent_prec: int, rightmost: bool) -> str:
-    if f == TOP:
-        return "true"
-    if f == BOT:
-        return "false"
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f.pred + "(" + ", ".join(t.name for t in f.args) + ")"
-    if isinstance(f, _QUANT):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        body = _show(f.body, 0, rightmost=True)
-        s = f"{kw} {f.var}. {body}"
-        # The body extends to the end of the formula, so anything to the
-        # right of the quantifier would be swallowed on re-parse.
-        return s if rightmost else f"({s})"
-    if isinstance(f, _UNARY):
-        head = _UNARY_HEADS[type(f)]
-        return head + _show(f.sub, _PREC_UNARY, rightmost)
-    if isinstance(f, Oblig):
-        if f.cond == TOP:
-            return "O " + _show(f.body, _PREC_UNARY, rightmost)
-        body = _show(f.body, 0, rightmost=True)
-        if _toplevel_pipe(body):
-            # the first top-level "|" inside braces separates body from
-            # condition, so the body itself must not expose one
-            body = f"({body})"
-        cond = _show(f.cond, 0, rightmost=True)
-        return f"O{{{body} | {cond}}}"
-    if isinstance(f, _BINARY):
-        prec = {And: _PREC_AND, Or: _PREC_OR, Implies: _PREC_IMP, Iff: _PREC_IFF}[type(f)]
-        op = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> "}[type(f)]
-        needs_parens = prec < parent_prec
-        right_rm = rightmost or needs_parens
-        if isinstance(f, Implies):
-            # right associative: the left child needs parens at equal precedence
-            left = _show(f.left, prec + 1, rightmost=False)
-            right = _show(f.right, prec, right_rm)
+    An explicit stack of pending work, popped in output order: a string
+    is written out, and (formula, precedence of its context, whether
+    nothing follows it) is shown.  The first top-level "|" inside
+    O{...} separates body from condition, so a body that shows one gets
+    parentheses: `bodies` holds, per body being written, its output
+    index, the bracket depth inside its braces and whether a "|" was
+    written at that depth; None on the stack ends the body.
+    """
+    out: list[str] = []
+    stack: list = [(f, 0, True)]
+    depth = 0  # brackets open in out
+    bodies: list[list] = []
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            if item == " | ":
+                if bodies and bodies[-1][1] == depth:
+                    bodies[-1][2] = True
+            elif item == ")" or item == "}":
+                depth -= 1
+            out.append(item)
+            continue
+        if item is None:
+            start, _, exposed = bodies.pop()
+            if exposed:
+                out[start] = "("
+                out.append(")")
+            out.append(" | ")
+            continue
+        g, parent_prec, rightmost = item
+        if g is TOP:
+            out.append("true")
+        elif g is BOT:
+            out.append("false")
+        elif isinstance(g, Atom):
+            out.append(g.pred + "(" + ", ".join(t.name for t in g.args) + ")" if g.args
+                       else g.pred)
+        elif isinstance(g, _QUANT):
+            kw = "forall" if isinstance(g, Forall) else "exists"
+            # The body extends to the end of the formula, so anything to the
+            # right of the quantifier would be swallowed on re-parse.
+            if rightmost:
+                out.append(f"{kw} {g.var}. ")
+            else:
+                out.append(f"({kw} {g.var}. ")
+                depth += 1
+                stack.append(")")
+            stack.append((g.body, 0, True))
+        elif isinstance(g, _UNARY):
+            out.append(_UNARY_HEADS[type(g)])
+            stack.append((g.sub, _PREC_UNARY, rightmost))
+        elif isinstance(g, Oblig):
+            if g.cond is TOP:
+                out.append("O ")
+                stack.append((g.body, _PREC_UNARY, rightmost))
+            else:
+                out += ("O{", "")
+                depth += 1
+                bodies.append([len(out) - 1, depth, False])
+                stack += ("}", (g.cond, 0, True), None, (g.body, 0, True))
+        elif isinstance(g, _BINARY):
+            prec, op = _BINARY_SHOW[type(g)]
+            needs_parens = prec < parent_prec
+            if needs_parens:
+                out.append("(")
+                depth += 1
+                stack.append(")")
+            right_rm = rightmost or needs_parens
+            if isinstance(g, Implies):
+                # right associative: the left child needs parens at equal precedence
+                stack += ((g.right, prec, right_rm), op, (g.left, prec + 1, False))
+            else:
+                # left associative chain
+                stack += ((g.right, prec + 1, right_rm), op, (g.left, prec, False))
         else:
-            # left associative chain
-            left = _show(f.left, prec, rightmost=False)
-            right = _show(f.right, prec + 1, right_rm)
-        s = left + op + right
-        return f"({s})" if needs_parens else s
-    raise FormulaError(f"unknown formula node {f!r}")
+            raise FormulaError(f"unknown formula node {g!r}")
+    return "".join(out)

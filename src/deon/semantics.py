@@ -287,33 +287,26 @@ class CompiledBank:
         index: dict[F.Formula, int] = {}
         ops: list[tuple] = []
 
-        def compile_node(f: F.Formula) -> int:
-            got = index.get(f)
-            if got is not None:
-                return got
+        tags = {F.Not: "not", F.And: "and", F.Or: "or", F.Implies: "imp", F.Iff: "iff"}
+        tags.update({F.ObligM: "boxs"} if logic == "sdl" else {F.Box: "boxe", F.Oblig: "oblig"})
+
+        def compile_node(f: F.Formula, kids: list[int]) -> int:
+            """The slot of f, whose children have the slots kids."""
             if isinstance(f, F.Atom):
                 op = ("false",) if f.pred == F.RESERVED_ATOM else ("atom", atom_key(f))
-            elif isinstance(f, F.Not):
-                op = ("not", compile_node(f.sub))
-            elif isinstance(f, (F.And, F.Or, F.Implies, F.Iff)):
-                tag = {F.And: "and", F.Or: "or", F.Implies: "imp", F.Iff: "iff"}[type(f)]
-                op = (tag, compile_node(f.left), compile_node(f.right))
-            elif isinstance(f, F.ObligM) and logic == "sdl":
-                op = ("boxs", compile_node(f.sub))
-            elif isinstance(f, F.Box) and logic == "e":
-                op = ("boxe", compile_node(f.sub))
-            elif isinstance(f, F.Oblig) and logic == "e":
-                op = ("oblig", compile_node(f.body), compile_node(f.cond))
+            elif type(f) in tags:
+                op = (tags[type(f)], *kids)
             elif isinstance(f, (F.Forall, F.Exists)):
                 raise SemanticsError("formula is not ground: quantifier present "
                                      "(expand with formula.ground first)")
             else:
                 raise SemanticsError(f"cannot compile {f!r} for logic {logic}")
-            index[f] = len(ops)
             ops.append(op)
-            return index[f]
+            return len(ops) - 1
 
-        self.roots = [compile_node(f) for f in self.formulas]
+        # one post-order over all inputs: children left to right, and a
+        # node met again keeps its slot
+        self.roots = [F.fold(f, compile_node, index) for f in self.formulas]
         self.index = index
         self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
         slot = {a: i for i, a in enumerate(self.atoms)}

@@ -2,8 +2,9 @@
 optimality rule, validity and frame conditions read off a model, alpha
 equality and named capture-avoiding substitution of λ-terms, schema
 instantiation of formulas, the bounded scan one candidate at a time,
-SDL type elimination over explicit 2^(k+p)-bit type masks, and the
-front-to-back deletion shrink of an unsatisfiable set."""
+SDL type elimination over explicit 2^(k+p)-bit type masks, the
+front-to-back deletion shrink of an unsatisfiable set, and the
+recursive-descent formula parser."""
 
 from __future__ import annotations
 
@@ -269,3 +270,213 @@ def deletion_mus(fs, cfg) -> list[int]:
         else:
             i += 1
     return core
+
+
+class RecursiveParser:
+    """The five-level recursive-descent parser that `formula.parse`
+    replaced, over the positioned tokens of `formula._tokenize`; an
+    O{...} is parsed by sub-parsers over token slices."""
+
+    def __init__(self, toks: list, sig: F.Signature, logic: str):
+        self.toks = toks
+        self.pos = 0
+        self.sig = sig
+        self.logic = logic
+        self.scope: list[str] = []
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def fail(self, msg: str, tok=None) -> F.ParseError:
+        tok = tok or self.peek()
+        return F.ParseError(msg, tok.line, tok.col)
+
+    def expect(self, text: str):
+        t = self.peek()
+        if t.text != text:
+            raise self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}")
+        return self.next()
+
+    def formula(self) -> F.Formula:
+        return self.iff()
+
+    def iff(self) -> F.Formula:
+        f = self.imp()
+        while self.peek().text == "<->":
+            self.next()
+            f = F.Iff(f, self.imp())
+        return f
+
+    def imp(self) -> F.Formula:
+        f = self.or_()
+        if self.peek().text == "->":
+            self.next()
+            return F.Implies(f, self.imp())
+        return f
+
+    def or_(self) -> F.Formula:
+        f = self.and_()
+        while self.peek().text == "|":
+            self.next()
+            f = F.Or(f, self.and_())
+        return f
+
+    def and_(self) -> F.Formula:
+        f = self.unary()
+        while self.peek().text == "&":
+            self.next()
+            f = F.And(f, self.unary())
+        return f
+
+    def _is_operator_ident(self, t) -> bool:
+        if t.kind != "IDENT":
+            return False
+        if t.text in ("box", "dia"):
+            return True
+        if t.text in F.SOFT_KEYWORDS:
+            declared = (t.text in self.sig.predicates or t.text in self.sig.constants
+                        or t.text in self.scope)
+            return not declared
+        return False
+
+    def unary(self) -> F.Formula:
+        t = self.peek()
+        if t.text == "~":
+            self.next()
+            return F.Not(self.unary())
+        if self._is_operator_ident(t):
+            self.next()
+            if t.text == "O" and self.peek().text == "{":
+                if self.logic == "sdl":
+                    raise self.fail("dyadic obligation O{...} requires logic e", t)
+                self.next()
+                return self.dyadic_tail(t)
+            sub = self.unary()
+            if t.text == "box":
+                return F.Box(sub)
+            if t.text == "dia":
+                return F.Dia(sub)
+            if t.text == "O":
+                return F.Oblig(sub, F.TOP) if self.logic == "e" else F.ObligM(sub)
+            if t.text == "P":
+                return F.Perm(sub)
+            return F.Forb(sub)
+        if t.kind == "IDENT" and t.text in ("forall", "exists"):
+            self.next()
+            v = self.peek()
+            if v.kind != "IDENT" or v.text in F.RESERVED_WORDS:
+                raise self.fail("expected a variable name after quantifier")
+            self.next()
+            self.expect(".")
+            if v.text in self.scope:
+                raise self.fail(f"variable {v.text!r} already bound", v)
+            self.scope.append(v.text)
+            body = self.formula()
+            self.scope.pop()
+            return F.Forall(v.text, body) if t.text == "forall" else F.Exists(v.text, body)
+        if t.text == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if t.kind == "IDENT":
+            return self.atom()
+        raise self.fail(f"expected a formula, found {t.text or 'end of input'!r}")
+
+    def dyadic_tail(self, opener) -> F.Formula:
+        # Inside O{ body | cond } the first top-level "|" separates body
+        # from condition; a disjunctive body needs parentheses.
+        pipe = close = None
+        depth = 0
+        i = self.pos
+        while i < len(self.toks):
+            text = self.toks[i].text
+            if text in ("(", "{"):
+                depth += 1
+            elif text == ")":
+                depth -= 1
+            elif text == "}":
+                if depth == 0:
+                    close = i
+                    break
+                depth -= 1
+            elif text == "|" and depth == 0 and pipe is None:
+                pipe = i
+            i += 1
+        if close is None:
+            raise self.fail("unterminated O{...}", opener)
+        if pipe is None:
+            raise self.fail("O{...} needs a '|' separating body and condition", opener)
+        eof = self.toks[close]
+        body = self._sub_parse(self.toks[self.pos:pipe] + [F._Tok("EOF", "", eof.line, eof.col)])
+        cond = self._sub_parse(self.toks[pipe + 1:close] + [F._Tok("EOF", "", eof.line, eof.col)])
+        self.pos = close + 1
+        return F.Oblig(body, cond)
+
+    def _sub_parse(self, toks: list) -> F.Formula:
+        sub = RecursiveParser(toks, self.sig, self.logic)
+        sub.scope = list(self.scope)
+        f = sub.formula()
+        if sub.peek().kind != "EOF":
+            raise sub.fail(f"unexpected trailing input {sub.peek().text!r}")
+        return f
+
+    def atom(self) -> F.Formula:
+        t = self.next()
+        name = t.text
+        if name == "true":
+            return F.TOP
+        if name == "false":
+            return F.BOT
+        if self.peek().text == "(":
+            self.next()
+            args = [self.term()]
+            while self.peek().text == ",":
+                self.next()
+                args.append(self.term())
+            self.expect(")")
+            if name not in self.sig.predicates:
+                raise self.fail(f"unknown predicate {name!r}", t)
+            arity = self.sig.predicates[name]
+            if arity != len(args):
+                raise self.fail(
+                    f"predicate {name!r} expects {arity} argument(s), got {len(args)}", t
+                )
+            return F.Atom(name, tuple(args))
+        if name in self.scope:
+            raise self.fail(f"variable {name!r} used as a formula", t)
+        if name not in self.sig.predicates:
+            raise self.fail(f"unknown predicate {name!r}", t)
+        if self.sig.predicates[name] != 0:
+            raise self.fail(
+                f"predicate {name!r} expects {self.sig.predicates[name]} argument(s), got 0", t
+            )
+        return F.Atom(name)
+
+    def term(self) -> F.Term:
+        t = self.peek()
+        if t.kind != "IDENT" or t.text in F.RESERVED_WORDS:
+            raise self.fail("expected a term")
+        self.next()
+        if t.text in self.scope:
+            return F.Var(t.text)
+        if t.text in self.sig.constants:
+            return F.Const(t.text)
+        raise self.fail(f"unknown constant {t.text!r}", t)
+
+
+def recursive_parse(text: str, sig: F.Signature, logic: str = "e") -> F.Formula:
+    """`formula.parse` as the recursive-descent parser does it."""
+    if logic not in ("sdl", "e"):
+        raise F.FormulaError(f"unknown logic {logic!r}")
+    p = RecursiveParser(F._tokenize(text), sig, logic)
+    f = p.formula()
+    tok = p.peek()
+    if tok.kind != "EOF":
+        raise p.fail(f"unexpected trailing input {tok.text!r}")
+    return f

@@ -106,12 +106,22 @@ class TestFailuresAreNotVerdicts:
             cli.entry([str(a) for a in args])
         return got.value.code
 
-    def test_recursion_exhaustion_exits_4(self, capsys):
+    def test_recursion_exhaustion_exits_4(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli.SE, "decide_valid", boom)
+        assert isinstance(run("check", "p").exception, RecursionError)
+        assert self.program("check", "p") == 4
+        assert capsys.readouterr().err.startswith("internal error: RecursionError")
+
+    def test_wide_grounding_is_a_budget_overrun(self, capsys):
+        # 1,500 constants ground to a 1,500-atom formula: the compile
+        # takes no stack, so the bounded scan runs out of budget
         consts = ", ".join(f"a{i}" for i in range(1500))
         argv = ("check", "(forall x. P(x)) -> P(a0)", "--sig", f"pred P/1; const {consts}")
-        assert isinstance(run(*argv).exception, RecursionError)
-        assert self.program(*argv) == 4
-        assert capsys.readouterr().err.startswith("internal error: RecursionError")
+        assert self.program(*argv) == 2
+        assert capsys.readouterr().err.startswith("budget exceeded")
 
     def test_deep_sdl_translation_is_printed(self):
         # 300 nested boxes: the first-order and TPTP printers use an
@@ -119,6 +129,22 @@ class TestFailuresAreNotVerdicts:
         r = run("translate", "box " * 300 + "p", "--logic", "sdl", "--format", "json")
         assert r.exit_code == 0
         assert json.loads(r.stdout)["detail"]["fo"].count("∀") == 301
+
+    @pytest.mark.parametrize("text, printed", [
+        ("(" * 10_000 + "p" + ")" * 10_000, "p"),
+        ("~" * 10_000 + "p", "~" * 10_000 + "p"),
+    ], ids=["parentheses", "negations"])
+    def test_deep_input_is_parsed_and_printed(self, text, printed):
+        r = run("parse", text)
+        assert r.exit_code == 0
+        assert r.output == printed + "\n"
+
+    def test_deep_parentheses_are_decided(self):
+        assert run("model", "(" * 10_000 + "p" + ")" * 10_000, "--complete").exit_code == 0
+
+    def test_deep_negation_is_decided(self):
+        # an even number of negations over a tautology
+        assert run("check", "~" * 3_000 + "(p | ~p)", "--complete").exit_code == 0
 
     def test_memory_exhaustion_exits_4(self, monkeypatch, capsys):
         def boom(*args, **kwargs):

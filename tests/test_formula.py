@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +231,103 @@ class TestTokenize:
             F._tokenize(text)
         assert got.value.message == f"unexpected character {char!r}"
         assert (got.value.line, got.value.col) == (line, col)
+
+
+def outcome(parse, text, sig, logic):
+    """The node a parse returns, or its error's (message, line, column)."""
+    try:
+        return parse(text, sig, logic)
+    except F.ParseError as ex:
+        return (ex.message, ex.line, ex.col)
+
+
+class TestParseAgainstRecursiveDescent:
+    """`parse` against `oracles.recursive_parse`: the same node, or the
+    same message at the same place."""
+
+    # identifiers declared and undeclared, soft keywords, reserved words,
+    # the punctuation, and fragments that reach O{...} and quantifiers
+    WORDS = ["p", "q", "r", "P1", "Q1", "c0", "x0", "zz", "O", "P", "F", "box", "dia",
+             "forall", "exists", "true", "false", "~", "&", "|", "->", "<->", "(", ")",
+             "{", "}", ",", ".", "O{", "O{p |", "forall x0.", "exists x1 .", "P1(c0)",
+             "P1(x0)", "P(c0, x0)", "O{p | q}", "(p", "p)", "|}", "#c\n"]
+    BAD = ["$", "-", "<", "9", "_", "é", "<-", ">"]
+    # declares the soft keywords P (a predicate), O (an atom) and F (a constant)
+    SOFT = F.Signature({"p": 0, "q": 0, "P": 1, "O": 0}, frozenset({"F", "c0"}))
+
+    @staticmethod
+    def noisy(rng, text):
+        """text with redundant parentheses, blanks, newlines and comments."""
+        words = [f"({t})" if t in ("p", "q", "r") and rng.random() < 0.2 else t
+                 for t in F.tokens(text)[:-1]]
+        seps = [" ", "\t", "\n", "\r\n", "  # note\n", "\t# ( | } $\n"]
+        k = rng.randrange(3)
+        return ("(" * k + "".join(w + rng.choice(seps) for w in words) + ")" * k
+                + rng.choice(["", "# tail"]))
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    @pytest.mark.parametrize("quantifiers", [False, True])
+    def test_printed_formulas(self, logic, quantifiers):
+        rng = random.Random(11)
+        for _ in range(1250):
+            f = gen_formula(rng, logic, rng.randint(1, 5), quantifiers)
+            text = self.noisy(rng, F.print_formula(f))
+            assert F.parse(text, SIG, logic) is f, text
+            assert oracles.recursive_parse(text, SIG, logic) is f, text
+
+    def soup(self, rng):
+        parts = []
+        for _ in range(rng.randint(1, 14)):
+            parts.append(rng.choice(self.BAD) if rng.random() < 0.02 else rng.choice(self.WORDS))
+            parts.append(rng.choice([" ", " ", "\n", "\t", ""]))
+        if rng.random() < 0.2:
+            parts.append("# tail $")
+        return "".join(parts)
+
+    def mutant(self, rng, logic):
+        """A printed formula with one or two tokens deleted, added or replaced."""
+        f = gen_formula(rng, logic, rng.randint(1, 5), quantifiers=rng.random() < 0.5)
+        words = list(F.tokens(F.print_formula(f))[:-1])
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(words) + 1)
+            roll = rng.random()
+            if roll < 0.3 and k < len(words):
+                del words[k]
+            elif roll < 0.6:
+                words.insert(k, rng.choice(self.WORDS))
+            elif k < len(words):
+                words[k] = rng.choice(self.WORDS)
+        return " ".join(words)
+
+    def test_token_soups(self):
+        rng = random.Random(12)
+        messages = set()
+        for n in range(8000):
+            logic = rng.choice(["sdl", "e"])
+            if n < 5000:
+                text, sig = self.soup(rng), rng.choice([SIG, self.SOFT])
+            else:
+                text, sig = self.mutant(rng, logic), SIG
+            got = outcome(F.parse, text, sig, logic)
+            assert got == outcome(oracles.recursive_parse, text, sig, logic), text
+            messages.add(re.sub(r"'[^']*'|\d+", "X", got[0]) if type(got) is tuple else None)
+        # some texts parse, and every message of the tokenizer and parser shows
+        assert messages == {
+            None, "unexpected character X", "expected a formula, found X", "expected X, found X",
+            "unexpected trailing input X", "unknown predicate X", "unknown constant X",
+            "predicate X expects X argument(s), got X", "variable X used as a formula",
+            "variable X already bound", "expected a variable name after quantifier",
+            "expected a term", "dyadic obligation O{...} requires logic e",
+            "unterminated O{...}", "O{...} needs a X separating body and condition"}
+
+    def test_nested_dyadic_obligations_parse_in_one_pass(self):
+        depth = 2000
+        text = "O{" * depth + "p" + " | q}" * depth
+        f = F.Atom("p")
+        for _ in range(depth):
+            f = F.Oblig(f, F.Atom("q"))
+        assert F.parse(text, SIG, "e") is f
+        assert F.print_formula(f) == text
 
 
 class TestGround:
