@@ -453,13 +453,6 @@ def _braces(toks: list[str]) -> dict[int, tuple[int | None, int | None]]:
     return found
 
 
-def _error(msg: str, text: str, toks: list[str], j: int, close: int) -> ParseError:
-    """The error at token j, placed by `_tokenize`; an end of input at
-    the end of an O{...} part is placed at its "}", token close."""
-    tok = _tokenize(text)[j if toks[j] else close]
-    return ParseError(msg, tok.line, tok.col)
-
-
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
 _PREFIX = {"~": Not, "box": Box, "dia": Dia}
 # binary operator -> (precedence, class, the least precedence it reduces
@@ -500,6 +493,13 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     scope: list[str] = []  # bound variables, innermost last
     ops: list[tuple] = [(0, "end")]
     left: list[Formula] = []
+
+    def fail(msg: str, j: int) -> ParseError:
+        """The error at token j, placed by `_tokenize`; an end of input at
+        the end of an O{...} part is placed at its "}"."""
+        tok = _tokenize(text)[j if toks[j] else close]
+        return ParseError(msg, tok.line, tok.col)
+
     i = 0
     while True:
         # An operand: prefix operators and openers, then one atom.
@@ -508,13 +508,12 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
         if op is None and t in SOFT_KEYWORDS and not (t in preds or t in consts or t in scope):
             if t == "O" and toks[i + 1] == "{":
                 if logic == "sdl":
-                    raise _error("dyadic obligation O{...} requires logic e", text, toks, i, close)
+                    raise fail("dyadic obligation O{...} requires logic e", i)
                 pipe, shut = braces[i + 1]
                 if shut is None or shut >= end:
-                    raise _error("unterminated O{...}", text, toks, i, close)
+                    raise fail("unterminated O{...}", i)
                 if pipe is None or pipe > shut:
-                    raise _error("O{...} needs a '|' separating body and condition",
-                                 text, toks, i, close)
+                    raise fail("O{...} needs a '|' separating body and condition", i)
                 ops.append((0, "body", end, close))
                 toks[pipe] = toks[shut] = ""
                 end, close = pipe, shut
@@ -532,18 +531,17 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
         if t == "forall" or t == "exists":
             v = toks[i + 1]
             if not v or v in _PUNCT or v in RESERVED_WORDS:
-                raise _error("expected a variable name after quantifier", text, toks, i + 1, close)
+                raise fail("expected a variable name after quantifier", i + 1)
             if toks[i + 2] != ".":
-                raise _error(f"expected '.', found {toks[i + 2] or 'end of input'!r}",
-                             text, toks, i + 2, close)
+                raise fail(f"expected '.', found {toks[i + 2] or 'end of input'!r}", i + 2)
             if v in scope:
-                raise _error(f"variable {v!r} already bound", text, toks, i + 1, close)
+                raise fail(f"variable {v!r} already bound", i + 1)
             scope.append(v)
             ops.append((0, t, v))
             i += 3
             continue
         if not t or t in _PUNCT:
-            raise _error(f"expected a formula, found {t or 'end of input'!r}", text, toks, i, close)
+            raise fail(f"expected a formula, found {t or 'end of input'!r}", i)
         if t == "true":
             f = TOP
         elif t == "false":
@@ -555,35 +553,32 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
                 i += 2
                 a = toks[i]
                 if not a or a in _PUNCT or a in RESERVED_WORDS:
-                    raise _error("expected a term", text, toks, i, close)
+                    raise fail("expected a term", i)
                 if a in scope:
                     args.append(Var(a))
                 elif a in consts:
                     args.append(Const(a))
                 else:
-                    raise _error(f"unknown constant {a!r}", text, toks, i, close)
+                    raise fail(f"unknown constant {a!r}", i)
                 if toks[i + 1] != ",":
                     break
             i += 1
             if toks[i] != ")":
-                raise _error(f"expected ')', found {toks[i] or 'end of input'!r}",
-                             text, toks, i, close)
+                raise fail(f"expected ')', found {toks[i] or 'end of input'!r}", i)
             arity = preds.get(t)
             if arity is None:
-                raise _error(f"unknown predicate {t!r}", text, toks, at, close)
+                raise fail(f"unknown predicate {t!r}", at)
             if arity != len(args):
-                raise _error(f"predicate {t!r} expects {arity} argument(s), got {len(args)}",
-                             text, toks, at, close)
+                raise fail(f"predicate {t!r} expects {arity} argument(s), got {len(args)}", at)
             f = Atom(t, tuple(args))
         else:
             if t in scope:
-                raise _error(f"variable {t!r} used as a formula", text, toks, i, close)
+                raise fail(f"variable {t!r} used as a formula", i)
             arity = preds.get(t)
             if arity is None:
-                raise _error(f"unknown predicate {t!r}", text, toks, i, close)
+                raise fail(f"unknown predicate {t!r}", i)
             if arity:
-                raise _error(f"predicate {t!r} expects {arity} argument(s), got 0",
-                             text, toks, i, close)
+                raise fail(f"predicate {t!r} expects {arity} argument(s), got 0", i)
             f = Atom(t)
         i += 1
         # After an operand: a binary operator, or the end of what encloses it.
@@ -606,14 +601,13 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             kind = mark[1]
             if kind == "(":
                 if t != ")":
-                    raise _error(f"expected ')', found {t or 'end of input'!r}",
-                                 text, toks, i, close)
+                    raise fail(f"expected ')', found {t or 'end of input'!r}", i)
                 i += 1
             elif kind == "forall" or kind == "exists":
                 scope.pop()
                 f = (Forall if kind == "forall" else Exists)(mark[2], f)
             elif t:
-                raise _error(f"unexpected trailing input {t!r}", text, toks, i, close)
+                raise fail(f"unexpected trailing input {t!r}", i)
             elif kind == "body":
                 left.append(f)
                 ops.append((0, "cond", *mark[2:]))
