@@ -373,11 +373,15 @@ class _Tok(NamedTuple):
     col: int
 
 
+# The lexical classes, from which the patterns below are built.
+_BLANK = r"[ \t\r]"
+_COMMENT = r"\#[^\n]*"
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_PUNCT = r"<->|->|[~&|(){},.]"
+
 # One alternative per lexical class; `bad` catches any other character.
-_TOKEN_RE = re.compile(r"""
-    (?P<newline>\n) | (?P<blank>[ \t\r]+) | (?P<comment>\#[^\n]*)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*) | (?P<PUNCT><->|->|[~&|(){},.]) | (?P<bad>.)
-""", re.VERBOSE)
+_TOKEN_RE = re.compile(rf"(?P<newline>\n)|(?P<blank>{_BLANK}+)|(?P<comment>{_COMMENT})"
+                       rf"|(?P<IDENT>{_IDENT})|(?P<PUNCT>{_PUNCT})|(?P<bad>.)")
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -399,29 +403,32 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-# The lexical classes of `_TOKEN_RE` but `bad`, taken possessively: a
-# text with a character no class takes fails at once, not after trying
-# every split of its identifiers.
-_LEXICON_RE = re.compile(r"(?:[ \t\r\n]++|\#[^\n]*+|[A-Za-z][A-Za-z0-9_]*+|<->|->|[~&|(){},.])*+")
-_COMMENT_RE = re.compile(r"\#[^\n]*")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|<->|->|[~&|(){},.]")
-_PUNCT = frozenset({"<->", "->", "~", "&", "|", "(", ")", "{", "}", ",", "."})
+# A text all of whose characters the classes of `_TOKEN_RE` but `bad`
+# take.  A blank is one character, and an identifier and a comment run
+# as far as they can (the lookaheads), so at any position at most one
+# alternative matches, in one way: a text with a bad character fails in
+# linear time, not after trying every split of its identifiers.
+_LEXICON_RE = re.compile(rf"(?:{_BLANK}|\n|{_COMMENT}(?![^\n])"
+                         rf"|{_IDENT}(?![A-Za-z0-9_])|{_PUNCT})*")
+_COMMENT_RE = re.compile(_COMMENT)
+_WORD_RE = re.compile(rf"{_IDENT}|{_PUNCT}")
 
 
-@functools.lru_cache(maxsize=1)
-def tokens(text: str) -> tuple[str, ...]:
+def tokens(text: str) -> list[str]:
     """The texts of `_tokenize(text)`, "" last for the end of input.
 
     One match checks the whole text and one `findall` cuts it; no
-    position is kept, since only an error needs one.  The last text's
-    tokens are kept, so that a signature inferred from a text and the
-    parse of it read one token stream.
+    position is kept, since only an error needs one.  A token is an
+    identifier if its first character is a letter (`t[:1].isalpha()`),
+    else punctuation or the end.
     """
     if _LEXICON_RE.fullmatch(text) is None:
         _tokenize(text)  # raises at the first character no class takes
     if "#" in text:
         text = _COMMENT_RE.sub("", text)
-    return (*_WORD_RE.findall(text), "")
+    toks = _WORD_RE.findall(text)
+    toks.append("")
+    return toks
 
 
 def _braces(toks: list[str]) -> dict[int, tuple[int | None, int | None]]:
@@ -485,10 +492,7 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     toks = tokens(text)
     preds, consts = sig.predicates, sig.constants
     monadic_o = ObligM if logic == "sdl" else _oblig_top
-    braces = None
-    if "{" in text:
-        toks = list(toks)  # the ends of O{...} parts are blanked below
-        braces = _braces(toks)
+    braces = _braces(toks) if "{" in text else None
     end = close = len(toks) - 1  # the end of input, and where it is placed
     scope: list[str] = []  # bound variables, innermost last
     ops: list[tuple] = [(0, "end")]
@@ -530,7 +534,7 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             continue
         if t == "forall" or t == "exists":
             v = toks[i + 1]
-            if not v or v in _PUNCT or v in RESERVED_WORDS:
+            if not v[:1].isalpha() or v in RESERVED_WORDS:
                 raise fail("expected a variable name after quantifier", i + 1)
             if toks[i + 2] != ".":
                 raise fail(f"expected '.', found {toks[i + 2] or 'end of input'!r}", i + 2)
@@ -540,7 +544,7 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             ops.append((0, t, v))
             i += 3
             continue
-        if not t or t in _PUNCT:
+        if not t[:1].isalpha():
             raise fail(f"expected a formula, found {t or 'end of input'!r}", i)
         if t == "true":
             f = TOP
@@ -552,7 +556,7 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             while True:
                 i += 2
                 a = toks[i]
-                if not a or a in _PUNCT or a in RESERVED_WORDS:
+                if not a[:1].isalpha() or a in RESERVED_WORDS:
                     raise fail("expected a term", i)
                 if a in scope:
                     args.append(Var(a))

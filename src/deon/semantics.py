@@ -306,7 +306,15 @@ class CompiledBank:
 
         # one post-order over all inputs: children left to right, and a
         # node met again keeps its slot
-        self.roots = [F.fold(f, compile_node, index) for f in self.formulas]
+        try:
+            self.roots = [F.fold(f, compile_node, index) for f in self.formulas]
+        except SemanticsError:
+            # name the first node a top-down walk rejects, so that a
+            # quantifier is reported before the variables it binds
+            for f in self.formulas:
+                for g in F.subformulas(f):
+                    compile_node(g, [])
+            raise
         self.index = index
         self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
         slot = {a: i for i, a in enumerate(self.atoms)}

@@ -197,6 +197,16 @@ class TestCompiledBank:
                     holds = E.fo_eval(E.translate(F.Implies(z, g), logic), mw, logic)
                     assert holds == bool(mask >> w & 1)
 
+    def test_first_rejected_node_top_down(self):
+        """A quantifier is named before the variable it binds."""
+        px = F.Atom("P", (F.Var("x"),))
+        with pytest.raises(S.SemanticsError, match="quantifier present"):
+            S.CompiledBank([P, F.Not(F.Forall("x", px))], "e")
+        with pytest.raises(S.SemanticsError, match="variable 'x'"):
+            S.CompiledBank([F.And(px, F.Exists("x", px))], "sdl")
+        with pytest.raises(S.SemanticsError, match="quantifier present"):
+            S.CompiledBank([F.Box(F.Forall("x", px))], "sdl")
+
 
 class TestLanes:
     def test_block_tests_agree_with_each_block(self):
