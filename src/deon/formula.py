@@ -374,7 +374,8 @@ class _Tok(NamedTuple):
 
 
 # The lexical classes, from which the patterns below are built.
-_BLANK = r"[ \t\r]"
+_BLANKS = " \t\r"  # and "\n", which also ends a line
+_BLANK = f"[{_BLANKS}]"
 _COMMENT = r"\#[^\n]*"
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _PUNCT = r"<->|->|[~&|(){},.]"
@@ -403,13 +404,6 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-# A text all of whose characters the classes of `_TOKEN_RE` but `bad`
-# take.  A blank is one character, and an identifier and a comment run
-# as far as they can (the lookaheads), so at any position at most one
-# alternative matches, in one way: a text with a bad character fails in
-# linear time, not after trying every split of its identifiers.
-_LEXICON_RE = re.compile(rf"(?:{_BLANK}|\n|{_COMMENT}(?![^\n])"
-                         rf"|{_IDENT}(?![A-Za-z0-9_])|{_PUNCT})*")
 _COMMENT_RE = re.compile(_COMMENT)
 _WORD_RE = re.compile(rf"{_IDENT}|{_PUNCT}")
 
@@ -417,16 +411,16 @@ _WORD_RE = re.compile(rf"{_IDENT}|{_PUNCT}")
 def tokens(text: str) -> list[str]:
     """The texts of `_tokenize(text)`, "" last for the end of input.
 
-    One match checks the whole text and one `findall` cuts it; no
-    position is kept, since only an error needs one.  A token is an
-    identifier if its first character is a letter (`t[:1].isalpha()`),
-    else punctuation or the end.
+    One `findall` cuts the text, and no position is kept, since only an
+    error needs one.  `findall` skips what no class takes, so the text
+    is well formed iff the tokens take every character but the blanks.
+    A token is an identifier iff its first character is a letter
+    (`t[:1].isalpha()`).
     """
-    if _LEXICON_RE.fullmatch(text) is None:
+    bare = _COMMENT_RE.sub("", text) if "#" in text else text
+    toks = _WORD_RE.findall(bare)
+    if sum(map(len, toks)) != len(bare) - sum(map(bare.count, _BLANKS + "\n")):
         _tokenize(text)  # raises at the first character no class takes
-    if "#" in text:
-        text = _COMMENT_RE.sub("", text)
-    toks = _WORD_RE.findall(text)
     toks.append("")
     return toks
 

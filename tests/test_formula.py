@@ -233,6 +233,23 @@ class TestTokenize:
         assert (got.value.line, got.value.col) == (line, col)
 
 
+def test_tokens_are_the_tokenize_texts():
+    """`tokens` takes a text `_tokenize` takes, with the same texts, and
+    raises its error on any other, down to single odd characters."""
+    rng = random.Random(5)
+    alphabet = list("aZ9_ \t\r\n\f\v\x00#<->~&|(){},.$é ") + ["<->", "->", "box", "p1"]
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        try:
+            want = [t.text for t in F._tokenize(text)]
+        except F.ParseError as ex:
+            with pytest.raises(F.ParseError) as got:
+                F.tokens(text)
+            assert str(got.value) == str(ex), repr(text)
+        else:
+            assert F.tokens(text) == want, repr(text)
+
+
 def outcome(parse, text, sig, logic):
     """The node a parse returns, or its error's (message, line, column)."""
     try:
