@@ -128,25 +128,31 @@ _OPS = {"sdl": {**_PW, F.Box: lambda a: L.App(SDL_BOX, a), F.Dia: lambda a: L.Ap
 
 
 def _embed(f: F.Formula, logic: str) -> L.LTerm:
-    """The embedding of f.  It has type i>o by construction, so it is
-    not type-checked: every combinator above is closed and well typed
-    and takes arguments of type i>o; the quantifier combinators instead
-    take a lambda over an individual whose body is an embedding; and an
-    atom's constant takes its arity from the atom, so it is applied to
-    exactly that many individual terms."""
-    if isinstance(f, F.Atom):
-        head = atom_const(f.pred, len(f.args))
-        return L.app(head, *[_embed_term(t) for t in f.args])
-    if isinstance(f, (F.Forall, F.Exists)):
-        comb = FORALL_PW if isinstance(f, F.Forall) else EXISTS_PW
-        return L.App(comb, L.Abs(f.var, L.I, _embed(f.body, logic)))
-    build = _OPS[logic].get(type(f))
-    if build is None and logic == "sdl" and isinstance(f, F.Oblig):
-        raise EmbedError("dyadic obligation is not part of the SDL language")
-    if build is None:
+    """The embedding of f, by one fold over its distinct subformulas.
+    It has type i>o by construction, so it is not type-checked: every
+    combinator above is closed and well typed and takes arguments of
+    type i>o; the quantifier combinators instead take a lambda over an
+    individual whose body is an embedding; and an atom's constant takes
+    its arity from the atom, so it is applied to exactly that many
+    individual terms."""
+    if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
-    # map, unlike a comprehension, adds no frame per level of nesting
-    return build(*map(_embed, F.children(f), itertools.repeat(logic)))
+    ops = _OPS[logic]
+
+    def visit(g: F.Formula, kids: list[L.LTerm]) -> L.LTerm:
+        if type(g) is F.Atom:
+            return L.app(atom_const(g.pred, len(g.args)), *map(_embed_term, g.args))
+        if type(g) is F.Forall or type(g) is F.Exists:
+            comb = FORALL_PW if type(g) is F.Forall else EXISTS_PW
+            return L.App(comb, L.Abs(g.var, L.I, kids[0]))
+        build = ops.get(type(g))
+        if build is None and logic == "sdl" and type(g) is F.Oblig:
+            raise EmbedError("dyadic obligation is not part of the SDL language")
+        if build is None:
+            raise EmbedError(f"cannot embed {g!r}")
+        return build(*kids)
+
+    return F.fold(f, visit)
 
 
 _TOP_E = _embed(F.TOP, "e")

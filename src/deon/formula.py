@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -96,25 +97,45 @@ class _Node:
 
     Building a node returns the live node of the same class with the
     same fields, if there is one, so structurally equal nodes are one
-    object: equality is identity and hashing is O(1) at any size.  The
-    table holds nodes weakly, under the key `(class, *fields)` that each
-    node keeps as `_key`.  Each class names its fields in `_fields`.
+    object: equality is identity and hashing is O(1) at any size.  Each
+    class names its fields in `_fields`, and a class whose nodes record
+    more than their fields gives those slots in `_derived` and their
+    values as a function of the fields in `_derive`.
+
+    `_TABLE` maps the key `(class, *fields)`, which each node keeps as
+    `_key`, to a weak reference to the node; the reference drops its
+    entry when the node dies.  This `__new__` is the only constructor:
+    a new node is `object.__new__` and one pass over the class's slot
+    setters (`_setters`, made once per class by `__init_subclass__`).
     """
 
     __slots__ = ("__weakref__", "_key")
     _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
+    _derive: Callable[..., tuple] | None = None
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in (*cls._fields, "_key", *cls._derived))
 
     def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         if len(args) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} field(s), got {len(args)}")
-        key = (cls, *args)
-        node = _TABLE.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, args):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_key", key)
-            _TABLE[key] = node
+        node = object.__new__(cls)
+        derive = cls._derive
+        for setter, value in zip(cls._setters,
+                                 (*args, key) if derive is None else (*args, key, *derive(*args))):
+            setter(node, value)
+        ref = _TABLE[key] = _Ref(node, _drop)
+        ref.key = key
         return node
 
     def __setattr__(self, name, *value):
@@ -126,7 +147,20 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's table key."""
+
+    __slots__ = ("key",)
+
+
+_TABLE: dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    """Drop a dead node's entry, unless a new node took its key since.
+    The table and the remover are bound here, so that a node dying at
+    interpreter exit finds them still."""
+    remove(table, ref.key)
 
 
 class Term(_Node):

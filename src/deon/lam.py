@@ -7,8 +7,10 @@ of var in body into de Bruijn indices (`BVar`), and only the binder
 keeps the name, so `.body` reads the named body back and `==` still
 tells binder names apart.  Free variables and constants keep their
 names.  Nodes are hash-consed on `formula._Node` (Filliâtre & Conchon
-2006), so equality is identity and hashing is O(1), and each node
-records its type when it is built, so `type_of` reads a field.
+2006), in the formulas' table and by their one constructor, so equality
+is identity and hashing is O(1).  Each node also records, in the slots
+`LTerm._derived`, its type, so `type_of` reads a field, and what the
+index operations need to skip it.
 
 Normalization, the single-step reducer and `show` work on these nodes;
 names are made only at the boundary, where a binder of a normal form or
@@ -84,18 +86,10 @@ class LTerm(F._Node):
     `_loose`, one more than the largest de Bruijn index free in it (0 if
     none is); and `_open`, whether a free variable occurs in it."""
 
-    __slots__ = ("ty", "_loose", "_open")
+    __slots__ = _derived = ("ty", "_loose", "_open")
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        node = F._TABLE.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields + LTerm.__slots__, fields + cls._derive(*fields)):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_key", key)
-            F._TABLE[key] = node
-        return node
+
+_new = F._Node.__new__  # the node constructor, for Abs without closing a body
 
 
 class Const(LTerm):
@@ -139,7 +133,7 @@ class Abs(LTerm):
 
     def __new__(cls, var: str, var_ty: Ty, body: LTerm):
         clash: list[Var] = []
-        return LTerm.__new__(Abs, var, var_ty, _close(body, var, var_ty, 0, clash), not clash)
+        return _new(Abs, var, var_ty, _close(body, var, var_ty, 0, clash), not clash)
 
     @staticmethod
     def _derive(var, var_ty, scope, typed):
@@ -156,7 +150,7 @@ class Abs(LTerm):
 
 def _rebind(u: Abs, scope: LTerm, var: str | None = None) -> Abs:
     """u's binder, or one named var, over a scope of the same types."""
-    return LTerm.__new__(Abs, var or u.var, u.var_ty, scope, u._typed)
+    return _new(Abs, var or u.var, u.var_ty, scope, u._typed)
 
 
 def _close(u: LTerm, x: str, ty: Ty, depth: int, clash: list) -> LTerm:
@@ -331,43 +325,58 @@ def _eta_root(d: LTerm) -> LTerm | None:
     return _eta_redex(d.scope) if type(d) is Abs else None
 
 
-def _step(d: LTerm, root, inner_first: bool) -> LTerm | None:
+def _step(d: LTerm, root, inner_first: bool, done: set) -> LTerm | None:
     """One step at the first place where root(u) reduces a subterm u, or
     None: outermost first and functions before arguments, or, with
-    inner_first, innermost first and arguments before functions."""
+    inner_first, innermost first and arguments before functions.  done
+    holds the subterms found to have no such place, which are skipped
+    and are added to; nodes are hash-consed, so that is a property of
+    the node."""
+    if d in done:
+        return None
     if not inner_first and (r := root(d)) is not None:
         return r
     if type(d) is Abs:
-        r = _step(d.scope, root, inner_first)
+        r = _step(d.scope, root, inner_first, done)
         if r is not None:
             return _rebind(d, r)
     elif type(d) is App:
         for i in ((1, 0) if inner_first else (0, 1)):
-            r = _step((d.fun, d.arg)[i], root, inner_first)
+            r = _step((d.fun, d.arg)[i], root, inner_first, done)
             if r is not None:
                 return App(d.fun, r) if i else App(r, d.arg)
-    return root(d) if inner_first else None
+    if inner_first and (r := root(d)) is not None:
+        return r
+    done.add(d)
+    return None
 
 
-def _name(d: LTerm, taken: set[str], depth: int = 0) -> LTerm:
+def _name(d: LTerm, taken: set[str], depth: int, memo: dict) -> LTerm:
     """d with each binder at depth k named v<k>, primed while the name is
-    in taken."""
-    if type(d) is App:
-        return App(_name(d.fun, taken, depth), _name(d.arg, taken, depth))
-    if type(d) is Abs:
-        return _rebind(d, _name(d.scope, taken, depth + 1), _fresh(f"v{depth}", taken))
-    return d
+    in taken; memo holds the results known so far, by (node, depth)."""
+    if type(d) is not App and type(d) is not Abs:
+        return d
+    r = memo.get((d, depth))
+    if r is None:
+        if type(d) is App:
+            r = App(_name(d.fun, taken, depth, memo), _name(d.arg, taken, depth, memo))
+        else:
+            r = _rebind(d, _name(d.scope, taken, depth + 1, memo), _fresh(f"v{depth}", taken))
+        memo[d, depth] = r
+    return r
 
 
 # Normalization by evaluation.  A value is a closure (a lambda's scope
 # with the values of its free de Bruijn indices, innermost first, as a
 # cons list) or a neutral term: a head applied to argument values.  The
 # head of a neutral is a Const, a Var, or the (de Bruijn level, type) of
-# a variable bound during read-back.
+# a variable bound during read-back.  Values are built by `_tuple`, the
+# tuple constructor, which skips the named tuples' Python-level __new__.
 
 
 _Clo = namedtuple("_Clo", "var_ty body env")
 _Neu = namedtuple("_Neu", "head args")
+_tuple = tuple.__new__
 
 
 def _eval(d: LTerm, env):
@@ -375,15 +384,15 @@ def _eval(d: LTerm, env):
         f = _eval(d.fun, env)
         a = _eval(d.arg, env)
         if type(f) is _Neu:
-            return _Neu(f.head, f.args + (a,))
+            return _tuple(_Neu, (f.head, f.args + (a,)))
         d, env = f.body, (a, f.env)  # enter the closure's body in place
     if type(d) is BVar:
         for _ in range(d.idx):
             env = env[1]
         return env[0]
     if type(d) is Abs:
-        return _Clo(d.var_ty, d.scope, env)
-    return _Neu(d, ())
+        return _tuple(_Clo, (d.var_ty, d.scope, env))
+    return _tuple(_Neu, (d, ()))
 
 
 def _quote(v, lvl: int, taken: set[str]) -> LTerm:
@@ -393,7 +402,7 @@ def _quote(v, lvl: int, taken: set[str]) -> LTerm:
     var_tys = []
     while type(v) is _Clo:
         var_tys.append(v.var_ty)
-        v = _eval(v.body, (_Neu((lvl, v.var_ty), ()), v.env))
+        v = _eval(v.body, (_tuple(_Neu, ((lvl, v.var_ty), ())), v.env))
         lvl += 1
     head = v.head
     d = BVar(lvl - head[0] - 1, head[1]) if type(head) is tuple else head
@@ -403,9 +412,9 @@ def _quote(v, lvl: int, taken: set[str]) -> LTerm:
         lvl -= 1
         fun = _eta_redex(d)
         if fun is None:
-            d = LTerm.__new__(Abs, _fresh(f"v{lvl}", taken), var_ty, d, True)
+            d = _new(Abs, _fresh(f"v{lvl}", taken), var_ty, d, True)
         else:
-            d = _name(fun, taken, lvl)  # its binders were named a level deeper
+            d = _name(fun, taken, lvl, {})  # its binders were named a level deeper
     return d
 
 
@@ -433,17 +442,23 @@ def normalize(t: LTerm) -> LTerm:
 
 
 def normalize_steps(t: LTerm, strategy: str = "lo") -> list[LTerm]:
-    """Every intermediate term of the reduction, starting with t itself."""
+    """Every intermediate term of the reduction, starting with t itself.
+
+    Consecutive terms share all but the path to the step's place, so the
+    naming is memoized over the whole reduction, and each phase (beta,
+    then eta) skips the subterms it found without a redex."""
     if strategy not in ("lo", "ri"):
         raise LamError(f"unknown strategy {strategy!r}")
     type_of(t)
     taken = names(t)
-    steps = [_name(t, taken)]
+    memo: dict = {}
+    steps = [_name(t, taken, 0, memo)]
     # eta after beta exhaustion: an eta step keeps a term beta-normal
     for root, inner_first in ((_beta_root, strategy == "ri"), (_eta_root, False)):
-        while (r := _step(t, root, inner_first)) is not None:
+        done: set = set()
+        while (r := _step(t, root, inner_first, done)) is not None:
             t = r
-            steps.append(_name(t, taken))
+            steps.append(_name(t, taken, 0, memo))
     return steps
 
 

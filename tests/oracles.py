@@ -1,6 +1,7 @@
 """Reference implementations the program is checked against: the
 optimality rule, validity and frame conditions read off a model, alpha
-equality and named capture-avoiding substitution of λ-terms, schema
+equality and named capture-avoiding substitution of λ-terms, the λ
+reduction sequence searched and named afresh at every step, schema
 instantiation of formulas, the bounded scan one candidate at a time,
 SDL type elimination over explicit 2^(k+p)-bit type masks, the
 front-to-back deletion shrink of an unsatisfiable set, and the
@@ -86,6 +87,42 @@ def substitute(t: L.LTerm, x: L.Var, s: L.LTerm) -> L.LTerm:
         return L.Abs(u.var, u.var_ty, go(u.body, bound | {u.var}))
 
     return go(t, frozenset())
+
+
+def normalize_steps(t: L.LTerm, strategy: str = "lo") -> list[L.LTerm]:
+    """The reduction sequence of `lam.normalize_steps`, found the plain
+    way: every step searches the whole term for the first redex and
+    names the whole result afresh."""
+
+    def step(d: L.LTerm, root, inner_first: bool) -> L.LTerm | None:
+        if not inner_first and (r := root(d)) is not None:
+            return r
+        if type(d) is L.Abs:
+            r = step(d.scope, root, inner_first)
+            if r is not None:
+                return L._rebind(d, r)
+        elif type(d) is L.App:
+            for i in ((1, 0) if inner_first else (0, 1)):
+                r = step((d.fun, d.arg)[i], root, inner_first)
+                if r is not None:
+                    return L.App(d.fun, r) if i else L.App(r, d.arg)
+        return root(d) if inner_first else None
+
+    def name(d: L.LTerm, depth: int = 0) -> L.LTerm:
+        if type(d) is L.App:
+            return L.App(name(d.fun, depth), name(d.arg, depth))
+        if type(d) is L.Abs:
+            return L._rebind(d, name(d.scope, depth + 1), L._fresh(f"v{depth}", taken))
+        return d
+
+    L.type_of(t)
+    taken = L.names(t)
+    steps = [name(t)]
+    for root, inner_first in ((L._beta_root, strategy == "ri"), (L._eta_root, False)):
+        while (r := step(t, root, inner_first)) is not None:
+            t = r
+            steps.append(name(t))
+    return steps
 
 
 def instantiate(schema: F.Formula, mapping) -> F.Formula:

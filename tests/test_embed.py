@@ -298,3 +298,17 @@ class TestNormalizerScales:
         nf = L.normalize(E.vld(E.embed(f, logic)))
         assert L.type_of(nf) == L.O
         assert L.show(nf).count("Π") == 151  # one quantifier per box, one for vld
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_embedding_a_deep_chain_does_not_recurse(self, logic):
+        f, expected = P, E.embed(P, logic)
+        for i in range(10_000):
+            f = F.Box(f) if i % 2 else F.ObligM(f)
+            if logic == "sdl":
+                expected = L.App(E.SDL_BOX, expected)
+            elif i % 2:
+                expected = L.App(E.E_BOX, expected)
+            else:
+                expected = L.app(E.E_OBLIG, expected, E.embed(F.TOP, "e"))
+        t = E.embed(f, logic)
+        assert t is expected and L.type_of(t) == L.TAU

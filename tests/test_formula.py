@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deon import formula as F
+from deon import lam as L
 from deon import semantics as S
 
 import oracles
@@ -199,6 +200,33 @@ class TestInterning:
         assert grounded is F.And(F.subst_var(f, "d", F.Const("a")),
                                  F.subst_var(f, "d", F.Const("b")))
         assert hash(f) == hash(chain(base)) and f == chain(base)
+
+    def test_dead_nodes_leave_the_table(self):
+        before = len(F._TABLE)
+        fs = [F.And(F.Atom(f"fresh{i}"), F.Atom("q")) for i in range(5_000)]
+        ts = [L.App(L.Const(f"fresh{i}", L.TAU), L.Var("w", L.I)) for i in range(5_000)]
+        assert len(F._TABLE) >= before + 20_000
+        del fs, ts
+        assert len(F._TABLE) == before
+
+    def test_a_node_rebuilt_after_its_copy_died_is_found_again(self):
+        key = (F.Not, F.Atom("reborn"))
+        first = F.Not(F.Atom("reborn"))
+        stale = F._TABLE[key]
+        del first
+        assert key not in F._TABLE and stale() is None
+        f = F.Not(F.Atom("reborn"))
+        F._drop(stale)  # the dead copy's callback, late: the entry stays
+        assert F._TABLE[key]() is f and F.Not(F.Atom("reborn")) is f
+
+    @pytest.mark.parametrize("build", [
+        lambda: F.Not(F.Atom("p"), F.Atom("q")),
+        lambda: L.App(L.Const("a", L.O)),
+        lambda: L.Const("a", L.O, L.I),
+    ])
+    def test_wrong_number_of_fields(self, build):
+        with pytest.raises(TypeError, match="field"):
+            build()
 
 
 class TestTokenize:

@@ -7,10 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deon import embed as E
 from deon import lam as L
 
 import oracles
-from helpers import gen_typed_term
+from helpers import gen_formula, gen_typed_term
 
 x_i = L.Var("x", L.I)
 c_i = L.Const("c", L.I)
@@ -171,6 +172,19 @@ class TestProperties:
         rng = random.Random(seed)
         t = gen_typed_term(rng, ty, depth=depth)
         assert L.normalize(t) == L.normalize_steps(t, strategy)[-1]
+
+    def test_same_steps_as_the_plain_stepper(self):
+        # skipping redex-free subterms and memoizing the naming change no
+        # step: random terms, and embedded formulas for the eta phase
+        rng = random.Random(13)
+        terms = [gen_typed_term(rng, rng.choice([L.O, L.I, L.TAU, L.Arrow(L.TAU, L.O)]),
+                                depth=rng.randint(2, 5)) for _ in range(500)]
+        for logic in ("sdl", "e"):
+            terms += [E.embed(gen_formula(rng, logic, 3, quantifiers=True), logic)
+                      for _ in range(20)]
+        for t in terms:
+            for strategy in ("lo", "ri"):
+                assert L.normalize_steps(t, strategy) == oracles.normalize_steps(t, strategy)
 
     @settings(max_examples=200, deadline=None)
     @given(SEEDS, st.sampled_from([L.O, L.I, L.TAU]))
