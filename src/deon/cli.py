@@ -298,8 +298,8 @@ def cmd_check(text, logic, frame, bound, complete, sig, fmt):
 def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     """Search for a model making every given formula valid."""
     rep = Report("model", complete)
-    joined = " & ".join(f"({t})" for t in texts)
-    signature = _signature(sig, joined)
+    # the texts are joined only to infer one signature for all of them
+    signature = _signature(sig, " & ".join(f"({t})" for t in texts) if sig is None else "")
     fs = [_ground_for_search(F.parse(t, signature, logic=logic), signature)
           for t in texts]
     cfg = _config(logic, frame, bound, complete)

@@ -24,8 +24,9 @@ Terms and formulas are hash-consed, so equality is identity and hashing
 is O(1) at any size.  The walks are iterative folds (`fold`) that visit
 each distinct subformula once; `subformulas` is an explicit-stack
 pre-order walk.  The parser is one precedence-climbing loop over the
-token texts of `tokens`, and the printer an explicit-stack walk, so
-nothing here recurses at any nesting depth.
+token texts of `tokens` that parses each distinct parenthesized group
+once, and the printer an explicit-stack walk, so nothing here recurses
+at any nesting depth.
 """
 
 from __future__ import annotations
@@ -180,7 +181,9 @@ class Var(Term):
 
 
 class Formula(_Node):
-    __slots__ = ()
+    # what `desugar` gives in each logic: None until it is known
+    __slots__ = _derived = ("_sdl_form", "_e_form")
+    _derive = staticmethod(lambda *fields: (None, None))
     _lead = 0  # leading fields that are not subformulas; the rest are
 
 
@@ -378,22 +381,49 @@ _DESUGAR_E = {
 }
 
 
+_SAME = "same"  # the form of a node that is already primitive
+
+
 def desugar(f: Formula, logic: str) -> Formula:
     """Rewrite derived operators to the logic's primitive ones.
 
     SDL: box/dia/P/F reduce to monadic O.  E: monadic O/P/F reduce to
     the dyadic operator, dia to ~box~.  Used by the decision procedures;
     evaluation handles every node directly.
+
+    Each node keeps its form once it is computed, in its slot for the
+    logic (`_sdl_form`, `_e_form`), so a node is desugared once per logic
+    in its life.  The walk is `fold`'s post-order, but it stops at the
+    nodes whose form is known instead of at those in a per-call memo,
+    so a formula desugared before costs O(1).  A node that is its own
+    form keeps `_SAME` rather than itself: no node refers to itself, so
+    refcounting alone still frees nodes.  An SDL Oblig gets no form, nor
+    does any node above it, so it raises on every call.
     """
-    table = _DESUGAR_SDL if logic == "sdl" else _DESUGAR_E
-
-    def visit(g: Formula, kids: list[Formula]) -> Formula:
-        if isinstance(g, Oblig) and logic == "sdl":
+    sdl = logic == "sdl"
+    table = _DESUGAR_SDL if sdl else _DESUGAR_E
+    slot = Formula._sdl_form if sdl else Formula._e_form
+    form, keep = slot.__get__, slot.__set__
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if form(g) is not None:
+            stack.pop()
+            continue
+        kids = children(g)
+        todo = [c for c in kids if form(c) is None]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        if sdl and type(g) is Oblig:
             raise FormulaError("dyadic obligation is not part of the SDL language")
+        kids = [c if h is _SAME else h for c, h in zip(kids, map(form, kids))]
         rule = table.get(type(g))
-        return rule(*kids) if rule else _rebuild(g, kids)
-
-    return fold(f, visit)
+        h = rule(*kids) if rule else _rebuild(g, kids)
+        keep(g, _SAME if h is g else h)
+    h = form(f)
+    return f if h is _SAME else h
 
 
 # ---------------------------------------------------------------------------
@@ -459,33 +489,61 @@ def tokens(text: str) -> list[str]:
     return toks
 
 
-def _braces(toks: list[str]) -> dict[int, tuple[int | None, int | None]]:
-    """(first "|", "}") at the depth just inside each "{", by its index.
+_STEPS = {"{": 1, "|": 0, "}": -1, ")": -1}  # depth steps of the marks
 
-    The depth before a token counts the "(" and "{" before it up and the
-    ")" and "}" down; one pass right to left keeps, per depth, the
-    nearest "|" and "}" seen.  A "|" past the "}" does not belong to it.
+
+def _brackets(toks: list[str], braces: bool):
+    """The groups of toks and, if braces, the parts of each O{...}.
+
+    One pass left to right pairs each "(" with its ")" on a stack.
+    `groups` maps the index of each "(" so closed to (the group's id,
+    the index of its ")").  The id is interned from the group's items:
+    its token texts, each inner group replaced by that group's id, so
+    equal ids mean equal token runs, and the table holds one item per
+    token in all.
+
+    `found` maps the index of each "{" to the (first "|", "}") at the
+    depth just inside it.  The depth before a token counts the "(" and
+    "{" before it up and the ")" and "}" down.  The pass notes the depth
+    of each "{", "|" and "}"; then one pass right to left over those
+    keeps, per depth, the nearest "|" and "}" seen.  A "|" past the "}"
+    does not belong to it.
     """
-    depths = []
-    d = 0
-    for t in toks:
-        depths.append(d)
-        if t == "(" or t == "{":
-            d += 1
-        elif t == ")" or t == "}":
-            d -= 1
+    ids: dict[tuple, int] = {}
+    groups: dict[int, tuple[int, int]] = {}
+    items: list = []
+    stack: list = []  # per open "(": the items around it, then its index
+    marks = []  # (index, text, depth) of each "{", "|", "}" and unpaired ")"
+    d = 0  # "{" less "}" and unpaired ")" so far; the depth adds the open "("
+    for j, t in enumerate(toks):
+        if t == "(":
+            stack.append(items)
+            stack.append(j)
+            items = []
+        elif t == ")" and stack:
+            o = stack.pop()
+            g = ids.setdefault(tuple(items), len(ids))
+            groups[o] = (g, j)
+            items = stack.pop()
+            items.append(g)
+        else:
+            items.append(t)
+            if braces and t in _STEPS:
+                marks.append((j, t, d + len(stack) // 2))
+                d += _STEPS[t]
+    if not braces:
+        return groups, None
     pipes: dict[int, int] = {}
     shuts: dict[int, int] = {}
     found = {}
-    for j in range(len(toks) - 1, -1, -1):
-        t = toks[j]
+    for j, t, depth in reversed(marks):
         if t == "}":
-            shuts[depths[j]] = j
+            shuts[depth] = j
         elif t == "|":
-            pipes[depths[j]] = j
+            pipes[depth] = j
         elif t == "{":
-            found[j] = (pipes.get(depths[j] + 1), shuts.get(depths[j] + 1))
-    return found
+            found[j] = (pipes.get(depth + 1), shuts.get(depth + 1))
+    return groups, found
 
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
@@ -512,17 +570,35 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     (precedence 5), binary ones (1-4) and markers (0) that no reduction
     passes: the end, "(", a quantifier, whose body reaches as far as a
     formula can, and the two parts of O{body | cond}.  Inside the braces
-    the first top-level "|" and then the "}" (`_braces`) read as the end
-    of input.
+    the first top-level "|" and then the "}" (`_brackets`) read as the
+    end of input.
+
+    Each distinct parenthesized group is parsed once (the packrat idea
+    of Ford, ICFP 2002, keyed by a token run instead of a position).
+    One bracket pass (`_brackets`) gives every paired "(" its group's
+    id, equal for equal token runs.  The loop stores the node of each
+    group it closes under (group id, id of the bound variables in
+    scope); at a "(" whose key is stored it takes that node and goes on
+    after the ")".  A group's node depends only on its tokens and the
+    scope: the signature and logic are fixed, a group that parses holds
+    the whole of every O{...} it opens, and no enclosing "|" or "}" of
+    an O{...} lies inside a group, so none ends it early.  The scope is
+    in the key because `P(x)` reads x as a variable under `forall x.` and
+    as a constant outside it.  A parse error raises at once, so only
+    groups that parsed are reused, and nodes, messages and positions are
+    those of a parse without the memo.
     """
     if logic not in ("sdl", "e"):
         raise FormulaError(f"unknown logic {logic!r}")
     toks = tokens(text)
     preds, consts = sig.predicates, sig.constants
     monadic_o = ObligM if logic == "sdl" else _oblig_top
-    braces = _braces(toks) if "{" in text else None
+    groups, braces = _brackets(toks, "{" in text)
     end = close = len(toks) - 1  # the end of input, and where it is placed
     scope: list[str] = []  # bound variables, innermost last
+    sid = 0  # the scope's id
+    scopes: dict[tuple[int, str], int] = {}  # (scope id, variable) -> inner scope id
+    memo: dict[tuple[int, int], Formula] = {}  # (group id, scope id) -> node
     ops: list[tuple] = [(0, "end")]
     left: list[Formula] = []
 
@@ -557,10 +633,15 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             i += 1
             continue
         if t == "(":
-            ops.append((0, "("))
-            i += 1
-            continue
-        if t == "forall" or t == "exists":
+            group = groups.get(i)  # None when no ")" closes it: the parse fails
+            key = None if group is None else (group[0], sid)
+            f = memo.get(key)  # a None key is never stored
+            if f is None:
+                ops.append((0, "(", key))
+                i += 1
+                continue
+            i = group[1]  # the group's ")"
+        elif t == "forall" or t == "exists":
             v = toks[i + 1]
             if not v[:1].isalpha() or v in RESERVED_WORDS:
                 raise fail("expected a variable name after quantifier", i + 1)
@@ -569,12 +650,13 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             if v in scope:
                 raise fail(f"variable {v!r} already bound", i + 1)
             scope.append(v)
-            ops.append((0, t, v))
+            ops.append((0, t, v, sid))
+            sid = scopes.setdefault((sid, v), len(scopes) + 1)
             i += 3
             continue
-        if not t[:1].isalpha():
+        elif not t[:1].isalpha():
             raise fail(f"expected a formula, found {t or 'end of input'!r}", i)
-        if t == "true":
+        elif t == "true":
             f = TOP
         elif t == "false":
             f = BOT
@@ -634,9 +716,12 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             if kind == "(":
                 if t != ")":
                     raise fail(f"expected ')', found {t or 'end of input'!r}", i)
+                if mark[2] is not None:
+                    memo[mark[2]] = f
                 i += 1
             elif kind == "forall" or kind == "exists":
                 scope.pop()
+                sid = mark[3]
                 f = (Forall if kind == "forall" else Exists)(mark[2], f)
             elif t:
                 raise fail(f"unexpected trailing input {t!r}", i)

@@ -287,6 +287,7 @@ def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals, domain):
 def _revalidate(model, fs, logic: str, false_somewhere: F.Formula | None = None,
                 world: int | None = None) -> None:
     ev = S.Evaluator(model, logic)
+    ev.masks([*fs] if false_somewhere is None else [*fs, false_somewhere])
     for f in fs:
         if not ev.valid(f):
             raise SearchError(f"internal error: witness fails {F.print_formula(f)}")

@@ -194,7 +194,7 @@ def model_from_json(text: str, require_serial: bool = True):
 
 
 class Evaluator:
-    """Truth sets of ground formulas over one model: each formula is
+    """Truth sets of ground formulas over one model: formulas are
     compiled by CompiledBank and run on the model, memoized per formula."""
 
     def __init__(self, model: _ModelBase, logic: str):
@@ -208,11 +208,17 @@ class Evaluator:
         self.logic = logic
         self._memo: dict[F.Formula, int] = {}
 
+    def masks(self, fs: Iterable[F.Formula]) -> list[int]:
+        """The masks of fs; those not seen yet are compiled in one bank."""
+        fs = list(fs)
+        memo = self._memo
+        new = [f for f in dict.fromkeys(fs) if f not in memo]
+        if new:
+            memo.update(zip(new, CompiledBank(new, self.logic).masks(self.model)))
+        return [memo[f] for f in fs]
+
     def mask(self, f: F.Formula) -> int:
-        m = self._memo.get(f)
-        if m is None:
-            m = self._memo[f] = CompiledBank([f], self.logic).masks(self.model)[0]
-        return m
+        return self.masks([f])[0]
 
     def holds(self, f: F.Formula, world: int) -> bool:
         if not 0 <= world < self.model.n:

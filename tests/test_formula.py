@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 
@@ -13,7 +14,7 @@ from deon import lam as L
 from deon import semantics as S
 
 import oracles
-from helpers import SIG, gen_formula
+from helpers import P, Q, SIG, gen_formula
 
 sig = F.Signature(
     {"p": 0, "q": 0, "r": 0, "erase": 1, "lawful": 1, "protected": 1, "P": 1},
@@ -229,6 +230,56 @@ class TestInterning:
             build()
 
 
+def rewrite(f, logic):
+    """`desugar` as one fold over f, with nothing kept on the nodes."""
+    table = F._DESUGAR_SDL if logic == "sdl" else F._DESUGAR_E
+
+    def visit(g, kids):
+        if isinstance(g, F.Oblig) and logic == "sdl":
+            raise F.FormulaError("dyadic obligation is not part of the SDL language")
+        rule = table.get(type(g))
+        return rule(*kids) if rule else F._rebuild(g, kids)
+
+    return F.fold(f, visit)
+
+
+class TestDesugar:
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_one_form_per_node(self, logic):
+        rng = random.Random(21)
+        for _ in range(500):
+            f = gen_formula(rng, logic, rng.randint(0, 5), quantifiers=rng.random() < 0.3)
+            g = F.desugar(f, logic)
+            assert g is rewrite(f, logic)
+            assert F.desugar(f, logic) is g
+            assert F.desugar(g, logic) is g  # a primitive node is its own form
+            for h in F.subformulas(f):
+                assert F.desugar(h, logic) is rewrite(h, logic)
+
+    def test_sdl_dyadic_obligation_raises_on_every_call(self):
+        f = F.And(F.Box(P), F.Oblig(F.Dia(P), Q))
+        for _ in range(3):
+            with pytest.raises(F.FormulaError, match="dyadic obligation"):
+                F.desugar(f, "sdl")
+        assert F.desugar(F.Box(P), "sdl") is F.ObligM(P)
+        assert F.desugar(f, "e") is F.And(F.Box(P), F.Oblig(F.Not(F.Box(F.Not(P))), Q))
+
+    def test_forms_make_no_reference_cycles(self):
+        """With the collector off, only refcounting frees nodes: desugared
+        nodes and their forms still leave the table once dropped."""
+        gc.disable()
+        try:
+            before = len(F._TABLE)
+            fs = [F.Implies(F.Dia(F.Atom(f"fresh{i}")), F.Perm(F.And(F.Atom(f"fresh{i}"), Q)))
+                  for i in range(20_000)]
+            forms = [F.desugar(f, logic) for f in fs for logic in ("sdl", "e")]
+            assert len(F._TABLE) >= before + 20_000 * 8
+            del fs, forms
+            assert len(F._TABLE) == before
+        finally:
+            gc.enable()
+
+
 class TestTokenize:
     @staticmethod
     def stream(text):
@@ -364,6 +415,95 @@ class TestParseAgainstRecursiveDescent:
             "variable X already bound", "expected a variable name after quantifier",
             "expected a term", "dyadic obligation O{...} requires logic e",
             "unterminated O{...}", "O{...} needs a X separating body and condition"}
+
+    @staticmethod
+    def repeated(rng, logic):
+        """Texts that repeat the groups of a printed formula A, each with
+        its node and the number of its tokens up to the end of the first
+        copy of (A)."""
+        f = gen_formula(rng, logic, rng.randint(1, 5), quantifiers=rng.random() < 0.5)
+        a = F.print_formula(f)
+        n = len(F.tokens(a)) - 1
+        return [(f"({a}) & ({a})", F.And(f, f), n + 2),
+                (f"~({a}) | (({a}) -> ({a}))", F.Or(F.Not(f), F.Implies(f, f)), n + 3)]
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_repeated_groups(self, logic):
+        rng = random.Random(13)
+        for _ in range(600):
+            for text, f, _ in self.repeated(rng, logic):
+                assert F.parse(text, SIG, logic) is f, text
+                assert oracles.recursive_parse(text, SIG, logic) is f, text
+
+    def test_repeated_groups_broken_in_a_later_copy(self):
+        """The first copy parses and is stored; a later one is broken.
+        The outcome is the recursive parser's, node or error and place."""
+        rng = random.Random(14)
+        errors = 0
+        for _ in range(3000):
+            logic = rng.choice(["sdl", "e"])
+            text, _, first = rng.choice(self.repeated(rng, logic))
+            words = F.tokens(text)[:-1]
+            for _ in range(rng.randint(1, 2)):
+                k = rng.randint(first, len(words))
+                roll = rng.random()
+                if roll < 0.3 and k < len(words):
+                    del words[k]
+                elif roll < 0.6:
+                    words.insert(k, rng.choice(self.WORDS))
+                elif k < len(words):
+                    words[k] = rng.choice(self.WORDS)
+            text = " ".join(words)
+            got = outcome(F.parse, text, SIG, logic)
+            assert got == outcome(oracles.recursive_parse, text, SIG, logic), text
+            errors += type(got) is tuple
+        assert 1000 < errors < 3000  # most mutants are errors, not all
+
+    def test_a_group_reads_its_scope(self):
+        """The same group under different binders gives different nodes:
+        x is a variable under `forall x.` and a constant outside it."""
+        sig = F.Signature({"P": 1, "p": 0}, frozenset({"x"}))
+        var, const = F.Atom("P", (F.Var("x"),)), F.Atom("P", (F.Const("x"),))
+        for text, f in [
+            ("(forall x. (P(x))) & (P(x))", F.And(F.Forall("x", var), const)),
+            ("(P(x)) & (forall x. (P(x)))", F.And(const, F.Forall("x", var))),
+            ("(forall x. (P(x))) & (forall x. (P(x)))",
+             F.And(F.Forall("x", var), F.Forall("x", var))),
+            ("(exists y. (P(x))) | (forall x. exists y. (P(x))) | (P(x))",
+             F.Or(F.Or(F.Exists("y", const), F.Forall("x", F.Exists("y", var))), const)),
+        ]:
+            assert F.parse(text, sig, "e") is f, text
+            assert oracles.recursive_parse(text, sig, "e") is f, text
+        # a variable bound outside a group is bound inside it too
+        text = "(p) & forall x. (p) & (x)"
+        got = outcome(F.parse, text, sig, "e")
+        assert got == outcome(oracles.recursive_parse, text, sig, "e")
+        assert got == ("variable 'x' used as a formula", 1, 24)
+
+    def test_a_doubling_text_builds_each_distinct_node_about_once(self, monkeypatch):
+        """x(k+1) = x(k) op u(x(k)), as the benchmark's shared-DAG texts:
+        the text doubles with each level and its distinct nodes grow by
+        two, and the parser builds about as many nodes as are distinct."""
+        text, f = "(p | ~(q))", F.Or(F.Atom("p"), F.Not(F.Atom("q")))
+        ops = [("&", F.And), ("->", F.Implies), ("|", F.Or), ("<->", F.Iff)]
+        for k in range(12):
+            word, op = ops[k % 4]
+            head, u = ("box ", F.Box) if k in (0, 11) else ("O ", F.ObligM) if k == 6 \
+                else ("~", F.Not)
+            text = f"({text} {word} {head}({text}))"
+            f = op(f, u(f))
+        assert len(F.tokens(text)) > 50_000
+        built = []
+        new = F._Node.__new__
+
+        def counted(cls, *args):
+            built.append(cls)
+            return new(cls, *args)
+
+        monkeypatch.setattr(F._Node, "__new__", staticmethod(counted))
+        assert F.parse(text, SIG, "sdl") is f
+        distinct = len(F.subformulas(f))
+        assert distinct == 28 and len(built) <= 2 * distinct
 
     def test_nested_dyadic_obligations_parse_in_one_pass(self):
         depth = 2000

@@ -12,7 +12,7 @@ from deon import search as SE
 from deon import semantics as S
 
 import oracles
-from helpers import P, Q, R, brute_sat, gen_formula
+from helpers import P, Q, R, brute_sat, gen_formula, gen_model
 
 CFG_E = SE.SearchConfig(logic="e")
 CFG_EC = SE.SearchConfig(logic="e", complete=True)
@@ -218,6 +218,31 @@ class TestExactAgainstEnumeration:
                 assert isinstance(got, SE.CountermodelFound)
                 assert not E.fo_eval(fo, got.model, logic)
         assert checked_valid > 0
+
+
+@pytest.mark.parametrize("logic", ["sdl", "e"])
+def test_witness_revalidation_compiles_one_bank(logic, monkeypatch):
+    rng = random.Random(41)
+    banks = []
+
+    class Counted(S.CompiledBank):
+        def __init__(self, formulas, logic):
+            banks.append(formulas)
+            super().__init__(formulas, logic)
+
+    monkeypatch.setattr(S, "CompiledBank", Counted)
+    for _ in range(50):
+        model = gen_model(rng, logic)
+        fs = [gen_formula(rng, logic, 3) for _ in range(rng.randint(0, 4))]
+        valid = [F.Or(f, F.Not(f)) for f in fs]
+        goal = F.And(P, F.Not(P))
+        banks.clear()
+        SE._revalidate(model, valid, logic, false_somewhere=goal, world=0)
+        assert len(banks) == 1
+        with pytest.raises(SE.SearchError, match="witness fails"):
+            SE._revalidate(model, valid + [F.Not(F.Or(P, F.Not(P)))], logic)
+        with pytest.raises(SE.SearchError, match="does not falsify"):
+            SE._revalidate(model, valid, logic, false_somewhere=F.Not(goal), world=0)
 
 
 class TestExactE:

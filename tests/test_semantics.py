@@ -174,6 +174,24 @@ class TestSerialization:
         assert S.atom_key_str(("erase", ("d1",))) == "erase(d1)"
 
 
+class TestBatchMasks:
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_batch_masks_equal_single_masks(self, logic):
+        """masks(fs) against one fresh mask per formula, with repeats in fs
+        and some formulas already seen one at a time."""
+        rng = random.Random(31)
+        for _ in range(300):
+            m = gen_model(rng, logic)
+            fs = [gen_formula(rng, logic, rng.randint(0, 4)) for _ in range(rng.randint(0, 6))]
+            fs += rng.sample(fs, min(2, len(fs)))
+            ev = S.Evaluator(m, logic)
+            for f in fs[:rng.randint(0, len(fs))]:
+                ev.mask(f)
+            want = [S.Evaluator(m, logic).mask(f) for f in fs]
+            assert ev.masks(fs) == want
+            assert [ev.mask(f) for f in fs] == want
+
+
 class TestCompiledBank:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from(["sdl", "e"]))
