@@ -34,8 +34,14 @@ click.UsageError.exit_code = 3
 def infer_signature(text: str) -> F.Signature:
     """Best-effort signature for ad-hoc formulas: applied identifiers
     become predicates, quantifier-bound names variables, other argument
-    names constants, remaining bare identifiers propositional atoms."""
+    names constants, remaining bare identifiers propositional atoms.
+
+    An applied identifier's group is read at its depth 1 only: each
+    inner group is jumped to its ")" as `formula._brackets` pairs it, and
+    after an inner "(" never closed nothing is at depth 1, so each token
+    is read once."""
     toks = F.tokens(text)  # the token texts, "" last
+    groups, _ = F._brackets(toks, False)
     binders: set[str] = set()
     for i, t in enumerate(toks):
         if t in ("forall", "exists") and toks[i + 1][:1].isalpha():
@@ -43,36 +49,31 @@ def infer_signature(text: str) -> F.Signature:
     predicates: dict[str, int] = {}
     constants: set[str] = set()
     skip = F.RESERVED_WORDS
-    i = 0
-    while i < len(toks):
-        t = toks[i]
+    for i, t in enumerate(toks):
         if not t[:1].isalpha() or t in skip or t in binders:
-            i += 1
             continue
         if toks[i + 1] == "(":
+            arity, args = 1, []
+            plain, n = True, 0  # an identifier comma list so far, of n tokens
             j = i + 2
-            depth = 1
-            arity = 1
-            args: list[str] = []
-            while j < len(toks) and depth:
-                tt = toks[j]
+            while (tt := toks[j]) and tt != ")":  # up to the ")" or the final ""
                 if tt == "(":
-                    depth += 1
-                elif tt == ")":
-                    depth -= 1
-                elif tt == "," and depth == 1:
+                    plain = False
+                    if j not in groups:
+                        break
+                    j = groups[j][1] + 1
+                    continue
+                if tt == ",":
                     arity += 1
-                elif tt[:1].isalpha() and depth == 1:
+                elif tt[:1].isalpha():
                     args.append(tt)
+                plain = plain and (tt == "," if n % 2 else tt[:1].isalpha())
+                n += 1
                 j += 1
             # O, P and F before anything but a comma list of identifiers
             # are operators over a parenthesized formula, as
             # formula.print_formula writes them
-            group = toks[i + 2:j - 1]
-            if t in F.SOFT_KEYWORDS and not (len(group) % 2 and all(
-                    tt[:1].isalpha() if n % 2 == 0 else tt == ","
-                    for n, tt in enumerate(group))):
-                i += 1
+            if t in F.SOFT_KEYWORDS and not (plain and n % 2):
                 continue
             old = predicates.get(t)
             if old is not None and old != arity:
@@ -81,14 +82,11 @@ def infer_signature(text: str) -> F.Signature:
             for a in args:
                 if a not in binders:
                     constants.add(a)
-            i += 1  # argument identifiers are revisited but end up as constants
-            continue
+            continue  # argument identifiers are revisited but end up as constants
         if t in F.SOFT_KEYWORDS:
-            i += 1
             continue
         if t not in constants:
             predicates.setdefault(t, 0)
-        i += 1
     for c in constants:
         predicates.pop(c, None)
     return F.Signature(predicates, frozenset(constants))
@@ -253,7 +251,7 @@ def cmd_eval(text, model_path, world, logic, sig, fmt):
     with open(model_path, "r", encoding="utf-8") as fh:
         model = S.model_from_json(fh.read(), require_serial=(logic == "sdl"))
     f = F.parse(text, _signature(sig, text), logic=logic)
-    if F.free_vars(f) or any(isinstance(g, (F.Forall, F.Exists)) for g in F.subformulas(f)):
+    if not F.is_ground(f):
         f = F.ground(f, model.domain)
     value = S.eval_formula(model, world, f, logic)
     rep.data["verdict"] = "true" if value else "false"
@@ -333,7 +331,7 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
     mode = "local" if local else "global"
     term = E.vld(E.embed(f, logic), mode)
     steps = L.normalize_steps(term) if show_steps else None
-    nf = L.normalize(term)
+    nf = L.normalize(term) if steps is None else steps[-1]
     fo = E.lower(nf)
     tptp = E.emit_tptp(fo, name, role, logic=logic)
     if out_dir is not None:

@@ -129,12 +129,12 @@ _OPS = {"sdl": {**_PW, F.Box: lambda a: L.App(SDL_BOX, a), F.Dia: lambda a: L.Ap
 
 def _embed(f: F.Formula, logic: str) -> L.LTerm:
     """The embedding of f, by one fold over its distinct subformulas.
-    It has type i>o by construction, so it is not type-checked: every
-    combinator above is closed and well typed and takes arguments of
-    type i>o; the quantifier combinators instead take a lambda over an
-    individual whose body is an embedding; and an atom's constant takes
-    its arity from the atom, so it is applied to exactly that many
-    individual terms."""
+    It needs no type check of its own, since every node is checked as it
+    is built.  It has type i>o: every combinator above is closed and
+    well typed and takes arguments of type i>o; the quantifier
+    combinators instead take a lambda over an individual whose body is
+    an embedding; and an atom's constant takes its arity from the atom,
+    so it is applied to exactly that many individual terms."""
     if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
     ops = _OPS[logic]

@@ -326,6 +326,12 @@ def free_vars(f: Formula) -> frozenset[str]:
     return fold(f, visit)
 
 
+def is_ground(f: Formula) -> bool:
+    """True iff f has no quantifier and no variable argument."""
+    return not any(isinstance(g, _QUANT) or type(g) is Atom and any(type(t) is Var for t in g.args)
+                   for g in subformulas(f))
+
+
 def atoms_of(f: Formula) -> tuple[Atom, ...]:
     """Distinct atoms occurring in f, reserved atom excluded."""
     return tuple(g for g in subformulas(f) if isinstance(g, Atom) and g.pred != RESERVED_ATOM)

@@ -172,7 +172,7 @@ def load_kb(text: str) -> KnowledgeBase:
         except F.ParseError as ex:
             raise KBError(str(ex), lineno) from ex
         _boolean_only(f, "fact", lineno)
-        if F.free_vars(f):
+        if not F.is_ground(f):
             raise KBError("facts must be ground", lineno)
         facts.append(f)
 

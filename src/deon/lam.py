@@ -10,7 +10,9 @@ names.  Nodes are hash-consed on `formula._Node` (Filliâtre & Conchon
 2006), in the formulas' table and by their one constructor, so equality
 is identity and hashing is O(1).  Each node also records, in the slots
 `LTerm._derived`, its type, so `type_of` reads a field, and what the
-index operations need to skip it.
+index operations need to skip it.  The type is checked there, once,
+when the node is built: an ill-typed application or binder raises
+LamTypeError instead, so every term that exists is well typed.
 
 Normalization, the single-step reducer and `show` work on these nodes;
 names are made only at the boundary, where a binder of a normal form or
@@ -82,9 +84,10 @@ def fn(*types: Ty) -> Ty:
 
 class LTerm(F._Node):
     """A term node.  Besides its fields it records, when it is made,
-    what `_derive` gives from them: `ty`, its type (None if ill-typed);
-    `_loose`, one more than the largest de Bruijn index free in it (0 if
-    none is); and `_open`, whether a free variable occurs in it."""
+    what `_derive` gives from them: `ty`, its type; `_loose`, one more
+    than the largest de Bruijn index free in it (0 if none is); and
+    `_open`, whether a free variable occurs in it.  `_derive` raises
+    LamTypeError if the fields do not type, before the node is made."""
 
     __slots__ = _derived = ("ty", "_loose", "_open")
 
@@ -120,25 +123,26 @@ class App(LTerm):
     @staticmethod
     def _derive(fun, arg):
         ft = fun.ty
-        return (ft.dst if type(ft) is Arrow and ft.src is arg.ty else None,
-                max(fun._loose, arg._loose), fun._open or arg._open)
+        if type(ft) is not Arrow:
+            raise LamTypeError(f"applying non-function of type {ft}")
+        if ft.src is not arg.ty:
+            raise LamTypeError(f"argument type mismatch: expected {ft.src}, got {arg.ty}")
+        return ft.dst, max(fun._loose, arg._loose), fun._open or arg._open
 
 
 class Abs(LTerm):
     """λvar:var_ty. body, stored as its `scope`: body with var as index
-    0.  `_typed` is False when an occurrence of var in body has another
-    type than var_ty; it stays free in the scope, for type_of to report."""
+    0.  Every free occurrence of var in body is bound, so one of another
+    type than var_ty raises LamTypeError."""
 
-    __slots__ = _fields = ("var", "var_ty", "scope", "_typed")
+    __slots__ = _fields = ("var", "var_ty", "scope")
 
     def __new__(cls, var: str, var_ty: Ty, body: LTerm):
-        clash: list[Var] = []
-        return _new(Abs, var, var_ty, _close(body, var, var_ty, 0, clash), not clash)
+        return _new(Abs, var, var_ty, _close(body, var, var_ty, 0))
 
     @staticmethod
-    def _derive(var, var_ty, scope, typed):
-        ty = Arrow(var_ty, scope.ty) if typed and scope.ty is not None else None
-        return ty, max(scope._loose - 1, 0), scope._open
+    def _derive(var, var_ty, scope):
+        return Arrow(var_ty, scope.ty), max(scope._loose - 1, 0), scope._open
 
     @property
     def body(self) -> LTerm:
@@ -150,25 +154,25 @@ class Abs(LTerm):
 
 def _rebind(u: Abs, scope: LTerm, var: str | None = None) -> Abs:
     """u's binder, or one named var, over a scope of the same types."""
-    return _new(Abs, var or u.var, u.var_ty, scope, u._typed)
+    return _new(Abs, var or u.var, u.var_ty, scope)
 
 
-def _close(u: LTerm, x: str, ty: Ty, depth: int, clash: list) -> LTerm:
-    """u with each free occurrence of x made the index of a binder depth
-    levels up; an occurrence of another type than ty stays, in clash."""
+def _close(u: LTerm, x: str, ty: Ty, depth: int) -> LTerm:
+    """u with each free occurrence of x made the index of a binder of
+    type ty depth levels up, or LamTypeError at one of another type."""
     if not u._open:
         return u
     if type(u) is Var:
-        if u.name == x and u.ty is ty:
-            return BVar(depth, ty)
-        if u.name == x:
-            clash.append(u)
-        return u
+        if u.name != x:
+            return u
+        if u.ty is not ty:
+            raise LamTypeError(f"variable {x} annotated {u.ty}, bound at {ty}")
+        return BVar(depth, ty)
     if type(u) is App:
-        return App(_close(u.fun, x, ty, depth, clash), _close(u.arg, x, ty, depth, clash))
+        return App(_close(u.fun, x, ty, depth), _close(u.arg, x, ty, depth))
     if u.var == x:  # x is shadowed in u
         return u
-    return _rebind(u, _close(u.scope, x, ty, depth + 1, clash))
+    return _rebind(u, _close(u.scope, x, ty, depth + 1))
 
 
 NOT = Const("not", fn(O, O))
@@ -217,54 +221,39 @@ def exists(var: str, ty: Ty, body: LTerm) -> LTerm:
 
 
 def type_of(t: LTerm, env: dict[str, Ty] | None = None) -> Ty:
-    """The unique simple type of t, env typing its free variables, or
-    LamTypeError.  t is walked only if it is ill-typed, or if env could
-    disagree with it."""
-    ty = getattr(t, "ty", None)
-    if ty is not None and not (env and t._open):
-        return ty
-    return _check(t, env or {})
+    """The type t records, or LamTypeError if env types a free variable
+    of t otherwise (a binder binds every free variable of its name in its
+    body, so env holds throughout t)."""
+    if not isinstance(t, LTerm):
+        raise LamError(f"unknown term {t!r}")
+    if env and t._open:
+        for u in _leaves(t):
+            if type(u) is Var and env.get(u.name, u.ty) is not u.ty:
+                raise LamTypeError(f"variable {u.name} annotated {u.ty}, bound at {env[u.name]}")
+    return t.ty
 
 
-def _check(t: LTerm, env: dict[str, Ty]) -> Ty:
-    """The type of t, or its first type error in depth-first order, each
-    binder's name typed in env while its scope is walked."""
-    if type(t) is Var and t.name in env and env[t.name] is not t.ty:
-        raise LamTypeError(f"variable {t.name} annotated {t.ty}, bound at {env[t.name]}")
-    if type(t) in (Const, Var, BVar):
-        return t.ty
-    if type(t) is Abs:
-        return Arrow(t.var_ty, _check(t.scope, {**env, t.var: t.var_ty}))
-    if type(t) is App:
-        ft = _check(t.fun, env)
-        at = _check(t.arg, env)
-        if not isinstance(ft, Arrow):
-            raise LamTypeError(f"applying non-function of type {ft}")
-        if ft.src is not at:
-            raise LamTypeError(f"argument type mismatch: expected {ft.src}, got {at}")
-        return ft.dst
-    raise LamError(f"unknown term {t!r}")
+def _leaves(t: LTerm):
+    """The distinct constants and free variables in t, by one walk over
+    its distinct subterms."""
+    seen, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        if type(u) is App:
+            stack += (u.fun, u.arg)
+        elif type(u) is Abs:
+            stack.append(u.scope)
+        elif type(u) is not BVar:
+            yield u
 
 
 def names(t: LTerm) -> set[str]:
     """The names of t's free variables and constants: the names a new
-    binder must avoid to be read unambiguously.  A variable left free in
-    the scope of a same-named binder of another type (an ill-typed term)
-    belongs to that binder and is not counted."""
-    out, seen, stack = set(), set(), [(t, frozenset())]
-    while stack:
-        item = stack.pop()
-        if item in seen:
-            continue
-        seen.add(item)
-        u, bound = item
-        if type(u) is App:
-            stack += ((u.fun, bound), (u.arg, bound))
-        elif type(u) is Abs:
-            stack.append((u.scope, bound if u._typed else bound | {u.var}))
-        elif type(u) is Const or (type(u) is Var and u.name not in bound):
-            out.add(u.name)
-    return out
+    binder must avoid to be read unambiguously."""
+    return {u.name for u in _leaves(t)}
 
 
 def _fresh(base: str, avoid: set[str]) -> str:
@@ -412,7 +401,7 @@ def _quote(v, lvl: int, taken: set[str]) -> LTerm:
         lvl -= 1
         fun = _eta_redex(d)
         if fun is None:
-            d = _new(Abs, _fresh(f"v{lvl}", taken), var_ty, d, True)
+            d = _new(Abs, _fresh(f"v{lvl}", taken), var_ty, d)
         else:
             d = _name(fun, taken, lvl, {})  # its binders were named a level deeper
     return d

@@ -164,11 +164,10 @@ def filtration_bound(fs: list[F.Formula]) -> int:
 
 def _require_ground(fs) -> None:
     for f in fs:
-        if F.free_vars(f):
-            raise SearchError(f"formula has free variables: {sorted(F.free_vars(f))}")
-        for g in F.subformulas(f):
-            if isinstance(g, (F.Forall, F.Exists)):
-                raise SearchError("quantified input: expand with formula.ground first")
+        if not F.is_ground(f):
+            if F.free_vars(f):
+                raise SearchError(f"formula has free variables: {sorted(F.free_vars(f))}")
+            raise SearchError("quantified input: expand with formula.ground first")
 
 
 def _domain(fs) -> tuple[str, ...]:

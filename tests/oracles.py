@@ -1,11 +1,12 @@
 """Reference implementations the program is checked against: the
 optimality rule, validity and frame conditions read off a model, alpha
 equality and named capture-avoiding substitution of λ-terms, the λ
-reduction sequence searched and named afresh at every step, schema
-instantiation of formulas, the bounded scan one candidate at a time,
-SDL type elimination over explicit 2^(k+p)-bit type masks, the
-front-to-back deletion shrink of an unsatisfiable set, and the
-recursive-descent formula parser."""
+reduction sequence searched and named afresh at every step, the names
+a λ-term's binders avoid read off the named term, schema instantiation
+of formulas, the bounded scan one candidate at a time, SDL type
+elimination over explicit 2^(k+p)-bit type masks, the front-to-back
+deletion shrink of an unsatisfiable set, the recursive-descent formula
+parser, and signature inference scanning each group to its ")"."""
 
 from __future__ import annotations
 
@@ -56,6 +57,21 @@ def free_vars(t: L.LTerm) -> frozenset[str]:
     if isinstance(t, L.Abs):
         return free_vars(t.body) - {t.var}
     return free_vars(t.fun) | free_vars(t.arg)
+
+
+def names(t: L.LTerm) -> set[str]:
+    """`lam.names` read off the named term: the constants, and the
+    variables with no binder of their name above them."""
+    def go(u: L.LTerm, bound: frozenset[str]) -> set[str]:
+        if isinstance(u, L.Const) or isinstance(u, L.Var) and u.name not in bound:
+            return {u.name}
+        if isinstance(u, L.Abs):
+            return go(u.body, bound | {u.var})
+        if isinstance(u, L.App):
+            return go(u.fun, bound) | go(u.arg, bound)
+        return set()
+
+    return go(t, frozenset())
 
 
 def substitute(t: L.LTerm, x: L.Var, s: L.LTerm) -> L.LTerm:
@@ -517,3 +533,65 @@ def recursive_parse(text: str, sig: F.Signature, logic: str = "e") -> F.Formula:
     if tok.kind != "EOF":
         raise p.fail(f"unexpected trailing input {tok.text!r}")
     return f
+
+
+def infer_signature(text: str) -> F.Signature:
+    """`cli.infer_signature` read the plain way: each applied identifier
+    scans its group token by token, counting parentheses, to its ")"."""
+    toks = F.tokens(text)  # the token texts, "" last
+    binders: set[str] = set()
+    for i, t in enumerate(toks):
+        if t in ("forall", "exists") and toks[i + 1][:1].isalpha():
+            binders.add(toks[i + 1])
+    predicates: dict[str, int] = {}
+    constants: set[str] = set()
+    skip = F.RESERVED_WORDS
+    i = 0
+    while i < len(toks):
+        t = toks[i]
+        if not t[:1].isalpha() or t in skip or t in binders:
+            i += 1
+            continue
+        if toks[i + 1] == "(":
+            j = i + 2
+            depth = 1
+            arity = 1
+            args: list[str] = []
+            while j < len(toks) and depth:
+                tt = toks[j]
+                if tt == "(":
+                    depth += 1
+                elif tt == ")":
+                    depth -= 1
+                elif tt == "," and depth == 1:
+                    arity += 1
+                elif tt[:1].isalpha() and depth == 1:
+                    args.append(tt)
+                j += 1
+            # O, P and F before anything but a comma list of identifiers
+            # are operators over a parenthesized formula, as
+            # formula.print_formula writes them
+            group = toks[i + 2:j - 1]
+            if t in F.SOFT_KEYWORDS and not (len(group) % 2 and all(
+                    tt[:1].isalpha() if n % 2 == 0 else tt == ","
+                    for n, tt in enumerate(group))):
+                i += 1
+                continue
+            old = predicates.get(t)
+            if old is not None and old != arity:
+                raise F.FormulaError(f"{t!r} used with arities {old} and {arity}")
+            predicates[t] = arity
+            for a in args:
+                if a not in binders:
+                    constants.add(a)
+            i += 1  # argument identifiers are revisited but end up as constants
+            continue
+        if t in F.SOFT_KEYWORDS:
+            i += 1
+            continue
+        if t not in constants:
+            predicates.setdefault(t, 0)
+        i += 1
+    for c in constants:
+        predicates.pop(c, None)
+    return F.Signature(predicates, frozenset(constants))

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from deon import cli
 from deon import formula as F
 
+import oracles
 from helpers import gen_formula
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,6 +64,36 @@ class TestInferSignature:
             f = gen_formula(rng, logic, rng.randint(1, 4))
             text = F.print_formula(f)
             assert F.parse(text, cli.infer_signature(text), logic=logic) is f, text
+
+    def test_same_as_the_plain_scan_on_token_soups(self):
+        # unbalanced parentheses, soft keywords before identifier lists
+        # and formulas, binders and braces
+        def infer(infer_signature, text):
+            try:
+                return infer_signature(text)
+            except F.FormulaError as ex:
+                return str(ex)
+
+        rng = random.Random(8)
+        vocab = ["(", "(", ")", ")", ",", ",", "O", "P", "F", "p", "q", "a", "b", "x",
+                 "forall", "exists", ".", "{", "}", "|", "~", "&", "box", "true",
+                 "O ( a )", "P ( a , b )", "F ( x , p , q )", "p ( a )", "q ( a , x )"]
+        for _ in range(20_000):
+            text = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 20)))
+            assert infer(cli.infer_signature, text) == infer(oracles.infer_signature, text), text
+
+    def test_deep_nesting_is_read_in_linear_time(self):
+        text = "O(~" * 10_000 + "p" + ")" * 10_000
+        start = time.perf_counter()
+        sig = cli.infer_signature(text)
+        assert time.perf_counter() - start < 1.0
+        assert sig.predicates == {"p": 0} and not sig.constants
+        # no group is closed: each is read up to the next "("
+        unclosed = "r(a, " * 10_000
+        start = time.perf_counter()
+        sig = cli.infer_signature(unclosed)
+        assert time.perf_counter() - start < 1.0
+        assert sig == oracles.infer_signature("r(a, " * 100)
 
 
 class TestExitCodes:

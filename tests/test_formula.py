@@ -169,6 +169,22 @@ class TestStructure:
         f = gen_formula(rng, "e", depth=4, quantifiers=True)
         assert len(F.subformulas(f)) <= F.size(f)
 
+    def test_is_ground(self):
+        # no quantifier and no variable argument: a closed formula with a
+        # quantifier is not ground, nor is an open one without
+        rng = random.Random(4)
+        fs = [g for _ in range(300)
+              for g in F.subformulas(gen_formula(rng, "e", depth=4, quantifiers=True))]
+        assert {F.is_ground(g) for g in fs} == {True, False}
+        for g in fs:
+            quantified = any(isinstance(h, (F.Forall, F.Exists)) for h in F.subformulas(g))
+            assert F.is_ground(g) == (not F.free_vars(g) and not quantified), g
+        deep = F.Atom("p")
+        for _ in range(10_000):
+            deep = F.Not(deep)
+        assert F.is_ground(deep)
+        assert not F.is_ground(F.And(deep, F.Atom("P1", (F.Var("x"),))))
+
     def test_free_vars(self):
         f = F.Forall("d", F.Atom("lawful", (F.Var("d"),)))
         assert F.free_vars(f) == frozenset()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deon import embed as E
+from deon import formula as F
 from deon import lam as L
 
 import oracles
@@ -45,6 +47,69 @@ class TestTyping:
             L.type_of(L.Abs("x", L.I, L.Var("x", L.O)), env)
         assert env == {"x": L.O}
         assert L.type_of(L.Var("x", L.O), env) == L.O
+
+
+class TestWellTypedByConstruction:
+    """The node constructor is the only type check: an ill-typed node is
+    never made, so every term has a type."""
+
+    @pytest.mark.parametrize("fun, arg, message", [
+        (L.Const("f", L.Arrow(L.O, L.O)), c_i, "argument type mismatch: expected o, got i"),
+        (c_i, c_i, "applying non-function of type i"),
+        (L.Const("g", L.fn(L.I, L.O, L.O)), L.Const("a", L.O),
+         "argument type mismatch: expected i, got o"),
+    ])
+    def test_ill_typed_applications_raise_when_built(self, fun, arg, message):
+        gc.collect()
+        before = len(F._TABLE)
+        with pytest.raises(L.LamTypeError, match=f"^{message}$"):
+            L.App(fun, arg)
+        assert len(F._TABLE) == before
+
+    def test_a_binder_over_its_name_at_another_type_raises(self):
+        a = L.Const("a", L.O)
+        with pytest.raises(L.LamTypeError, match="^variable x annotated o, bound at i$"):
+            L.Abs("x", L.I, L.land(a, L.neg(L.Var("x", L.O))))
+        # an occurrence under an inner binder of its name belongs to that binder
+        inner = L.Abs("x", L.O, L.Var("x", L.O))
+        assert L.type_of(L.Abs("x", L.I, inner)) == L.fn(L.I, L.O, L.O)
+
+    def test_a_deep_open_term_is_typed_under_an_environment(self):
+        t = L.Var("x", L.O)
+        for _ in range(10_000):
+            t = L.neg(t)
+        assert L.type_of(t, {"x": L.O}) == L.O
+        with pytest.raises(L.LamTypeError, match="^variable x annotated o, bound at i$"):
+            L.type_of(t, {"x": L.I})
+
+    def test_a_deep_term_over_an_ill_typed_application_raises(self):
+        with pytest.raises(L.LamTypeError, match="expected o, got i"):
+            t = L.App(L.Const("f", L.Arrow(L.O, L.O)), c_i)
+            for _ in range(10_000):
+                t = L.neg(t)
+        t = L.Const("a", L.O)
+        for _ in range(10_000):
+            t = L.neg(t)
+        with pytest.raises(L.LamTypeError, match="expected i, got o"):
+            L.App(L.Const("f", L.Arrow(L.I, L.O)), t)
+
+    def test_non_terms_are_rejected(self):
+        with pytest.raises(L.LamError, match="unknown term"):
+            L.type_of(L.O)
+
+    def test_names_as_read_off_the_named_term(self):
+        rng = random.Random(21)
+        env = (("x", L.I), ("y", L.TAU))
+        terms = [gen_typed_term(rng, rng.choice([L.O, L.I, L.TAU, L.Arrow(L.TAU, L.O)]),
+                                env, depth=rng.randint(2, 5)) for _ in range(500)]
+        for logic in ("sdl", "e"):
+            terms += [E.embed(gen_formula(rng, logic, 3, quantifiers=True), logic)
+                      for _ in range(20)]
+            terms += [E.embed(g, logic) for g in F.subformulas(
+                gen_formula(rng, logic, 4, quantifiers=True))]
+        assert any("x" in oracles.names(t) for t in terms)
+        for t in terms:
+            assert L.names(t) == oracles.names(t)
 
 
 class TestNodes:

@@ -60,6 +60,14 @@ class TestFindModel:
         with pytest.raises(SE.SearchError, match="ground"):
             SE.find_model([F.Forall("x", F.Atom("P1", (F.Var("x"),)))], CFG_E)
 
+    def test_free_variables_reported_before_quantifiers(self):
+        open_atom = F.Atom("P1", (F.Var("y"),))
+        quantified = F.Forall("x", F.Atom("P1", (F.Var("x"),)))
+        with pytest.raises(SE.SearchError, match=r"^formula has free variables: \['y'\]$"):
+            SE.find_model([F.And(quantified, open_atom)], CFG_E)
+        with pytest.raises(SE.SearchError, match="^quantified input: expand"):
+            SE.find_model([P, quantified], CFG_E)
+
     def test_frame_restricted_search(self):
         cfg = SE.SearchConfig(logic="e", frame=S.FrameConditions(reflexive=True))
         v = SE.find_model([P], cfg)
