@@ -344,9 +344,10 @@ class TestCorrespondence:
         assert r.exit_code == 3
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = [case for name in ("kb_complete_reports.json", "translate_reports.json")
-          for case in json.loads((Path(__file__).resolve().parent / "golden" / name)
-                                 .read_text(encoding="utf-8"))]
+          for case in json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))]
+SURFACE = json.loads((GOLDEN_DIR / "cli_surface.json").read_text(encoding="utf-8"))
 
 
 class TestGoldenReports:
@@ -368,3 +369,16 @@ class TestGoldenReports:
             report = json.loads(result.stdout)
             del report["timing_ms"]
             assert json.dumps(report, indent=2) == json.dumps(case["report"], indent=2)
+
+
+class TestCliSurface:
+    """Help texts, usage errors and accepted spellings of every command,
+    frozen byte for byte: exit code, stdout and stderr."""
+
+    @pytest.mark.parametrize("case", SURFACE, ids=lambda c: " ".join(c["argv"]) or "(none)")
+    def test_surface_is_unchanged(self, case, monkeypatch):
+        monkeypatch.delenv("DEON_NODE_BUDGET", raising=False)
+        monkeypatch.chdir(FIXTURES.parent)
+        result = runner.invoke(cli.main, case["argv"])
+        assert ((result.exit_code, result.stdout, result.stderr)
+                == (case["exit"], case["stdout"], case["stderr"]))
