@@ -6,17 +6,36 @@ and the kb group (consistency, entail, comply).  Exit codes: 0 positive
 verdict, 1 negative verdict, 2 undetermined (bound or budget exhausted),
 3 usage or input error, 4 internal error (any other exception).
 --format json emits a stable schema-1 report.
+
+The command line is read against one table, `MAIN`: each command's
+`cmd_*` function, whose docstring is its help text, and its `Param`s,
+the arguments and options with their flag, kind (text, integer, choice,
+existing path, directory, flag), default, help and whether they are
+required.  One loop, `_parse`, reads argv against the table and calls
+the function.  Options may come anywhere before `--`, as `--opt value` or
+`--opt=value`, and the last of a repeated option counts; the values are
+checked in the order given, then the arguments, then the options left
+out.  `_help` and `_usage` print `--help` and the usage errors from the
+same table, wrapped at 80 columns.
+
+`main` has what an in-process runner such as `CliRunner.invoke` reads:
+`main.name`, the program name it shows, and `main.main(args=...,
+prog_name=...)`, which always ends in SystemExit with the exit code,
+usage errors with 3.  Any other exception passes through; `main(args)`
+is the same call, and `entry` maps such exceptions to exit 4.
 """
 
 from __future__ import annotations
 
+import difflib
 import functools
+import inspect
 import json
 import os
 import sys
+import textwrap
 import time
-
-import click
+from typing import Callable, NamedTuple
 
 from . import embed as E
 from . import formula as F
@@ -27,8 +46,20 @@ from . import semantics as S
 
 SCHEMA_VERSION = 1
 
-# exit code 2 means "undetermined verdict" here; route usage errors to 3
-click.UsageError.exit_code = 3
+
+class UsageError(Exception):
+    """A command line the table rejects (exit code 3).  `where`, the
+    command's path and `Command`, adds its usage line to the message."""
+
+    def __init__(self, message: str, where: tuple[str, Command] | None = None):
+        super().__init__(message)
+        self.where = where
+
+    def text(self) -> str:
+        if self.where is None:
+            return f"Error: {self}"
+        path, cmd = self.where
+        return f"{_usage(path, cmd)}\nTry '{path} --help' for help.\n\nError: {self}"
 
 
 def infer_signature(text: str) -> F.Signature:
@@ -97,7 +128,7 @@ def _frame_option(value: str) -> S.FrameConditions:
     known = {"serial", "reflexive", "total", "transitive"}
     unknown = flags - known
     if unknown:
-        raise click.UsageError(f"unknown frame conditions: {sorted(unknown)}")
+        raise UsageError(f"unknown frame conditions: {sorted(unknown)}")
     return S.FrameConditions(**{f: True for f in flags})
 
 
@@ -136,15 +167,13 @@ class Report:
         if isinstance(v, SE.CountermodelFound):
             self.data["world"] = v.world
         if isinstance(v, (SE.Valid, SE.DecidedUnsatisfiable)):
-            self.data["bound_used"] = v.bound_used
+            self.data["detail"]["filtration_subformulas"] = v.subformulas
         if isinstance(v, SE.NoModelUpTo):
             self.data["bound_used"] = v.bound
         return self
 
     def emit(self, fmt: str, text_lines: list[str]) -> None:
         self.data["timing_ms"] = round((time.perf_counter() - self._t0) * 1000.0, 3)
-        # print, not click.echo: click caches every stream it writes to,
-        # which keeps each in-process (CliRunner) call's streams alive
         if fmt == "json":
             print(json.dumps(self.data, indent=2))
         else:
@@ -184,18 +213,6 @@ def _run_guard(func):
     return wrapper
 
 
-logic_opt = click.option("--logic", type=click.Choice(["sdl", "e"]), default="e",
-                         show_default=True)
-frame_opt = click.option("--frame", default="", help="comma list: serial,reflexive,total,transitive")
-bound_opt = click.option("--bound", type=int, default=3, show_default=True,
-                         help="maximum world count for bounded search")
-complete_opt = click.option("--complete", is_flag=True, help="decide instead of bounding")
-format_opt = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                          default="text", show_default=True)
-sig_opt = click.option("--sig", default=None,
-                       help="signature as 'pred name/arity; const a,b' (default: inferred)")
-
-
 def _signature(sig: str | None, text: str) -> F.Signature:
     if sig is None:
         return infer_signature(text)
@@ -211,20 +228,10 @@ def _signature(sig: str | None, text: str) -> F.Signature:
         elif part.startswith("const "):
             constants.update(c.strip() for c in part[6:].split(",") if c.strip())
         else:
-            raise click.UsageError(f"bad --sig entry {part!r}")
+            raise UsageError(f"bad --sig entry {part!r}")
     return F.Signature(predicates, frozenset(constants))
 
 
-@click.group()
-def main():
-    """Deontic-logic workbench: SDL and system E over finite models."""
-
-
-@main.command("parse")
-@click.argument("text")
-@logic_opt
-@sig_opt
-@format_opt
 @_run_guard
 def cmd_parse(text, logic, sig, fmt):
     """Parse a formula and print its canonical form."""
@@ -236,14 +243,6 @@ def cmd_parse(text, logic, sig, fmt):
     rep.emit(fmt, [pretty])
 
 
-@main.command("eval")
-@click.argument("text")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True),
-              help="model JSON file (semantics serialization)")
-@click.option("--world", type=int, default=0, show_default=True)
-@logic_opt
-@sig_opt
-@format_opt
 @_run_guard
 def cmd_eval(text, model_path, world, logic, sig, fmt):
     """Evaluate a formula at a world of a finite model."""
@@ -260,14 +259,6 @@ def cmd_eval(text, model_path, world, logic, sig, fmt):
     sys.exit(0 if value else 1)
 
 
-@main.command("check")
-@click.argument("text")
-@logic_opt
-@frame_opt
-@bound_opt
-@complete_opt
-@sig_opt
-@format_opt
 @_run_guard
 def cmd_check(text, logic, frame, bound, complete, sig, fmt):
     """Decide validity of a formula (countermodel search)."""
@@ -284,14 +275,6 @@ def cmd_check(text, logic, frame, bound, complete, sig, fmt):
     sys.exit(_EXIT[v.tag])
 
 
-@main.command("model")
-@click.argument("texts", nargs=-1, required=True)
-@logic_opt
-@frame_opt
-@bound_opt
-@complete_opt
-@sig_opt
-@format_opt
 @_run_guard
 def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     """Search for a model making every given formula valid."""
@@ -310,19 +293,6 @@ def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     sys.exit(_EXIT[v.tag])
 
 
-@main.command("translate")
-@click.argument("text")
-@click.option("--logic", type=click.Choice(["sdl", "e"]), default="sdl",
-              show_default=True,
-              help="sdl demonstrates the guarded standard translation")
-@click.option("--local", is_flag=True, help="local validity at the actual world")
-@click.option("--show-steps", is_flag=True, help="print every reduction step")
-@click.option("--name", default="goal", show_default=True, help="TPTP formula name")
-@click.option("--role", default="conjecture", show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="also write the problem to <out>/<name>.p")
-@sig_opt
-@format_opt
 @_run_guard
 def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt):
     """Embed a formula, normalize, lower to first order, emit TPTP."""
@@ -373,12 +343,6 @@ _SCHEMAS = {
 }
 
 
-@main.command("correspondence")
-@click.argument("schema")
-@click.option("--frame", required=True,
-              help="comma list of conditions the probe is about")
-@bound_opt
-@format_opt
 @_run_guard
 def cmd_correspondence(schema, frame, bound, fmt):
     """Probe a schema against frame conditions over preference models.
@@ -416,23 +380,11 @@ def cmd_correspondence(schema, frame, bound, fmt):
     sys.exit(0 if ok else 1)
 
 
-@main.group("kb")
-def kb_group():
-    """Knowledge-base tasks over .kb files."""
-
-
 def _load(path: str) -> KB.KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
         return KB.load_kb(fh.read())
 
 
-@kb_group.command("consistency")
-@click.argument("kbfile", type=click.Path(exists=True))
-@logic_opt
-@frame_opt
-@bound_opt
-@complete_opt
-@format_opt
 @_run_guard
 def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     """Is the knowledge base consistent?"""
@@ -440,9 +392,9 @@ def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     base = _load(kbfile)
     cfg = _config(logic, frame, bound, complete)
     result = KB.consistency(base, cfg)
-    rep.verdict(result.verdict)
     rep.data["mus"] = list(result.mus) if result.mus else None
     rep.data["detail"] = {"assumptions": list(result.labels)}
+    rep.verdict(result.verdict)
     lines = [f"verdict: {result.verdict.tag}"]
     if isinstance(result.verdict, SE.ModelFound):
         lines.append(result.verdict.model.to_json())
@@ -452,14 +404,6 @@ def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     sys.exit(_EXIT[result.verdict.tag])
 
 
-@kb_group.command("entail")
-@click.argument("kbfile", type=click.Path(exists=True))
-@click.option("--goal", required=True, help="query formula")
-@logic_opt
-@frame_opt
-@bound_opt
-@complete_opt
-@format_opt
 @_run_guard
 def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
     """Does the knowledge base entail the goal?"""
@@ -468,9 +412,9 @@ def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
     query = F.parse(goal, base.signature, logic=logic)
     cfg = _config(logic, frame, bound, complete)
     result = KB.entailment(base, query, cfg)
-    rep.verdict(result.verdict)
     rep.data["detail"] = {"assumptions": list(result.labels),
                           "goal": F.print_formula(query)}
+    rep.verdict(result.verdict)
     lines = [f"verdict: {result.verdict.tag}"]
     if isinstance(result.verdict, SE.CountermodelFound):
         lines += [f"goal fails at world {result.verdict.world} of a model "
@@ -480,13 +424,6 @@ def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
     sys.exit(_EXIT[result.verdict.tag])
 
 
-@kb_group.command("comply")
-@click.argument("kbfile", type=click.Path(exists=True))
-@logic_opt
-@frame_opt
-@bound_opt
-@complete_opt
-@format_opt
 @_run_guard
 def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
     """Detachment-based compliance report for the current situation."""
@@ -508,6 +445,311 @@ def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
     lines.append("compliant" if report.compliant else "non-compliant")
     rep.emit(fmt, lines)
     sys.exit(0 if report.compliant else 1)
+
+
+# ---------------------------------------------------------------------------
+# The command table and the argument layer that reads it
+
+
+class Param(NamedTuple):
+    """An option (`flag` "--name") or, without a flag, an argument, which
+    is always required.  `kind` is the value's metavar: "TEXT",
+    "INTEGER", "PATH" (an existing path), "DIRECTORY" (not an existing
+    file), a tuple of choices, or None for a flag, True when given.
+    `many` gives an argument every argument left, as a tuple."""
+
+    dest: str
+    flag: str | None = None
+    kind: str | tuple[str, ...] | None = "TEXT"
+    default: object = None
+    show_default: bool = False
+    help: str = ""
+    required: bool = False
+    many: bool = False
+
+
+class Command(NamedTuple):
+    """A leaf of the table, `run` with its `params`, or a group of
+    `commands`; `help` is the leaf's docstring or the group's text."""
+
+    help: str
+    params: tuple[Param, ...]
+    run: Callable | None = None
+    commands: dict[str, Command] | None = None
+
+
+def _parse(cmd: Command, path: str, args: list[str]) -> None:
+    """Read args against cmd, a group or a leaf of the table, entering
+    the groups' commands, and run the leaf's function."""
+    while cmd.commands is not None:
+        if not args:
+            print(_help(path, cmd), file=sys.stderr)
+            sys.exit(3)
+        rest = _options(cmd, path, args)[2]
+        if not rest:
+            raise UsageError("Missing command.", (path, cmd))
+        name, args = rest[0], rest[1:]
+        if name not in cmd.commands:
+            if name[:1] and not name[:1].isalnum():  # after "--": read it as an option
+                _options(cmd, path, rest)
+            raise UsageError(f"No such command {name!r}.{_did_you_mean(name, cmd.commands)}",
+                             (path, cmd))
+        cmd, path = cmd.commands[name], f"{path} {name}"
+    where = (path, cmd)
+    values, order, rest = _options(cmd, path, args)
+    for p in cmd.params:
+        if p.flag is None:
+            order.append(p)
+            if rest:
+                values[p.dest], rest = (tuple(rest), []) if p.many else (rest[0], rest[1:])
+    kwargs = {}
+    for p in order + [p for p in cmd.params if p not in order]:
+        if p.dest in values:
+            kwargs[p.dest] = _value(p, values[p.dest], where)
+        elif p.required or p.flag is None:
+            what = "argument" if p.flag is None else "option"
+            raise UsageError(f"Missing {what} '{p.flag or _metavar(p)}'.", where)
+        else:
+            kwargs[p.dest] = p.default
+    if rest:
+        s = "s" if len(rest) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(rest)})", where)
+    del kwargs["help"]  # given, it ended the run in _options
+    try:
+        cmd.run(**kwargs)
+    except UsageError as ex:
+        ex.where = where
+        raise
+
+
+def _options(cmd: Command, path: str, args: list[str]) -> tuple[dict, list[Param], list[str]]:
+    """The options in args: their values by dest, the options in the
+    order first given, and the other arguments; a group's options end at
+    its command.  Prints the help and exits if --help is given."""
+    flags = {p.flag: p for p in cmd.params if p.flag}
+    values, order, rest = {}, [], []
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg == "--":
+            rest += args[i:]
+            break
+        if arg[:1] != "-" or len(arg) == 1:
+            if cmd.commands is not None:
+                rest += args[i - 1:]
+                break
+            rest.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        p = flags.get(name)
+        if p is None:
+            if name[:2] != "--":  # read as short options, of which there are none
+                raise UsageError(f"No such option {arg[:2]!r}.", (path, cmd))
+            raise UsageError(f"No such option {name!r}.{_did_you_mean(name, flags)}", (path, cmd))
+        if p.kind is None:  # this error and the next show no usage line
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            value = True
+        elif not eq:
+            if i == len(args):
+                raise UsageError(f"Option {name!r} requires an argument.")
+            value = args[i]
+            i += 1
+        if p.dest not in values:
+            order.append(p)
+        values[p.dest] = value
+    if values.get("help"):
+        print(_help(path, cmd))
+        sys.exit(0)
+    return values, order, rest
+
+
+def _value(p: Param, value, where):
+    """value checked and converted as p's kind says."""
+    kind = p.kind
+    if kind == "INTEGER":
+        try:
+            return int(value)
+        except ValueError:
+            msg = f"{value!r} is not a valid integer."
+    elif type(kind) is tuple:
+        if value in kind:
+            return value
+        msg = f"{value!r} is not one of {', '.join(map(repr, kind))}."
+    elif kind in ("PATH", "DIRECTORY"):
+        what = kind.title()
+        if not os.path.exists(value):
+            if kind == "DIRECTORY":
+                return value
+            msg = f"{what} {value!r} does not exist."
+        elif kind == "DIRECTORY" and os.path.isfile(value):
+            msg = f"{what} {value!r} is a file."
+        elif not os.access(value, os.R_OK):
+            msg = f"{what} {value!r} is not readable."
+        else:
+            return value
+    else:
+        return value
+    raise UsageError(f"Invalid value for '{p.flag or _metavar(p)}': {msg}", where)
+
+
+def _did_you_mean(name: str, names) -> str:
+    close = sorted(difflib.get_close_matches(name, names))
+    if len(close) > 1:
+        return f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return f" Did you mean {close[0]!r}?" if close else ""
+
+
+# The help width, whatever the terminal's: the width that
+# tests/golden/cli_surface.json fixes.
+WIDTH = 80
+
+
+def _metavar(p: Param) -> str:
+    if p.flag is None:
+        return p.dest.upper() + ("..." if p.many else "")
+    return p.kind if type(p.kind) is str else f"[{'|'.join(p.kind)}]"
+
+
+def _fill(text: str, width: int, first: str = "", then: str = "") -> str:
+    return textwrap.fill(text, width, initial_indent=first, subsequent_indent=then,
+                         replace_whitespace=False)
+
+
+def _usage(path: str, cmd: Command) -> str:
+    pieces = ("[OPTIONS] COMMAND [ARGS]..." if cmd.commands is not None else
+              " ".join(["[OPTIONS]"] + [_metavar(p) for p in cmd.params if p.flag is None]))
+    prefix = f"Usage: {path} "
+    if WIDTH >= len(prefix) + 20:
+        return _fill(pieces, WIDTH, prefix, " " * len(prefix))
+    return f"{prefix}\n" + _fill(pieces, WIDTH, " " * 11, " " * 11)
+
+
+def _help(path: str, cmd: Command) -> str:
+    """cmd's --help page: usage, help text, options and a group's commands."""
+    rows = []
+    for p in cmd.params:
+        if p.flag is None:
+            continue
+        extra = [f"default: {p.default}"] if p.show_default else []
+        if p.required:
+            extra.append("required")
+        text = p.help
+        if extra:
+            text = f"{text}  [{'; '.join(extra)}]" if text else f"[{'; '.join(extra)}]"
+        rows.append((p.flag if p.kind is None else f"{p.flag} {_metavar(p)}", text))
+    about = "\n\n".join(_fill(" ".join(par.split("\n")), WIDTH, "  ", "  ")
+                        for par in cmd.help.split("\n\n"))
+    out = [_usage(path, cmd), "", about, "", "Options:", _columns(rows)]
+    if cmd.commands is not None:
+        limit = WIDTH - 6 - max(map(len, cmd.commands))
+        out += ["", "Commands:", _columns([(name, _short_help(c.help, limit))
+                                           for name, c in sorted(cmd.commands.items())])]
+    return "\n".join(out)
+
+
+def _columns(rows: list[tuple[str, str]]) -> str:
+    """A definition list: terms in a column at most 30 wide, their texts
+    wrapped to its right."""
+    col = min(max(len(term) for term, _ in rows), 30) + 2
+    lines = []
+    for term, text in rows:
+        lines.append(f"  {term}")
+        wrapped = _fill(text, max(WIDTH - col - 2, 10)).split("\n") if text else []
+        for k, line in enumerate(wrapped):
+            if k == 0 and len(term) <= col - 2:
+                lines[-1] += " " * (col - len(term)) + line
+            else:
+                lines.append(" " * (col + 2) + line)
+    return "\n".join(lines)
+
+
+def _short_help(text: str, limit: int) -> str:
+    """The first sentence of text, cut to limit with "..." if longer."""
+    words = text.split("\n\n")[0].split()
+    for k, word in enumerate(words):
+        if word.endswith("."):
+            words = words[:k + 1]
+            break
+    if len(" ".join(words)) <= limit:
+        return " ".join(words)
+    while words and len(" ".join(words)) + 3 > limit:
+        words.pop()
+    return " ".join(words) + "..."
+
+
+def _leaf(run: Callable, *params: Param) -> Command:
+    return Command(inspect.cleandoc(run.__doc__), (*params, HELP), run)
+
+
+HELP = Param("help", "--help", None, False, help="Show this message and exit.")
+TEXT = Param("text")
+KBFILE = Param("kbfile", kind="PATH")
+LOGIC = Param("logic", "--logic", ("sdl", "e"), "e", True)
+SEARCH = (LOGIC,
+          Param("frame", "--frame", default="",
+                help="comma list: serial,reflexive,total,transitive"),
+          BOUND := Param("bound", "--bound", "INTEGER", 3, True,
+                         "maximum world count for bounded search"),
+          Param("complete", "--complete", None, False, help="decide instead of bounding"))
+SIG = Param("sig", "--sig", help="signature as 'pred name/arity; const a,b' (default: inferred)")
+FORMAT = Param("fmt", "--format", ("text", "json"), "text", True)
+
+MAIN = Command("Deontic-logic workbench: SDL and system E over finite models.", (HELP,), commands={
+    "parse": _leaf(cmd_parse, TEXT, LOGIC, SIG, FORMAT),
+    "eval": _leaf(cmd_eval, TEXT,
+                  Param("model_path", "--model", "PATH", required=True,
+                        help="model JSON file (semantics serialization)"),
+                  Param("world", "--world", "INTEGER", 0, True), LOGIC, SIG, FORMAT),
+    "check": _leaf(cmd_check, TEXT, *SEARCH, SIG, FORMAT),
+    "model": _leaf(cmd_model, Param("texts", many=True), *SEARCH, SIG, FORMAT),
+    "translate": _leaf(cmd_translate, TEXT,
+                       Param("logic", "--logic", ("sdl", "e"), "sdl", True,
+                             "sdl demonstrates the guarded standard translation"),
+                       Param("local", "--local", None, False,
+                             help="local validity at the actual world"),
+                       Param("show_steps", "--show-steps", None, False,
+                             help="print every reduction step"),
+                       Param("name", "--name", default="goal", show_default=True,
+                             help="TPTP formula name"),
+                       Param("role", "--role", default="conjecture", show_default=True),
+                       Param("out_dir", "--out", "DIRECTORY",
+                             help="also write the problem to <out>/<name>.p"),
+                       SIG, FORMAT),
+    "correspondence": _leaf(cmd_correspondence, Param("schema"),
+                            Param("frame", "--frame", required=True,
+                                  help="comma list of conditions the probe is about"),
+                            BOUND, FORMAT),
+    "kb": Command("Knowledge-base tasks over .kb files.", (HELP,), commands={
+        "consistency": _leaf(cmd_kb_consistency, KBFILE, *SEARCH, FORMAT),
+        "entail": _leaf(cmd_kb_entail, KBFILE,
+                        Param("goal", "--goal", required=True, help="query formula"),
+                        *SEARCH, FORMAT),
+        "comply": _leaf(cmd_kb_comply, KBFILE, *SEARCH, FORMAT),
+    }),
+})
+
+
+class _Main:
+    """The `deon` program over `MAIN`; see the module docstring."""
+
+    name = "main"
+
+    def main(self, args=None, prog_name: str | None = None):
+        try:
+            _parse(MAIN, prog_name or os.path.basename(sys.argv[0]),
+                   list(sys.argv[1:] if args is None else args))
+        except UsageError as ex:
+            print(ex.text(), file=sys.stderr)
+            sys.exit(3)
+        sys.exit(0)
+
+    def __call__(self, args=None):
+        self.main(args)
+
+
+main = _Main()
 
 
 def entry(args=None):

@@ -138,7 +138,7 @@ class Abs(LTerm):
     __slots__ = _fields = ("var", "var_ty", "scope")
 
     def __new__(cls, var: str, var_ty: Ty, body: LTerm):
-        return _new(Abs, var, var_ty, _close(body, var, var_ty, 0))
+        return _new(Abs, var, var_ty, _close(body, var, var_ty))
 
     @staticmethod
     def _derive(var, var_ty, scope):
@@ -157,22 +157,46 @@ def _rebind(u: Abs, scope: LTerm, var: str | None = None) -> Abs:
     return _new(Abs, var or u.var, u.var_ty, scope)
 
 
-def _close(u: LTerm, x: str, ty: Ty, depth: int) -> LTerm:
-    """u with each free occurrence of x made the index of a binder of
-    type ty depth levels up, or LamTypeError at one of another type."""
-    if not u._open:
-        return u
-    if type(u) is Var:
-        if u.name != x:
-            return u
-        if u.ty is not ty:
-            raise LamTypeError(f"variable {x} annotated {u.ty}, bound at {ty}")
-        return BVar(depth, ty)
-    if type(u) is App:
-        return App(_close(u.fun, x, ty, depth), _close(u.arg, x, ty, depth))
-    if u.var == x:  # x is shadowed in u
-        return u
-    return _rebind(u, _close(u.scope, x, ty, depth + 1))
+def _close(body: LTerm, x: str, ty: Ty) -> LTerm:
+    """body with each free occurrence of x made the index of the binder
+    of type ty above body, or LamTypeError at the first one, left to
+    right, of another type.  One post-order walk over the open part of
+    body, memoized by (node, depth)."""
+    if not body._open:
+        return body
+    memo: dict = {}
+    stack = [(body, 0)]
+    while stack:
+        u, depth = stack[-1]
+        if type(u) is Var:
+            if u.name != x:
+                r = u
+            elif u.ty is not ty:
+                raise LamTypeError(f"variable {x} annotated {u.ty}, bound at {ty}")
+            else:
+                r = BVar(depth, ty)
+        elif type(u) is App:
+            f, a = u.fun, u.arg
+            fun = memo.get((f, depth)) if f._open else f
+            arg = memo.get((a, depth)) if a._open else a
+            if fun is None or arg is None:  # the function's part first
+                if arg is None:
+                    stack.append((a, depth))
+                if fun is None:
+                    stack.append((f, depth))
+                continue
+            r = App(fun, arg)
+        elif u.var == x:  # x is shadowed in u
+            r = u
+        else:
+            scope = memo.get((u.scope, depth + 1)) if u.scope._open else u.scope
+            if scope is None:
+                stack.append((u.scope, depth + 1))
+                continue
+            r = _rebind(u, scope)
+        memo[u, depth] = r
+        stack.pop()
+    return memo[body, 0]
 
 
 NOT = Const("not", fn(O, O))

@@ -119,13 +119,20 @@ class NoModelUpTo:
 
 @dataclass(frozen=True)
 class DecidedUnsatisfiable:
-    bound_used: int
+    """The input has no model: by filtration it would have one of at
+    most 2^subformulas worlds, subformulas being its number of distinct
+    subformulas."""
+
+    subformulas: int
     tag = "unsatisfiable"
 
 
 @dataclass(frozen=True)
 class Valid:
-    bound_used: int
+    """The goal holds at every world of every model of the assumptions;
+    `subformulas` as for DecidedUnsatisfiable."""
+
+    subformulas: int
     tag = "valid"
 
 
@@ -155,11 +162,6 @@ class _Budget:
         self.left -= n
         if self.left < 0:
             raise BudgetExceeded(self.total)
-
-
-def filtration_bound(fs: list[F.Formula]) -> int:
-    """2 to the number of distinct subformulas across the input set."""
-    return 1 << len(_sigma(fs))
 
 
 def _require_ground(fs) -> None:
@@ -719,7 +721,7 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
     if found is not None:
         return ModelFound(found[0])
     if cfg.complete:
-        return DecidedUnsatisfiable(filtration_bound(fs))
+        return DecidedUnsatisfiable(len(_sigma(fs)))
     return NoModelUpTo(cfg.max_worlds)
 
 
@@ -730,7 +732,7 @@ def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
     if found is not None:
         return CountermodelFound(*found)
     if cfg.complete:
-        return Valid(filtration_bound(assumptions + [goal]))
+        return Valid(len(_sigma(assumptions + [goal])))
     return NoModelUpTo(cfg.max_worlds)
 
 

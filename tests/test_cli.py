@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -235,6 +238,17 @@ class TestJsonReports:
         model = S.model_from_dict(payload["witness"])
         assert model.n >= 1
 
+    def test_a_wide_decided_verdict_is_reported(self):
+        # 2^15001 worlds bound the filtration: the report gives the exponent
+        text = " | ".join(f"p{i}" for i in range(7500)) + " | ~p0"
+        t0 = time.perf_counter()
+        r, payload = run_json("check", text, "--logic", "e", "--complete")
+        took = time.perf_counter() - t0
+        assert r.exit_code == 0 and payload["verdict"] == "valid"
+        assert payload["bound_used"] is None
+        assert payload["detail"] == {"filtration_subformulas": 15001}
+        assert took < 1.0
+
     def test_entail_json(self):
         r, payload = run_json("kb", "entail", FIXTURES / "gdpr_e.kb",
                               "--goal", "O kill(mary)")
@@ -382,3 +396,21 @@ class TestCliSurface:
         result = runner.invoke(cli.main, case["argv"])
         assert ((result.exit_code, result.stdout, result.stderr)
                 == (case["exit"], case["stdout"], case["stderr"]))
+
+
+class TestNoRuntimeDependency:
+    def test_the_cli_imports_without_click(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(FIXTURES.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, deon.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout == "[]\n"
+
+    def test_usage_names_the_program(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["/usr/local/bin/deon"])
+        with pytest.raises(SystemExit) as got:
+            cli.entry(["check"])
+        assert got.value.code == 3
+        assert capsys.readouterr().err.startswith("Usage: deon check [OPTIONS] TEXT\n")

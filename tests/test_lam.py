@@ -93,6 +93,43 @@ class TestWellTypedByConstruction:
         with pytest.raises(L.LamTypeError, match="expected i, got o"):
             L.App(L.Const("f", L.Arrow(L.I, L.O)), t)
 
+    def test_the_first_node_built_that_fails_gives_the_error(self):
+        # the inner App fails before the binder meets x at type o
+        with pytest.raises(L.LamTypeError, match="^applying non-function of type i$"):
+            L.Abs("x", L.I, L.App(L.Const("c", L.I), L.Var("x", L.O)))
+
+    @pytest.mark.parametrize("left_first, message", [
+        (True, "^variable x annotated o, bound at i$"),
+        (False, "^variable x annotated i>o, bound at i$"),
+    ])
+    def test_a_binder_reports_its_leftmost_clash(self, left_first, message):
+        at_o, at_tau = L.Var("x", L.O), L.App(L.Var("x", L.TAU), c_i)
+        body = L.land(at_o, at_tau) if left_first else L.land(at_tau, at_o)
+        with pytest.raises(L.LamTypeError, match=message):
+            L.Abs("x", L.I, body)
+
+    def test_a_binder_over_a_deep_body_is_built(self):
+        t = L.Var("x", L.O)
+        for _ in range(10_000):
+            t = L.neg(t)
+        u = L.Abs("x", L.O, t)
+        assert L.type_of(u) == L.fn(L.O, L.O)
+        u = u.scope
+        for _ in range(10_000):
+            assert u.fun is L.NOT
+            u = u.arg
+        assert u is L.BVar(0, L.O)
+        with pytest.raises(L.LamTypeError, match="^variable x annotated o, bound at i$"):
+            L.Abs("x", L.I, t)
+
+    def test_closing_a_body_and_reading_it_back_gives_the_body(self):
+        rng = random.Random(8)
+        env = (("x", L.I), ("y", L.TAU))
+        for _ in range(300):
+            t = gen_typed_term(rng, rng.choice([L.O, L.I, L.TAU]), env, depth=rng.randint(1, 5))
+            for var, ty in env:
+                assert L.Abs(var, ty, t).body is t
+
     def test_non_terms_are_rejected(self):
         with pytest.raises(L.LamError, match="unknown term"):
             L.type_of(L.O)

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "deon"
 
 ALLOWED = {
     # λ-kernel walks over term depth, still to be made iterative
-    "lam._close": "closes a binder's variable in its body",
     "lam._shift": "de Bruijn shift",
     "lam._subst_db": "de Bruijn substitution",
     "lam._uses_idx": "eta test for an index",
