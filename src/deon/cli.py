@@ -687,12 +687,10 @@ HELP = Param("help", "--help", None, False, help="Show this message and exit.")
 TEXT = Param("text")
 KBFILE = Param("kbfile", kind="PATH")
 LOGIC = Param("logic", "--logic", ("sdl", "e"), "e", True)
-SEARCH = (LOGIC,
-          Param("frame", "--frame", default="",
-                help="comma list: serial,reflexive,total,transitive"),
-          BOUND := Param("bound", "--bound", "INTEGER", 3, True,
-                         "maximum world count for bounded search"),
-          Param("complete", "--complete", None, False, help="decide instead of bounding"))
+FRAME = Param("frame", "--frame", default="", help="comma list: serial,reflexive,total,transitive")
+BOUND = Param("bound", "--bound", "INTEGER", 3, True, "maximum world count for bounded search")
+COMPLETE = Param("complete", "--complete", None, False, help="decide instead of bounding")
+SEARCH = (LOGIC, FRAME, BOUND, COMPLETE)
 SIG = Param("sig", "--sig", help="signature as 'pred name/arity; const a,b' (default: inferred)")
 FORMAT = Param("fmt", "--format", ("text", "json"), "text", True)
 
