@@ -72,7 +72,7 @@ def infer_signature(text: str) -> F.Signature:
     after an inner "(" never closed nothing is at depth 1, so each token
     is read once."""
     toks = F.tokens(text)  # the token texts, "" last
-    groups, _ = F._brackets(toks, False)
+    pairs, _ = F._brackets(toks, False)
     binders: set[str] = set()
     for i, t in enumerate(toks):
         if t in ("forall", "exists") and toks[i + 1][:1].isalpha():
@@ -90,9 +90,9 @@ def infer_signature(text: str) -> F.Signature:
             while (tt := toks[j]) and tt != ")":  # up to the ")" or the final ""
                 if tt == "(":
                     plain = False
-                    if j not in groups:
+                    if j not in pairs:
                         break
-                    j = groups[j][1] + 1
+                    j = pairs[j] + 1
                     continue
                 if tt == ",":
                     arity += 1

@@ -477,20 +477,89 @@ def _tokenize(text: str) -> list[_Tok]:
 _COMMENT_RE = re.compile(_COMMENT)
 _WORD_RE = re.compile(rf"{_IDENT}|{_PUNCT}")
 
+# A folded group's token: its number between two placeholder characters,
+# which no well-formed text holds.  The numbers are closed off so that a
+# stray digit after a group can never extend one.
+_HOLE = "\x00"
+_FOLDED_RE = re.compile(rf"{_IDENT}|{_PUNCT}|{_HOLE}\d+{_HOLE}")
+_GROUP_RE = re.compile(r"\([^()]*\)")  # a group with no "(" or ")" inside
+# Folding stops once the characters it has scanned reach this many times
+# the text's length, so it stays linear in the text: a text that folds
+# little (deep, or with few repeats) stops after a few scans and leaves
+# the rest to the token pass.  The doubling texts, whose every group but
+# the outermost repeats, need about 4.4 times (5.1 at 635 characters).
+_FOLD_WORK = 8
 
-def tokens(text: str) -> list[str]:
+
+def _fold(bare: str) -> tuple[str, dict[str, str]]:
+    """bare with each repeated group folded to one placeholder token,
+    and the text of each group under its placeholder.
+
+    A sweep searches left to right for innermost groups; one whose text
+    occurs again further on becomes a placeholder at every occurrence.
+    An earlier occurrence would have been found first, so none is
+    missed.  A group whose inner groups have all been folded is
+    innermost on the next sweep, until a sweep folds nothing or the
+    work bound `_FOLD_WORK` is spent.  This is hash-consing (Filliatre
+    and Conchon 2006) done on the text, by the repeated-pair
+    replacement of Re-Pair (Larsson and Moffat 2000).
+    """
+    texts: dict[str, str] = {}
+    work, budget = 0, _FOLD_WORK * len(bare)
+    while True:
+        pos, before = 0, len(texts)
+        while work < budget and (m := _GROUP_RE.search(bare, pos)):
+            g = m.group()
+            at = bare.find(g, m.end())
+            if at < 0:
+                work += len(bare) - pos
+                pos = m.end()
+                continue
+            hole = f"{_HOLE}{len(texts)}{_HOLE}"
+            texts[hole] = g
+            work += at + len(g) - pos + len(bare)
+            bare = bare.replace(g, hole)
+            pos = m.start() + len(hole)
+        if len(texts) == before or work >= budget:
+            return bare, texts
+
+
+def _words(part: str, word: re.Pattern, text: str) -> list[str]:
+    """The token texts of part, a piece of text with its comments gone.
+
+    `findall` skips what no class takes, so part is well formed iff the
+    tokens take every character but the blanks; if they do not, the
+    error is `_tokenize(text)`'s."""
+    toks = word.findall(part)
+    if sum(map(len, toks)) != len(part) - sum(map(part.count, _BLANKS + "\n")):
+        _tokenize(text)  # raises at the first character no class takes
+    return toks
+
+
+def tokens(text: str, groups: dict[str, list[str]] | None = None) -> list[str]:
     """The texts of `_tokenize(text)`, "" last for the end of input.
 
     One `findall` cuts the text, and no position is kept, since only an
-    error needs one.  `findall` skips what no class takes, so the text
-    is well formed iff the tokens take every character but the blanks.
-    A token is an identifier iff its first character is a letter
-    (`t[:1].isalpha()`).
+    error needs one.  A token is an identifier iff its first character
+    is a letter (`t[:1].isalpha()`).
+
+    Given a dict groups, the comment-free text is folded first (`_fold`):
+    each group whose text repeats becomes one placeholder token, and
+    groups maps each placeholder to the tokens of its group, "(" to ")",
+    in which inner placeholders stand for their groups.  So the token
+    pass reads each repeated group once.  Placeholders are never
+    identifiers, and a text that holds the placeholder character is not
+    folded: that character is an error, raised as without folding.
     """
     bare = _COMMENT_RE.sub("", text) if "#" in text else text
-    toks = _WORD_RE.findall(bare)
-    if sum(map(len, toks)) != len(bare) - sum(map(bare.count, _BLANKS + "\n")):
-        _tokenize(text)  # raises at the first character no class takes
+    word = _WORD_RE
+    if groups is not None and _HOLE not in bare:
+        bare, texts = _fold(bare)
+        if texts:
+            word = _FOLDED_RE
+            for hole, part in texts.items():
+                groups[hole] = _words(part, word, text)
+    toks = _words(bare, word, text)
     toks.append("")
     return toks
 
@@ -499,14 +568,11 @@ _STEPS = {"{": 1, "|": 0, "}": -1, ")": -1}  # depth steps of the marks
 
 
 def _brackets(toks: list[str], braces: bool):
-    """The groups of toks and, if braces, the parts of each O{...}.
+    """The pairs of parentheses in toks and, if braces, the parts of each
+    O{...}.
 
-    One pass left to right pairs each "(" with its ")" on a stack.
-    `groups` maps the index of each "(" so closed to (the group's id,
-    the index of its ")").  The id is interned from the group's items:
-    its token texts, each inner group replaced by that group's id, so
-    equal ids mean equal token runs, and the table holds one item per
-    token in all.
+    One pass left to right pairs each "(" with its ")" on a stack:
+    `pairs` maps the index of each "(" so closed to that of its ")".
 
     `found` maps the index of each "{" to the (first "|", "}") at the
     depth just inside it.  The depth before a token counts the "(" and
@@ -515,30 +581,20 @@ def _brackets(toks: list[str], braces: bool):
     keeps, per depth, the nearest "|" and "}" seen.  A "|" past the "}"
     does not belong to it.
     """
-    ids: dict[tuple, int] = {}
-    groups: dict[int, tuple[int, int]] = {}
-    items: list = []
-    stack: list = []  # per open "(": the items around it, then its index
+    pairs: dict[int, int] = {}
+    opens: list[int] = []  # the index of each open "("
     marks = []  # (index, text, depth) of each "{", "|", "}" and unpaired ")"
     d = 0  # "{" less "}" and unpaired ")" so far; the depth adds the open "("
     for j, t in enumerate(toks):
         if t == "(":
-            stack.append(items)
-            stack.append(j)
-            items = []
-        elif t == ")" and stack:
-            o = stack.pop()
-            g = ids.setdefault(tuple(items), len(ids))
-            groups[o] = (g, j)
-            items = stack.pop()
-            items.append(g)
-        else:
-            items.append(t)
-            if braces and t in _STEPS:
-                marks.append((j, t, d + len(stack) // 2))
-                d += _STEPS[t]
+            opens.append(j)
+        elif t == ")" and opens:
+            pairs[opens.pop()] = j
+        elif braces and t in _STEPS:
+            marks.append((j, t, d + len(opens)))
+            d += _STEPS[t]
     if not braces:
-        return groups, None
+        return pairs, None
     pipes: dict[int, int] = {}
     shuts: dict[int, int] = {}
     found = {}
@@ -549,7 +605,7 @@ def _brackets(toks: list[str], braces: bool):
             pipes[depth] = j
         elif t == "{":
             found[j] = (pipes.get(depth + 1), shuts.get(depth + 1))
-    return groups, found
+    return pairs, found
 
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
@@ -570,6 +626,31 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     logic selects the obligation sublanguage: in "e" the monadic O is
     sugar for O{.|true}; in "sdl" the dyadic O{...} is rejected.
 
+    The text is folded first (`tokens` with a group table, `_fold`):
+    each group whose text repeats is cut into tokens once, and each of
+    its occurrences is one placeholder token.  `_read` parses the tokens
+    and reads each placeholder's group once per scope.  A text whose
+    folded tokens do not parse is read again unfolded, so every error,
+    with its message and place, is that of the plain pass; a text with
+    nothing to fold is read once, unfolded.
+    """
+    if logic not in ("sdl", "e"):
+        raise FormulaError(f"unknown logic {logic!r}")
+    groups: dict[str, list[str]] = {}
+    toks = tokens(text, groups)
+    if groups:
+        try:
+            return _read(text, toks, groups, sig, logic)
+        except ParseError:  # raised unplaced; the plain pass places it
+            toks, groups = tokens(text), {}
+    return _read(text, toks, groups, sig, logic)
+
+
+def _read(text: str, toks: list[str], groups: dict[str, list[str]], sig: Signature,
+          logic: str) -> Formula:
+    """The formula of toks, the tokens of text, folded by `tokens` if
+    groups is not empty.
+
     One precedence-climbing loop (Pratt, "Top down operator precedence",
     1973) over an operator stack and a stack of left operands, so no
     nesting depth recurses.  The operator stack holds prefix operators
@@ -579,38 +660,41 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     the first top-level "|" and then the "}" (`_brackets`) read as the
     end of input.
 
-    Each distinct parenthesized group is parsed once (the packrat idea
-    of Ford, ICFP 2002, keyed by a token run instead of a position).
-    One bracket pass (`_brackets`) gives every paired "(" its group's
-    id, equal for equal token runs.  The loop stores the node of each
-    group it closes under (group id, id of the bound variables in
-    scope); at a "(" whose key is stored it takes that node and goes on
-    after the ")".  A group's node depends only on its tokens and the
-    scope: the signature and logic are fixed, a group that parses holds
-    the whole of every O{...} it opens, and no enclosing "|" or "}" of
-    an O{...} lies inside a group, so none ends it early.  The scope is
-    in the key because `P(x)` reads x as a variable under `forall x.` and
-    as a constant outside it.  A parse error raises at once, so only
-    groups that parsed are reused, and nodes, messages and positions are
-    those of a parse without the memo.
+    A placeholder in place of a formula is a folded group, parsed once
+    per scope (the packrat idea of Ford, ICFP 2002, keyed by a group's
+    text instead of a position).  At the first, the loop pushes a "("
+    marker that holds where to go on, reads the group's own tokens up to
+    its ")", stores the node under (placeholder, id of the bound
+    variables in scope) and goes on after the placeholder; the marker
+    stack is the stack of groups being read.  At a stored key it takes
+    the node.  An identifier before a placeholder reads the group's
+    tokens as its arguments.
+
+    A group's node depends only on its text and the scope: the
+    signature and logic are fixed, a group that parses holds the whole
+    of every O{...} it opens, and no enclosing "|" or "}" of an O{...}
+    lies inside a group, so none ends it early; so equal group texts in
+    one scope give one node.  The scope is in the key because `P(x)`
+    reads x as a variable under `forall x.` and as a constant outside
+    it.  A folded text that fails raises an unplaced error at once, for
+    `parse` to read the text again unfolded.
     """
-    if logic not in ("sdl", "e"):
-        raise FormulaError(f"unknown logic {logic!r}")
-    toks = tokens(text)
     preds, consts = sig.predicates, sig.constants
     monadic_o = ObligM if logic == "sdl" else _oblig_top
-    groups, braces = _brackets(toks, "{" in text)
+    braces = _brackets(toks, True)[1] if "{" in text else None
     end = close = len(toks) - 1  # the end of input, and where it is placed
     scope: list[str] = []  # bound variables, innermost last
     sid = 0  # the scope's id
     scopes: dict[tuple[int, str], int] = {}  # (scope id, variable) -> inner scope id
-    memo: dict[tuple[int, int], Formula] = {}  # (group id, scope id) -> node
+    memo: dict[tuple[str, int], Formula] = {}  # (placeholder, scope id) -> node
     ops: list[tuple] = [(0, "end")]
     left: list[Formula] = []
 
     def fail(msg: str, j: int) -> ParseError:
         """The error at token j, placed by `_tokenize`; an end of input at
         the end of an O{...} part is placed at its "}"."""
+        if groups:
+            return ParseError(msg, 0, 0)
         tok = _tokenize(text)[j if toks[j] else close]
         return ParseError(msg, tok.line, tok.col)
 
@@ -639,14 +723,19 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             i += 1
             continue
         if t == "(":
-            group = groups.get(i)  # None when no ")" closes it: the parse fails
-            key = None if group is None else (group[0], sid)
-            f = memo.get(key)  # a None key is never stored
-            if f is None:
-                ops.append((0, "(", key))
-                i += 1
+            ops.append((0, "("))
+            i += 1
+            continue
+        if t in groups:
+            key = (t, sid)
+            f = memo.get(key)
+            if f is None:  # read the group from after its "("
+                ops.append((0, "(", key, toks, i + 1, braces, end, close))
+                toks = groups[t]
+                braces = _brackets(toks, True)[1] if "{" in toks else None
+                end = close = len(toks)
+                i = 1
                 continue
-            i = group[1]  # the group's ")"
         elif t == "forall" or t == "exists":
             v = toks[i + 1]
             if not v[:1].isalpha() or v in RESERVED_WORDS:
@@ -666,31 +755,35 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             f = TOP
         elif t == "false":
             f = BOT
-        elif toks[i + 1] == "(":
-            at = i  # the predicate's token
+        elif toks[i + 1] == "(" or toks[i + 1] in groups:
+            # the arguments, in toks or in the folded group's tokens
+            run, k = toks, i
+            if toks[i + 1] != "(":
+                run, k = groups[toks[i + 1]], -1
             args: list[Term] = []
             while True:
-                i += 2
-                a = toks[i]
+                k += 2
+                a = run[k]
                 if not a[:1].isalpha() or a in RESERVED_WORDS:
-                    raise fail("expected a term", i)
+                    raise fail("expected a term", k)
                 if a in scope:
                     args.append(Var(a))
                 elif a in consts:
                     args.append(Const(a))
                 else:
-                    raise fail(f"unknown constant {a!r}", i)
-                if toks[i + 1] != ",":
+                    raise fail(f"unknown constant {a!r}", k)
+                if run[k + 1] != ",":
                     break
-            i += 1
-            if toks[i] != ")":
-                raise fail(f"expected ')', found {toks[i] or 'end of input'!r}", i)
+            k += 1
+            if run[k] != ")":
+                raise fail(f"expected ')', found {run[k] or 'end of input'!r}", k)
             arity = preds.get(t)
             if arity is None:
-                raise fail(f"unknown predicate {t!r}", at)
+                raise fail(f"unknown predicate {t!r}", i)
             if arity != len(args):
-                raise fail(f"predicate {t!r} expects {arity} argument(s), got {len(args)}", at)
+                raise fail(f"predicate {t!r} expects {arity} argument(s), got {len(args)}", i)
             f = Atom(t, tuple(args))
+            i = k if run is toks else i + 1
         else:
             if t in scope:
                 raise fail(f"variable {t!r} used as a formula", i)
@@ -722,9 +815,11 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             if kind == "(":
                 if t != ")":
                     raise fail(f"expected ')', found {t or 'end of input'!r}", i)
-                if mark[2] is not None:
+                if len(mark) == 2:
+                    i += 1
+                else:  # a folded group's end: on after its placeholder
                     memo[mark[2]] = f
-                i += 1
+                    toks, i, braces, end, close = mark[3:]
             elif kind == "forall" or kind == "exists":
                 scope.pop()
                 sid = mark[3]
@@ -732,12 +827,14 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
             elif t:
                 raise fail(f"unexpected trailing input {t!r}", i)
             elif kind == "body":
+                toks[end] = "|"  # as it was, for a group read again in another scope
                 left.append(f)
                 ops.append((0, "cond", *mark[2:]))
                 end = close
                 i += 1
                 break
             elif kind == "cond":
+                toks[close] = "}"
                 f = Oblig(left.pop(), f)
                 end, close = mark[2:]
                 i += 1
