@@ -172,13 +172,16 @@ class Report:
             self.data["bound_used"] = v.bound
         return self
 
-    def emit(self, fmt: str, text_lines: list[str]) -> None:
+    def emit(self, fmt: str, text_lines: list) -> None:
+        """Print the report as JSON, or as text_lines.  A line that is a
+        model prints as the model's JSON, built only for text output:
+        the JSON report holds the witness already."""
         self.data["timing_ms"] = round((time.perf_counter() - self._t0) * 1000.0, 3)
         if fmt == "json":
             print(json.dumps(self.data, indent=2))
         else:
             for line in text_lines:
-                print(line)
+                print(line if type(line) is str else line.to_json())
 
 
 _EXIT = {"model_found": 0, "valid": 0, "countermodel": 1, "unsatisfiable": 1,
@@ -270,7 +273,7 @@ def cmd_check(text, logic, frame, bound, complete, sig, fmt):
     rep.verdict(v)
     lines = [f"verdict: {v.tag}"]
     if isinstance(v, SE.CountermodelFound):
-        lines += [f"falsified at world {v.world}", v.model.to_json()]
+        lines += [f"falsified at world {v.world}", v.model]
     rep.emit(fmt, lines)
     sys.exit(_EXIT[v.tag])
 
@@ -279,8 +282,9 @@ def cmd_check(text, logic, frame, bound, complete, sig, fmt):
 def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     """Search for a model making every given formula valid."""
     rep = Report("model", complete)
-    # the texts are joined only to infer one signature for all of them
-    signature = _signature(sig, " & ".join(f"({t})" for t in texts) if sig is None else "")
+    # the texts are joined only to infer one signature for all of them;
+    # each ends on a new line, so that a comment in it ends there too
+    signature = _signature(sig, " & ".join(f"({t}\n)" for t in texts) if sig is None else "")
     fs = [_ground_for_search(F.parse(t, signature, logic=logic), signature)
           for t in texts]
     cfg = _config(logic, frame, bound, complete)
@@ -288,7 +292,7 @@ def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     rep.verdict(v)
     lines = [f"verdict: {v.tag}"]
     if isinstance(v, SE.ModelFound):
-        lines.append(v.model.to_json())
+        lines.append(v.model)
     rep.emit(fmt, lines)
     sys.exit(_EXIT[v.tag])
 
@@ -370,10 +374,10 @@ def cmd_correspondence(schema, frame, bound, fmt):
              f"valid in all {'+'.join(cond.flags())} models up to {bound} worlds: "
              f"{report.holds_under_frame}"]
     if report.frame_counterexample is not None:
-        lines += ["counterexample:", report.frame_counterexample.to_json()]
+        lines += ["counterexample:", report.frame_counterexample]
     if report.violating_witness is not None:
         lines += [f"model violating the frame where the schema stays valid:",
-                  report.violating_witness.to_json()]
+                  report.violating_witness]
     else:
         lines.append("no frame-violating validating model within the bound")
     rep.emit(fmt, lines)
@@ -397,7 +401,7 @@ def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     rep.verdict(result.verdict)
     lines = [f"verdict: {result.verdict.tag}"]
     if isinstance(result.verdict, SE.ModelFound):
-        lines.append(result.verdict.model.to_json())
+        lines.append(result.verdict.model)
     if result.mus:
         lines.append("minimal unsatisfiable core: " + ", ".join(result.mus))
     rep.emit(fmt, lines)
@@ -419,7 +423,7 @@ def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
     if isinstance(result.verdict, SE.CountermodelFound):
         lines += [f"goal fails at world {result.verdict.world} of a model "
                   f"satisfying {', '.join(result.labels)}:",
-                  result.verdict.model.to_json()]
+                  result.verdict.model]
     rep.emit(fmt, lines)
     sys.exit(_EXIT[result.verdict.tag])
 

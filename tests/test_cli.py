@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from deon import cli
 from deon import formula as F
+from deon import semantics as S
 
 import oracles
 from helpers import gen_formula
@@ -97,6 +98,15 @@ class TestInferSignature:
         sig = cli.infer_signature(unclosed)
         assert time.perf_counter() - start < 1.0
         assert sig == oracles.infer_signature("r(a, " * 100)
+
+    def test_a_comment_in_a_model_text_hides_no_other_text(self):
+        # `model` infers one signature from all of its texts
+        for texts in [("p # note", "q"), ("p", "q # note"), ("p # (", "q(a) # )", "r")]:
+            r = run("model", *texts)
+            assert r.exit_code == 0, (texts, r.output)
+        r = run("model", "p(a)", "p")
+        assert r.exit_code == 3
+        assert r.output == "error: 1:1: predicate 'p' expects 1 argument(s), got 0\n"
 
 
 class TestExitCodes:
@@ -266,6 +276,23 @@ class TestJsonReports:
         assert r.exit_code == 1
         assert payload["verdict"] == "violations"
         assert payload["detail"]["violations"] == [["a1[d1]", "process_lawfully(d1)"]]
+
+
+    @pytest.mark.parametrize("args", [
+        ("check", "O{p | q}", "--complete"),
+        ("model", "O p", "q"),
+        ("correspondence", "d", "--frame", "serial", "--bound", "2"),
+        ("kb", "consistency", FIXTURES / "gdpr_e.kb"),
+        ("kb", "entail", FIXTURES / "gdpr_e.kb", "--goal", "O kill(mary)"),
+    ])
+    def test_a_witness_is_encoded_once(self, args, monkeypatch):
+        """Text output prints each witness as `to_json`; a JSON report
+        holds it already and never calls that."""
+        assert '"kind": ' in run(*args).output
+        monkeypatch.setattr(S._ModelBase, "to_json", lambda model: pytest.fail("to_json"))
+        r, payload = run_json(*args)
+        assert r.exit_code in (0, 1)
+        assert payload["witness"] or payload["detail"]["violating_witness"]
 
 
 class TestJsonEverySubcommand:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -529,6 +530,97 @@ class TestParseAgainstRecursiveDescent:
             f = F.Oblig(f, F.Atom("q"))
         assert F.parse(text, SIG, "e") is f
         assert F.print_formula(f) == text
+
+
+class TestFold:
+    """Repeated groups are folded before the token pass (`formula._fold`).
+    Each text gives the node or the (message, line, column) of
+    `oracles.recursive_parse`, and a text that parses is read from its
+    folded tokens, not parsed again unfolded."""
+
+    SIG = F.Signature({"p": 0, "q": 0, "P": 1, "R": 2}, frozenset({"a", "b", "x"}))
+
+    def check(self, text, folds=True):
+        for logic in ("sdl", "e"):
+            got = outcome(F.parse, text, self.SIG, logic)
+            assert got == outcome(oracles.recursive_parse, text, self.SIG, logic), (text, logic)
+            groups = {}
+            try:
+                toks = F.tokens(text, groups)
+            except F.ParseError:  # a character no token takes
+                toks = None
+            assert bool(groups) is folds, text
+            if folds and type(got) is not tuple:
+                assert F._read(text, toks, groups, self.SIG, logic) is got, (text, logic)
+
+    @pytest.mark.parametrize("text", ["(p) & (p) & \x00", "(p)\x00 & (p)", "\x000\x00 & (p) & (p)",
+                                      "(p) & (p) #\x00\n& q"])
+    def test_the_placeholder_character(self, text):
+        self.check(text, folds=text.endswith("q"))
+
+    @pytest.mark.parametrize("text", [
+        "P(x) & (x)", "(x) & P(x)", "(q) & P(q)", "P(q) & (q)", "forall x. P(x) & (x)",
+        "R(a, b) & (a, b)", "P(a) & P(a) & (P(a))", "forall x. P(x) -> P(x) & R(x, a)"])
+    def test_an_argument_group_equal_to_a_formula_group(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", ["P((a))", "P((a)) & (a)", "P((a)) & P((a))",
+                                      "(P(a)) & P((a))", "P(a) & P(a)("])
+    def test_a_group_inside_an_argument_list(self, text):
+        self.check(text, folds=text != "P((a))")
+
+    @pytest.mark.parametrize("text", ["(p) # (p) & (\n& (p)", "(p # )\n) & (p # )\n)",
+                                      "(p # (\n) & (p # (\n)", "(q) & (q) # )"])
+    def test_parentheses_in_a_comment(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", ["(p\n& q) | (p\n& q)", "(p\n&\nq) -> ~(p\n&\nq) & r",
+                                      "(p\n& q) | (p\r\n& q) | (p\n& q) | (p\r\n& q)", "(p\n&\n(q)) & (q) $"])
+    def test_groups_that_span_lines(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", ["(p) & (p))", "((p) & (p)))", "(p)) & (p)",
+                                      "((p)) & ((p)) )"])
+    def test_a_stray_close_after_a_folded_group(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "(P(x)) & forall x. (P(x)) & exists y. (P(x))",
+        "forall x. (P(x)) & (forall y. (P(x))) & exists y. (P(y)) & (P(y))",
+        "(forall y. (P(x))) & forall x. (forall y. (P(x)))",
+        "(O{P(x) | q}) & forall x. (O{P(x) | q}) & (O{P(x) | q})",
+        "forall x. (O{P(x) | (P(x))}) | exists y. (O{P(x) | (P(x))})"])
+    def test_one_group_under_different_binders(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "(O{p | q}) & (O{p | q})", "O{(p) | (p)}", "O{(p | q) | (p | q)}",
+        "O{(O{p | q}) | (O{p | q})}", "O{ (p) | q } & O{ q | (p) }", "(O{p | q) & (O{p | q)",
+        "O{(p} | (p}) & (p})",
+        "O{(p | q} | (p | q}) | (p | q})", "(O{(p) | (q)}) -> O{(O{(p) | (q)}) | (q)}",
+        "O{(p) | (p) & O{(q) | (p)}}", "(p | O{q) & (p | O{q)", "(O{p}) | (O{p})"])
+    def test_dyadic_obligations_inside_and_around_folded_groups(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("depth, copies, width, pairs", [
+        (20_000, 1, 0, 0), (10_000, 2, 0, 0), (0, 0, 10_000, 0), (0, 0, 0, 10_000)])
+    def test_folding_stays_linear(self, depth, copies, width, pairs):
+        """Deep, unshared and barely shared texts: the fold stops at its
+        work bound, and the rest goes to the token pass."""
+        names = [f"p{i}" for i in range(max(width, pairs))] or ["p"]
+        sig = F.Signature(dict.fromkeys(names, 0))
+        if depth:
+            text = " & ".join(["(" * depth + "p" + ")" * depth] * copies)
+            leaves = [F.Atom("p")] * copies
+        else:
+            leaves = [F.Atom(n) for n in names for _ in range(1 if width else 2)]
+            text = " & ".join(f"({g.pred})" for g in leaves)
+        f = leaves[0]
+        for g in leaves[1:]:
+            f = F.And(f, g)
+        start = time.perf_counter()
+        assert F.parse(text, sig, "e") is f
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGround:
