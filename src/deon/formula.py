@@ -24,8 +24,9 @@ Terms and formulas are hash-consed, so equality is identity and hashing
 is O(1) at any size.  The walks are iterative folds (`fold`) that visit
 each distinct subformula once; `subformulas` is an explicit-stack
 pre-order walk.  The parser is one precedence-climbing loop over the
-token texts of `tokens` that parses each distinct parenthesized group
-once, and the printer an explicit-stack walk, so nothing here recurses
+token texts of `tokens`, which folds each repeated parenthesized group
+to one token first, so each distinct group text is parsed once per
+scope; the printer is an explicit-stack walk, so nothing here recurses
 at any nesting depth.
 """
 
@@ -543,13 +544,16 @@ def tokens(text: str, groups: dict[str, list[str]] | None = None) -> list[str]:
     error needs one.  A token is an identifier iff its first character
     is a letter (`t[:1].isalpha()`).
 
-    Given a dict groups, the comment-free text is folded first (`_fold`):
-    each group whose text repeats becomes one placeholder token, and
-    groups maps each placeholder to the tokens of its group, "(" to ")",
-    in which inner placeholders stand for their groups.  So the token
-    pass reads each repeated group once.  Placeholders are never
-    identifiers, and a text that holds the placeholder character is not
-    folded: that character is an error, raised as without folding.
+    Given a dict groups, the comment-free text is folded first (`_fold`),
+    the one place where groups are interned: each group whose text
+    repeats becomes one placeholder token, and groups maps each
+    placeholder to the tokens of its group, "(" to ")", in which inner
+    placeholders stand for their groups.  So the token pass reads each
+    repeated group once.  Folding scans at most `_FOLD_WORK` times the
+    text's length and leaves what it has not folded as it is.
+    Placeholders are never identifiers, and a text that holds the
+    placeholder character is not folded: that character is an error,
+    raised as without folding.
     """
     bare = _COMMENT_RE.sub("", text) if "#" in text else text
     word = _WORD_RE
@@ -573,6 +577,7 @@ def _brackets(toks: list[str], braces: bool):
 
     One pass left to right pairs each "(" with its ")" on a stack:
     `pairs` maps the index of each "(" so closed to that of its ")".
+    Equal groups are found by the fold of `tokens`, not here.
 
     `found` maps the index of each "{" to the (first "|", "}") at the
     depth just inside it.  The depth before a token counts the "(" and
@@ -670,14 +675,17 @@ def _read(text: str, toks: list[str], groups: dict[str, list[str]], sig: Signatu
     the node.  An identifier before a placeholder reads the group's
     tokens as its arguments.
 
-    A group's node depends only on its text and the scope: the
-    signature and logic are fixed, a group that parses holds the whole
-    of every O{...} it opens, and no enclosing "|" or "}" of an O{...}
-    lies inside a group, so none ends it early; so equal group texts in
-    one scope give one node.  The scope is in the key because `P(x)`
-    reads x as a variable under `forall x.` and as a constant outside
-    it.  A folded text that fails raises an unplaced error at once, for
-    `parse` to read the text again unfolded.
+    A group is read from its own tokens, and that is how it reads in
+    place in the unfolded text: the signature and logic are fixed, a
+    group that parses holds the whole of every O{...} it opens, so the
+    bracket pass finds the same parts for it either way, and no
+    enclosing "|" or "}" of an O{...} lies inside a group, so none ends
+    it early.  So a group's node depends only on its text and the
+    scope, and equal group texts in one scope give one node.  The scope
+    is in the key because `P(x)` reads x as a variable under `forall x.`
+    and as a constant outside it.  A folded text that fails raises an
+    unplaced error at once, for `parse` to read the text again
+    unfolded.
     """
     preds, consts = sig.predicates, sig.constants
     monadic_o = ObligM if logic == "sdl" else _oblig_top
