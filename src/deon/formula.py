@@ -501,7 +501,7 @@ def _fold(bare: str) -> tuple[str, dict[str, str]]:
     An earlier occurrence would have been found first, so none is
     missed.  A group whose inner groups have all been folded is
     innermost on the next sweep, until a sweep folds nothing or the
-    work bound `_FOLD_WORK` is spent.  This is hash-consing (Filliatre
+    work bound `_FOLD_WORK` is spent.  This is hash-consing (Filliâtre
     and Conchon 2006) done on the text, by the repeated-pair
     replacement of Re-Pair (Larsson and Moffat 2000).
     """

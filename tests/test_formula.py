@@ -540,18 +540,19 @@ class TestFold:
 
     SIG = F.Signature({"p": 0, "q": 0, "P": 1, "R": 2}, frozenset({"a", "b", "x"}))
 
-    def check(self, text, folds=True):
-        for logic in ("sdl", "e"):
-            got = outcome(F.parse, text, self.SIG, logic)
-            assert got == outcome(oracles.recursive_parse, text, self.SIG, logic), (text, logic)
+    def check(self, text, folds=True, sig=SIG, logics=("sdl", "e")):
+        for logic in logics:
+            got = outcome(F.parse, text, sig, logic)
+            assert got == outcome(oracles.recursive_parse, text, sig, logic), (text, logic)
             groups = {}
             try:
                 toks = F.tokens(text, groups)
             except F.ParseError:  # a character no token takes
                 toks = None
-            assert bool(groups) is folds, text
-            if folds and type(got) is not tuple:
-                assert F._read(text, toks, groups, self.SIG, logic) is got, (text, logic)
+            assert folds is None or bool(groups) is folds, text
+            if groups and type(got) is not tuple:
+                assert F._read(text, toks, groups, sig, logic) is got, (text, logic)
+        return bool(groups)
 
     @pytest.mark.parametrize("text", ["(p) & (p) & \x00", "(p)\x00 & (p)", "\x000\x00 & (p) & (p)",
                                       "(p) & (p) #\x00\n& q"])
@@ -601,6 +602,25 @@ class TestFold:
         "O{(p) | (p) & O{(q) | (p)}}", "(p | O{q) & (p | O{q)", "(O{p}) | (O{p})"])
     def test_dyadic_obligations_inside_and_around_folded_groups(self, text):
         self.check(text)
+
+    def test_soups_and_formulas_with_repeated_groups(self):
+        rng = random.Random(15)
+        folded = 0
+        for n in range(4000):
+            logic = rng.choice(["sdl", "e"])
+            if n % 2:
+                words = TestParseAgainstRecursiveDescent.WORDS
+                text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 12)))
+            else:
+                f = gen_formula(rng, logic, rng.randint(1, 4), quantifiers=rng.random() < 0.5)
+                text = F.print_formula(f)
+            for _ in range(rng.randint(1, 3)):  # repeat a group, or the start of one
+                i = text.find("(", rng.randrange(len(text) + 1))
+                j = text.find(")", i)
+                if i >= 0 and j >= 0:
+                    text += rng.choice([" & ", " ", ") & (", " -> ~", "\n| "]) + text[i:j + 1]
+            folded += self.check(text, None, SIG, (logic,))
+        assert folded > 800
 
     @pytest.mark.parametrize("depth, copies, width, pairs", [
         (20_000, 1, 0, 0), (10_000, 2, 0, 0), (0, 0, 10_000, 0), (0, 0, 0, 10_000)])
