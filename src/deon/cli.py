@@ -32,6 +32,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import sys
 import textwrap
 import time
@@ -67,11 +68,37 @@ def infer_signature(text: str) -> F.Signature:
     become predicates, quantifier-bound names variables, other argument
     names constants, remaining bare identifiers propositional atoms.
 
+    The text is read from its folded tokens (`formula.tokens` with a
+    group table), each distinct group spelled out at its first
+    occurrence only, in text order; a later occurrence stays one token,
+    which an identifier before it applies to as it does to the first.
+    That gives the signature of reading every token of the unfolded
+    text, and the same first arity conflict, with its message: a group's
+    tokens, and so the facts read in it, are the same at each of its
+    occurrences; each fact only adds to what is known (a predicate's
+    arity, a constant, an atom unless it is a constant by then), and the
+    constants only grow; so a fact read again changes nothing and
+    conflicts with nothing, and the facts left out are all repeats of
+    facts read before them.
+
     An applied identifier's group is read at its depth 1 only: each
-    inner group is jumped to its ")" as `formula._brackets` pairs it, and
-    after an inner "(" never closed nothing is at depth 1, so each token
-    is read once."""
-    toks = F.tokens(text)  # the token texts, "" last
+    inner group is jumped to its ")" as `formula._brackets` pairs it, or
+    is one token, and after an inner "(" never closed nothing is at
+    depth 1, so each token is read once per identifier applied to it."""
+    groups: dict[str, list[str]] = {}
+    toks = F.tokens(text, groups)  # the token texts, "" last
+    starts: dict[str, int] = {}  # where each group is spelled out in toks
+    if groups:
+        parts, toks = [iter(toks)], []
+        while parts:
+            for t in parts[-1]:
+                if t in groups and t not in starts:
+                    starts[t] = len(toks)
+                    parts.append(iter(groups[t]))
+                    break
+                toks.append(t)
+            else:
+                parts.pop()
     pairs, _ = F._brackets(toks, False)
     binders: set[str] = set()
     for i, t in enumerate(toks):
@@ -83,16 +110,17 @@ def infer_signature(text: str) -> F.Signature:
     for i, t in enumerate(toks):
         if not t[:1].isalpha() or t in skip or t in binders:
             continue
-        if toks[i + 1] == "(":
+        after = toks[i + 1]
+        if after == "(" or after in starts:
             arity, args = 1, []
             plain, n = True, 0  # an identifier comma list so far, of n tokens
-            j = i + 2
+            j = i + 2 if after == "(" else starts[after] + 1
             while (tt := toks[j]) and tt != ")":  # up to the ")" or the final ""
-                if tt == "(":
+                if tt == "(" or tt in starts:
                     plain = False
-                    if j not in pairs:
+                    if tt == "(" and j not in pairs:
                         break
-                    j = pairs[j] + 1
+                    j = pairs[j] + 1 if tt == "(" else j + 1
                     continue
                 if tt == ",":
                     arity += 1
@@ -297,15 +325,28 @@ def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
     sys.exit(_EXIT[v.tag])
 
 
+# A TPTP formula name that needs no quotes (a lower_word), and the roles
+# of an annotated FOF formula.
+_TPTP_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+_TPTP_ROLES = frozenset({"axiom", "hypothesis", "definition", "assumption", "lemma",
+                         "theorem", "corollary", "conjecture", "negated_conjecture", "plain",
+                         "fi_domain", "fi_functors", "fi_predicates", "unknown"})
+
+
 @_run_guard
 def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt):
     """Embed a formula, normalize, lower to first order, emit TPTP."""
     rep = Report("translate")
+    if not _TPTP_NAME.match(name):
+        raise E.EmbedError(f"--name {name!r} is not a TPTP name: a lower-case letter, "
+                           "then letters, digits and underscores")
+    if role not in _TPTP_ROLES:
+        raise E.EmbedError(f"--role {role!r} is not a TPTP FOF role: "
+                           f"one of {', '.join(sorted(_TPTP_ROLES))}")
     f = F.parse(text, _signature(sig, text), logic=logic)
     mode = "local" if local else "global"
-    term = E.vld(E.embed(f, logic), mode)
-    steps = L.normalize_steps(term) if show_steps else None
-    nf = L.normalize(term) if steps is None else steps[-1]
+    steps = L.normalize_steps(E.vld(E.embed(f, logic), mode)) if show_steps else None
+    nf = E.normal_form(f, logic, mode) if steps is None else steps[-1]
     fo = E.lower(nf)
     tptp = E.emit_tptp(fo, name, role, logic=logic)
     if out_dir is not None:

@@ -2,10 +2,14 @@
 
 A formula becomes a lambda term of type i>o (a predicate on worlds) by
 translating each operator to a defining lambda term and each atom to a
-constant; normalization then unfolds the definitions.  Wrapping with
-`vld` produces a closed term of type o, whose normal form `lower` reads
-off, in one walk that also names binders and infers their sorts, as a
-two-sorted first-order formula over worlds and individuals.  The terms
+constant (`embed`); normalization then unfolds the definitions.
+Wrapping with `vld` produces a closed term of type o.  `normal_form`
+builds that term's normal form directly, without the redexes, and
+`translate` uses it; `lam.normalize` of `vld(embed(f))` gives the same
+node and stays the reference, and the stepper of `--show-steps` runs on
+the embedding.  `lower` reads the normal form off, in one walk that
+also names binders and infers their sorts, as a two-sorted first-order
+formula over worlds and individuals.  The terms
 are `lam`'s locally nameless nodes, which record their types: `lower`
 finds each bound variable by its index in its stack of binders, and
 makes the first-order names as it reads the binders.  The first-order
@@ -53,7 +57,8 @@ def _v(name, ty=L.I):
     return L.Var(name, ty)
 
 
-# Operator definitions, unfolded by normalization.
+# Operator definitions, unfolded by normalization (and, as their normal
+# bodies, by `normal_form`).
 
 SDL_BOX = _abs("phi", _tau, _abs("w", L.I, L.forall(
     "v", L.I, L.lor(L.neg(L.app(R_ACC, _v("w"), _v("v"))),
@@ -182,6 +187,158 @@ def vld(t: L.LTerm, mode: str = "global") -> L.LTerm:
     if mode == "local":
         return L.App(t, AW)
     raise EmbedError(f"unknown validity mode {mode!r}")
+
+
+# The normal forms of the combinators, built in place by `normal_form`.
+
+_PI = L.Pi(L.I)
+_BOOL = {F.Not: L.NOT, F.And: L.AND, F.Or: L.OR, F.Implies: L.IMP, F.Iff: L.IFF}
+# derived operators, as the operators their embedding in _OPS applies
+_DERIVED = {"sdl": {F.ObligM: F.Box, F.Perm: lambda a: F.Not(F.Box(F.Not(a))),
+                    F.Forb: lambda a: F.Box(F.Not(a))},
+            "e": {F.ObligM: lambda a: F.Oblig(a, F.TOP),
+                  F.Perm: lambda a: F.Not(F.Oblig(F.Not(a), F.TOP)),
+                  F.Forb: lambda a: F.Oblig(F.Not(a), F.TOP)}}
+# the combinator each operator applies, and the names of its constants
+_COMBINATORS = {F.Not: NOT_PW, F.And: AND_PW, F.Or: OR_PW, F.Implies: IMP_PW, F.Iff: IFF_PW,
+                F.Forall: FORALL_PW, F.Exists: EXISTS_PW}
+_MODAL = {"sdl": {F.Box: SDL_BOX, F.Dia: SDL_DIA},
+          "e": {F.Box: E_BOX, F.Dia: E_DIA, F.Oblig: E_OBLIG}}
+_NAMES = {logic: {cls: L.names(comb) for cls, comb in {**_COMBINATORS, **modal}.items()}
+          for logic, modal in _MODAL.items()}
+
+
+def normal_form(f: F.Formula, logic: str, mode: str = "global") -> L.LTerm:
+    """`L.normalize(vld(embed(f, logic), mode))`, the same node, built
+    in one walk without the redexes of the combinators.
+
+    Every combinator applies its predicate arguments only to a bound
+    world (or, for the quantifiers, to a bound individual and a world),
+    so the normal form of an occurrence of a subformula g is that of g's
+    embedding applied to its world: a term of type o built where it
+    stands, at its binder depth, with its world and the individuals of
+    the enclosing quantifiers as de Bruijn indices (hereditary
+    substitution; Watkins, Cervesato, Pfenning & Walker 2004).  The rules
+    are the combinators' beta-normal bodies: a connective applies its
+    constant to its operands at the same world; box, dia and the
+    quantifiers open one Pi binder (dia and exists as not Pi not), whose
+    scope holds the operand at the new world or over the new individual;
+    O{b | c} opens one for its worlds w and one more for the y below
+    them, and builds c at both.  Derived operators are rewritten as
+    _OPS embeds them.  Soundness:
+
+    - each rule is the beta-normal form of its combinator applied to
+      beta-normal operands: a combinator applies its arguments only to
+      variables (and vld, in local mode, to the constant aw), and
+      substituting a variable or a constant into a beta-normal term
+      leaves it beta-normal;
+    - eta is checked at every binder built, as `lam._quote` does: a
+      binder whose scope is M 0 becomes M, its binders named again a
+      level up (this is how Pi p and Pi (P c0) arise);
+    - beta-eta normal forms are unique and bound variables are indices,
+      so the result is `normalize`'s up to binder names, and both name
+      the binder at depth k v<k>, primed while in taken, the names of
+      vld(embed(f)): those of the atoms, of free individual variables and
+      of the combinators applied.  vld's world binder is named z, so a
+      free individual variable z of f is bound to it there too.
+
+    The walk is an explicit-stack pre-order that fixes each occurrence's
+    context, then a pass over the occurrences in reverse that builds
+    each one from its operands' terms.  It is tree-sized: O{b | c}
+    builds c twice, as evaluation does.
+    """
+    if not isinstance(f, F.Formula):
+        raise EmbedError(f"cannot embed {f!r}")
+    derived, names = _DERIVED[logic], _NAMES[logic]
+    sdl = logic == "sdl"
+    # an occurrence: (subformula, binder depth, level of its world or None
+    # for aw, level of each enclosing individual binder by variable)
+    stack = [(f, 1, 0, {"z": 0})] if mode == "global" else [(f, 0, None, {})]
+    order = []
+    taken = {"Pi"} if mode == "global" else {"aw"}
+    kinds = set()
+    while stack:
+        g, d, w, env = occ = stack.pop()
+        t = type(g)
+        if t in derived:
+            g = derived[t](*F.children(g))
+            occ, t = (g, d, w, env), type(g)
+        order.append(occ)
+        kinds.add(t)
+        if t is F.Atom:
+            taken.add(g.pred)
+            taken.update(a.name for a in g.args if type(a) is F.Const or a.name not in env)
+        elif t in _BOOL:
+            stack += [(c, d, w, env) for c in F.children(g)]
+        elif t is F.Box or t is F.Dia:
+            stack.append((g.sub, d + 1, d, env))
+        elif t is F.Forall or t is F.Exists:
+            stack.append((g.body, d + 1, w, {**env, g.var: d}))
+        elif t is F.Oblig and not sdl:
+            stack += [(g.cond, d + 1, d, env), (g.cond, d + 2, d + 1, env),
+                      (g.body, d + 1, d, env)]
+        elif t is F.Oblig:
+            raise EmbedError("dyadic obligation is not part of the SDL language")
+        else:
+            raise EmbedError(f"cannot embed {g!r}")
+    if mode not in ("global", "local"):
+        raise EmbedError(f"unknown validity mode {mode!r}")
+    taken.update(*(names.get(t, ()) for t in kinds))
+
+    labels: list[str] = []  # the name of the binder at each depth
+    bvars: list[L.LTerm] = []  # BVar(k, i) by k
+
+    def bind(scope: L.LTerm, depth: int) -> L.LTerm:
+        """Pi's argument: the binder at depth over scope, eta-contracted."""
+        fun = L._eta_redex(scope)
+        if fun is not None:
+            return L._name(fun, taken, depth, {})
+        while len(labels) <= depth:
+            labels.append(L._fresh(f"v{len(labels)}", taken))
+        return L._new(L.Abs, labels[depth], L.I, scope)
+
+    def var(depth: int, level: int | None) -> L.LTerm:
+        if level is None:
+            return AW
+        while len(bvars) < depth - level:
+            bvars.append(L.BVar(len(bvars), L.I))
+        return bvars[depth - level - 1]
+
+    App, NOT = L.App, L.NOT
+    heads: dict[F.Atom, L.Const] = {}
+    out: list[L.LTerm] = []  # the terms of the operands built so far
+    for g, d, w, env in reversed(order):
+        t = type(g)
+        if t is F.Atom:
+            head = heads.get(g)
+            if head is None:
+                head = heads[g] = atom_const(g.pred, len(g.args))
+            for a in g.args:
+                if type(a) is F.Const:
+                    head = App(head, L.Const(a.name, L.I))
+                else:
+                    level = env.get(a.name)
+                    head = App(head, L.Var(a.name, L.I) if level is None else var(d, level))
+            out.append(App(head, var(d, w)))
+        elif t is F.Not:
+            out[-1] = App(NOT, out[-1])
+        elif t in _BOOL:
+            b = out.pop()
+            out[-1] = App(App(_BOOL[t], out[-1]), b)
+        elif t is F.Oblig:
+            body, cond_y = out.pop(), out.pop()
+            best = App(_PI, bind(L.limp(cond_y, L.app(R_BET, var(d + 2, d), var(d + 2, d + 1))),
+                                 d + 1))
+            out[-1] = App(_PI, bind(L.limp(L.land(out[-1], best), body), d))
+        else:  # one Pi binder, and not Pi not for the duals
+            scope = out[-1]
+            if sdl and t is not F.Forall and t is not F.Exists:
+                acc = L.app(R_ACC, var(d + 1, w), var(d + 1, d))
+                scope = L.lor(App(NOT, acc), scope) if t is F.Box else L.land(acc, scope)
+            out[-1] = (App(_PI, bind(scope, d)) if t is F.Box or t is F.Forall
+                       else App(NOT, App(_PI, bind(App(NOT, scope), d))))
+    nf = out[0]
+    return L.App(_PI, bind(nf, 0)) if mode == "global" else nf
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +491,9 @@ def lower(t: L.LTerm) -> FOFormula:
 
 
 def translate(f: F.Formula, logic: str, mode: str = "global") -> FOFormula:
-    """Whole pipeline: embed, vld-wrap, normalize, lower."""
-    return lower(L.normalize(vld(embed(f, logic), mode)))
+    """Whole pipeline: the normal form of the vld-wrapped embedding,
+    lowered."""
+    return lower(normal_form(f, logic, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,56 @@ class TestInferSignature:
             text = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 20)))
             assert infer(cli.infer_signature, text) == infer(oracles.infer_signature, text), text
 
+    def test_same_as_the_plain_scan_on_repeated_groups(self):
+        # texts whose groups repeat are read from their folded tokens:
+        # printed formulas, doubling texts with quantifiers and dyadic
+        # obligations, comments cut in anywhere, and arity conflicts
+        def infer(infer_signature, text):
+            try:
+                return infer_signature(text)
+            except F.FormulaError as ex:
+                return str(ex)
+
+        rng = random.Random(9)
+        units = ["p", "q(a)", "P1(c0)", "q(a, b)", "forall x. P1(x)", "exists y. q(y, a)",
+                 "O{p | q(a)}", "O(a, b)", "O (p)", "a", "P(a)", "~r"]
+        for i in range(2000):
+            if i % 3 == 0:
+                text = F.print_formula(gen_formula(rng, "e", rng.randint(1, 4), quantifiers=True))
+            else:
+                text = rng.choice(units)
+                for k in range(rng.randint(1, 6)):
+                    op = rng.choice(["&", "|", "->", "<->"])
+                    u = rng.choice(["~", "box ", "O ", "dia ", "forall x. ", ""])
+                    other = rng.choice([text, rng.choice(units)])
+                    text = (f"O{{({text}) | {other}}}" if rng.random() < 0.2
+                            else f"({text} {op} {u}({other}))")
+            if i % 2:
+                cuts = sorted(rng.sample(range(len(text) + 1), 2))
+                text = "".join(part + ("# (a, b\n" if j < 2 else "")
+                               for j, part in enumerate(
+                                   (text[:cuts[0]], text[cuts[0]:cuts[1]], text[cuts[1]:])))
+            assert infer(cli.infer_signature, text) == infer(oracles.infer_signature, text), text
+
+    def test_doubling_text_is_read_once_per_distinct_group(self):
+        text = "(p | ~(q))"
+        for k in range(12):
+            text = f"({text} {('&', '->', '|', '<->')[k % 4]} {('~', 'box ', 'O ')[k % 3]}({text}))"
+        assert len(text) > 75_000
+
+        def best(fn):
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        sig = cli.infer_signature(text)
+        assert sig == oracles.infer_signature(text) and sig.predicates == {"p": 0, "q": 0}
+        # reading every token took 20 times the parse
+        assert best(lambda: cli.infer_signature(text)) < 4 * best(lambda: F.parse(text, sig))
+
     def test_deep_nesting_is_read_in_linear_time(self):
         text = "O(~" * 10_000 + "p" + ")" * 10_000
         start = time.perf_counter()
@@ -357,6 +407,15 @@ class TestTranslate:
         assert r.exit_code == 0
         written = (tmp_path / "guarded_box.p").read_text()
         assert written == (FIXTURES / "golden_guarded_box.p").read_text()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--name", "Goal 1"), ("--role", "whatever"), ("--name", "../escaped"),
+    ])
+    def test_name_and_role_must_be_tptp(self, tmp_path, option, value):
+        r = run("translate", "p", option, value, "--out", tmp_path / "d")
+        assert r.exit_code == 3
+        assert r.output.startswith(f"error: {option} {value!r} is not a TPTP")
+        assert not any(tmp_path.iterdir())
 
     def test_in_process_runs_free_their_streams(self):
         # click.echo caches every sys.stdout it writes to, keyed weakly
