@@ -346,8 +346,7 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
     f = F.parse(text, _signature(sig, text), logic=logic)
     mode = "local" if local else "global"
     steps = L.normalize_steps(E.vld(E.embed(f, logic), mode)) if show_steps else None
-    nf = E.normal_form(f, logic, mode) if steps is None else steps[-1]
-    fo = E.lower(nf)
+    nf, fo = E.translation(f, logic, mode)
     tptp = E.emit_tptp(fo, name, role, logic=logic)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -356,7 +355,7 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
     detail = {
         "input": F.print_formula(f),
         "steps": [L.show(s) for s in steps] if steps is not None else None,
-        "normal_form": L.show(nf),
+        "normal_form": nf,
         "fo": E.fo_show(fo),
         "tptp": tptp,
     }

@@ -3,16 +3,18 @@
 A formula becomes a lambda term of type i>o (a predicate on worlds) by
 translating each operator to a defining lambda term and each atom to a
 constant (`embed`); normalization then unfolds the definitions.
-Wrapping with `vld` produces a closed term of type o.  `normal_form`
-builds that term's normal form directly, without the redexes, and
-`translate` uses it; `lam.normalize` of `vld(embed(f))` gives the same
-node and stays the reference, and the stepper of `--show-steps` runs on
-the embedding.  `lower` reads the normal form off, in one walk that
-also names binders and infers their sorts, as a two-sorted first-order
-formula over worlds and individuals.  The terms
-are `lam`'s locally nameless nodes, which record their types: `lower`
-finds each bound variable by its index in its stack of binders, and
-makes the first-order names as it reads the binders.  The first-order
+Wrapping with `vld` produces a closed term of type o.  The terms are
+`lam`'s locally nameless nodes, which record their types.  `lower`
+reads a normal form off, in one walk that also names binders and infers
+their sorts, as a two-sorted first-order formula over worlds and
+individuals: it finds each bound variable by its index in its stack of
+binders, and makes the first-order names as it reads the binders.
+
+`translation` gives what `L.show` and `lower` give for the normal form
+of `vld(embed(f))`, read off the formula itself in one walk that builds
+no lambda term; `translate` uses it.  Normalizing the embedding and
+lowering the result stay the reference the tests hold it to, and the
+stepper of `--show-steps` runs on the embedding.  The first-order
 formula can be evaluated directly in a finite model, or printed, as
 text or as a TPTP FOF problem, by one explicit-stack printer.
 
@@ -24,6 +26,7 @@ reading over the betterness constant Rb.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -58,7 +61,7 @@ def _v(name, ty=L.I):
 
 
 # Operator definitions, unfolded by normalization (and, as their normal
-# bodies, by `normal_form`).
+# bodies, by `translation`).
 
 SDL_BOX = _abs("phi", _tau, _abs("w", L.I, L.forall(
     "v", L.I, L.lor(L.neg(L.app(R_ACC, _v("w"), _v("v"))),
@@ -183,162 +186,11 @@ def vld(t: L.LTerm, mode: str = "global") -> L.LTerm:
     if ty != _tau:
         raise EmbedError(f"vld expects a term of type {_tau}, got {ty}")
     if mode == "global":
-        return L.forall("z", L.I, L.App(t, _v("z")))
+        z = L._fresh("z", L.names(t))  # a free variable z of t stays free
+        return L.forall(z, L.I, L.App(t, _v(z)))
     if mode == "local":
         return L.App(t, AW)
     raise EmbedError(f"unknown validity mode {mode!r}")
-
-
-# The normal forms of the combinators, built in place by `normal_form`.
-
-_PI = L.Pi(L.I)
-_BOOL = {F.Not: L.NOT, F.And: L.AND, F.Or: L.OR, F.Implies: L.IMP, F.Iff: L.IFF}
-# derived operators, as the operators their embedding in _OPS applies
-_DERIVED = {"sdl": {F.ObligM: F.Box, F.Perm: lambda a: F.Not(F.Box(F.Not(a))),
-                    F.Forb: lambda a: F.Box(F.Not(a))},
-            "e": {F.ObligM: lambda a: F.Oblig(a, F.TOP),
-                  F.Perm: lambda a: F.Not(F.Oblig(F.Not(a), F.TOP)),
-                  F.Forb: lambda a: F.Oblig(F.Not(a), F.TOP)}}
-# the combinator each operator applies, and the names of its constants
-_COMBINATORS = {F.Not: NOT_PW, F.And: AND_PW, F.Or: OR_PW, F.Implies: IMP_PW, F.Iff: IFF_PW,
-                F.Forall: FORALL_PW, F.Exists: EXISTS_PW}
-_MODAL = {"sdl": {F.Box: SDL_BOX, F.Dia: SDL_DIA},
-          "e": {F.Box: E_BOX, F.Dia: E_DIA, F.Oblig: E_OBLIG}}
-_NAMES = {logic: {cls: L.names(comb) for cls, comb in {**_COMBINATORS, **modal}.items()}
-          for logic, modal in _MODAL.items()}
-
-
-def normal_form(f: F.Formula, logic: str, mode: str = "global") -> L.LTerm:
-    """`L.normalize(vld(embed(f, logic), mode))`, the same node, built
-    in one walk without the redexes of the combinators.
-
-    Every combinator applies its predicate arguments only to a bound
-    world (or, for the quantifiers, to a bound individual and a world),
-    so the normal form of an occurrence of a subformula g is that of g's
-    embedding applied to its world: a term of type o built where it
-    stands, at its binder depth, with its world and the individuals of
-    the enclosing quantifiers as de Bruijn indices (hereditary
-    substitution; Watkins, Cervesato, Pfenning & Walker 2004).  The rules
-    are the combinators' beta-normal bodies: a connective applies its
-    constant to its operands at the same world; box, dia and the
-    quantifiers open one Pi binder (dia and exists as not Pi not), whose
-    scope holds the operand at the new world or over the new individual;
-    O{b | c} opens one for its worlds w and one more for the y below
-    them, and builds c at both.  Derived operators are rewritten as
-    _OPS embeds them.  Soundness:
-
-    - each rule is the beta-normal form of its combinator applied to
-      beta-normal operands: a combinator applies its arguments only to
-      variables (and vld, in local mode, to the constant aw), and
-      substituting a variable or a constant into a beta-normal term
-      leaves it beta-normal;
-    - eta is checked at every binder built, as `lam._quote` does: a
-      binder whose scope is M 0 becomes M, its binders named again a
-      level up (this is how Pi p and Pi (P c0) arise);
-    - beta-eta normal forms are unique and bound variables are indices,
-      so the result is `normalize`'s up to binder names, and both name
-      the binder at depth k v<k>, primed while in taken, the names of
-      vld(embed(f)): those of the atoms, of free individual variables and
-      of the combinators applied.  vld's world binder is named z, so a
-      free individual variable z of f is bound to it there too.
-
-    The walk is an explicit-stack pre-order that fixes each occurrence's
-    context, then a pass over the occurrences in reverse that builds
-    each one from its operands' terms.  It is tree-sized: O{b | c}
-    builds c twice, as evaluation does.
-    """
-    if not isinstance(f, F.Formula):
-        raise EmbedError(f"cannot embed {f!r}")
-    derived, names = _DERIVED[logic], _NAMES[logic]
-    sdl = logic == "sdl"
-    # an occurrence: (subformula, binder depth, level of its world or None
-    # for aw, level of each enclosing individual binder by variable)
-    stack = [(f, 1, 0, {"z": 0})] if mode == "global" else [(f, 0, None, {})]
-    order = []
-    taken = {"Pi"} if mode == "global" else {"aw"}
-    kinds = set()
-    while stack:
-        g, d, w, env = occ = stack.pop()
-        t = type(g)
-        if t in derived:
-            g = derived[t](*F.children(g))
-            occ, t = (g, d, w, env), type(g)
-        order.append(occ)
-        kinds.add(t)
-        if t is F.Atom:
-            taken.add(g.pred)
-            taken.update(a.name for a in g.args if type(a) is F.Const or a.name not in env)
-        elif t in _BOOL:
-            stack += [(c, d, w, env) for c in F.children(g)]
-        elif t is F.Box or t is F.Dia:
-            stack.append((g.sub, d + 1, d, env))
-        elif t is F.Forall or t is F.Exists:
-            stack.append((g.body, d + 1, w, {**env, g.var: d}))
-        elif t is F.Oblig and not sdl:
-            stack += [(g.cond, d + 1, d, env), (g.cond, d + 2, d + 1, env),
-                      (g.body, d + 1, d, env)]
-        elif t is F.Oblig:
-            raise EmbedError("dyadic obligation is not part of the SDL language")
-        else:
-            raise EmbedError(f"cannot embed {g!r}")
-    if mode not in ("global", "local"):
-        raise EmbedError(f"unknown validity mode {mode!r}")
-    taken.update(*(names.get(t, ()) for t in kinds))
-
-    labels: list[str] = []  # the name of the binder at each depth
-    bvars: list[L.LTerm] = []  # BVar(k, i) by k
-
-    def bind(scope: L.LTerm, depth: int) -> L.LTerm:
-        """Pi's argument: the binder at depth over scope, eta-contracted."""
-        fun = L._eta_redex(scope)
-        if fun is not None:
-            return L._name(fun, taken, depth, {})
-        while len(labels) <= depth:
-            labels.append(L._fresh(f"v{len(labels)}", taken))
-        return L._new(L.Abs, labels[depth], L.I, scope)
-
-    def var(depth: int, level: int | None) -> L.LTerm:
-        if level is None:
-            return AW
-        while len(bvars) < depth - level:
-            bvars.append(L.BVar(len(bvars), L.I))
-        return bvars[depth - level - 1]
-
-    App, NOT = L.App, L.NOT
-    heads: dict[F.Atom, L.Const] = {}
-    out: list[L.LTerm] = []  # the terms of the operands built so far
-    for g, d, w, env in reversed(order):
-        t = type(g)
-        if t is F.Atom:
-            head = heads.get(g)
-            if head is None:
-                head = heads[g] = atom_const(g.pred, len(g.args))
-            for a in g.args:
-                if type(a) is F.Const:
-                    head = App(head, L.Const(a.name, L.I))
-                else:
-                    level = env.get(a.name)
-                    head = App(head, L.Var(a.name, L.I) if level is None else var(d, level))
-            out.append(App(head, var(d, w)))
-        elif t is F.Not:
-            out[-1] = App(NOT, out[-1])
-        elif t in _BOOL:
-            b = out.pop()
-            out[-1] = App(App(_BOOL[t], out[-1]), b)
-        elif t is F.Oblig:
-            body, cond_y = out.pop(), out.pop()
-            best = App(_PI, bind(L.limp(cond_y, L.app(R_BET, var(d + 2, d), var(d + 2, d + 1))),
-                                 d + 1))
-            out[-1] = App(_PI, bind(L.limp(L.land(out[-1], best), body), d))
-        else:  # one Pi binder, and not Pi not for the duals
-            scope = out[-1]
-            if sdl and t is not F.Forall and t is not F.Exists:
-                acc = L.app(R_ACC, var(d + 1, w), var(d + 1, d))
-                scope = L.lor(App(NOT, acc), scope) if t is F.Box else L.land(acc, scope)
-            out[-1] = (App(_PI, bind(scope, d)) if t is F.Box or t is F.Forall
-                       else App(NOT, App(_PI, bind(App(NOT, scope), d))))
-    nf = out[0]
-    return L.App(_PI, bind(nf, 0)) if mode == "global" else nf
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +343,307 @@ def lower(t: L.LTerm) -> FOFormula:
 
 
 def translate(f: F.Formula, logic: str, mode: str = "global") -> FOFormula:
-    """Whole pipeline: the normal form of the vld-wrapped embedding,
-    lowered."""
-    return lower(normal_form(f, logic, mode))
+    """Whole pipeline: the first-order reading of the vld-wrapped
+    embedding's normal form."""
+    return translation(f, logic, mode)[1]
+
+
+# ---------------------------------------------------------------------------
+# The translation in one walk
+
+# each binary connective's first-order class and its text in `L.show`
+_BINARY = {F.And: (FOAnd, " ∧ "), F.Or: (FOOr, " ∨ "), F.Implies: (FOImp, " → "),
+           F.Iff: (FOIff, " ↔ ")}
+# predicates all of whose arguments `lower` reads as worlds
+_RELATIONS = frozenset({"R", "Rb"})
+# the names `L.show` and `lower` read as the kernel's logical constants
+_LOGICAL = frozenset({"not", "or", "and", "imp", "iff", "Pi"})
+# a free name that a binder's name may meet: v<k> or q<k>
+_BINDER_NAME = re.compile(r"[vq]\d+")
+_AW = FOConst(AW.name)
+# where an occurrence stands, as `L.show` parenthesizes it: at the top of
+# a scope (0), as an operand (1), or as the operand of a negation that
+# has no node of its own (a derived operator's)
+_OPERAND, _NEGATED = 1, 2
+
+
+def translation(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, FOFormula]:
+    """`L.show` of the normal form of `vld(embed(f, logic), mode)` and
+    `lower` of it, read off f in one walk that builds no lambda term.
+
+    Every combinator applies its predicate arguments only to a bound
+    world (the quantifiers to a bound individual and a world), so the
+    normal form of an occurrence of a subformula g is that of g's
+    embedding applied to its world, where it stands, from the beta-normal
+    body of g's operator (hereditary substitution; Watkins, Cervesato,
+    Pfenning & Walker 2004): a connective applies its constant to its
+    operands at the same world; box, dia and the quantifiers open one Pi
+    binder (dia and exists as not Pi not) whose scope holds the operand
+    at the new world or over the new individual; O{b | c} opens one for
+    its worlds w and one more for the y below them, and holds c at both.
+    Derived operators are read as _OPS embeds them.  Soundness:
+
+    - each rule is the beta-normal form of its combinator applied to
+      beta-normal operands, since substituting a variable or the
+      constant aw into a beta-normal term leaves it beta-normal;
+    - eta applies where a binder's scope is M 0 with 0 not free in M.
+      A scope built here is a connective, a Pi or an atom, and only an
+      atom at the binder's own world ends in that binder's index: an E
+      box over an atom, or the global wrapper over one, which become Pi
+      applied to the atom's head;
+    - beta-eta normal forms are unique, so the text is `L.show` of
+      `normalize`'s node once binders are named as `normalize` names
+      them, and the first-order formula is `lower`'s once they are named
+      and read as `lower` does (below).  That reading is van Benthem's
+      standard translation (1983).
+
+    Pass 1 is a left-to-right pre-order over the occurrences, on an
+    explicit stack, in the order of the normal form's nodes.  It writes
+    `L.show`'s text and appends the pre-order of the first-order reading
+    to a program:
+    - each binder has two names, v<depth> for the text and v<k> for the
+      k-th binder in pre-order for the first-order formula, as `lower`
+      names them, both primed against f's free names; an eta-contracted
+      binder is q<depth> and is not counted;
+    - an atom finds the binder of each of its variables by level in an
+      array that each binder overwrites; the last binder opened at a
+      level is the ancestor at that level, since any later one at that
+      level would stand outside the ancestor's scope.  A binder that no
+      atom finds is vacuous and dropped, as `lower` drops it (both sorts
+      are nonempty);
+    - a negation whose operand is a binder whose scope is a negation
+      makes the binder an existential and both negations disappear, as
+      `lower` reads not Pi (lambda x. not b).
+    Binder names depend on f's free names, which are known only at the
+    end; if one of them has a binder's form, pass 1 runs again, knowing
+    them.  Pass 2 runs the program in reverse, building each connective
+    and quantifier over the formulas of its operands.
+    """
+    if not isinstance(f, F.Formula):
+        raise EmbedError(f"cannot embed {f!r}")
+    if mode not in ("global", "local"):
+        raise EmbedError(f"unknown validity mode {mode!r}")
+    sdl, whole = logic == "sdl", mode == "global"
+    text, program, names = _occurrences(f, sdl, whole, frozenset())
+    if any(_BINDER_NAME.fullmatch(n) for n in names):
+        text, program, _ = _occurrences(f, sdl, whole, names)
+    out: list[FOFormula] = []
+    for e in reversed(program):
+        if type(e) is FOAtom:
+            out.append(e)
+        elif type(e) is list:  # a binder: [class, name, sort or None if vacuous, var]
+            if e[2] is not None:
+                out[-1] = e[0](e[1], e[2], out[-1])
+        elif e is FONot:
+            out[-1] = FONot(out[-1])
+        elif e is not None:  # a binary class; None is a negation read away
+            left = out.pop()
+            out[-1] = e(left, out[-1])
+    return text, out[0]
+
+
+def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
+    """Pass 1 of `translation`, with binder names primed against avoid:
+    the normal form's text, the first-order program and f's free names."""
+    fo_avoid = avoid | {n.replace("_", "'") for n in avoid}  # as `lower` avoids them
+    text: list[str] = []
+    program: list = []
+    names: set[str] = set()
+    labels: list[str] = []  # the text's binder name by depth
+    level: list[list] = []  # the binder last opened at each level
+    atoms: dict = {}  # per atom: the text of its head, its FO arguments if closed, its sort
+    free: dict[str, list] = {}  # per free individual variable, an entry like a binder's
+    etas: dict[int, list] = {}  # the eta-contracted binder by depth
+    count = 0
+
+    def bind(d: int) -> str:
+        """Open a binder at depth d; its name in the text."""
+        nonlocal count
+        if d == len(labels):
+            labels.append(L._fresh(f"v{d}", avoid))
+        name = L._fresh(f"v{count}", fo_avoid)
+        count += 1
+        e = [FOForall, name, None, FOVar(name)]
+        if d < len(level):
+            level[d] = e
+        else:
+            level.append(e)
+        program.append(e)
+        return labels[d]
+
+    def negate() -> None:
+        if len(program) > 1 and program[-2] is FONot and type(program[-1]) is list:
+            program[-2] = None
+            program[-1][0] = FOExists
+            program.append(None)
+        else:
+            program.append(FONot)
+
+    def world(w: int | None) -> tuple[str, FOTerm]:
+        if w is None:
+            return AW.name, _AW
+        e = level[w]
+        e[2] = WORLD
+        return labels[w], e[3]
+
+    def atom(g: F.Atom, env: dict[str, int]) -> tuple[str, tuple]:
+        """The text of g's head applied to its individuals, and their FO
+        terms."""
+        info = atoms.get(g)
+        if info is None:
+            info = atoms[g] = _atom_info(g, names)
+        head, args, sort = info
+        if args is not None:
+            return head, args
+        parts, args = [head], []
+        for a in g.args:
+            if type(a) is F.Const:
+                parts.append(L._SYMBOL.get(a.name, a.name))
+                args.append(FOConst(a.name))
+                continue
+            lv = env.get(a.name)
+            if lv is None:
+                e = free.get(a.name)
+                if e is None:
+                    e = free[a.name] = [None, a.name, sort, FOVar(a.name)]
+                    names.add(a.name)
+                parts.append(a.name)
+            else:
+                e = level[lv]
+                parts.append(labels[lv])
+                if e[2] is None:
+                    e[2] = sort
+            if e[2] != sort:
+                raise LowerError(f"variable {e[1]} used as both sorts")
+            args.append(e[3])
+        return " ".join(parts), tuple(args)
+
+    def relation(pred: str, w: int | None, v: int) -> str:
+        """The atom pred(world at level w, world at level v); its text."""
+        (wt, wv), (vt, vv) = world(w), world(v)
+        program.append(FOAtom(pred, (wv, vv)))
+        return f"{pred} {wt} {vt}"
+
+    def eta(g: F.Atom, d: int, env: dict[str, int], ctx: int) -> None:
+        """Pi over g's head: the binder at depth d over g at its world."""
+        head, args = atom(g, env)
+        e = etas.get(d)
+        if e is None:
+            name = L._fresh(f"q{d}", fo_avoid)
+            e = etas[d] = [FOForall, name, WORLD, FOVar(name)]
+        program.append(e)
+        program.append(FOAtom(g.pred, args + (e[3],)))
+        s = f"Π ({head})" if g.args else f"Π {head}"
+        text.append(f"({s})" if ctx else s)
+
+    # an occurrence: (subformula, binder depth, level of its world or None
+    # for aw, level of each enclosing individual binder by variable, context);
+    # text, and the second binder and the Rb atom of O{b | c}, are strings
+    stack: list = []
+    if not whole:
+        stack.append((f, 0, None, {}, 0))
+    elif type(f) is F.Atom:
+        eta(f, 0, {}, 0)
+    else:
+        text.append(f"Π(λ{bind(0)}. ")
+        stack += [")", (f, 1, 0, {}, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            text.append(item)
+            continue
+        g, d, w, env, ctx = item
+        if ctx == _NEGATED:
+            negate()
+            text.append("¬")
+            ctx = _OPERAND
+        t = type(g)
+        while t is F.Not:
+            negate()
+            text.append("¬")
+            g, ctx = g.sub, _OPERAND
+            t = type(g)
+        if t is F.Atom:
+            head, args = atom(g, env)
+            wt, wv = world(w)
+            program.append(FOAtom(g.pred, args + (wv,)))
+            text.append(f"({head} {wt})" if ctx else f"{head} {wt}")
+        elif t in _BINARY:
+            cls, op = _BINARY[t]
+            program.append(cls)
+            if ctx:
+                text.append("(")
+                stack.append(")")
+            stack += [(g.right, d, w, env, _OPERAND), op, (g.left, d, w, env, _OPERAND)]
+        elif t is F.Forall or t is F.Exists or not sdl and (t is F.Box or t is F.Dia):
+            if t is F.Box and type(g.sub) is F.Atom:
+                eta(g.sub, d, env, ctx)
+                continue
+            scope = ((g.body, d + 1, w, {**env, g.var: d}) if t is F.Forall or t is F.Exists
+                     else (g.sub, d + 1, d, env))
+            if t is F.Forall or t is F.Box:
+                text.append(f"Π(λ{bind(d)}. ")
+                stack += [")", (*scope, 0)]
+            else:  # not Pi not
+                negate()
+                v = bind(d)
+                negate()
+                text.append(f"¬Π(λ{v}. ¬")
+                stack += [")", (*scope, _OPERAND)]
+        elif sdl and (t is F.Box or t is F.ObligM or t is F.Forb or t is F.Perm):
+            if t is F.Perm:  # not box not
+                negate()
+                text.append("¬")
+            v = bind(d)
+            program += [FOOr, FONot]
+            text.append(f"Π(λ{v}. ¬({relation(R_ACC.name, w, d)}) ∨ ")
+            negated = t is F.Forb or t is F.Perm
+            stack += [")", (g.sub, d + 1, d, env, _NEGATED if negated else _OPERAND)]
+        elif sdl and t is F.Dia:
+            negate()
+            v = bind(d)
+            negate()
+            program.append(FOAnd)
+            text.append(f"¬Π(λ{v}. ¬(({relation(R_ACC.name, w, d)}) ∧ ")
+            stack += ["))", (g.sub, d + 1, d, env, _OPERAND)]
+        elif sdl and t is F.Oblig:
+            raise EmbedError("dyadic obligation is not part of the SDL language")
+        elif not sdl and (t is F.Oblig or t is F.ObligM or t is F.Forb or t is F.Perm):
+            if t is F.Perm:  # not O{not a | true}
+                negate()
+                text.append("¬")
+            body, cond = (g.body, g.cond) if t is F.Oblig else (g.sub, F.TOP)
+            negated = t is F.Forb or t is F.Perm
+            text.append(f"Π(λ{bind(d)}. (")
+            program += [FOImp, FOAnd]
+            stack += [")", (body, d + 1, d, env, _NEGATED if negated else _OPERAND),
+                      ("Rb", d, None, env, 0), (cond, d + 2, d + 1, env, _OPERAND),
+                      ("best", d, None, env, 0), (cond, d + 1, d, env, _OPERAND)]
+        elif g == "best":  # every c-world y: the second binder of O{b | c}
+            text.append(f" ∧ Π(λ{bind(d + 1)}. ")
+            program.append(FOImp)
+        elif g == "Rb":
+            text.append(f" → ({relation(R_BET.name, d, d + 1)}))) → ")
+        else:
+            raise EmbedError(f"cannot embed {g!r}")
+    return "".join(text), program, names
+
+
+def _atom_info(g: F.Atom, names: set[str]) -> tuple[str, tuple | None, str]:
+    """For `translation`: the text of g's head, with its arguments if they
+    are all constants; their FO terms then, else None; and the sort
+    `lower` gives its individual arguments.  Adds its names to names."""
+    if g.pred in _LOGICAL:
+        raise EmbedError(f"predicate {g.pred!r} has the name of a logical constant "
+                         "of the embedding")
+    names.add(g.pred)
+    sort = WORLD if g.pred in _RELATIONS else INDIV
+    consts = [a.name for a in g.args if type(a) is F.Const]
+    names.update(consts)
+    if len(consts) < len(g.args):
+        return g.pred, None, sort
+    head = " ".join([g.pred] + [L._SYMBOL.get(c, c) for c in consts])
+    return head, tuple(map(FOConst, consts)), sort
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,7 @@ def load_kb(text: str) -> KnowledgeBase:
     section = None
     predicates: dict[str, int] = {}
     individuals: list[str] = []
+    known: set[str] = set()  # the individuals, for the duplicate check
     norm_lines: list[tuple[int, str]] = []
     fact_lines: list[tuple[int, str]] = []
 
@@ -120,8 +121,9 @@ def load_kb(text: str) -> KnowledgeBase:
                     continue
                 if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
                     raise KBError(f"bad individual name {name!r}", lineno)
-                if name in individuals:
+                if name in known:
                     raise KBError(f"duplicate individual {name!r}", lineno)
+                known.add(name)
                 individuals.append(name)
         elif section == "norms":
             norm_lines.append((lineno, line))

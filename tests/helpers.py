@@ -49,6 +49,24 @@ def gen_formula(rng: random.Random, logic: str, depth: int,
     return ctor(gen_formula(rng, logic, depth - 1, quantifiers, scope))
 
 
+def balanced(size: int, logic: str, depth: int = 0) -> F.Formula:
+    """A formula of exactly ``size`` nodes: modal at depths 1, 3 and 5,
+    Boolean elsewhere with the nodes split evenly, operators and atoms
+    cycled by size."""
+    atoms = (P, Q, R)
+    if size <= 2:
+        leaf = atoms[size % 3]
+        return leaf if size == 1 else F.Not(leaf)
+    if depth in (1, 3, 5):
+        if logic == "e" and size % 2:
+            return F.Oblig(balanced(size - 2, logic, depth + 1), atoms[size % 3])
+        op = (F.Box, F.Dia, F.ObligM, F.Perm)[size % 4]
+        return op(balanced(size - 1, logic, depth + 1))
+    left = (size - 1) // 2
+    op = (F.And, F.Or, F.Implies, F.Iff)[size % 4]
+    return op(balanced(left, logic, depth + 1), balanced(size - 1 - left, logic, depth + 1))
+
+
 def gen_model(rng: random.Random, logic: str, max_worlds: int = 4,
               max_indivs: int = 3):
     """Random finite model whose valuation covers the helpers signature."""

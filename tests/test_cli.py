@@ -16,10 +16,11 @@ from click.testing import CliRunner
 
 from deon import cli
 from deon import formula as F
+from deon import lam as L
 from deon import semantics as S
 
 import oracles
-from helpers import gen_formula
+from helpers import balanced, gen_formula
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -416,6 +417,48 @@ class TestTranslate:
         assert r.exit_code == 3
         assert r.output.startswith(f"error: {option} {value!r} is not a TPTP")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("logic, foralls", [("sdl", 10_001), ("e", 1)])
+    def test_ten_thousand_nested_boxes(self, logic, foralls):
+        r, payload = run_json("translate", "box " * 10_000 + "p", "--logic", logic)
+        assert r.exit_code == 0
+        detail = payload["detail"]
+        # one Pi per box and one for the validity wrapper; in E every world
+        # binder but the innermost, eta-contracted one is vacuous
+        assert detail["normal_form"].count("Π") == 10_001
+        assert detail["fo"].count("∀") == foralls
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_the_normal_form_is_the_last_step(self, logic):
+        sig = "pred p/0; pred q/0; pred r/0; pred P1/1; pred Q1/1; const c0"
+        rng = random.Random(5)
+        for i in range(30):
+            f = gen_formula(rng, logic, rng.randint(0, 3), quantifiers=bool(i % 2))
+            local = ("--local",) * (i // 2 % 2)
+            r, payload = run_json("translate", F.print_formula(f), "--logic", logic,
+                                  "--show-steps", "--sig", sig, *local)
+            assert r.exit_code == 0
+            assert payload["detail"]["normal_form"] == payload["detail"]["steps"][-1]
+
+    def test_plain_translate_builds_no_lambda_term(self, monkeypatch):
+        # every node that enters the table gets a weak reference made there
+        made = []
+
+        class Ref(F._Ref):
+            __slots__ = ()
+
+            def __new__(cls, node, callback):
+                if isinstance(node, L.LTerm):
+                    made.append(node)
+                return super().__new__(cls, node, callback)
+
+        monkeypatch.setattr(F, "_Ref", Ref)
+        for logic in ("sdl", "e"):
+            text = F.print_formula(balanced(380, logic))
+            assert run("translate", text, "--logic", logic).exit_code == 0
+        assert made == []
+        run("translate", "p", "--show-steps")
+        assert made  # the stepper still builds its terms
 
     def test_in_process_runs_free_their_streams(self):
         # click.echo caches every sys.stdout it writes to, keyed weakly

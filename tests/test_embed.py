@@ -15,7 +15,7 @@ from deon import lam as L
 from deon import semantics as S
 
 import oracles
-from helpers import P, Q, R, gen_formula, gen_model
+from helpers import P, Q, R, balanced, gen_formula, gen_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -106,18 +106,32 @@ class TestVld:
         for _ in range(20):
             assert E.fo_eval(fo, gen_model(rng, "e"), "e")
 
+    def test_a_free_z_is_not_captured(self):
+        # the world binder takes a name that no free variable of the term has
+        f = F.Atom("P1", (F.Var("z"),))
+        t = E.vld(E.embed(f, "e"))
+        assert "z" in L.names(t)
+        fo = E.FOForall("q0", E.WORLD, E.FOAtom("P1", (E.FOVar("z"), E.FOVar("q0"))))
+        assert E.lower(L.normalize(t)) == fo
+        assert E.translate(f, "e") == fo
+
     def test_wrong_type_rejected(self):
         with pytest.raises(E.EmbedError):
             E.vld(L.Const("c", L.I))
 
 
-class TestNormalFormBuilder:
-    """`E.normal_form` builds the node that normalization by evaluation
-    gives for the vld-wrapped embedding."""
+def reference(f, logic, mode="global"):
+    """What `E.translation` must give: `L.show` of the normal form that
+    normalization by evaluation gives for the vld-wrapped embedding, and
+    `E.lower` of that node."""
+    nf = L.normalize(E.vld(E.embed(f, logic), mode))
+    return L.show(nf), E.lower(nf)
 
-    @staticmethod
-    def reference(f, logic, mode):
-        return L.normalize(E.vld(E.embed(f, logic), mode))
+
+class TestNormalFormBuilder:
+    """`E.translation` writes the text of the normal form of the
+    vld-wrapped embedding and builds its first-order reading, as
+    normalizing the embedding and lowering the result do."""
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     @pytest.mark.parametrize("quantifiers", [False, True])
@@ -126,7 +140,7 @@ class TestNormalFormBuilder:
         for _ in range(800):
             f = gen_formula(rng, logic, rng.randint(0, 5), quantifiers)
             for mode in ("global", "local"):
-                assert E.normal_form(f, logic, mode) is self.reference(f, logic, mode), \
+                assert E.translation(f, logic, mode) == reference(f, logic, mode), \
                     (F.print_formula(f), mode)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
@@ -136,56 +150,87 @@ class TestNormalFormBuilder:
         for op in ops:
             f = op(P) if op in F._UNARY else op(P, Q)
             for mode in ("global", "local"):
-                assert E.normal_form(f, logic, mode) is self.reference(f, logic, mode), op
+                assert E.translation(f, logic, mode) == reference(f, logic, mode), op
 
     @pytest.mark.parametrize("f", [
         F.Forall("x", F.Forall("x", F.Atom("P1", (F.Var("x"),)))),
         F.Atom("P1", (F.Var("y"),)),
-        # vld names its world binder z, so it binds a free z
+        # vld binds its world over a fresh name, so a free z stays free
         F.Atom("P1", (F.Var("z"),)),
         F.And(F.Atom("v0"), F.Box(F.Dia(F.Atom("v1")))),
         F.Box(F.Atom("P1", (F.Const("c0"),))),
         F.Forall("x", F.Box(F.Atom("P1", (F.Var("x"),)))),
         P,
         F.Oblig(P, F.Oblig(Q, F.Oblig(R, P))),
+        # the existential read through a vacuous binder: ~box exists x. box ~q
+        F.Not(F.Box(F.Exists("x", F.Box(F.Not(Q))))),
+        # P box dia (P1(c0) | r)
+        F.Perm(F.Box(F.Dia(F.Or(F.Atom("P1", (F.Const("c0"),)), R)))),
+        # free names that a binder's name meets, in the text, in first
+        # order (v<k>, q<k>) and in TPTP (a prime is written _)
+        F.And(F.Atom("v0"), F.And(F.Atom("v0_"), F.Box(F.Atom("q1")))),
+        F.Atom("q0"),
+        F.Forall("v0", F.Box(F.Atom("P1", (F.Var("v0"),)))),
     ], ids=["shadowing", "free", "free-z", "primed", "eta-const", "eta-var", "atom",
-            "nested-conditions"])
+            "nested-conditions", "exists-through-vacuous", "perm-box-dia", "binder-names",
+            "q0", "bound-v0"])
     def test_hand_cases(self, f):
         for logic in ("sdl", "e"):
             if logic == "sdl" and F.Oblig in map(type, F.subformulas(f)):
                 continue
             for mode in ("global", "local"):
-                assert E.normal_form(f, logic, mode) is self.reference(f, logic, mode), \
+                assert E.translation(f, logic, mode) == reference(f, logic, mode), \
                     (logic, mode)
 
     def test_eta_contracts_as_the_read_back_does(self):
         box_c0 = F.Box(F.Atom("P1", (F.Const("c0"),)))
-        assert L.show(E.normal_form(box_c0, "e")) == "Π(λv0. Π (P1 c0))"
-        assert L.show(E.normal_form(P, "sdl")) == "Π p"
-        primed = E.normal_form(F.And(F.Atom("v0"), F.Box(F.Atom("v1"))), "sdl")
-        assert L.show(primed) == "Π(λv0'. (v0 v0') ∧ Π(λv1'. ¬(R v0' v1') ∨ (v1 v1')))"
+        assert E.translation(box_c0, "e")[0] == "Π(λv0. Π (P1 c0))"
+        assert E.translation(P, "sdl")[0] == "Π p"
+        primed = F.And(F.Atom("v0"), F.Box(F.Atom("v1")))
+        assert E.translation(primed, "sdl")[0] == \
+            "Π(λv0'. (v0 v0') ∧ Π(λv1'. ¬(R v0' v1') ∨ (v1 v1')))"
+        text, fo = E.translation(F.Forall("x", F.Not(F.Box(P))), "e", "local")
+        assert text == "Π(λv0. ¬(Π p))"
+        assert E.fo_show(fo) == "¬(∀q1:world. p(q1))"
+
+    def test_the_existential_is_read_through_vacuous_binders(self):
+        f = F.Not(F.Box(F.Exists("x", F.Box(F.Not(Q)))))
+        text, fo = E.translation(f, "e")
+        assert text == "Π(λv0. ¬Π(λv1. ¬Π(λv2. ¬Π(λv3. ¬(q v3)))))"
+        # not box not (forall x. not box not q): x and the box's world do
+        # not occur, and the inner not box not is a dia
+        assert fo == E.FOExists("v3", E.WORLD, E.FOAtom("q", (E.FOVar("v3"),)))
+
+    def test_free_names_prime_the_binders(self):
+        f = F.And(F.Atom("v0"), F.And(F.Atom("v0_"), F.Box(F.Atom("q1"))))
+        text, fo = E.translation(f, "e")
+        assert text == "Π(λv0'. (v0 v0') ∧ ((v0_ v0') ∧ (Π q1)))"
+        assert E.fo_show(fo) == "∀v0'':world. v0(v0'') ∧ (v0_(v0'') ∧ (∀q1':world. q1(q1')))"
+        assert "! [V0__]" in E.emit_tptp(fo, "goal", "conjecture")
+
+    @pytest.mark.parametrize("name", ["not", "or", "and", "imp", "iff", "Pi"])
+    def test_predicates_named_as_logical_constants_are_rejected(self, name):
+        # the normal form would print them, and lowering read them, as the
+        # kernel's connectives and quantifier
+        with pytest.raises(E.EmbedError, match="logical constant"):
+            E.translation(F.Box(F.Atom(name)), "sdl")
 
     def test_dyadic_obligation_in_sdl_is_the_same_error(self):
         f = F.Oblig(Q, P)
         with pytest.raises(E.EmbedError) as expected:
             E.vld(E.embed(f, "sdl"))
         with pytest.raises(E.EmbedError) as got:
-            E.normal_form(f, "sdl")
+            E.translation(f, "sdl")
         assert str(got.value) == str(expected.value)
         with pytest.raises(E.EmbedError, match="unknown validity mode"):
-            E.normal_form(P, "e", "nowhere")
+            E.translation(P, "e", "nowhere")
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_deep_chains_do_not_recurse(self, logic):
-        def chain(depth):
-            f = F.Atom("P1", (F.Var("x"),))
-            ops = (F.Box, F.ObligM, F.Dia, lambda g: F.Forall("x", g))
-            for i in range(depth):
-                f = ops[i % 4](f)
-            return f
-
-        assert E.normal_form(chain(200), logic) is self.reference(chain(200), logic, "global")
-        assert E.normal_form(chain(10_000), logic).ty is L.O
+        assert E.translation(chain(200), logic) == reference(chain(200), logic)
+        text, fo = E.translation(chain(10_000), logic)
+        # one Pi per operator and one for vld; O opens two in E
+        assert text.count("Π") == 10_001 + 2_500 * (logic == "e")
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_time_grows_linearly(self, logic):
@@ -194,11 +239,20 @@ class TestNormalFormBuilder:
             times = []
             for _ in range(5):
                 t0 = time.perf_counter()
-                E.normal_form(f, logic)
+                E.translation(f, logic)
                 times.append(time.perf_counter() - t0)
             return min(times)
 
         assert best_time(1440) / best_time(360) < 8
+
+
+def chain(depth: int) -> F.Formula:
+    """box, O, dia and forall x in turn, depth deep, over P1(x)."""
+    f = F.Atom("P1", (F.Var("x"),))
+    ops = (F.Box, F.ObligM, F.Dia, lambda g: F.Forall("x", g))
+    for i in range(depth):
+        f = ops[i % 4](f)
+    return f
 
 
 class TestLower:
@@ -314,42 +368,24 @@ class TestFaithfulnessSpot:
             assert direct == E.fo_eval(fo, m, logic)
 
 
-def balanced(size: int, logic: str, depth: int = 0) -> F.Formula:
-    """A formula of exactly ``size`` nodes: modal at depths 1, 3 and 5,
-    Boolean elsewhere with the nodes split evenly, operators and atoms
-    cycled by size."""
-    atoms = (P, Q, R)
-    if size <= 2:
-        leaf = atoms[size % 3]
-        return leaf if size == 1 else F.Not(leaf)
-    if depth in (1, 3, 5):
-        if logic == "e" and size % 2:
-            return F.Oblig(balanced(size - 2, logic, depth + 1), atoms[size % 3])
-        op = (F.Box, F.Dia, F.ObligM, F.Perm)[size % 4]
-        return op(balanced(size - 1, logic, depth + 1))
-    left = (size - 1) // 2
-    op = (F.And, F.Or, F.Implies, F.Iff)[size % 4]
-    return op(balanced(left, logic, depth + 1), balanced(size - 1 - left, logic, depth + 1))
-
-
 def tree_size(f: F.Formula) -> int:
     subs = [getattr(f, a) for a in ("sub", "left", "right", "body", "cond") if hasattr(f, a)]
     return 1 + sum(tree_size(g) for g in subs)
 
 
 class TestNormalizerScales:
-    """Normalization is one evaluation and one read-back: time grows with
-    the size of the term, not with the number of beta steps."""
+    """The translation is one walk over the formula: time grows with the
+    number of its occurrences, at any width and any depth."""
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_large_balanced_formula(self, logic):
         f = balanced(1446, logic)
         assert tree_size(f) == 1446
         t0 = time.perf_counter()
-        # normalization itself, not the builder that translate uses
-        fo = E.lower(L.normalize(E.vld(E.embed(f, logic))))
+        text, fo = E.translation(f, logic)
         # the single-step normalizer took 29.6 s on a formula of this size
         assert time.perf_counter() - t0 < 5.0
+        assert (text, fo) == reference(f, logic)
         rng = random.Random(3)
         for _ in range(3):
             m = gen_model(rng, logic, max_worlds=3)
@@ -357,38 +393,45 @@ class TestNormalizerScales:
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_time_grows_linearly(self, logic):
-        def best_time(size):
-            t = E.vld(E.embed(balanced(size, logic), logic))
+        def best_time(depth):
+            f = chain(depth)
             times = []
-            for _ in range(5):
+            for _ in range(3):
                 t0 = time.perf_counter()
-                L.normalize(t)
+                E.translation(f, logic)
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        # four times the nodes: about 4x the time when linear, 16x when
-        # quadratic (the single-step normalizer measured about 10x)
-        assert best_time(1440) / best_time(360) < 8
+        # four times the depth: about 4x the time when linear, 16x when
+        # quadratic
+        assert best_time(8000) / best_time(2000) < 8
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_deep_negation(self, logic):
         f = P
         for _ in range(300):
             f = F.Not(f)
-        body = L.App(pc, x)
+        body = L.App(pc, L.Var("v0", L.I))
         for _ in range(300):
             body = L.neg(body)
-        expected = L.App(L.Pi(L.I), L.Abs("x", L.I, body))
-        assert oracles.alpha_eq(L.normalize(E.vld(E.embed(f, logic))), expected)
+        expected = L.App(L.Pi(L.I), L.Abs("v0", L.I, body))
+        text, fo = E.translation(f, logic)
+        assert text == L.show(expected)
+        expected_fo = E.FOAtom("p", (E.FOVar("v0"),))
+        for _ in range(300):
+            expected_fo = E.FONot(expected_fo)
+        assert fo == E.FOForall("v0", E.WORLD, expected_fo)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_deep_box(self, logic):
         f = P
         for _ in range(150):
             f = F.Box(f)
-        nf = L.normalize(E.vld(E.embed(f, logic)))
-        assert L.type_of(nf) == L.O
-        assert L.show(nf).count("Π") == 151  # one quantifier per box, one for vld
+        text, fo = E.translation(f, logic)
+        assert text.count("Π") == 151  # one quantifier per box, one for vld
+        # in E every world binder but the innermost, eta-contracted one is
+        # vacuous
+        assert E.fo_show(fo).count("∀") == (151 if logic == "sdl" else 1)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_embedding_a_deep_chain_does_not_recurse(self, logic):

@@ -63,6 +63,12 @@ class TestLoad:
         with pytest.raises(KB.KBError, match="duplicate norm id"):
             KB.load_kb(text)
 
+    def test_duplicate_individual_rejected_at_its_line(self):
+        text = "[signature]\npred p/1\n[individuals]\nd1, d2\nd3 d1\n"
+        with pytest.raises(KB.KBError) as err:
+            KB.load_kb(text)
+        assert str(err.value) == "line 5: duplicate individual 'd1'"
+
     def test_error_carries_line(self):
         with pytest.raises(KB.KBError, match="line 3"):
             KB.load_kb("[signature]\npred p/0\nnot a pred line\n")
@@ -350,6 +356,21 @@ class TestScaling:
                 else:
                     assert (detached, violated) == (["c0", "n1"], ["c0"])
             assert time.perf_counter() - t0 < 2.0, task
+
+    def test_loading_grows_linearly_in_the_individuals(self):
+        def best_time(n):
+            text = gdpr_kb(n, "e")
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                base = KB.load_kb(text)
+                times.append(time.perf_counter() - t0)
+            assert len(base.individuals) == n
+            return min(times)
+
+        # four times the individuals: about 4x the time when linear, 16x
+        # when quadratic (a duplicate check against the list measured 14x)
+        assert best_time(16_384) / best_time(4_096) < 8
 
     def test_unrelated_obligation_not_entailed_at_thirty(self):
         # the canonical re-scan over 91 atoms cannot finish; its own
