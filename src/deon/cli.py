@@ -11,12 +11,19 @@ The command line is read against one table, `MAIN`: each command's
 `cmd_*` function, whose docstring is its help text, and its `Param`s,
 the arguments and options with their flag, kind (text, integer, choice,
 existing path, directory, flag), default, help and whether they are
-required.  One loop, `_parse`, reads argv against the table and calls
-the function.  Options may come anywhere before `--`, as `--opt value` or
+required.  One loop, `_parse`, reads argv against the table and
+dispatches.  Options may come anywhere before `--`, as `--opt value` or
 `--opt=value`, and the last of a repeated option counts; the values are
 checked in the order given, then the arguments, then the options left
 out.  `_help` and `_usage` print `--help` and the usage errors from the
 same table, wrapped at 80 columns.
+
+A `cmd_*` function returns its `Report` and its text lines, and neither
+prints nor exits.  `_parse` runs it and prints the report in the format
+asked for, both in one `try`: a budget overrun prints `budget exceeded:
+...` on stderr and nothing on stdout and exits 2, a domain or I/O error
+prints `error: ...` and exits 3.  Otherwise it exits with the verdict's
+code from `_EXIT`, the one map from verdict to exit code.
 
 `main` has what an in-process runner such as `CliRunner.invoke` reads:
 `main.name`, the program name it shows, and `main.main(args=...,
@@ -28,7 +35,6 @@ is the same call, and `entry` maps such exceptions to exit 4.
 from __future__ import annotations
 
 import difflib
-import functools
 import inspect
 import json
 import os
@@ -212,7 +218,12 @@ class Report:
                 print(line if type(line) is str else line.to_json())
 
 
-_EXIT = {"model_found": 0, "valid": 0, "countermodel": 1, "unsatisfiable": 1,
+# every verdict a report can carry, and its exit code: 0 and 1 only for
+# decided verdicts
+_EXIT = {"parsed": 0, "translated": 0, "true": 0, "false": 1,
+         "model_found": 0, "valid": 0, "countermodel": 1, "unsatisfiable": 1,
+         "correspondence_confirmed": 0, "correspondence_incomplete": 1,
+         "compliant": 0, "violations": 1,
          "no_model_up_to": 2, "budget_exceeded": 2}
 
 
@@ -224,24 +235,6 @@ def _ground_for_search(f: F.Formula, signature: F.Signature) -> F.Formula:
                 "declare one with --sig 'const a, b' or mention constants")
         return F.ground(f, sorted(signature.constants))
     return f
-
-
-def _run_guard(func):
-    """Translate domain errors to exit code 3, budget overruns to 2."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except SE.BudgetExceeded as ex:
-            print(f"budget exceeded: {ex}", file=sys.stderr)
-            sys.exit(2)
-        except (F.FormulaError, L.LamError, E.EmbedError, S.SemanticsError,
-                SE.SearchError, KB.KBError, OSError, json.JSONDecodeError) as ex:
-            print(f"error: {ex}", file=sys.stderr)
-            sys.exit(3)
-
-    return wrapper
 
 
 def _signature(sig: str | None, text: str) -> F.Signature:
@@ -263,19 +256,17 @@ def _signature(sig: str | None, text: str) -> F.Signature:
     return F.Signature(predicates, frozenset(constants))
 
 
-@_run_guard
-def cmd_parse(text, logic, sig, fmt):
+def cmd_parse(text, logic, sig):
     """Parse a formula and print its canonical form."""
     rep = Report("parse")
     f = F.parse(text, _signature(sig, text), logic=logic)
     pretty = F.print_formula(f)
     rep.data["verdict"] = "parsed"
     rep.data["detail"] = {"pretty": pretty, "size": F.size(f)}
-    rep.emit(fmt, [pretty])
+    return rep, [pretty]
 
 
-@_run_guard
-def cmd_eval(text, model_path, world, logic, sig, fmt):
+def cmd_eval(text, model_path, world, logic, sig):
     """Evaluate a formula at a world of a finite model."""
     rep = Report("eval")
     with open(model_path, "r", encoding="utf-8") as fh:
@@ -286,28 +277,23 @@ def cmd_eval(text, model_path, world, logic, sig, fmt):
     value = S.eval_formula(model, world, f, logic)
     rep.data["verdict"] = "true" if value else "false"
     rep.data["detail"] = {"world": world}
-    rep.emit(fmt, [f"{'true' if value else 'false'} at world {world}"])
-    sys.exit(0 if value else 1)
+    return rep, [f"{'true' if value else 'false'} at world {world}"]
 
 
-@_run_guard
-def cmd_check(text, logic, frame, bound, complete, sig, fmt):
+def cmd_check(text, logic, frame, bound, complete, sig):
     """Decide validity of a formula (countermodel search)."""
     rep = Report("check", complete)
     signature = _signature(sig, text)
     f = _ground_for_search(F.parse(text, signature, logic=logic), signature)
     cfg = _config(logic, frame, bound, complete)
     v = SE.decide_valid(f, cfg)
-    rep.verdict(v)
     lines = [f"verdict: {v.tag}"]
     if isinstance(v, SE.CountermodelFound):
         lines += [f"falsified at world {v.world}", v.model]
-    rep.emit(fmt, lines)
-    sys.exit(_EXIT[v.tag])
+    return rep.verdict(v), lines
 
 
-@_run_guard
-def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
+def cmd_model(texts, logic, frame, bound, complete, sig):
     """Search for a model making every given formula valid."""
     rep = Report("model", complete)
     # the texts are joined only to infer one signature for all of them;
@@ -317,12 +303,10 @@ def cmd_model(texts, logic, frame, bound, complete, sig, fmt):
           for t in texts]
     cfg = _config(logic, frame, bound, complete)
     v = SE.find_model(fs, cfg)
-    rep.verdict(v)
     lines = [f"verdict: {v.tag}"]
     if isinstance(v, SE.ModelFound):
         lines.append(v.model)
-    rep.emit(fmt, lines)
-    sys.exit(_EXIT[v.tag])
+    return rep.verdict(v), lines
 
 
 # A TPTP formula name that needs no quotes (a lower_word), and the roles
@@ -333,8 +317,7 @@ _TPTP_ROLES = frozenset({"axiom", "hypothesis", "definition", "assumption", "lem
                          "fi_domain", "fi_functors", "fi_predicates", "unknown"})
 
 
-@_run_guard
-def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt):
+def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig):
     """Embed a formula, normalize, lower to first order, emit TPTP."""
     rep = Report("translate")
     if not _TPTP_NAME.match(name):
@@ -369,7 +352,7 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig, fmt)
               f"first-order: {detail['fo']}",
               "tptp:",
               tptp.rstrip("\n")]
-    rep.emit(fmt, lines)
+    return rep, lines
 
 
 _SCHEMAS = {
@@ -387,8 +370,7 @@ _SCHEMAS = {
 }
 
 
-@_run_guard
-def cmd_correspondence(schema, frame, bound, fmt):
+def cmd_correspondence(schema, frame, bound):
     """Probe a schema against frame conditions over preference models.
 
     SCHEMA is a named schema (cv, id, k, 4, 5, cok, sh, abs, nec, ext)
@@ -420,8 +402,7 @@ def cmd_correspondence(schema, frame, bound, fmt):
                   report.violating_witness]
     else:
         lines.append("no frame-violating validating model within the bound")
-    rep.emit(fmt, lines)
-    sys.exit(0 if ok else 1)
+    return rep, lines
 
 
 def _load(path: str) -> KB.KnowledgeBase:
@@ -429,8 +410,7 @@ def _load(path: str) -> KB.KnowledgeBase:
         return KB.load_kb(fh.read())
 
 
-@_run_guard
-def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
+def cmd_kb_consistency(kbfile, logic, frame, bound, complete):
     """Is the knowledge base consistent?"""
     rep = Report("kb consistency", complete)
     base = _load(kbfile)
@@ -438,18 +418,15 @@ def cmd_kb_consistency(kbfile, logic, frame, bound, complete, fmt):
     result = KB.consistency(base, cfg)
     rep.data["mus"] = list(result.mus) if result.mus else None
     rep.data["detail"] = {"assumptions": list(result.labels)}
-    rep.verdict(result.verdict)
     lines = [f"verdict: {result.verdict.tag}"]
     if isinstance(result.verdict, SE.ModelFound):
         lines.append(result.verdict.model)
     if result.mus:
         lines.append("minimal unsatisfiable core: " + ", ".join(result.mus))
-    rep.emit(fmt, lines)
-    sys.exit(_EXIT[result.verdict.tag])
+    return rep.verdict(result.verdict), lines
 
 
-@_run_guard
-def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
+def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete):
     """Does the knowledge base entail the goal?"""
     rep = Report("kb entail", complete)
     base = _load(kbfile)
@@ -458,18 +435,15 @@ def cmd_kb_entail(kbfile, goal, logic, frame, bound, complete, fmt):
     result = KB.entailment(base, query, cfg)
     rep.data["detail"] = {"assumptions": list(result.labels),
                           "goal": F.print_formula(query)}
-    rep.verdict(result.verdict)
     lines = [f"verdict: {result.verdict.tag}"]
     if isinstance(result.verdict, SE.CountermodelFound):
         lines += [f"goal fails at world {result.verdict.world} of a model "
                   f"satisfying {', '.join(result.labels)}:",
                   result.verdict.model]
-    rep.emit(fmt, lines)
-    sys.exit(_EXIT[result.verdict.tag])
+    return rep.verdict(result.verdict), lines
 
 
-@_run_guard
-def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
+def cmd_kb_comply(kbfile, logic, frame, bound, complete):
     """Detachment-based compliance report for the current situation."""
     rep = Report("kb comply", complete)
     base = _load(kbfile)
@@ -487,8 +461,7 @@ def cmd_kb_comply(kbfile, logic, frame, bound, complete, fmt):
     lines += [f"detached:  {label}: {F.print_formula(f)}" for label, f in report.detached]
     lines += [f"violated:  {label}: {F.print_formula(f)}" for label, f in report.violations]
     lines.append("compliant" if report.compliant else "non-compliant")
-    rep.emit(fmt, lines)
-    sys.exit(0 if report.compliant else 1)
+    return rep, lines
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +497,8 @@ class Command(NamedTuple):
 
 def _parse(cmd: Command, path: str, args: list[str]) -> None:
     """Read args against cmd, a group or a leaf of the table, entering
-    the groups' commands, and run the leaf's function."""
+    the groups' commands, run the leaf's function, print its report in
+    the format asked for and exit with its verdict's code."""
     while cmd.commands is not None:
         if not args:
             print(_help(path, cmd), file=sys.stderr)
@@ -559,11 +533,21 @@ def _parse(cmd: Command, path: str, args: list[str]) -> None:
         s = "s" if len(rest) > 1 else ""
         raise UsageError(f"Got unexpected extra argument{s} ({' '.join(rest)})", where)
     del kwargs["help"]  # given, it ended the run in _options
+    fmt = kwargs.pop("fmt")
     try:
-        cmd.run(**kwargs)
+        rep, lines = cmd.run(**kwargs)
+        rep.emit(fmt, lines)
     except UsageError as ex:
         ex.where = where
         raise
+    except SE.BudgetExceeded as ex:
+        print(f"budget exceeded: {ex}", file=sys.stderr)
+        sys.exit(2)
+    except (F.FormulaError, L.LamError, E.EmbedError, S.SemanticsError,
+            SE.SearchError, KB.KBError, OSError, json.JSONDecodeError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        sys.exit(3)
+    sys.exit(_EXIT[rep.data["verdict"]])
 
 
 def _options(cmd: Command, path: str, args: list[str]) -> tuple[dict, list[Param], list[str]]:
@@ -785,7 +769,6 @@ class _Main:
         except UsageError as ex:
             print(ex.text(), file=sys.stderr)
             sys.exit(3)
-        sys.exit(0)
 
     def __call__(self, args=None):
         self.main(args)

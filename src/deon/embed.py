@@ -354,8 +354,6 @@ def translate(f: F.Formula, logic: str, mode: str = "global") -> FOFormula:
 # each binary connective's first-order class and its text in `L.show`
 _BINARY = {F.And: (FOAnd, " ∧ "), F.Or: (FOOr, " ∨ "), F.Implies: (FOImp, " → "),
            F.Iff: (FOIff, " ↔ ")}
-# predicates all of whose arguments `lower` reads as worlds
-_RELATIONS = frozenset({"R", "Rb"})
 # the names `L.show` and `lower` read as the kernel's logical constants
 _LOGICAL = frozenset({"not", "or", "and", "imp", "iff", "Pi"})
 # a free name that a binder's name may meet: v<k> or q<k>
@@ -451,7 +449,7 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
     names: set[str] = set()
     labels: list[str] = []  # the text's binder name by depth
     level: list[list] = []  # the binder last opened at each level
-    atoms: dict = {}  # per atom: the text of its head, its FO arguments if closed, its sort
+    atoms: dict = {}  # per atom: the text of its head, its FO arguments if closed
     free: dict[str, list] = {}  # per free individual variable, an entry like a binder's
     etas: dict[int, list] = {}  # the eta-contracted binder by depth
     count = 0
@@ -492,7 +490,7 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
         info = atoms.get(g)
         if info is None:
             info = atoms[g] = _atom_info(g, names)
-        head, args, sort = info
+        head, args = info
         if args is not None:
             return head, args
         parts, args = [head], []
@@ -505,16 +503,13 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
             if lv is None:
                 e = free.get(a.name)
                 if e is None:
-                    e = free[a.name] = [None, a.name, sort, FOVar(a.name)]
+                    e = free[a.name] = [None, a.name, INDIV, FOVar(a.name)]
                     names.add(a.name)
                 parts.append(a.name)
             else:
                 e = level[lv]
                 parts.append(labels[lv])
-                if e[2] is None:
-                    e[2] = sort
-            if e[2] != sort:
-                raise LowerError(f"variable {e[1]} used as both sorts")
+                e[2] = INDIV
             args.append(e[3])
         return " ".join(parts), tuple(args)
 
@@ -629,21 +624,23 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
     return "".join(text), program, names
 
 
-def _atom_info(g: F.Atom, names: set[str]) -> tuple[str, tuple | None, str]:
+def _atom_info(g: F.Atom, names: set[str]) -> tuple[str, tuple | None]:
     """For `translation`: the text of g's head, with its arguments if they
-    are all constants; their FO terms then, else None; and the sort
-    `lower` gives its individual arguments.  Adds its names to names."""
+    are all constants; their FO terms then, else None.  Adds its names to
+    names."""
     if g.pred in _LOGICAL:
         raise EmbedError(f"predicate {g.pred!r} has the name of a logical constant "
                          "of the embedding")
+    if g.pred in (R_ACC.name, R_BET.name):
+        raise EmbedError(f"predicate {g.pred!r} has the name of a relation constant "
+                         "of the embedding")
     names.add(g.pred)
-    sort = WORLD if g.pred in _RELATIONS else INDIV
     consts = [a.name for a in g.args if type(a) is F.Const]
     names.update(consts)
     if len(consts) < len(g.args):
-        return g.pred, None, sort
+        return g.pred, None
     head = " ".join([g.pred] + [L._SYMBOL.get(c, c) for c in consts])
-    return head, tuple(map(FOConst, consts)), sort
+    return head, tuple(map(FOConst, consts))
 
 
 # ---------------------------------------------------------------------------

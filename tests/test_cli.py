@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import gc
+import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ from click.testing import CliRunner
 from deon import cli
 from deon import formula as F
 from deon import lam as L
+from deon import search as SE
 from deon import semantics as S
 
 import oracles
@@ -36,6 +41,14 @@ def run_json(*args):
     payload = json.loads(result.output)
     assert payload["schema"] == 1
     return result, payload
+
+
+def _model_file(tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "kind": "preference", "worlds": [0], "relation": [[0, 0]],
+        "valuation": {"p": [0]}, "domain": []}))
+    return str(model)
 
 
 class TestInferSignature:
@@ -186,10 +199,7 @@ class TestExitCodes:
         assert run("check", "O{p | q}", "--complete").exit_code == 1
 
     def test_eval_truth_in_exit_code(self, tmp_path):
-        model = tmp_path / "m.json"
-        model.write_text(json.dumps({
-            "kind": "preference", "worlds": [0], "relation": [[0, 0]],
-            "valuation": {"p": [0]}, "domain": []}))
+        model = _model_file(tmp_path)
         assert run("eval", "p", "--model", model).exit_code == 0
         assert run("eval", "~p", "--model", model).exit_code == 1
 
@@ -366,10 +376,7 @@ class TestJsonEverySubcommand:
         assert payload["verdict"] is not None
 
     def test_eval_json(self, tmp_path):
-        model = tmp_path / "m.json"
-        model.write_text(json.dumps({
-            "kind": "preference", "worlds": [0], "relation": [[0, 0]],
-            "valuation": {"p": [0]}, "domain": []}))
+        model = _model_file(tmp_path)
         result = run("eval", "p", "--model", model, "--format", "json")
         payload = json.loads(result.output)
         assert payload["schema"] == 1 and payload["verdict"] == "true"
@@ -460,6 +467,19 @@ class TestTranslate:
         run("translate", "p", "--show-steps")
         assert made  # the stepper still builds its terms
 
+    @pytest.mark.parametrize("argv, pred", [
+        (("forall x. R(x)", "--logic", "e"), "R"),
+        (("R(c)", "--logic", "sdl", "--sig", "pred R/1; const c"), "R"),
+        (("Rb & p", "--show-steps"), "Rb"),
+    ])
+    def test_relation_constant_names_are_rejected(self, argv, pred):
+        # read as the embedding's accessibility or betterness relation, a
+        # predicate R would sort its individual arguments as worlds
+        r = run("translate", *argv)
+        assert (r.exit_code, r.stdout) == (3, "")
+        assert r.stderr == (f"error: predicate {pred!r} has the name of a relation "
+                            "constant of the embedding\n")
+
     def test_in_process_runs_free_their_streams(self):
         # click.echo caches every sys.stdout it writes to, keyed weakly
         # but holding the stream itself, so each CliRunner run would keep
@@ -474,6 +494,67 @@ class TestTranslate:
         for _ in range(30):
             assert run("translate", "box p", "--format", "json").exit_code == 0
         assert live_streams() <= before
+
+
+class TestDispatcher:
+    """Commands return their report and text lines; `_parse` alone prints
+    them and maps the verdict to an exit code through `cli._EXIT`."""
+
+    def test_commands_return_their_reports(self, tmp_path):
+        model = _model_file(tmp_path)
+        search = ("e", "", 3, True)
+        cases = [
+            (cli.cmd_parse, ("p & q", "e", None), "parsed"),
+            (cli.cmd_eval, ("p", model, 0, "e", None), "true"),
+            (cli.cmd_eval, ("~p", model, 0, "e", None), "false"),
+            (cli.cmd_check, ("O{p | p}", *search, None), "valid"),
+            (cli.cmd_check, ("O{p | q}", *search, None), "countermodel"),
+            (cli.cmd_kb_comply, (str(FIXTURES / "gdpr_e_protected.kb"), *search[:3], False),
+             "violations"),
+        ]
+        for run_cmd, args, verdict in cases:
+            rep, lines = run_cmd(*args)
+            assert isinstance(rep, cli.Report) and lines
+            assert rep.data["verdict"] == verdict
+            assert rep.data["timing_ms"] is None  # set when printed
+
+    @staticmethod
+    def _commands():
+        tree = ast.parse(inspect.getsource(cli))
+        return [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+
+    def test_every_verdict_a_command_sets_has_an_exit_code(self):
+        verdicts = {v.tag for v in typing.get_args(SE.Verdict)}
+        for fn in self._commands():
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign)
+                        and ast.unparse(node.targets[0]) == "rep.data['verdict']"):
+                    verdicts |= {c.value for c in ast.walk(node.value)
+                                 if isinstance(c, ast.Constant)}
+        assert len(verdicts) == 13  # the five search verdicts and eight set by name
+        assert verdicts <= set(cli._EXIT)
+
+    def test_only_decided_verdicts_exit_0_or_1(self):
+        undecided = {v for v, code in cli._EXIT.items() if code not in (0, 1)}
+        assert undecided == {"no_model_up_to", "budget_exceeded"}
+        assert {cli._EXIT[v] for v in undecided} == {2}
+
+    def test_no_command_prints_or_exits(self):
+        assert len(self._commands()) == 9
+        for fn in self._commands():
+            calls = {ast.unparse(node.func) for node in ast.walk(fn)
+                     if isinstance(node, ast.Call)}
+            assert not calls & {"sys.exit", "print", "rep.emit"}, fn.name
+
+    def test_the_readme_lists_each_verdicts_exit_code(self):
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| verdict | set by | code |\n|---|---|---|\n")[1].split("\n\n")[0]
+        rows = [re.fullmatch(r"\| `([a-z_]+)` \| [^|]+ \| `([0-9])` \|", line)
+                for line in table.splitlines()]
+        assert all(rows), table
+        assert {m[1]: int(m[2]) for m in rows} == cli._EXIT
+        assert len(rows) == len(cli._EXIT)
 
 
 class TestCorrespondence:

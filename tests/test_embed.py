@@ -215,6 +215,14 @@ class TestNormalFormBuilder:
         with pytest.raises(E.EmbedError, match="logical constant"):
             E.translation(F.Box(F.Atom(name)), "sdl")
 
+    @pytest.mark.parametrize("f", [F.Atom("R", (F.Const("c"),)), F.Atom("Rb"),
+                                   F.Forall("x", F.Atom("R", (F.Var("x"),)))])
+    def test_predicates_named_as_relation_constants_are_rejected(self, f):
+        # lowering reads every argument of R and Rb as a world
+        for logic in ("sdl", "e"):
+            with pytest.raises(E.EmbedError, match="relation constant"):
+                E.translation(f, logic)
+
     def test_dyadic_obligation_in_sdl_is_the_same_error(self):
         f = F.Oblig(Q, P)
         with pytest.raises(E.EmbedError) as expected:
