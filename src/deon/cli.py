@@ -328,18 +328,21 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig):
                            f"one of {', '.join(sorted(_TPTP_ROLES))}")
     f = F.parse(text, _signature(sig, text), logic=logic)
     mode = "local" if local else "global"
-    steps = L.normalize_steps(E.vld(E.embed(f, logic), mode)) if show_steps else None
-    nf, fo = E.translation(f, logic, mode)
-    tptp = E.emit_tptp(fo, name, role, logic=logic)
+    steps = None
+    if show_steps:
+        memo: dict = {}  # one for all the steps: each differs from the last in a path
+        steps = [L.show(s, memo=memo) for s in L.normalize_steps(E.vld(E.embed(f, logic), mode))]
+    nf, program = E.occurrences(f, logic, mode)
+    fo, tptp = E.print_program(program, name, role, logic)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{name}.p"), "w", encoding="utf-8") as fh:
             fh.write(tptp)
     detail = {
         "input": F.print_formula(f),
-        "steps": [L.show(s) for s in steps] if steps is not None else None,
+        "steps": steps,
         "normal_form": nf,
-        "fo": E.fo_show(fo),
+        "fo": fo,
         "tptp": tptp,
     }
     rep.data["verdict"] = "translated"
@@ -347,7 +350,7 @@ def cmd_translate(text, logic, local, show_steps, name, role, out_dir, sig):
     lines = [f"input:       {detail['input']}"]
     if steps is not None:
         lines.append("reduction:")
-        lines += [f"  [{i}] {s}" for i, s in enumerate(detail["steps"])]
+        lines += [f"  [{i}] {s}" for i, s in enumerate(steps)]
     lines += [f"normal form: {detail['normal_form']}",
               f"first-order: {detail['fo']}",
               "tptp:",

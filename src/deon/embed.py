@@ -15,8 +15,12 @@ of `vld(embed(f))`, read off the formula itself in one walk that builds
 no lambda term; `translate` uses it.  Normalizing the embedding and
 lowering the result stay the reference the tests hold it to, and the
 stepper of `--show-steps` runs on the embedding.  The first-order
-formula can be evaluated directly in a finite model, or printed, as
-text or as a TPTP FOF problem, by one explicit-stack printer.
+formula can be evaluated directly in a finite model.  It is printed,
+as text and as a TPTP FOF problem at once, by one forward pass over its
+pre-order program (`print_program`): the program that pass 1 of
+`translation` writes, which the `translate` command prints without
+building the formula, or the one `fo_show` and `emit_tptp` flatten a
+formula into.
 
 SDL translates box through a guarded accessibility quantifier; system E
 gives box the global reading and the dyadic obligation the optimality
@@ -27,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, fields
 
 from . import formula as F
 from . import lam as L
@@ -215,21 +218,49 @@ class FOConst(FOTerm):
 
 
 class FOFormula:
+    """A first-order formula node.  Equality, hashing and repr walk the
+    formula on an explicit stack (equality and hashing its `_program`),
+    so they meet no recursion limit at any depth."""
+
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, FOFormula):
+            return NotImplemented
+        return self is other or _program(self) == _program(other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(tuple(tuple(e) if type(e) is list else e for e in _program(self)))
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if not isinstance(g, FOFormula):
+                out.append(g)
+                continue
+            out.append(f"{type(g).__qualname__}(")
+            stack.append(")")
+            for i, fld in reversed(list(enumerate(fields(g)))):
+                v = getattr(g, fld.name)
+                stack += [v if isinstance(v, FOFormula) else repr(v),
+                          f"{', ' if i else ''}{fld.name}="]
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class FOAtom(FOFormula):
     pred: str
     args: tuple[FOTerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FONot(FOFormula):
     sub: FOFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _FOBinary(FOFormula):
     left: FOFormula
     right: FOFormula
@@ -241,7 +272,7 @@ class FOImp(_FOBinary): pass
 class FOIff(_FOBinary): pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _FOQuant(FOFormula):
     var: str
     sort: str
@@ -414,9 +445,30 @@ def translation(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, FO
       `lower` reads not Pi (lambda x. not b).
     Binder names depend on f's free names, which are known only at the
     end; if one of them has a binder's form, pass 1 runs again, knowing
-    them.  Pass 2 runs the program in reverse, building each connective
-    and quantifier over the formulas of its operands.
+    them (`occurrences`).  Pass 2 runs the program in reverse, building
+    each connective and quantifier over the formulas of its operands.
+    The `translate` command skips it and prints the program instead
+    (`print_program`).
     """
+    text, program = occurrences(f, logic, mode)
+    out: list[FOFormula] = []
+    for e in reversed(program):
+        if type(e) is tuple:
+            out.append(FOAtom(*e))
+        elif type(e) is list:
+            if e[2] is not None:
+                out[-1] = e[0](e[1], e[2], out[-1])
+        elif e is FONot:
+            out[-1] = FONot(out[-1])
+        elif e is not None:
+            left = out.pop()
+            out[-1] = e(left, out[-1])
+    return text, out[0]
+
+
+def occurrences(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, list]:
+    """Pass 1 of `translation`: `L.show`'s text of the normal form, and
+    the program of its first-order reading (see `print_program`)."""
     if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
     if mode not in ("global", "local"):
@@ -425,19 +477,7 @@ def translation(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, FO
     text, program, names = _occurrences(f, sdl, whole, frozenset())
     if any(_BINDER_NAME.fullmatch(n) for n in names):
         text, program, _ = _occurrences(f, sdl, whole, names)
-    out: list[FOFormula] = []
-    for e in reversed(program):
-        if type(e) is FOAtom:
-            out.append(e)
-        elif type(e) is list:  # a binder: [class, name, sort or None if vacuous, var]
-            if e[2] is not None:
-                out[-1] = e[0](e[1], e[2], out[-1])
-        elif e is FONot:
-            out[-1] = FONot(out[-1])
-        elif e is not None:  # a binary class; None is a negation read away
-            left = out.pop()
-            out[-1] = e(left, out[-1])
-    return text, out[0]
+    return text, program
 
 
 def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
@@ -516,7 +556,7 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
     def relation(pred: str, w: int | None, v: int) -> str:
         """The atom pred(world at level w, world at level v); its text."""
         (wt, wv), (vt, vv) = world(w), world(v)
-        program.append(FOAtom(pred, (wv, vv)))
+        program.append((pred, (wv, vv)))
         return f"{pred} {wt} {vt}"
 
     def eta(g: F.Atom, d: int, env: dict[str, int], ctx: int) -> None:
@@ -527,7 +567,7 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
             name = L._fresh(f"q{d}", fo_avoid)
             e = etas[d] = [FOForall, name, WORLD, FOVar(name)]
         program.append(e)
-        program.append(FOAtom(g.pred, args + (e[3],)))
+        program.append((g.pred, args + (e[3],)))
         s = f"Π ({head})" if g.args else f"Π {head}"
         text.append(f"({s})" if ctx else s)
 
@@ -561,7 +601,7 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
         if t is F.Atom:
             head, args = atom(g, env)
             wt, wv = world(w)
-            program.append(FOAtom(g.pred, args + (wv,)))
+            program.append((g.pred, args + (wv,)))
             text.append(f"({head} {wt})" if ctx else f"{head} {wt}")
         elif t in _BINARY:
             cls, op = _BINARY[t]
@@ -730,79 +770,107 @@ def _tptp_pred(name: str) -> str:
     return name[0].lower() + name[1:]
 
 
-class _Syntax(NamedTuple):
-    """How a printer writes names, atoms and each connective."""
+# The program of a first-order formula is its pre-order, one entry per
+# node: (pred, args) for an atom, FONot, a binary class, or a binder
+# [FOForall or FOExists, name, sort, ...].  Pass 1 of `translation` also
+# writes None for a negation read away into an existential, and leaves a
+# vacuous binder's sort None; neither stands for a node.
 
-    pred: Callable[[str], str]        # predicate and constant names
-    var: Callable[[str], str]
-    comma: str
-    ops: dict                         # class -> its text; {v}, {s}: variable, sort
-    close: str                        # ends a quantifier; if nonempty, the
-                                      # body is parenthesized unless atomic
-
-
-_SHOW = _Syntax(str, str, ", ", {FONot: "¬", FOAnd: " ∧ ", FOOr: " ∨ ", FOImp: " → ",
-                                 FOIff: " ↔ ", FOForall: "∀{v}:{s}. ", FOExists: "∃{v}:{s}. "},
-                "")
-_TPTP = _Syntax(_tptp_pred, _tptp_var, ",",
-                {FONot: "~ ", FOAnd: " & ", FOOr: " | ", FOImp: " => ", FOIff: " <=> ",
-                 FOForall: "! [{v}] : ({s}({v}) => ", FOExists: "? [{v}] : ({s}({v}) & "},
-                ")")
+# each connective's text in `fo_show` and in TPTP (a list, which stops
+# an atom's pops); and, by how a node is parenthesized (0: not, 1: in
+# both texts, 2: in TPTP only), the texts it opens with and ends with,
+# and those a quantifier ends with
+_TEXT = {FONot: ["¬", "~ "], FOAnd: [" ∧ ", " & "], FOOr: [" ∨ ", " | "],
+         FOImp: [" → ", " => "], FOIff: [" ↔ ", " <=> "]}
+_OPEN, _END = (("", ""), ("(", "("), ("", "(")), (("", ""), (")", ")"), ("", ")"))
+_QUANT_END = (("", ")"), (")", "))"), ("", "))"))
 
 
-def _operand(f: FOFormula) -> tuple:
-    """The stack entries that print f parenthesized unless atomic."""
-    return (f,) if type(f) is FOAtom else (")", f, "(")
-
-
-def _print(f: FOFormula, syn: _Syntax, sorts: set[str] | None = None) -> str:
-    """f in the given syntax, by one explicit-stack walk whose entries
-    are text still to write or formulas still to print; adds the sort of
-    each quantifier to sorts."""
-    out: list[str] = []
-    stack: list = [f]
+def _program(f: FOFormula) -> list:
+    """The program of f, by an explicit-stack walk."""
+    program: list = []
+    stack = [f]
     while stack:
         g = stack.pop()
         t = type(g)
-        if t is str:
-            out.append(g)
-        elif t is FOAtom:
-            if g.pred == F.RESERVED_ATOM:
-                out.append("$false")
-            elif not g.args:
-                out.append(syn.pred(g.pred))
-            else:
-                args = syn.comma.join(syn.var(a.name) if type(a) is FOVar else syn.pred(a.name)
-                                      for a in g.args)
-                out.append(f"{syn.pred(g.pred)}({args})")
-        elif t is FONot:
-            out.append(syn.ops[t])
-            stack += _operand(g.sub)
-        elif t in (FOForall, FOExists):
-            out.append(syn.ops[t].format(v=syn.var(g.var), s=g.sort))
-            stack.append(syn.close)
-            stack += _operand(g.body) if syn.close else (g.body,)
-            if sorts is not None:
-                sorts.add(g.sort)
-        elif t in syn.ops:
-            stack += _operand(g.right)
-            stack.append(syn.ops[t])
-            stack += _operand(g.left)
+        if t is FOAtom:
+            program.append((g.pred, g.args))
+        elif t is FOForall or t is FOExists:
+            program.append([t, g.var, g.sort])
+            stack.append(g.body)
+        elif t in _TEXT:
+            program.append(t)
+            stack += (g.sub,) if t is FONot else (g.right, g.left)
         else:
             raise LowerError(f"unknown FO node {g!r}")
-    return "".join(out)
+    return program
 
 
-def fo_show(f: FOFormula) -> str:
-    return _print(f, _SHOW)
-
-
-def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> str:
-    """A complete TPTP FOF problem: sort nonemptiness axioms for the
-    sorts the formula quantifies over, the SDL seriality axiom when
-    logic is sdl, then the formula itself under the given name/role."""
+def print_program(program: list, name: str = "goal", role: str = "conjecture",
+                  logic: str | None = None) -> tuple[str, str]:
+    """`fo_show` and `emit_tptp` of the formula whose program this is, in
+    one forward pass.  An operand is parenthesized unless it is an atom,
+    and so is a quantifier's body in TPTP; a node opens its parenthesis
+    at its first entry, and pushes what it writes after its left operand
+    (a list) and at its end (a tuple), in both syntaxes, which an atom
+    pops up to the next list."""
+    show: list[str] = []
+    tptp: list[str] = []
     sorts: set[str] = set()
-    text = _print(f, _TPTP, sorts)
+    stack: list = []
+    tvars: dict[str, str] = {}  # `_tptp_var` of each binder's name
+    wrap = 0  # how the next node is parenthesized
+    for e in program:
+        if type(e) is tuple:
+            pred, args = e
+            if pred == F.RESERVED_ATOM:
+                show.append("$false")
+                tptp.append("$false")
+            elif len(args) == 1 and type(args[0]) is FOVar:
+                v = args[0].name
+                show.append(f"{pred}({v})")
+                tptp.append(f"{_tptp_pred(pred)}({tvars.get(v) or _tptp_var(v)})")
+            elif args:
+                show.append(f"{pred}({', '.join([a.name for a in args])})")
+                tptp.append(_tptp_pred(pred) + "(" + ",".join([
+                    (tvars.get(a.name) or _tptp_var(a.name)) if type(a) is FOVar
+                    else _tptp_pred(a.name) for a in args]) + ")")
+            else:
+                show.append(pred)
+                tptp.append(_tptp_pred(pred))
+            while stack:
+                x = stack.pop()
+                show.append(x[0])
+                tptp.append(x[1])
+                if type(x) is list:
+                    wrap = 1
+                    break
+        elif type(e) is list:
+            if e[2] is None:
+                continue
+            var, sort = e[1], e[2]
+            v = tvars[var] = _tptp_var(var)
+            sorts.add(sort)
+            ls, lt = _OPEN[wrap]
+            if e[0] is FOForall:
+                show.append(f"{ls}∀{var}:{sort}. ")
+                tptp.append(f"{lt}! [{v}] : ({sort}({v}) => ")
+            else:
+                show.append(f"{ls}∃{var}:{sort}. ")
+                tptp.append(f"{lt}? [{v}] : ({sort}({v}) & ")
+            stack.append(_QUANT_END[wrap])
+            wrap = 2
+        elif e is not None:
+            ls, lt = _OPEN[wrap]
+            if e is FONot:
+                show.append(ls + _TEXT[e][0])
+                tptp.append(lt + _TEXT[e][1])
+                stack.append(_END[wrap])
+            else:
+                show.append(ls)
+                tptp.append(lt)
+                stack += (_END[wrap], _TEXT[e])
+            wrap = 1
     lines = []
     if WORLD in sorts or logic == "sdl":
         lines.append("fof(world_nonempty, axiom, ? [W] : world(W)).")
@@ -811,5 +879,16 @@ def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> s
     if logic == "sdl":
         lines.append("fof(seriality, axiom, ! [W] : (world(W) => "
                      "(? [V] : (world(V) & r(W,V))))).")
-    lines.append(f"fof({name}, {role}, {text}).")
-    return "\n".join(lines) + "\n"
+    lines.append(f"fof({name}, {role}, {''.join(tptp)}).")
+    return "".join(show), "\n".join(lines) + "\n"
+
+
+def fo_show(f: FOFormula) -> str:
+    return print_program(_program(f))[0]
+
+
+def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> str:
+    """A complete TPTP FOF problem: sort nonemptiness axioms for the
+    sorts the formula quantifies over, the SDL seriality axiom when
+    logic is sdl, then the formula itself under the given name/role."""
+    return print_program(_program(f), name, role, logic)[1]

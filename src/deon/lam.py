@@ -482,37 +482,77 @@ _INFIX = {"or": "∨", "and": "∧", "imp": "→", "iff": "↔"}
 _SYMBOL = {**_INFIX, "not": "¬", "Pi": "Π"}
 
 
-def show(t: LTerm, types: bool = False) -> str:
-    """Debug printer; types=True annotates binders and standalone
-    constants.  An index pointing out of t prints as #<index>."""
+# `show` keeps no text longer than this: such texts belong to the few
+# nodes near the root of a reduction step, which the next step rebuilds,
+# and keeping them all would cost memory quadratic in the term's depth
+_KEPT_TEXT = 256
 
-    def go(u: LTerm, ctx: int, bound: tuple[str, ...]) -> str:
-        # ctx: 0 = top, 1 = operand of an application, 2 = function position
+
+def show(t: LTerm, types: bool = False, memo: dict | None = None) -> str:
+    """Debug printer; types=True annotates binders and standalone
+    constants.  An index pointing out of t prints as #<index>.
+
+    A subterm's text is fixed by its node, its context and the names of
+    the binders its loose indices point to, so one walk on an explicit
+    stack prints each such triple once, into memo (texts of at most
+    `_KEPT_TEXT` characters).  Calls with the same types may share a
+    memo: the steps of a reduction, which share all but a path, then
+    print little more than that path."""
+    memo = {} if memo is None else memo
+    out: list[str] = []  # the texts of the operands printed so far
+    # a term in its context (0 = top, 1 = operand of an application, 2 =
+    # function position) under the names of its binders, innermost
+    # first; or the memo key of a term whose operands' texts are at the
+    # end of out, with the texts before, between (None if one operand)
+    # and after them
+    stack: list = [(t, 0, ())]
+    while stack:
+        item = stack.pop()
+        if len(item) == 4:
+            key, pre, mid, post = item
+            s = out.pop()
+            if mid is not None:
+                s = out.pop() + mid + s
+            s = pre + s + post
+            if len(s) <= _KEPT_TEXT:
+                memo[key] = s
+            out.append(s)
+            continue
+        u, ctx, bound = item
         if type(u) is Var:
-            return u.name
+            out.append(u.name)
+            continue
         if type(u) is BVar:
-            return bound[u.idx] if u.idx < len(bound) else f"#{u.idx - len(bound)}"
+            out.append(bound[u.idx] if u.idx < len(bound) else f"#{u.idx - len(bound)}")
+            continue
         if type(u) is Const:
             sym = _SYMBOL.get(u.name, u.name)
-            return f"{sym}:{u.ty}" if types and ctx == 0 else sym
+            out.append(f"{sym}:{u.ty}" if types and ctx == 0 else sym)
+            continue
+        if type(u) is not Abs and type(u) is not App:
+            raise LamError(f"unknown term {u!r}")
+        key = (u, ctx, bound[:u._loose])
+        s = memo.get(key)
+        if s is not None:
+            out.append(s)
+            continue
+        lp, rp = ("(", ")") if ctx else ("", "")
         if type(u) is Abs:
             ann = f"{u.var}:{u.var_ty}" if types else u.var
-            s = f"λ{ann}. {go(u.scope, 0, (u.var,) + bound)}"
-            return f"({s})" if ctx else s
-        if type(u) is App:
-            # binary connectives print infix, negation prefix
-            f = u.fun
-            if type(f) is App and type(f.fun) is Const and f.fun.name in _INFIX:
-                s = f"{go(f.arg, 1, bound)} {_INFIX[f.fun.name]} {go(u.arg, 1, bound)}"
-                return f"({s})" if ctx else s
-            if type(f) is Const and f.name == "not":
-                return f"¬{go(u.arg, 1, bound)}"
-            if type(f) is Const and f.name == "Pi" and type(u.arg) is Abs:
-                a = u.arg
-                ann = f"{a.var}:{a.var_ty}" if types else a.var
-                return f"Π(λ{ann}. {go(a.scope, 0, (a.var,) + bound)})"
-            s = f"{go(f, 2, bound)} {go(u.arg, 1, bound)}"
-            return f"({s})" if ctx == 1 else s
-        raise LamError(f"unknown term {u!r}")
-
-    return go(t, 0, ())
+            stack += ((key, f"{lp}λ{ann}. ", None, rp), (u.scope, 0, (u.var,) + bound))
+            continue
+        # binary connectives print infix, negation prefix
+        f = u.fun
+        if type(f) is App and type(f.fun) is Const and f.fun.name in _INFIX:
+            stack += ((key, lp, f" {_INFIX[f.fun.name]} ", rp), (u.arg, 1, bound),
+                      (f.arg, 1, bound))
+        elif type(f) is Const and f.name == "not":
+            stack += ((key, "¬", None, ""), (u.arg, 1, bound))
+        elif type(f) is Const and f.name == "Pi" and type(u.arg) is Abs:
+            a = u.arg
+            ann = f"{a.var}:{a.var_ty}" if types else a.var
+            stack += ((key, f"Π(λ{ann}. ", None, ")"), (a.scope, 0, (a.var,) + bound))
+        else:
+            lp, rp = ("(", ")") if ctx == 1 else ("", "")
+            stack += ((key, lp, " ", rp), (u.arg, 1, bound), (f, 2, bound))
+    return out[0]

@@ -6,10 +6,15 @@ a λ-term's binders avoid read off the named term, schema instantiation
 of formulas, the bounded scan one candidate at a time, SDL type
 elimination over explicit 2^(k+p)-bit type masks, the front-to-back
 deletion shrink of an unsatisfiable set, the recursive-descent formula
-parser, and signature inference scanning each group to its ")"."""
+parser, signature inference scanning each group to its ")", the λ-term
+printer by recursion, and the first-order and TPTP printer walking the
+formula tree."""
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
+from deon import embed as E
 from deon import formula as F
 from deon import lam as L
 from deon import search as SE
@@ -139,6 +144,114 @@ def normalize_steps(t: L.LTerm, strategy: str = "lo") -> list[L.LTerm]:
             t = r
             steps.append(name(t))
     return steps
+
+
+def show(t: L.LTerm, types: bool = False) -> str:
+    """`lam.show` by recursion over the term, with no memo."""
+
+    def go(u: L.LTerm, ctx: int, bound: tuple[str, ...]) -> str:
+        # ctx: 0 = top, 1 = operand of an application, 2 = function position
+        if type(u) is L.Var:
+            return u.name
+        if type(u) is L.BVar:
+            return bound[u.idx] if u.idx < len(bound) else f"#{u.idx - len(bound)}"
+        if type(u) is L.Const:
+            sym = L._SYMBOL.get(u.name, u.name)
+            return f"{sym}:{u.ty}" if types and ctx == 0 else sym
+        if type(u) is L.Abs:
+            ann = f"{u.var}:{u.var_ty}" if types else u.var
+            s = f"λ{ann}. {go(u.scope, 0, (u.var,) + bound)}"
+            return f"({s})" if ctx else s
+        f = u.fun
+        if type(f) is L.App and type(f.fun) is L.Const and f.fun.name in L._INFIX:
+            s = f"{go(f.arg, 1, bound)} {L._INFIX[f.fun.name]} {go(u.arg, 1, bound)}"
+            return f"({s})" if ctx else s
+        if type(f) is L.Const and f.name == "not":
+            return f"¬{go(u.arg, 1, bound)}"
+        if type(f) is L.Const and f.name == "Pi" and type(u.arg) is L.Abs:
+            a = u.arg
+            ann = f"{a.var}:{a.var_ty}" if types else a.var
+            return f"Π(λ{ann}. {go(a.scope, 0, (a.var,) + bound)})"
+        s = f"{go(f, 2, bound)} {go(u.arg, 1, bound)}"
+        return f"({s})" if ctx == 1 else s
+
+    return go(t, 0, ())
+
+
+class _Syntax(NamedTuple):
+    """How `fo_print` writes names, atoms and each connective."""
+
+    pred: Callable[[str], str]        # predicate and constant names
+    var: Callable[[str], str]
+    comma: str
+    ops: dict                         # class -> its text; {v}, {s}: variable, sort
+    close: str                        # ends a quantifier; if nonempty, the
+                                      # body is parenthesized unless atomic
+
+
+FO_SHOW = _Syntax(str, str, ", ", {E.FONot: "¬", E.FOAnd: " ∧ ", E.FOOr: " ∨ ",
+                                   E.FOImp: " → ", E.FOIff: " ↔ ",
+                                   E.FOForall: "∀{v}:{s}. ", E.FOExists: "∃{v}:{s}. "}, "")
+FO_TPTP = _Syntax(E._tptp_pred, E._tptp_var, ",",
+                  {E.FONot: "~ ", E.FOAnd: " & ", E.FOOr: " | ", E.FOImp: " => ",
+                   E.FOIff: " <=> ", E.FOForall: "! [{v}] : ({s}({v}) => ",
+                   E.FOExists: "? [{v}] : ({s}({v}) & "}, ")")
+
+
+def fo_print(f: E.FOFormula, syn: _Syntax, sorts: set[str] | None = None) -> str:
+    """`embed.print_program`'s text of f in the given syntax, by one
+    explicit-stack walk of the tree whose entries are text still to write
+    or formulas still to print; adds each quantifier's sort to sorts."""
+
+    def operand(g: E.FOFormula) -> tuple:
+        return (g,) if type(g) is E.FOAtom else (")", g, "(")
+
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is E.FOAtom:
+            if g.pred == F.RESERVED_ATOM:
+                out.append("$false")
+            elif not g.args:
+                out.append(syn.pred(g.pred))
+            else:
+                args = syn.comma.join(syn.var(a.name) if type(a) is E.FOVar
+                                      else syn.pred(a.name) for a in g.args)
+                out.append(f"{syn.pred(g.pred)}({args})")
+        elif t is E.FONot:
+            out.append(syn.ops[t])
+            stack += operand(g.sub)
+        elif t in (E.FOForall, E.FOExists):
+            out.append(syn.ops[t].format(v=syn.var(g.var), s=g.sort))
+            stack.append(syn.close)
+            stack += operand(g.body) if syn.close else (g.body,)
+            if sorts is not None:
+                sorts.add(g.sort)
+        else:
+            stack += operand(g.right)
+            stack.append(syn.ops[t])
+            stack += operand(g.left)
+    return "".join(out)
+
+
+def emit_tptp(f: E.FOFormula, name: str, role: str, logic: str | None = None) -> str:
+    """`embed.emit_tptp` over `fo_print`."""
+    sorts: set[str] = set()
+    text = fo_print(f, FO_TPTP, sorts)
+    lines = []
+    if E.WORLD in sorts or logic == "sdl":
+        lines.append("fof(world_nonempty, axiom, ? [W] : world(W)).")
+    if E.INDIV in sorts:
+        lines.append("fof(indiv_nonempty, axiom, ? [X] : indiv(X)).")
+    if logic == "sdl":
+        lines.append("fof(seriality, axiom, ! [W] : (world(W) => "
+                     "(? [V] : (world(V) & r(W,V))))).")
+    lines.append(f"fof({name}, {role}, {text}).")
+    return "\n".join(lines) + "\n"
 
 
 def instantiate(schema: F.Formula, mapping) -> F.Formula:

@@ -19,6 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from deon import cli
+from deon import embed as E
 from deon import formula as F
 from deon import lam as L
 from deon import search as SE
@@ -466,6 +467,86 @@ class TestTranslate:
         assert made == []
         run("translate", "p", "--show-steps")
         assert made  # the stepper still builds its terms
+
+    def test_plain_translate_builds_no_first_order_formula(self, monkeypatch):
+        made = []
+
+        def recording(init):
+            def record(self, *args):
+                made.append(type(self))
+                init(self, *args)
+            return record
+
+        for cls in (E.FOAtom, E.FONot, E._FOBinary, E._FOQuant):
+            monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
+        for logic in ("sdl", "e"):
+            text = F.print_formula(balanced(380, logic))
+            assert run("translate", text, "--logic", logic).exit_code == 0
+        assert made == []
+        E.translate(F.Box(F.Atom("p")), "sdl")
+        assert made  # the API still builds its formula
+
+    def test_one_printer_writes_every_first_order_text(self, monkeypatch):
+        calls = []
+        printer = E.print_program
+        monkeypatch.setattr(E, "print_program", lambda *a: calls.append(a) or printer(*a))
+        fo = E.translate(F.Box(F.Atom("p")), "sdl")
+        E.fo_show(fo)
+        E.emit_tptp(fo, "goal", "conjecture")
+        assert run("translate", "box p").exit_code == 0
+        assert len(calls) == 3
+
+    @staticmethod
+    def assert_printed_as_the_tree(f: F.Formula, logic: str, mode: str, *argv):
+        local = ("--local",) * (mode == "local")
+        r, payload = run_json("translate", F.print_formula(f), "--logic", logic, *local, *argv)
+        assert r.exit_code == 0
+        fo = E.translate(f, logic, mode)
+        assert payload["detail"]["fo"] == oracles.fo_print(fo, oracles.FO_SHOW)
+        assert payload["detail"]["tptp"] == oracles.emit_tptp(fo, "goal", "conjecture", logic)
+        return payload["detail"]
+
+    @pytest.mark.parametrize("quantifiers", [False, True])
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_printed_as_the_reference_prints_the_tree(self, logic, quantifiers):
+        sig = "pred p/0; pred q/0; pred r/0; pred P1/1; pred Q1/1; const c0"
+        rng = random.Random(17)
+        for i in range(30):
+            f = gen_formula(rng, logic, rng.randint(0, 4), quantifiers=quantifiers)
+            self.assert_printed_as_the_tree(f, logic, ("global", "local")[i % 2], "--sig", sig)
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    @pytest.mark.parametrize("f, depth", [
+        (F.Forall("x", F.Box(F.Atom("p"))), 0),  # x does not occur
+        (F.Box(F.Box(F.Atom("p"))), 0),  # in E, neither does the outer box's world
+        (F.Not(F.Dia(F.Atom("p"))), 0),  # ¬Π¬ read as ∃ under a negation
+        (F.Box(F.BOT), 0),  # the reserved atom, printed as $false
+        (F.And(F.Atom("v0"), F.Box(F.Not(F.Atom("v0_")))), 0),  # primed binders, _ in TPTP
+        (F.Atom("p"), 10_000),  # under 10,000 nested boxes
+    ], ids=["vacuous-binder", "vacuous-world", "not-dia", "reserved-atom", "v0-v0_",
+            "deep-box"])
+    def test_printed_as_the_tree_by_hand(self, f, depth, logic, mode):
+        for _ in range(depth):
+            f = F.Box(f)
+        detail = self.assert_printed_as_the_tree(f, logic, mode)
+        assert "'" not in detail["tptp"]
+        assert F.RESERVED_ATOM not in detail["fo"] + detail["tptp"]
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_time_grows_linearly_in_the_nesting(self, logic):
+        def best_time(depth):
+            argv = ("translate", "box " * depth + "p", "--logic", logic)
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                assert run(*argv).exit_code == 0
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        # four times the depth: about 4x the time when linear, 16x when
+        # quadratic
+        assert best_time(8000) / best_time(2000) < 8
 
     @pytest.mark.parametrize("argv, pred", [
         (("forall x. R(x)", "--logic", "e"), "R"),

@@ -333,6 +333,43 @@ class TestLower:
             E.lower(L.forall("x", L.I, L.app(pred, x, x)))
 
 
+class TestFOFormula:
+    """Equality, hashing and repr as the dataclasses gave them, without
+    recursion."""
+
+    def test_repr_as_the_dataclass_wrote_it(self):
+        assert repr(E.translate(F.Box(P), "sdl")) == (
+            "FOForall(var='v0', sort='world', body=FOForall(var='v1', sort='world', "
+            "body=FOOr(left=FONot(sub=FOAtom(pred='R', args=(FOVar(name='v0'), "
+            "FOVar(name='v1')))), right=FOAtom(pred='p', args=(FOVar(name='v1'),)))))")
+        assert repr(E.translate(F.Not(F.Dia(F.Atom("P1", (F.Const("c0"),)))), "e")) == (
+            "FONot(sub=FOExists(var='v1', sort='world', body=FOAtom(pred='P1', "
+            "args=(FOConst(name='c0'), FOVar(name='v1')))))")
+
+    def test_equality_tells_every_field_apart(self):
+        a, b = E.FOAtom("p", (E.FOVar("x"),)), E.FOAtom("p", (E.FOConst("x"),))
+        assert a == E.FOAtom("p", (E.FOVar("x"),)) and a != b
+        assert E.FOAnd(a, b) != E.FOOr(a, b) and E.FOAnd(a, b) != E.FOAnd(b, a)
+        assert E.FONot(a) != a and E.FONot(a) == E.FONot(E.FOAtom("p", (E.FOVar("x"),)))
+        assert E.FOForall("x", E.WORLD, a) != E.FOExists("x", E.WORLD, a)
+        assert E.FOForall("x", E.WORLD, a) != E.FOForall("x", E.INDIV, a)
+        assert E.FOForall("x", E.WORLD, a) != E.FOForall("y", E.WORLD, a)
+        assert E.FOAnd(a, E.FOAnd(a, a)) != E.FOAnd(E.FOAnd(a, a), a)
+        assert a != "p" and a != ("p", (E.FOVar("x"),))
+        assert {E.translate(F.Box(P), "sdl"): 1}[E.translate(F.Box(P), "sdl")] == 1
+
+    def test_three_thousand_nested_boxes(self):
+        f = P
+        for _ in range(3000):
+            f = F.Box(f)
+        fo, again = E.translate(f, "sdl"), E.translate(f, "sdl")
+        assert fo is not again and fo == again and hash(fo) == hash(again)
+        assert fo != E.translate(F.Box(f), "sdl")
+        text = repr(fo)
+        assert text.startswith("FOForall(var='v0', sort='world', body=FOForall(var='v1', ")
+        assert text.count("FOForall(") == 3001 and text.endswith(")" * 3006)
+
+
 class TestGuardedFragment:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9))

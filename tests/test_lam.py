@@ -305,3 +305,43 @@ class TestShow:
     def test_types_annotated(self):
         t = L.Abs("x", L.I, x_i)
         assert L.show(t, types=True) == "λx:i. x"
+
+    def test_a_shared_node_is_printed_under_each_binder(self):
+        # the scopes are one node, P #0, under binders named x and y
+        pred = L.Const("P", L.TAU)
+        t = L.land(L.forall("x", L.I, L.App(pred, x_i)),
+                   L.forall("y", L.I, L.App(pred, L.Var("y", L.I))))
+        assert t.fun.arg.arg.scope is t.arg.arg.scope
+        assert L.show(t) == "Π(λx. P x) ∧ Π(λy. P y)"
+        assert L.show(L.Abs("x", L.I, L.App(pred, x_i)).scope) == "P #0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_same_text_as_the_recursive_printer(self, seed):
+        rng = random.Random(seed)
+        t = gen_typed_term(rng, rng.choice([L.O, L.TAU, L.fn(L.I, L.I, L.O)]))
+        for types in (False, True):
+            assert L.show(t, types) == oracles.show(t, types)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_the_steps_of_a_reduction_share_one_memo(self, logic):
+        rng = random.Random(9)
+        for i in range(20):
+            f = gen_formula(rng, logic, 3, quantifiers=bool(i % 2))
+            memo: dict = {}
+            for s in L.normalize_steps(E.vld(E.embed(f, logic))):
+                assert L.show(s, memo=memo) == oracles.show(s)
+        # the long texts of the nodes near each step's root are not kept
+        f = F.Atom("p")
+        for _ in range(60):
+            f = F.Box(f)
+        memo = {}
+        for s in L.normalize_steps(E.vld(E.embed(f, logic))):
+            assert L.show(s, memo=memo) == oracles.show(s)
+        assert max(map(len, memo.values())) <= L._KEPT_TEXT < len(oracles.show(s))
+
+    def test_deep_terms_print(self):
+        t = L.Const("p", L.O)
+        for _ in range(10_000):
+            t = L.neg(t)
+        assert L.show(t) == "¬" * 10_000 + "p"

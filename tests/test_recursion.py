@@ -21,7 +21,6 @@ ALLOWED = {
     "lam._name": "binder naming of a reduction step",
     "lam._eval": "evaluation of normalization by evaluation",
     "lam._quote": "read-back of normalization by evaluation",
-    "lam.show.go": "debug printer",
     # first-order side of the embedding
     "embed.lower.walk": "lowering a normal form to first order",
     "embed.fo_eval": "first-order evaluation",
