@@ -2,25 +2,28 @@
 
 A formula becomes a lambda term of type i>o (a predicate on worlds) by
 translating each operator to a defining lambda term and each atom to a
-constant (`embed`); normalization then unfolds the definitions.
-Wrapping with `vld` produces a closed term of type o.  The terms are
-`lam`'s locally nameless nodes, which record their types.  `lower`
-reads a normal form off, in one walk that also names binders and infers
-their sorts, as a two-sorted first-order formula over worlds and
-individuals: it finds each bound variable by its index in its stack of
-binders, and makes the first-order names as it reads the binders.
+constant (`embed`, the one entry point for either logic);
+normalization then unfolds the definitions.  Wrapping with `vld`
+produces a closed term of type o.  The terms are `lam`'s locally
+nameless nodes, which record their types.  `lower` reads a normal form
+off, in one walk that also names binders and infers their sorts, as a
+two-sorted first-order formula over worlds and individuals: it finds
+each bound variable by its index in its stack of binders, and makes the
+first-order names as it reads the binders.
 
 `translation` gives what `L.show` and `lower` give for the normal form
 of `vld(embed(f))`, read off the formula itself in one walk that builds
 no lambda term; `translate` uses it.  Normalizing the embedding and
 lowering the result stay the reference the tests hold it to, and the
-stepper of `--show-steps` runs on the embedding.  The first-order
-formula can be evaluated directly in a finite model.  It is printed,
-as text and as a TPTP FOF problem at once, by one forward pass over its
-pre-order program (`print_program`): the program that pass 1 of
-`translation` writes, which the `translate` command prints without
-building the formula, or the one `fo_show` and `emit_tptp` flatten a
-formula into.
+stepper of `--show-steps` runs on the embedding.  First-order formulas
+are nodes on `formula._Node`, like formulas and λ-terms: equal ones are
+one object, and `repr` and `formula`'s walks serve them (the guardedness
+check is one `F.fold`).  A first-order formula can be evaluated
+directly in a finite model.  It is printed, as text and as a TPTP FOF
+problem at once, by one forward pass over its pre-order program
+(`print_program`): the program that pass 1 of `translation` writes,
+which the `translate` command prints without building the formula, or
+the one `fo_show` and `emit_tptp` flatten a formula into.
 
 SDL translates box through a guarded accessibility quantifier; system E
 gives box the global reading and the dyadic obligation the optimality
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import formula as F
 from . import lam as L
@@ -138,17 +141,18 @@ _OPS = {"sdl": {**_PW, F.Box: lambda a: L.App(SDL_BOX, a), F.Dia: lambda a: L.Ap
               F.Forb: lambda a: L.app(E_OBLIG, _neg(a), _TOP_E)}}
 
 
-def _embed(f: F.Formula, logic: str) -> L.LTerm:
-    """The embedding of f, by one fold over its distinct subformulas.
-    It needs no type check of its own, since every node is checked as it
-    is built.  It has type i>o: every combinator above is closed and
-    well typed and takes arguments of type i>o; the quantifier
-    combinators instead take a lambda over an individual whose body is
-    an embedding; and an atom's constant takes its arity from the atom,
-    so it is applied to exactly that many individual terms."""
+def embed(f: F.Formula, logic: str) -> L.LTerm:
+    """The embedding of f in SDL if logic is "sdl", else in system E,
+    unnormalized, by one fold over its distinct subformulas.  It needs no
+    type check of its own, since every node is checked as it is built.
+    It has type i>o: every combinator above is closed and well typed and
+    takes arguments of type i>o; the quantifier combinators instead take
+    a lambda over an individual whose body is an embedding; and an atom's
+    constant takes its arity from the atom, so it is applied to exactly
+    that many individual terms."""
     if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
-    ops = _OPS[logic]
+    ops = _OPS["sdl" if logic == "sdl" else "e"]
 
     def visit(g: F.Formula, kids: list[L.LTerm]) -> L.LTerm:
         if type(g) is F.Atom:
@@ -166,21 +170,7 @@ def _embed(f: F.Formula, logic: str) -> L.LTerm:
     return F.fold(f, visit)
 
 
-_TOP_E = _embed(F.TOP, "e")
-
-
-def embed_sdl(f: F.Formula) -> L.LTerm:
-    """SDL embedding; the result has type i>o (unnormalized)."""
-    return _embed(f, "sdl")
-
-
-def embed_e(f: F.Formula) -> L.LTerm:
-    """System-E embedding; the result has type i>o (unnormalized)."""
-    return _embed(f, "e")
-
-
-def embed(f: F.Formula, logic: str) -> L.LTerm:
-    return embed_sdl(f) if logic == "sdl" else embed_e(f)
+_TOP_E = embed(F.TOP, "e")
 
 
 def vld(t: L.LTerm, mode: str = "global") -> L.LTerm:
@@ -217,70 +207,39 @@ class FOConst(FOTerm):
     name: str
 
 
-class FOFormula:
-    """A first-order formula node.  Equality, hashing and repr walk the
-    formula on an explicit stack (equality and hashing its `_program`),
-    so they meet no recursion limit at any depth."""
+class FOFormula(F._Node):
+    """A first-order formula node, hash-consed on `formula._Node` like
+    formulas and λ-terms, so equal formulas are one object."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, FOFormula):
-            return NotImplemented
-        return self is other or _program(self) == _program(other)
 
-    def __hash__(self):
-        return hash(tuple(tuple(e) if type(e) is list else e for e in _program(self)))
-
-    def __repr__(self):
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            g = stack.pop()
-            if not isinstance(g, FOFormula):
-                out.append(g)
-                continue
-            out.append(f"{type(g).__qualname__}(")
-            stack.append(")")
-            for i, fld in reversed(list(enumerate(fields(g)))):
-                v = getattr(g, fld.name)
-                stack += [v if isinstance(v, FOFormula) else repr(v),
-                          f"{', ' if i else ''}{fld.name}="]
-        return "".join(out)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class FOAtom(FOFormula):
-    pred: str
-    args: tuple[FOTerm, ...]
+    __slots__ = _fields = ("pred", "args")  # args: a tuple of FOTerm
+    _lead = 2
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FONot(FOFormula):
-    sub: FOFormula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _FOBinary(FOFormula):
-    left: FOFormula
-    right: FOFormula
+    __slots__ = _fields = ("left", "right")
 
 
-class FOAnd(_FOBinary): pass
-class FOOr(_FOBinary): pass
-class FOImp(_FOBinary): pass
-class FOIff(_FOBinary): pass
+class FOAnd(_FOBinary): __slots__ = ()
+class FOOr(_FOBinary): __slots__ = ()
+class FOImp(_FOBinary): __slots__ = ()
+class FOIff(_FOBinary): __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _FOQuant(FOFormula):
-    var: str
-    sort: str
-    body: FOFormula
+    __slots__ = _fields = ("var", "sort", "body")
+    _lead = 2
 
 
-class FOForall(_FOQuant): pass
-class FOExists(_FOQuant): pass
+class FOForall(_FOQuant): __slots__ = ()
+class FOExists(_FOQuant): __slots__ = ()
 
 
 _FO_BIN = {"or": FOOr, "and": FOAnd, "imp": FOImp, "iff": FOIff}
@@ -737,24 +696,26 @@ def fo_eval(f: FOFormula, model: S._ModelBase, logic: str,
 
 def in_guarded_fragment(f: FOFormula, outermost: bool = True) -> bool:
     """Every world quantifier below the validity wrapper must carry an
-    accessibility guard: forall as ~R(..) | _, exists as R(..) & _."""
-    if isinstance(f, FOAtom):
-        return True
-    if isinstance(f, FONot):
-        return in_guarded_fragment(f.sub, False)
-    if isinstance(f, _FOBinary):
-        return in_guarded_fragment(f.left, False) and in_guarded_fragment(f.right, False)
-    if isinstance(f, _FOQuant):
-        b = f.body
-        if f.sort != WORLD or (outermost and isinstance(f, FOForall)):
-            return in_guarded_fragment(b, False)
-        if isinstance(f, FOForall):
-            guard = b.left.sub if isinstance(b, FOOr) and isinstance(b.left, FONot) else None
+    accessibility guard: forall as ~R(..) | _, exists as R(..) & _.
+    One fold: a guard is an atom, so a guarded quantifier's body holds
+    the guarded fragment when its guard's other operand does."""
+    if outermost and type(f) is FOForall and f.sort == WORLD:
+        f = f.body  # the validity wrapper
+
+    def visit(g: FOFormula, kids: list[bool]) -> bool:
+        if not isinstance(g, FOFormula):
+            raise LowerError(f"unknown FO node {g!r}")
+        if not isinstance(g, _FOQuant) or g.sort != WORLD:
+            return all(kids)
+        b = g.body
+        if type(g) is FOForall:
+            guard = b.left.sub if type(b) is FOOr and type(b.left) is FONot else None
         else:
-            guard = b.left if isinstance(b, FOAnd) else None
-        return (isinstance(guard, FOAtom) and guard.pred in ("R", "Rb")
-                and FOVar(f.var) in guard.args and in_guarded_fragment(b.right, False))
-    raise LowerError(f"unknown FO node {f!r}")
+            guard = b.left if type(b) is FOAnd else None
+        return (type(guard) is FOAtom and guard.pred in ("R", "Rb")
+                and FOVar(g.var) in guard.args and kids[0])
+
+    return F.fold(f, visit)
 
 
 # ---------------------------------------------------------------------------

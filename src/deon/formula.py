@@ -21,12 +21,14 @@ In logic "e" the monadic `O p` elaborates to the dyadic `O{p | true}`;
 in logic "sdl" monadic `O` is primitive and `O{...}` is rejected.
 
 Terms and formulas are hash-consed, so equality is identity and hashing
-is O(1) at any size.  The walks are iterative folds (`fold`) that visit
-each distinct subformula once; `subformulas` is an explicit-stack
-pre-order walk.  The parser is one precedence-climbing loop over the
-token texts of `tokens`, which folds each repeated parenthesized group
-to one token first, so each distinct group text is parsed once per
-scope; the printer is an explicit-stack walk, so nothing here recurses
+is O(1) at any size; `_Node` is also the node core of `lam`'s types and
+terms and of `embed`'s first-order formulas.  The walks are iterative
+folds (`fold`) that visit each distinct node once, in any of the three
+families; `subformulas` is an explicit-stack pre-order walk.  The
+parser is one precedence-climbing loop over the token texts of
+`tokens`, which folds each repeated parenthesized group to one token
+first, so each distinct group text is parsed once per scope; the
+printer and `repr` are explicit-stack walks, so nothing here recurses
 at any nesting depth.
 """
 
@@ -109,10 +111,16 @@ class _Node:
     entry when the node dies.  This `__new__` is the only constructor:
     a new node is `object.__new__` and one pass over the class's slot
     setters (`_setters`, made once per class by `__init_subclass__`).
+
+    The fields after the first `_lead` are the node's children, nodes of
+    its own family, which `children`, `fold` and `subformulas` walk, so
+    the walks serve formulas, λ-terms and first-order formulas alike.
+    `repr` writes the text a dataclass would, from an explicit stack.
     """
 
     __slots__ = ("__weakref__", "_key")
     _fields: tuple[str, ...] = ()
+    _lead = 0
     _derived: tuple[str, ...] = ()
     _derive: Callable[..., tuple] | None = None
     _setters: tuple = ()
@@ -145,8 +153,20 @@ class _Node:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        out: list[str] = []
+        stack: list = [self]  # nodes to write, and texts already written
+        while stack:
+            g = stack.pop()
+            if type(g) is str:
+                out.append(g)
+                continue
+            out.append(f"{type(g).__name__}(")
+            stack.append(")")
+            for i in reversed(range(len(g._fields))):
+                v = g._key[i + 1]
+                stack += (v if isinstance(v, _Node) and type(v).__repr__ is _Node.__repr__
+                          else repr(v), f"{', ' if i else ''}{g._fields[i]}=")
+        return "".join(out)
 
 
 class _Ref(weakref.ref):
@@ -171,10 +191,12 @@ class Term(_Node):
 
 class Const(Term):
     __slots__ = _fields = ("name",)
+    _lead = 1
 
 
 class Var(Term):
     __slots__ = _fields = ("name",)
+    _lead = 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +207,6 @@ class Formula(_Node):
     # what `desugar` gives in each logic: None until it is known
     __slots__ = _derived = ("_sdl_form", "_e_form")
     _derive = staticmethod(lambda *fields: (None, None))
-    _lead = 0  # leading fields that are not subformulas; the rest are
 
 
 class Atom(Formula):
@@ -263,16 +284,18 @@ _UNARY = (Not, Box, Dia, ObligM, Perm, Forb)
 _QUANT = (Forall, Exists)
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
+def children(f: _Node) -> tuple[_Node, ...]:
+    """f's fields after its `_lead`: its subformulas, subterms or
+    first-order operands."""
     return f._key[f._lead + 1:]
 
 
-def fold(f: Formula, visit: Callable[[Formula, list], Any],
-         memo: dict[Formula, Any] | None = None) -> Any:
+def fold(f: _Node, visit: Callable[[_Node, list], Any],
+         memo: dict[_Node, Any] | None = None) -> Any:
     """Bottom-up value of f: visit(g, the values of g's children).
 
     Post-order over an explicit stack, memoized per node: visit runs once
-    per distinct subformula, children left to right, at any depth.  A
+    per distinct node, children left to right, at any depth.  A
     memo passed in holds values already known and gets the new ones, so
     that folds of several formulas share their common nodes.
     """
@@ -304,9 +327,10 @@ def size(f: Formula) -> int:
     return fold(f, lambda g, kids: 1 + sum(kids))
 
 
-def subformulas(f: Formula) -> tuple[Formula, ...]:
-    """All subformulas of f including f itself, deduplicated, pre-order."""
-    seen: dict[Formula, None] = {}
+def subformulas(f: _Node) -> tuple[_Node, ...]:
+    """All subformulas of f including f itself, deduplicated, pre-order
+    (all subterms, for a λ-term)."""
+    seen: dict[_Node, None] = {}
     stack = [f]
     while stack:
         g = stack.pop()

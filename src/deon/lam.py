@@ -8,7 +8,8 @@ keeps the name, so `.body` reads the named body back and `==` still
 tells binder names apart.  Free variables and constants keep their
 names.  Nodes are hash-consed on `formula._Node` (Filliâtre & Conchon
 2006), in the formulas' table and by their one constructor, so equality
-is identity and hashing is O(1).  Each node also records, in the slots
+is identity and hashing is O(1), and `formula`'s walks and `repr` serve
+them as they serve formulas.  Each node also records, in the slots
 `LTerm._derived`, its type, so `type_of` reads a field, and what the
 index operations need to skip it.  The type is checked there, once,
 when the node is built: an ill-typed application or binder raises
@@ -51,6 +52,7 @@ class Ty(F._Node):
 
 class Base(Ty):
     __slots__ = _fields = ("name",)
+    _lead = 1
 
     def __str__(self):
         return self.name
@@ -98,6 +100,7 @@ _new = F._Node.__new__  # the node constructor, for Abs without closing a body
 class Const(LTerm):
     __slots__ = ("name",)
     _fields = ("name", "ty")
+    _lead = 2
     _derive = staticmethod(lambda name, ty: (ty, 0, False))
 
 
@@ -106,6 +109,7 @@ class Var(LTerm):
 
     __slots__ = ("name",)
     _fields = ("name", "ty")
+    _lead = 2
     _derive = staticmethod(lambda name, ty: (ty, 0, True))
 
 
@@ -114,6 +118,7 @@ class BVar(LTerm):
 
     __slots__ = ("idx",)
     _fields = ("idx", "ty")
+    _lead = 2
     _derive = staticmethod(lambda idx, ty: (ty, idx + 1, False))
 
 
@@ -136,6 +141,7 @@ class Abs(LTerm):
     type than var_ty raises LamTypeError."""
 
     __slots__ = _fields = ("var", "var_ty", "scope")
+    _lead = 2
 
     def __new__(cls, var: str, var_ty: Ty, body: LTerm):
         return _new(Abs, var, var_ty, _close(body, var, var_ty))
@@ -257,21 +263,9 @@ def type_of(t: LTerm, env: dict[str, Ty] | None = None) -> Ty:
     return t.ty
 
 
-def _leaves(t: LTerm):
-    """The distinct constants and free variables in t, by one walk over
-    its distinct subterms."""
-    seen, stack = set(), [t]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        if type(u) is App:
-            stack += (u.fun, u.arg)
-        elif type(u) is Abs:
-            stack.append(u.scope)
-        elif type(u) is not BVar:
-            yield u
+def _leaves(t: LTerm) -> list[LTerm]:
+    """The distinct constants and free variables in t, in pre-order."""
+    return [u for u in F.subformulas(t) if type(u) is Const or type(u) is Var]
 
 
 def names(t: LTerm) -> set[str]:

@@ -479,9 +479,20 @@ def frame_holds(n: int, rows: tuple[int, ...], cond: FrameConditions) -> bool:
 # Exhaustive enumeration (raw, no isomorphism pruning)
 
 
-def _decode_valuation(bits: int, atoms: tuple[AtomKey, ...], n: int) -> dict[AtomKey, int]:
+def _models(cls, n: int, rows_seq: Iterable[tuple[int, ...]], atoms: Iterable[AtomKey | str],
+            domain: Iterable[str]) -> Iterator:
+    """Models of class cls with n worlds: for each relation in rows_seq,
+    in order, one model per valuation of the atoms."""
+    keys = tuple(parse_atom_key(a) if isinstance(a, str) else (a[0], tuple(a[1])) for a in atoms)
+    dom = tuple(domain)
     full = (1 << n) - 1
-    return {a: (bits >> (i * n)) & full for i, a in enumerate(atoms)}
+    for rows in rows_seq:
+        relation = frozenset((s, t) for s in range(n) for t in _bits(rows[s]))
+        for bits in range(1 << (len(keys) * n)):
+            m = cls.__new__(cls)
+            m.n, m.full, m.rows, m.relation, m.domain = n, full, rows, relation, dom
+            m.valuation = {a: (bits >> (i * n)) & full for i, a in enumerate(keys)}
+            yield m
 
 
 def iter_preference_models(n_worlds: int, atoms: Iterable[AtomKey | str],
@@ -490,37 +501,17 @@ def iter_preference_models(n_worlds: int, atoms: Iterable[AtomKey | str],
     """All preference models with exactly n_worlds worlds, every betterness
     relation and every valuation of the given atoms; optionally filtered
     by frame conditions.  Intended for exhaustive small-scale checks."""
-    keys = tuple(parse_atom_key(a) if isinstance(a, str) else (a[0], tuple(a[1])) for a in atoms)
     n = n_worlds
-    dom = tuple(domain)
     full = (1 << n) - 1
-    for rel_bits in range(1 << (n * n)):
-        rows = tuple((rel_bits >> (s * n)) & full for s in range(n))
-        if frame is not None and not frame_holds(n, rows, frame):
-            continue
-        relation = frozenset((s, t) for s in range(n) for t in _bits(rows[s]))
-        for val_bits in range(1 << (len(keys) * n)):
-            m = PreferenceModel.__new__(PreferenceModel)
-            m.n, m.full, m.rows, m.relation, m.domain = n, full, rows, relation, dom
-            m.valuation = _decode_valuation(val_bits, keys, n)
-            yield m
+    relations = (tuple((bits >> (s * n)) & full for s in range(n)) for bits in range(1 << (n * n)))
+    if frame is not None:
+        relations = (rows for rows in relations if frame_holds(n, rows, frame))
+    return _models(PreferenceModel, n, relations, atoms, domain)
 
 
 def iter_serial_kripke_models(n_worlds: int, atoms: Iterable[AtomKey | str],
                               domain: Iterable[str] = ()) -> Iterator[KripkeModel]:
     """All serial Kripke models with exactly n_worlds worlds."""
-    keys = tuple(parse_atom_key(a) if isinstance(a, str) else (a[0], tuple(a[1])) for a in atoms)
-    n = n_worlds
-    dom = tuple(domain)
-    row_choices = [r for r in range(1, 1 << n)]  # nonempty successor sets
-    for rows in product(row_choices, repeat=n):
-        relation = frozenset((s, t) for s in range(n) for t in _bits(rows[s]))
-        for val_bits in range(1 << (len(keys) * n)):
-            m = KripkeModel.__new__(KripkeModel)
-            m.n = n
-            m.full = (1 << n) - 1
-            m.rows = tuple(rows)
-            m.relation = relation
-            m.domain = dom
-            m.valuation = _decode_valuation(val_bits, keys, n)
-            yield m
+    # each world's row is a nonempty successor set
+    return _models(KripkeModel, n_worlds, product(range(1, 1 << n_worlds), repeat=n_worlds),
+                   atoms, domain)

@@ -247,7 +247,7 @@ def test_criterion_7_lambda_kernel():
     sig = F.Signature({"p": 0, "q": 0, "P": 1})
     # the worked conversion: embedding of "possibly everything is P"
     f = F.parse("dia forall x. P(x)", sig, logic="sdl")
-    steps = L.normalize_steps(E.embed_sdl(f))
+    steps = L.normalize_steps(E.embed(f, "sdl"))
     assert len(steps) >= 4
     w, v, x = (L.Var(n, L.I) for n in "wvx")
     Pc = E.atom_const("P", 1)

@@ -38,18 +38,18 @@ class TestOperatorTypes:
                 assert L.type_of(E.embed(f, logic)) == L.TAU
 
     def test_atom_embeds_to_constant(self):
-        assert E.embed_e(P) == L.Const("p", L.TAU)
-        assert E.embed_sdl(P) == L.Const("p", L.TAU)
+        assert E.embed(P, "e") == L.Const("p", L.TAU)
+        assert E.embed(P, "sdl") == L.Const("p", L.TAU)
 
     def test_dyadic_rejected_in_sdl(self):
         with pytest.raises(E.EmbedError):
-            E.embed_sdl(F.Oblig(P, Q))
+            E.embed(F.Oblig(P, Q), "sdl")
 
 
 class TestNormalForms:
     def test_dia_forall_matches_conversion_chain_final_line(self):
         f = F.parse("dia forall x. P(x)", sig, logic="sdl")
-        nf = L.normalize(E.embed_sdl(f))
+        nf = L.normalize(E.embed(f, "sdl"))
         expected = L.Abs("w", L.I, L.neg(L.App(L.Pi(L.I), L.Abs("v", L.I, L.neg(
             L.land(L.app(E.R_ACC, w, v),
                    L.App(L.Pi(L.I), L.Abs("x", L.I, L.app(Pc, x, v)))))))))
@@ -57,16 +57,16 @@ class TestNormalForms:
 
     def test_chain_is_step_listable(self):
         f = F.parse("dia forall x. P(x)", sig, logic="sdl")
-        steps = L.normalize_steps(E.embed_sdl(f))
+        steps = L.normalize_steps(E.embed(f, "sdl"))
         assert len(steps) >= 4  # several definition-unfolding beta steps
-        assert oracles.alpha_eq(steps[-1], L.normalize(E.embed_sdl(f)))
+        assert oracles.alpha_eq(steps[-1], L.normalize(E.embed(f, "sdl")))
 
     def test_e_box_is_unguarded_global(self):
-        nf = L.normalize(E.embed_e(F.Box(P)))
+        nf = L.normalize(E.embed(F.Box(P), "e"))
         assert oracles.alpha_eq(nf, L.Abs("x", L.I, L.App(L.Pi(L.I), pc)))
 
     def test_e_oblig_normal_form(self):
-        nf = L.normalize(E.embed_e(F.Oblig(Q, P)))
+        nf = L.normalize(E.embed(F.Oblig(Q, P), "e"))
         inner = L.limp(
             L.land(L.App(pc, w),
                    L.App(L.Pi(L.I), L.Abs("y", L.I, L.limp(L.App(pc, y),
@@ -76,8 +76,8 @@ class TestNormalForms:
         assert oracles.alpha_eq(nf, expected)
 
     def test_monadic_equals_dyadic_with_top(self):
-        a = L.normalize(E.embed_e(F.ObligM(P)))
-        b = L.normalize(E.embed_e(F.Oblig(P, F.TOP)))
+        a = L.normalize(E.embed(F.ObligM(P), "e"))
+        b = L.normalize(E.embed(F.Oblig(P, F.TOP), "e"))
         assert oracles.alpha_eq(a, b)
 
 
@@ -85,7 +85,7 @@ class TestVld:
     def test_global_wraps_universally(self):
         # the displayed validity reduction: one world quantifier over the
         # condition/betterness guard (canonical binder names v1, v2)
-        t = E.vld(E.embed_e(F.Oblig(Q, P)))
+        t = E.vld(E.embed(F.Oblig(Q, P), "e"))
         fo = E.lower(L.normalize(t))
         assert fo == E.FOForall("v1", E.WORLD, E.FOImp(
             E.FOAnd(E.FOAtom("p", (E.FOVar("v1"),)),
@@ -95,7 +95,7 @@ class TestVld:
             E.FOAtom("q", (E.FOVar("v1"),))))
 
     def test_local_plugs_actual_world(self):
-        t = L.normalize(E.vld(E.embed_sdl(P), mode="local"))
+        t = L.normalize(E.vld(E.embed(P, "sdl"), mode="local"))
         assert t == L.App(L.Const("p", L.TAU), E.AW)
 
     def test_top_is_fo_valid(self):
@@ -334,8 +334,8 @@ class TestLower:
 
 
 class TestFOFormula:
-    """Equality, hashing and repr as the dataclasses gave them, without
-    recursion."""
+    """Hash-consed nodes: equal formulas are one object, and repr writes
+    the dataclass text without recursion."""
 
     def test_repr_as_the_dataclass_wrote_it(self):
         assert repr(E.translate(F.Box(P), "sdl")) == (
@@ -363,7 +363,7 @@ class TestFOFormula:
         for _ in range(3000):
             f = F.Box(f)
         fo, again = E.translate(f, "sdl"), E.translate(f, "sdl")
-        assert fo is not again and fo == again and hash(fo) == hash(again)
+        assert fo is again
         assert fo != E.translate(F.Box(f), "sdl")
         text = repr(fo)
         assert text.startswith("FOForall(var='v0', sort='world', body=FOForall(var='v1', ")
@@ -378,6 +378,20 @@ class TestGuardedFragment:
         f = gen_formula(rng, "sdl", 3, quantifiers=False)
         fo = E.translate(f, "sdl")
         assert E.in_guarded_fragment(fo)
+
+    def test_each_world_quantifier_needs_a_guard_on_its_own_variable(self):
+        w, v = E.FOVar("w"), E.FOVar("v")
+        p = E.FOAtom("p", (v,))
+        guarded = E.FOForall("v", E.WORLD, E.FOOr(E.FONot(E.FOAtom("R", (w, v))), p))
+        assert E.in_guarded_fragment(guarded, outermost=False)
+        assert E.in_guarded_fragment(E.FOForall("w", E.WORLD, guarded))
+        assert E.in_guarded_fragment(E.FOExists("v", E.WORLD, E.FOAnd(E.FOAtom("Rb", (w, v)), p)))
+        assert not E.in_guarded_fragment(E.FOForall("v", E.WORLD, p), outermost=False)
+        assert not E.in_guarded_fragment(  # the guard is on another variable
+            E.FOForall("u", E.WORLD, guarded.body), outermost=False)
+        assert not E.in_guarded_fragment(  # an unguarded quantifier below the wrapper
+            E.FOForall("w", E.WORLD, E.FOAnd(guarded, E.FONot(E.FOForall("v", E.WORLD, p)))))
+        assert not E.in_guarded_fragment(E.translate(F.Dia(P), "e"))
 
 
 class TestGoldenTptp:

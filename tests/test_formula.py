@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deon import embed as E
 from deon import formula as F
 from deon import lam as L
 from deon import semantics as S
@@ -218,6 +219,51 @@ class TestInterning:
         assert grounded is F.And(F.subst_var(f, "d", F.Const("a")),
                                  F.subst_var(f, "d", F.Const("b")))
         assert hash(f) == hash(chain(base)) and f == chain(base)
+
+    def test_repr_of_deep_nodes_does_not_recurse(self):
+        depth = 10_000
+        f, t, fo = F.Atom("p"), L.Const("p", L.O), E.FOAtom("p", ())
+        for i in range(depth):
+            f = F.Box(f) if i % 2 else F.Not(f)
+            t = L.neg(t)
+            fo = E.FONot(fo)
+        assert repr(f) == ("Box(sub=Not(sub=" * (depth // 2) + "Atom(pred='p', args=())"
+                           + ")" * depth)
+        assert repr(t) == ("App(fun=Const(name='not', ty=Arrow(src=Base(name='o'), "
+                           "dst=Base(name='o'))), arg=" * depth
+                           + "Const(name='p', ty=Base(name='o'))" + ")" * depth)
+        assert repr(fo) == "FONot(sub=" * depth + "FOAtom(pred='p', args=())" + ")" * depth
+
+    def test_children_are_the_node_valued_trailing_fields(self):
+        """Every node class declares its `_lead` so that the shared walks
+        see exactly its fields of its own family, which come last."""
+        p, x, w = F.Atom("p"), F.Var("x"), L.Var("w", L.I)
+        a = E.FOAtom("R", (E.FOVar("w"), E.FOConst("aw")))
+        samples = [
+            F.Const("c"), x, F.Atom("P", (x, F.Const("c"))), F.Forall("x", p),
+            F.Exists("x", p), F.Oblig(p, p),
+            *(cls(p) for cls in (F.Not, F.Box, F.Dia, F.ObligM, F.Perm, F.Forb)),
+            *(cls(p, p) for cls in (F.And, F.Or, F.Implies, F.Iff)),
+            L.I, L.TAU, L.NOT, w, L.BVar(0, L.I), L.App(L.NOT, L.Const("a", L.O)),
+            L.Abs("w", L.I, w),
+            a, E.FONot(a), *(cls(a, a) for cls in (E.FOAnd, E.FOOr, E.FOImp, E.FOIff)),
+            E.FOForall("w", E.WORLD, a), E.FOExists("w", E.WORLD, a),
+        ]
+        classes, stack = set(), [F._Node]
+        while stack:
+            cls = stack.pop()
+            stack += cls.__subclasses__()
+            if cls._fields and not cls.__subclasses__() and cls.__module__ in (
+                    "deon.formula", "deon.lam", "deon.embed"):
+                classes.add(cls)
+        assert {type(g) for g in samples} == classes
+        for g in samples:
+            mro = type(g).__mro__
+            family = mro[mro.index(F._Node) - 1]
+            values = tuple(getattr(g, name) for name in g._fields)
+            kids = F.children(g)
+            assert kids == tuple(v for v in values if isinstance(v, family)), g
+            assert kids == values[len(values) - len(kids):], g
 
     def test_dead_nodes_leave_the_table(self):
         before = len(F._TABLE)

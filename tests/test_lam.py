@@ -48,6 +48,14 @@ class TestTyping:
         assert env == {"x": L.O}
         assert L.type_of(L.Var("x", L.O), env) == L.O
 
+    def test_a_clash_names_the_first_variable_in_pre_order(self):
+        f = L.Const("f", L.fn(L.I, L.I, L.O))
+        t = L.app(f, L.Var("x", L.I), L.Var("y", L.I))
+        with pytest.raises(L.LamTypeError, match="variable x annotated i, bound at o"):
+            L.type_of(t, {"x": L.O, "y": L.O})
+        with pytest.raises(L.LamTypeError, match="variable y annotated i, bound at o"):
+            L.type_of(L.Abs("x", L.I, t), {"x": L.O, "y": L.O})
+
 
 class TestWellTypedByConstruction:
     """The node constructor is the only type check: an ill-typed node is

@@ -24,7 +24,6 @@ ALLOWED = {
     # first-order side of the embedding
     "embed.lower.walk": "lowering a normal form to first order",
     "embed.fo_eval": "first-order evaluation",
-    "embed.in_guarded_fragment": "guarded-fragment test",
     # bounded depths
     "kb._instances.assign": "depth is the number of a norm's binders",
     "search._quickxplain.shrink": "depth is log n in the input count",
