@@ -155,7 +155,26 @@ class Abs(LTerm):
         return _subst_db(self.scope, 0, Var(self.var, self.var_ty))
 
     def __repr__(self) -> str:
-        return f"Abs(var={self.var!r}, var_ty={self.var_ty!r}, body={self.body!r})"
+        """The text of the named term `.body` reads back, a bound BVar as
+        its Var; the stack's None leaves a binder of `names`."""
+        out, names, stack = [], [], [self]
+        while stack:
+            g = stack.pop()
+            if g is None:
+                names.pop()
+            elif type(g) is str:
+                out.append(g)
+            elif type(g) is Abs:
+                out.append(f"Abs(var={g.var!r}, var_ty={g.var_ty!r}, body=")
+                names.append(g.var)
+                stack += (")", None, g.scope)
+            elif type(g) is App:
+                stack += (")", g.arg, ", arg=", g.fun, "App(fun=")
+            elif type(g) is BVar and g.idx < len(names):
+                out.append(f"Var(name={names[-1 - g.idx]!r}, ty={g.ty!r})")
+            else:  # a BVar loose in self loses one index per binder above it
+                out.append(repr(BVar(g.idx - len(names), g.ty) if type(g) is BVar else g))
+        return "".join(out)
 
 
 def _rebind(u: Abs, scope: LTerm, var: str | None = None) -> Abs:

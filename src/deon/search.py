@@ -4,16 +4,16 @@ Bounded search enumerates candidate models in a fixed canonical order:
 increasing world count, then relation bits ascending, then valuation
 bits ascending, with non-canonical representatives under world
 permutation pruned away.  Candidates stay raw relation rows and
-valuation masks, run through one semantics.CompiledBank per scan, and
-bit-parallel: one run decides a chunk of up to 2^CHUNK_BITS valuations
-of one relation, each in its own lane of the masks.  The hit is the
-least canonical lane that passes, and the chunk is charged what a loop
-over one candidate at a time charges up to that hit (or for the whole
-chunk).  That loop runs out as soon as its running charge passes the
-budget, so it runs out inside a chunk exactly when the chunk's charge
-passes the budget: the hit, the budget left and the point at which the
-budget runs out are that loop's (it is kept with the tests as the
-reference).  Testing a
+valuation masks, run through one semantics.CompiledBank per search
+(shared by the exact procedure and the re-scan), and bit-parallel: one
+run decides a chunk of up to 2^CHUNK_BITS valuations of one relation,
+each in its own lane of the masks.  The hit is the least canonical lane
+that passes, and the chunk is charged what a loop over one candidate at
+a time charges up to that hit (or for the whole chunk).  That loop runs
+out as soon as its running charge passes the budget, so it runs out
+inside a chunk exactly when the chunk's charge passes the budget: the
+hit, the budget left and the point at which the budget runs out are
+that loop's (it is kept with the tests as the reference).  Testing a
 relation for canonicity costs one unit per permutation applied, and a
 world count whose n! - 1 permutations the budget cannot pay for is
 refused before they are listed.  Only a hit becomes a model object, and
@@ -59,6 +59,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, permutations
 from math import factorial
 
@@ -172,11 +173,6 @@ def _require_ground(fs) -> None:
             raise SearchError("quantified input: expand with formula.ground first")
 
 
-def _domain(fs) -> tuple[str, ...]:
-    """The constants the formulas mention, sorted."""
-    return tuple(sorted({t.name for f in fs for a in F.atoms_of(f) for t in a.args}))
-
-
 def _check_cfg(cfg: SearchConfig) -> None:
     if cfg.logic == "sdl" and not (cfg.frame.none() or cfg.frame.flags() == ("serial",)):
         raise SearchError("SDL search supports only the (implied) serial frame")
@@ -278,11 +274,12 @@ def _lane_column(q: int, n: int, count: int) -> int:
     return m
 
 
-def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals, domain):
-    """The public model object for a raw candidate."""
+def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals):
+    """The public model object for a raw candidate, over its atoms' constants."""
     cls = S.KripkeModel if logic == "sdl" else S.PreferenceModel
     relation = [(s, t) for s in range(n) for t in S._bits(rows[s])]
-    return cls(n, relation, {a: list(S._bits(v)) for a, v in zip(atoms, vals)}, domain)
+    return cls(n, relation, {a: list(S._bits(v)) for a, v in zip(atoms, vals)},
+               {c for _, args in atoms for c in args})
 
 
 def _revalidate(model, fs, logic: str, false_somewhere: F.Formula | None = None,
@@ -310,27 +307,50 @@ def _sigma(fs) -> dict[F.Formula, None]:
     return sigma
 
 
+def _inputs(bank: S.CompiledBank, globals_at, locals_):
+    """For both exact procedures, the inputs of bank at globals_at (valid)
+    and locals_ ((position, truth) pairs, that truth somewhere): Σ in
+    pre-order, the sorted slots it reaches (the cone), the global roots,
+    the local literals and the cone's (atom id, variable) pairs, sorted."""
+    sigma = _sigma([bank.formulas[i] for i in chain(globals_at, (i for i, _ in locals_))])
+    cone = sorted(bank.index[g] for g in sigma)
+    gs = [bank.roots[i] for i in globals_at]
+    ls = [bank.roots[i] + 1 if truth else -(bank.roots[i] + 1) for i, truth in locals_]
+    atoms = sorted((bank.ops[s][1], s + 1) for s in cone if bank.ops[s][0] == "atom")
+    return sigma, cone, gs, ls, atoms
+
+
+def _valuation(bank: S.CompiledBank, atoms, world_type, low: int = 0) -> list[int]:
+    """Each atom's mask over worlds of the given types, whose bit low + i
+    is the i-th atom of the cone; atoms outside it are false."""
+    vals = [0] * len(bank.atoms)
+    for i, (a, _) in enumerate(atoms):
+        vals[a] = sum(1 << w for w, t in enumerate(world_type) if t >> (low + i) & 1)
+    return vals
+
+
 class _Unrealizable(Exception):
     """A type the realizability of an E candidate needs does not exist."""
 
 
-def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budget):
-    """Decide satisfiability: all of globals_ valid and every member of
-    locals_ true somewhere.  Returns (model, local_worlds) or None.
+def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
+    """Decide satisfiability of the inputs of bank at the given
+    positions (see _inputs).  Returns (model, local_worlds) or None.
 
     A candidate is a truth assignment gbits to the boxes and obligations
-    (bit i for the i-th box, then one per obligation, each in pre-order)
-    whose core, the atom-types (bit i of a type is atom i) where the
-    globals and the true boxes' bodies hold, is not empty.  It is
-    realizable when every false box has a core type falsifying its body,
-    every false obligation j has a witness type in core, cond_j and not
-    body_j outside ``bad`` (the cond_m-and-not-body_m types of each true
-    obligation m whose core cond_m-types all lie in cond_j), and every
-    local holds at some core type.  _build_e_witness turns the least
-    such types into a model.
+    of the cone (bit i for the i-th box, then one per obligation, each
+    in pre-order) whose core, the types over the cone's atoms (bit i of
+    a type is atom i) where the globals and the true boxes' bodies hold,
+    is not empty.  It is realizable when every false box has a core type
+    falsifying its body, every false obligation j has a witness type in
+    core, cond_j and not body_j outside ``bad`` (the
+    cond_m-and-not-body_m types of each true obligation m whose core
+    cond_m-types all lie in cond_j), and every local literal holds at
+    some core type.  The least such types become the model, which one
+    compiled run over them re-checks.
 
     Each question is one query to a sat.Solver holding the Tseitin
-    clauses of the compiled inputs, the globals as units, the clause
+    clauses of the cone, the globals as units, the clause
     "box_i false or body_i" for every box, and one variable per
     obligation m equivalent to "cond_m implies body_m".  The order
     argument, which makes the result the one of a plain loop over
@@ -345,8 +365,8 @@ def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budge
       decides only the atoms, most significant first, so its model is
       the least type with the asked property; the containment
       "core cond_m-types inside cond_j" is the query for core, cond_m
-      and not cond_j coming back empty, and otherwise its model is the
-      separator type that _build_e_witness needs.
+      and not cond_j coming back empty, and otherwise its model is a
+      separator type the witness may need.
     * A candidate that fails is blocked: the candidate search resumes
       past its modal assignment (``Solver.models`` with ``keep`` the
       modal variables), the backtrack a clause blocking exactly that
@@ -355,27 +375,25 @@ def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budge
       next model is the next candidate of the loop.  The search ends at
       the least realizable gbits, or with None when no candidate is left.
     """
-    bank = S.CompiledBank(globals_ + locals_, "e")
-    sigma = _sigma(bank.formulas)
+    sigma, cone, gs, ls, atoms = _inputs(bank, globals_at, locals_)
     slot = bank.index
     modal_fs = ([f for f in sigma if isinstance(f, F.Box)]
                 + [f for f in sigma if isinstance(f, F.Oblig)])
     nboxes = sum(isinstance(f, F.Box) for f in modal_fs)
     boxes = [slot[f.sub] for f in modal_fs[:nboxes]]
     obls = [(slot[f.body], slot[f.cond]) for f in modal_fs[nboxes:]]
-    bit = {slot[f]: i for i, f in enumerate(modal_fs)}
-    bits = [bit[s] for s in bank.modal]
-    gs, ls = bank.roots[:len(globals_)], bank.roots[len(globals_):]
-    k, n_ops = len(bank.atoms), len(bank.ops)
+    # the gbits bit of each modal op of the bank; none outside the cone
+    bit = {slot[f]: 1 << i for i, f in enumerate(modal_fs)}
+    bits = [bit.get(s, 0) for s in bank.modal]
+    k, n_ops = len(atoms), len(bank.ops)
 
     # variable s + 1 is slot s; variable n_ops + 1 + m is "cond_m implies body_m"
     modal_vars = [slot[f] + 1 for f in modal_fs]
-    clauses = list(sat.bank_clauses(bank.ops))
+    clauses = list(sat.bank_clauses(bank.ops, cone))
     clauses += [[g + 1] for g in gs] + [[-v, b + 1] for v, b in zip(modal_vars, boxes)]
     for m, (body, cond) in enumerate(obls):
         clauses += sat.TSEITIN["imp"](n_ops + 1 + m, cond + 1, body + 1)
-    atom_var = {op[1]: s + 1 for s, op in enumerate(bank.ops) if op[0] == "atom"}
-    types = [atom_var[i] for i in reversed(range(k))]
+    types = [v for _, v in reversed(atoms)]
     solver = sat.Solver(n_ops + len(obls), clauses)  # answers the queries
 
     def least(*lits):
@@ -402,90 +420,77 @@ def _exact_e(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budge
                 safe = [n_ops + 1 + m for m, sep in found if sep is None]
                 witnesses.append((j, least(cond + 1, -(body + 1), *safe)))
                 seps[j] = [(m, sep) for m, sep in found if sep is not None]
-            local_types = [least(f + 1) for f in ls]
+            local_types = [least(l) for l in ls]
         except _Unrealizable:
             continue
-        return _build_e_witness(bank, gbits, bits, boxes, obls, model & ((1 << k) - 1),
-                                box_types, witnesses, seps, local_types, len(globals_))
-    return None
+        break
+    else:
+        return None
 
-
-def _build_e_witness(bank: S.CompiledBank, gbits: int, bits, boxes, obls, core_type,
-                     box_types, witnesses, seps, local_types, n_globals: int):
-    """Deterministic preference model realizing the chosen type assignment.
-
-    boxes holds the slot of each box's body and obls the (body, cond)
-    slots of each obligation; box_types are the false boxes' counterexample
-    types, witnesses pairs each false obligation's index with its witness
-    type, seps maps that index to the (true obligation, separator type)
-    pairs breaking a containment, and core_type is the least core type.
-    One compiled run over the chosen types re-checks the solver's answers.
-    """
-    k = len(bank.atoms)
+    # the model: the least types the answers name, then one world per
+    # false obligation's witness type, seeing every cond-world of it
     needed = dict.fromkeys(local_types + box_types)
     for j, t in witnesses:
         needed[t] = None
-        # separator types breaking the containment for each endangered
-        # true obligation
-        at = bank.run(1, (), [t >> i & 1 for i in range(k)], [gbits >> b & 1 for b in bits])
+        # the separators of the true obligations the witness type endangers
+        at = bank.run(1, (), _valuation(bank, atoms, [t]), [1 if gbits & b else 0 for b in bits])
         for m, sep in seps[j]:
             body_m, cond_m = obls[m]
             if at[cond_m] and not at[body_m]:
                 needed[sep] = None
     if not needed:
-        needed[core_type] = None
+        needed[model & ((1 << k) - 1)] = None  # the least core type
     base_types = sorted(needed)
     world_type = base_types + [t for _, t in witnesses]
     n = len(world_type)
     full = (1 << n) - 1
-    vals = [sum(1 << w for w, t in enumerate(world_type) if t >> i & 1) for i in range(k)]
-    tm = bank.run(n, (), vals, [full if gbits >> b & 1 else 0 for b in bits])
+    vals = _valuation(bank, atoms, world_type)
+    tm = bank.run(n, (), vals, [full if gbits & b else 0 for b in bits])
     local_worlds = [base_types.index(t) for t in local_types]
-    witness_worlds = list(enumerate(witnesses, len(base_types)))
-    if not (all(tm[g] == full for g in bank.roots[:n_globals])
+    if not (all(tm[g] == full for g in gs)
             and all((tm[b] == full) == bool(gbits >> i & 1) for i, b in enumerate(boxes))
-            and all(tm[f] >> w & 1 for f, w in zip(bank.roots[n_globals:], local_worlds))
+            and all((tm[abs(l) - 1] >> w & 1) == (l > 0) for l, w in zip(ls, local_worlds))
             and all(tm[obls[j][1]] >> w & ~tm[obls[j][0]] >> w & 1
-                    for w, (j, _) in witness_worlds)):
+                    for w, (j, _) in enumerate(witnesses, len(base_types)))):
         raise SearchError("internal error: a chosen world type fails the compiled check")
-    relation = [(w, u) for w, (j, _) in witness_worlds for u in range(n)
-                if tm[obls[j][1]] >> u & 1]
-    valuation = {a: [w for w, t in enumerate(world_type) if t >> i & 1]
-                 for i, a in enumerate(bank.atoms)}
-    # the domain is the constants the atoms mention (the model sorts it)
-    domain = {c for _, args in bank.atoms for c in args}
-    return S.PreferenceModel(n, relation, valuation, domain), local_worlds
+    rows = [0] * len(base_types) + [tm[obls[j][1]] for j, _ in witnesses]
+    return _model("e", n, rows, bank.atoms, vals), local_worlds
 
 
 # ---------------------------------------------------------------------------
 # Complete decision, SDL
 
 
-def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Budget):
+def _exact_sdl(bank: S.CompiledBank, globals_at, locals_, budget: _Budget,
+               reflexive: bool = False):
     """Type elimination on the solver of deon.sat, in the spirit of
-    global caching (Goré & Nguyen 2007).  Returns (model, local_worlds)
-    or None.
+    global caching (Goré & Nguyen 2007), over the inputs of bank at the
+    given positions (see _inputs).  Returns (model, local_worlds) or
+    None.  With ``reflexive`` (decide-only callers), the solver is first
+    asked for a type with O_j equivalent to body_j for every j: one such
+    world seeing itself is a serial model.
 
-    A type assigns truth to the k atoms and the p O-subformulas (in
-    pre-order); its index has atom i at bit i and O_j at bit k + j.  The
-    types are never listed: S, the current type set, is the models of a
-    sat.Solver holding the Tseitin clauses of the compiled inputs, the
-    globals as units and the clauses learned so far.  The solver decides
-    O_p-1 ... O_0, then atom k-1 ... 0, false first, so its least model
-    under assumptions is the least type index with that property.  The
-    bodies follow in the order, body_p-1 ... body_0 (propagation fixes
-    them), so a type is read as its index shifted left by p, with bit j
-    the truth of body_j.
+    A type assigns truth to the k atoms of the cone and its p
+    O-subformulas (in pre-order); its index has atom i at bit i and O_j
+    at bit k + j.  The types are never listed: S, the current type set,
+    is the models of a sat.Solver holding the Tseitin clauses of the
+    cone, the globals as units and the clauses learned so far.  The
+    solver decides O_p-1 ... O_0, then atom k-1 ... 0, false first, so
+    its least model under assumptions is the least type index with that
+    property.  The bodies follow in the order, body_p-1 ... body_0
+    (propagation fixes them), so a type is read as its index shifted
+    left by p, with bit j the truth of body_j.
 
     A type with true O's T needs a successor in S satisfying every body
     of T (seriality), and for each false O_j one that also falsifies
     body_j.  The closure starts from the least type where each local
-    holds (or else the least type), and meets each need with the first
-    included type that meets it, else with the least type of S that
-    does.  When that query fails, QuickXplain shrinks its assumptions
-    (the bodies of T, and not body_j) to a core C, and the solver learns
-    "some O_i whose body is in C is false, or O_j is true" (without O_j
-    when not body_j is outside C); then the closure starts again.
+    literal holds (or else the least type), and meets each need with the
+    first included type that meets it, else with the least type of S
+    that does.  When that query fails, QuickXplain shrinks its
+    assumptions (the bodies of T, and not body_j) to a core C, and the
+    solver learns "some O_i whose body is in C is false, or O_j is true"
+    (without O_j when not body_j is outside C); then the closure starts
+    again.
 
     Soundness: a type the clause removes makes the O's of C true and O_j
     false, so its successors lie among the types of S satisfying C's
@@ -501,28 +506,12 @@ def _exact_sdl(globals_: list[F.Formula], locals_: list[F.Formula], budget: _Bud
     reference), and builds the same model.  One compiled run re-checks
     it.
     """
-    bank = S.CompiledBank(globals_ + locals_, "sdl")
-    n = len(globals_)
-    return _sdl_types(bank, range(n), range(n, len(bank.roots)), budget)
-
-
-def _sdl_types(bank: S.CompiledBank, globals_at, locals_at, budget: _Budget,
-               reflexive: bool = False):
-    """_exact_sdl over the inputs of a compiled bank at the given
-    positions: only the ops they reach go into the solver, and atoms
-    they do not mention are false in the model.  With ``reflexive``
-    (decide-only callers), the solver is first asked for a type with
-    O_j equivalent to body_j for every j: one such world seeing itself
-    is a serial model."""
-    sigma = _sigma([bank.formulas[i] for i in chain(globals_at, locals_at)])
-    cone = sorted(bank.index[g] for g in sigma)
+    sigma, cone, gs, ls, atoms = _inputs(bank, globals_at, locals_)
     boxes = [f for f in sigma if isinstance(f, F.ObligM)]
-    atoms = sorted((bank.ops[s][1], s + 1) for s in cone if bank.ops[s][0] == "atom")
     k, p = len(atoms), len(boxes)
     o_var = [bank.index[b] + 1 for b in boxes]
     body = [bank.index[b.sub] + 1 for b in boxes]
     order = o_var[::-1] + [v for _, v in reversed(atoms)] + body[::-1]
-    gs, ls = [bank.roots[i] for i in globals_at], [bank.roots[i] for i in locals_at]
     clauses = list(sat.bank_clauses(bank.ops, cone)) + [[g + 1] for g in gs]
     n_vars = len(bank.ops)
     if reflexive:  # variable n_vars selects the types with O_j <-> body_j
@@ -545,11 +534,11 @@ def _sdl_types(bank: S.CompiledBank, globals_at, locals_at, budget: _Budget,
 
     included = None
     if reflexive:
-        t = least([n_vars] + [f + 1 for f in ls])
+        t = least([n_vars] + ls)
         if t is not None:
             included, local_types = {t: None}, [t] * len(ls)
     while included is None:
-        start = [least([f + 1]) for f in ls] or [least([])]
+        start = [least([l]) for l in ls] or [least([])]
         if None in start:
             return None
         local_types = start[:len(ls)]
@@ -580,16 +569,13 @@ def _sdl_types(bank: S.CompiledBank, globals_at, locals_at, budget: _Budget,
     n = len(world_type)
     pats = [t >> (k + p) for t in world_type]
     rows = tuple(sum(1 << w for w, u in enumerate(world_type) if (u & pat) == pat) for pat in pats)
-    vals = [0] * len(bank.atoms)
-    for i, (a, _) in enumerate(atoms):
-        vals[a] = sum(1 << w for w, t in enumerate(world_type) if t >> (p + i) & 1)
+    vals = _valuation(bank, atoms, world_type, p)
     local_worlds = [world_type.index(t) for t in local_types]
     tm = bank.run(n, rows, vals)
     if not (all(tm[g] == (1 << n) - 1 for g in gs)
-            and all(tm[f] >> w & 1 for f, w in zip(ls, local_worlds))):
+            and all((tm[abs(l) - 1] >> w & 1) == (l > 0) for l, w in zip(ls, local_worlds))):
         raise SearchError("internal error: a closed type set fails the compiled check")
-    return _model("sdl", n, rows, bank.atoms, vals, {c for _, a in bank.atoms for c in a}), \
-        local_worlds
+    return _model("sdl", n, rows, bank.atoms, vals), local_worlds
 
 
 def _quickxplain(items, refuted) -> list:
@@ -619,10 +605,11 @@ def _quickxplain(items, refuted) -> list:
 # Public operations
 
 
-def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
+def _bounded_scan(bank: S.CompiledBank, valid_fs, falsify: F.Formula | None,
                   cfg: SearchConfig, budget: _Budget, max_n: int,
                   frame_mode: str = "require"):
-    """Scan sizes 1..max_n; returns (model, world) or None.
+    """Scan sizes 1..max_n over bank, compiled from valid_fs followed by
+    falsify when it is given; returns (model, world) or None.
 
     When falsify is given the world is the least world where it fails,
     and candidate models must additionally make it false somewhere.
@@ -639,8 +626,6 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
     including it, or per lane when there is none, so the budget runs out
     where the one-candidate-at-a-time loop's would.
     """
-    bank = S.CompiledBank(list(valid_fs) + ([falsify] if falsify is not None else []),
-                          cfg.logic)
     n_valid = len(valid_fs)
     k = len(bank.atoms)
     cost = len(bank.ops) if cfg.complete else 1
@@ -679,7 +664,7 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
                     if falsify is not None:
                         false_at = ~out[bank.roots[n_valid]] >> (lane * n) & full
                         world = (false_at & -false_at).bit_length() - 1
-                    model = _model(cfg.logic, n, rows, bank.atoms, vals, domain)
+                    model = _model(cfg.logic, n, rows, bank.atoms, vals)
                     _revalidate(model, valid_fs, cfg.logic,
                                 false_somewhere=falsify, world=world)
                     return model, world
@@ -692,20 +677,22 @@ def _bounded_scan(valid_fs, falsify: F.Formula | None, domain,
 
 def _search(valid_fs: list[F.Formula], falsify: F.Formula | None, cfg: SearchConfig):
     """find_model and entails: (model, world) as _bounded_scan gives it,
-    or None; complete mode decides first, then re-scans canonically."""
+    or None; complete mode decides first, then re-scans canonically,
+    both over one bank of the formulas with the goal to falsify last."""
     every = valid_fs + ([] if falsify is None else [falsify])
     _require_ground(every)
     _check_cfg(cfg)
-    domain = _domain(every)
+    bank = S.CompiledBank(every, cfg.logic)
     budget = _Budget(cfg.node_budget)
     if not cfg.complete:
-        return _bounded_scan(valid_fs, falsify, domain, cfg, budget, cfg.max_worlds)
+        return _bounded_scan(bank, valid_fs, falsify, cfg, budget, cfg.max_worlds)
     exact = _exact_sdl if cfg.logic == "sdl" else _exact_e
-    got = exact(valid_fs, [] if falsify is None else [F.Not(falsify)], budget)
+    n = len(valid_fs)  # the goal, if any, is input n: to be false somewhere
+    got = exact(bank, range(n), [] if falsify is None else [(n, False)], budget)
     if got is None:
         return None
     witness, worlds = got
-    found = _bounded_scan(valid_fs, falsify, domain, cfg, _Budget(cfg.node_budget), witness.n)
+    found = _bounded_scan(bank, valid_fs, falsify, cfg, _Budget(cfg.node_budget), witness.n)
     if found is not None:
         return found
     world = None if falsify is None else worlds[0]
@@ -764,23 +751,18 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
         raise SearchError("correspondence probes run over preference models")
     if frame.none():
         raise SearchError("correspondence needs at least one frame condition")
-    domain = _domain([schema])
+    bank = S.CompiledBank([schema], "e")
     probe_cfg = SearchConfig(logic="e", frame=frame, max_worlds=cfg.max_worlds,
                              node_budget=cfg.node_budget)
-    budget = _Budget(cfg.node_budget)
 
-    counterexample = None
-    found = _bounded_scan([], schema, domain, probe_cfg, budget,
-                          cfg.max_worlds, frame_mode="require")
-    if found is not None:
-        counterexample = found[0]
+    def probe(valid_fs, falsify, frame_mode):
+        found = _bounded_scan(bank, valid_fs, falsify, probe_cfg, _Budget(cfg.node_budget),
+                              cfg.max_worlds, frame_mode)
+        return None if found is None else found[0]
 
-    budget = _Budget(cfg.node_budget)
-    witness = None
-    found = _bounded_scan([schema], None, domain, probe_cfg, budget,
-                          cfg.max_worlds, frame_mode="violate")
-    if found is not None:
-        witness = found[0]
+    counterexample = probe([], schema, "require")
+    witness = probe([schema], None, "violate")
+    if witness is not None:
         for check in S.check_frame(witness, frame):
             if check.holds:
                 raise SearchError(f"internal error: witness satisfies {check.prop}")
@@ -796,27 +778,26 @@ def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
     one object, so only positions tell them apart).  QuickXplain runs
     over the positions in reverse, so the core is the one a
     front-to-back deletion loop keeps.  Its oracle only decides: the
-    complete procedure with no canonical re-scan, each satisfiable
-    answer re-checked by one compiled run (SDL first tries a one-world
-    reflexive model).  Requires complete mode; both the result's
-    unsatisfiability and the satisfiability of every one-element-removed
-    subset are re-verified.
+    complete procedure over the positions of one bank of fs, with no
+    canonical re-scan, each satisfiable answer re-checked by one
+    compiled run (SDL first tries a one-world reflexive model).
+    Requires complete mode and an input the oracle refutes; both the
+    result's unsatisfiability and the satisfiability of every
+    one-element-removed subset are re-verified.
     """
     fs = list(fs)
     if not cfg.complete:
         raise SearchError("minimal_unsat_subset needs complete mode")
-    verdict = find_model(fs, cfg)
-    if not isinstance(verdict, DecidedUnsatisfiable):
-        raise SearchError("minimal_unsat_subset expects an unsatisfiable input set")
-
-    bank = S.CompiledBank(fs, "sdl") if cfg.logic == "sdl" else None
+    _require_ground(fs)
+    _check_cfg(cfg)
+    bank = S.CompiledBank(fs, cfg.logic)
+    exact = partial(_exact_sdl, reflexive=True) if cfg.logic == "sdl" else _exact_e
 
     def refuted(positions) -> bool:
-        budget = _Budget(cfg.node_budget)
-        if bank is not None:
-            return _sdl_types(bank, sorted(positions), (), budget, reflexive=True) is None
-        return _exact_e([fs[j] for j in sorted(positions)], [], budget) is None
+        return exact(bank, sorted(positions), (), _Budget(cfg.node_budget)) is None
 
+    if not refuted(range(len(fs))):
+        raise SearchError("minimal_unsat_subset expects an unsatisfiable input set")
     core = sorted(_quickxplain(range(len(fs) - 1, -1, -1), refuted))
     if not refuted(core):
         raise SearchError("internal error: shrunken core is satisfiable")

@@ -267,7 +267,7 @@ def instantiate(schema: F.Formula, mapping) -> F.Formula:
     return F.fold(schema, visit)
 
 
-def sequential_scan(valid_fs, falsify, domain, cfg, budget, max_n, frame_mode="require"):
+def sequential_scan(valid_fs, falsify, cfg, budget, max_n, frame_mode="require"):
     """search._bounded_scan one candidate at a time: every valuation of
     each canonical relation in ascending order, charged before it runs
     through the compiled bank on its own; the first canonical candidate
@@ -295,7 +295,7 @@ def sequential_scan(valid_fs, falsify, domain, cfg, budget, max_n, frame_mode="r
                         if not false_at:
                             continue
                         world = (false_at & -false_at).bit_length() - 1
-                    return SE._model(cfg.logic, n, rows, bank.atoms, vals, domain), world
+                    return SE._model(cfg.logic, n, rows, bank.atoms, vals), world
     except SE.BudgetExceeded:
         if cfg.complete:
             return None
@@ -424,8 +424,9 @@ def deletion_mus(fs, cfg) -> list[int]:
     above."""
     def unsat(positions) -> bool:
         sub, budget = [fs[j] for j in positions], SE._Budget(cfg.node_budget)
-        exact = mask_exact_sdl if cfg.logic == "sdl" else SE._exact_e
-        return exact(sub, [], budget) is None
+        if cfg.logic == "sdl":
+            return mask_exact_sdl(sub, [], budget) is None
+        return SE._exact_e(S.CompiledBank(sub, "e"), range(len(sub)), [], budget) is None
 
     core = list(range(len(fs)))
     i = 0

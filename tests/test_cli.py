@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import importlib.util
 import inspect
 import json
 import os
@@ -648,6 +649,79 @@ class TestCorrespondence:
     def test_unknown_frame_rejected(self):
         r = run("correspondence", "cv", "--frame", "shiny")
         assert r.exit_code == 3
+
+
+def _bench_gen():
+    """The benchmark's generator of the GDPR-N and Chisholm-N bases."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOneBankPerSearch:
+    """A command compiles its search's inputs once: the exact procedure,
+    the canonical re-scan, the MUS and both correspondence probes read
+    that bank, and only the Evaluator's re-validation of each witness
+    compiles another."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"banks": 0, "evaluators": 0}
+
+        class Bank(S.CompiledBank):
+            def __init__(self, *args):
+                counts["banks"] += 1
+                super().__init__(*args)
+
+        class Checker(S.Evaluator):
+            def __init__(self, *args):
+                counts["evaluators"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(S, "CompiledBank", Bank)
+        monkeypatch.setattr(S, "Evaluator", Checker)
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
+    @pytest.mark.parametrize("logic", ["e", "sdl"])
+    def test_kb_consistency_builds_two(self, logic, family, n, builds, tmp_path):
+        kb = tmp_path / "family.kb"
+        kb.write_text(getattr(_bench_gen(), f"{family}_kb")(n, logic))
+        _, payload = run_json("kb", "consistency", kb, "--logic", logic, "--complete")
+        # E: the search and the witness's re-validation; SDL: the search and the MUS
+        assert payload["verdict"] == ("model_found" if logic == "e" else "unsatisfiable")
+        assert builds == {"banks": 2, "evaluators": int(logic == "e")}
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "O p -> p", "--logic", "e", "--complete"),
+        ("check", "O p -> P p", "--logic", "sdl", "--complete"),
+        ("check", "O{q | p} -> O{q | p & r}", "--logic", "e", "--complete"),
+        ("check", "O p -> p", "--logic", "sdl", "--bound", "2"),
+        ("model", "O p", "P ~q", "--logic", "e", "--complete"),
+        ("model", "O p", "~p", "--logic", "sdl", "--complete"),
+        ("model", "O p", "~p", "--logic", "sdl", "--bound", "2"),
+        ("model", "dia p", "dia ~p", "--logic", "e", "--bound", "2"),
+        ("kb", "entail", FIXTURES / "gdpr_e.kb", "--goal", "false", "--logic", "e", "--complete"),
+        ("kb", "entail", FIXTURES / "gdpr_sdl.kb", "--goal", "false", "--logic", "sdl",
+         "--complete"),
+        ("kb", "entail", FIXTURES / "chisholm_e.kb", "--goal", "O ~tell", "--logic", "e",
+         "--complete"),
+    ])
+    def test_one_per_search_and_one_per_witness(self, argv, builds):
+        _, payload = run_json(*argv)
+        witnesses = int(payload["witness"] is not None)
+        assert builds == {"banks": 1 + witnesses, "evaluators": witnesses}
+
+    @pytest.mark.parametrize("schema", ["O{p | p}", "O{p | q}", "O{p | q} -> ~O{~p | q}"])
+    def test_correspondence_probes_share_one(self, schema, builds):
+        _, payload = run_json("correspondence", schema, "--frame", "reflexive", "--bound", "2")
+        detail = payload["detail"]
+        witnesses = sum(detail[k] is not None
+                        for k in ("frame_counterexample", "violating_witness"))
+        assert builds == {"banks": 1 + witnesses, "evaluators": witnesses}
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

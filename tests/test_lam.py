@@ -175,6 +175,34 @@ class TestNodes:
         assert t == chain() and hash(t) == hash(chain())
         assert L.names(t) == {"a", "not"}
 
+    def test_abs_repr_writes_the_named_body(self):
+        def named(t):  # each binder's body read back by .body, as repr wrote it
+            if type(t) is L.Abs:
+                return f"Abs(var={t.var!r}, var_ty={t.var_ty!r}, body={named(t.body)})"
+            if type(t) is L.App:
+                return f"App(fun={named(t.fun)}, arg={named(t.arg)})"
+            return repr(t)
+
+        rng = random.Random(5)
+        for _ in range(300):
+            t = gen_typed_term(rng, rng.choice([L.O, L.TAU, L.fn(L.I, L.I, L.O)]), depth=6)
+            for u in F.subformulas(t):
+                if type(u) is L.Abs:
+                    assert repr(u) == named(u)
+                    assert repr(u.scope) == named(u.scope)  # its own index is loose there
+
+    def test_abs_repr_of_deep_binders_does_not_recurse(self):
+        # binder x<i> is named inside x<i-1>; the outermost names a free x<n+1>
+        p = L.Const("p", L.fn(L.I, L.O))
+        for n in (300, 10_000):
+            t = p
+            for i in range(1, n + 1):
+                t = L.Abs(f"x{i}", L.I, L.App(t, L.Var(f"x{i + 1}", L.I)))
+            head = "".join(f"Abs(var='x{i}', var_ty={L.I!r}, body=App(fun="
+                           for i in range(n, 0, -1))
+            tail = "".join(f", arg=Var(name='x{i + 1}', ty={L.I!r})))" for i in range(1, n + 1))
+            assert repr(t) == head + repr(p) + tail
+
 
 class TestSubstitute:
     def test_variable_hit(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +254,15 @@ def test_witness_revalidation_compiles_one_bank(logic, monkeypatch):
             SE._revalidate(model, valid, logic, false_somewhere=F.Not(goal), world=0)
 
 
+def _exact(logic, globals_, locals_, budget, **kw):
+    """The complete procedure of logic over one bank of globals_ and
+    locals_, each local to hold at some world."""
+    n = len(globals_)
+    exact = SE._exact_sdl if logic == "sdl" else SE._exact_e
+    return exact(S.CompiledBank(globals_ + locals_, logic), range(n),
+                 [(i, True) for i in range(n, n + len(locals_))], budget, **kw)
+
+
 class TestExactE:
     """System E complete mode (the lazy SAT search) on global/local sets."""
 
@@ -269,7 +279,7 @@ class TestExactE:
         for _ in range(150):
             gl = [gen_formula(rng, "e", 2) for _ in range(rng.randint(0, 3))]
             lo = [gen_formula(rng, "e", 2) for _ in range(rng.randint(0, 2))]
-            got = SE._exact_e(gl, lo, SE._Budget(10_000_000))
+            got = _exact("e", gl, lo, SE._Budget(10_000_000))
             if got is None:
                 assert not brute_sat("e", gl, lo, max_n=2)
             else:
@@ -306,7 +316,7 @@ class TestExactE:
             gl, lo = [modal()], []
             while len({a for f in gl + lo for a in F.atoms_of(f)}) < max(12, 0.75 * len(pool)):
                 (gl if rng.random() < 0.7 else lo).append(modal())
-            got = SE._exact_e(gl, lo, SE._Budget(10_000_000))
+            got = _exact("e", gl, lo, SE._Budget(10_000_000))
             if got is not None:
                 self.check_witness(got, gl, lo)
                 sat_inputs += 1
@@ -324,12 +334,10 @@ class TestExactSdl:
         for _ in range(3000):
             gl = [gen_formula(rng, "sdl", rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
             lo = [gen_formula(rng, "sdl", rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
-            got = SE._exact_sdl(gl, lo, SE._Budget(10**9))
+            got = _exact("sdl", gl, lo, SE._Budget(10**9))
             assert got == oracles.mask_exact_sdl(gl, lo, SE._Budget(10**9))
             # the decide-only variant tries a one-world reflexive model first
-            quick = SE._sdl_types(S.CompiledBank(gl + lo, "sdl"), range(len(gl)),
-                                  range(len(gl), len(gl) + len(lo)), SE._Budget(10**9),
-                                  reflexive=True)
+            quick = _exact("sdl", gl, lo, SE._Budget(10**9), reflexive=True)
             assert (quick is None) == (got is None)
             if got is None:
                 assert not brute_sat("sdl", gl, lo, max_n=2)
@@ -346,7 +354,7 @@ class TestExactSdl:
         # ~O(p & q) asks: the least type's need fails, and the clause the
         # solver learns leaves no type
         gl = [F.Implies(Q, F.ObligM(P)), F.Not(F.ObligM(F.And(P, Q))), F.ObligM(Q)]
-        assert SE._exact_sdl(gl, [Q], SE._Budget(10**6)) is None
+        assert _exact("sdl", gl, [Q], SE._Budget(10**6)) is None
         assert oracles.mask_exact_sdl(gl, [Q], SE._Budget(10**9)) is None
         assert not brute_sat("sdl", gl, [Q])
 
@@ -365,19 +373,20 @@ def _scan_case(rng: random.Random, logic: str):
     k = len(S.CompiledBank(every, logic).atoms)
     cfg = SE.SearchConfig(logic=logic, frame=frame, max_worlds=3 if k <= 2 else 2,
                           complete=rng.random() < 0.3)
-    return valid, falsify, SE._domain(every), cfg, mode
+    return valid, falsify, cfg, mode
 
 
 def _both_scans(case, budget: int):
     """(outcome, budget left) of the chunked scan and of the reference;
     an outcome is the (model, world) found, None, or BudgetExceeded, and
     a negative budget left reads -1."""
-    valid, falsify, domain, cfg, mode = case
+    valid, falsify, cfg, mode = case
+    bank = S.CompiledBank(valid + ([falsify] if falsify is not None else []), cfg.logic)
     got = []
-    for scan in (SE._bounded_scan, oracles.sequential_scan):
+    for scan in (partial(SE._bounded_scan, bank), oracles.sequential_scan):
         b = SE._Budget(budget)
         try:
-            found = scan(valid, falsify, domain, cfg, b, cfg.max_worlds, mode)
+            found = scan(valid, falsify, cfg, b, cfg.max_worlds, mode)
         except SE.BudgetExceeded:
             found = SE.BudgetExceeded
         got.append((found, max(b.left, -1)))
@@ -412,7 +421,7 @@ class TestBitParallelScan:
                     if budget >= spent:
                         assert chunked == (found, budget - spent)
                     else:
-                        assert chunked[0] is (None if case[3].complete else SE.BudgetExceeded)
+                        assert chunked[0] is (None if case[2].complete else SE.BudgetExceeded)
         assert outcomes == {True, False}
 
     def test_hit_in_a_later_chunk_of_its_relation(self):
@@ -422,7 +431,7 @@ class TestBitParallelScan:
         goal = F.Not(F.And(F.And(F.Dia(F.And(a[4], a[3])), F.Dia(F.And(a[4], F.Not(a[3])))),
                            F.And(F.Dia(F.Not(a[4])), F.Or(a[0], F.Or(a[1], a[2])))))
         cfg = SE.SearchConfig(logic="e", max_worlds=3)
-        chunked, sequential = _both_scans(([], goal, (), cfg, "require"), 10**7)
+        chunked, sequential = _both_scans(([], goal, cfg, "require"), 10**7)
         assert chunked == sequential
         model, world = chunked[0]
         assert model.n == 3 and not model.relation
@@ -433,7 +442,7 @@ class TestBitParallelScan:
         # the worlds maps it to the smaller valuation tuple
         fs = [F.Dia(P), F.Dia(F.Not(P)), F.Iff(Q, F.Not(P))]
         cfg = SE.SearchConfig(logic="e", max_worlds=2)
-        chunked, sequential = _both_scans((fs, None, (), cfg, "require"), 10**7)
+        chunked, sequential = _both_scans((fs, None, cfg, "require"), 10**7)
         assert chunked == sequential
         model = chunked[0][0]
         assert model.valuation[("p", ())] == 0b01 and not model.relation
@@ -511,14 +520,27 @@ class TestMus:
             SE.minimal_unsat_subset([P, F.Not(P)], CFG_E)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_input_errors_come_before_the_bank(self, logic):
+        # the bank would raise SemanticsError on the quantifier
+        cfg = SE.SearchConfig(logic=logic, complete=True)
+        px = F.Atom("P1", (F.Var("x"),))
+        with pytest.raises(SE.SearchError, match="quantified input"):
+            SE.minimal_unsat_subset([P, F.Not(P), F.Forall("x", px)], cfg)
+        with pytest.raises(SE.SearchError, match="expects an unsatisfiable input set"):
+            SE.minimal_unsat_subset([P, Q, F.Not(R)], cfg)
+        reflexive = SE.SearchConfig(logic="sdl", complete=True,
+                                    frame=S.FrameConditions(reflexive=True))
+        with pytest.raises(SE.SearchError, match="only the"):
+            SE.minimal_unsat_subset([P, F.Not(P)], reflexive)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_same_core_as_front_to_back_deletion(self, logic):
         rng = random.Random(41)
         cfg = SE.SearchConfig(logic=logic, complete=True)
-        exact = SE._exact_sdl if logic == "sdl" else SE._exact_e
         done = 0
         while done < 300:
             fs = [gen_formula(rng, logic, 2) for _ in range(rng.randint(2, 7))]
-            if exact(fs, [], SE._Budget(10**7)) is None:
+            if _exact(logic, fs, [], SE._Budget(10**7)) is None:
                 assert SE.minimal_unsat_subset(fs, cfg) == oracles.deletion_mus(fs, cfg)
                 done += 1
 
