@@ -357,11 +357,6 @@ def is_ground(f: Formula) -> bool:
                    for g in subformulas(f))
 
 
-def atoms_of(f: Formula) -> tuple[Atom, ...]:
-    """Distinct atoms occurring in f, reserved atom excluded."""
-    return tuple(g for g in subformulas(f) if isinstance(g, Atom) and g.pred != RESERVED_ATOM)
-
-
 def subst_var(f: Formula, var: str, c: Const) -> Formula:
     """Replace free occurrences of an individual variable by a constant."""
     v = Var(var)

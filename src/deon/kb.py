@@ -65,7 +65,6 @@ class KnowledgeBase:
     individuals: tuple[str, ...]
     norms: tuple[Norm, ...]
     facts: tuple[F.Formula, ...]
-    background: tuple[F.Formula, ...] = ()  # raw formulas, added as given
 
 
 @dataclass(frozen=True)
@@ -240,11 +239,6 @@ def ground_kb(kb: KnowledgeBase, logic: str) -> list[Labeled]:
     for i, fact in enumerate(kb.facts, start=1):
         rendered = F.Box(fact) if logic == "e" else fact
         out.append(Labeled(f"fact{i}", rendered))
-    for i, f in enumerate(kb.background, start=1):
-        g = f
-        if any(isinstance(x, (F.Forall, F.Exists)) for x in F.subformulas(f)):
-            g = F.ground(f, kb.individuals)
-        out.append(Labeled(f"bg{i}", g))
     return out
 
 

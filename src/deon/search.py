@@ -17,8 +17,8 @@ that loop's (it is kept with the tests as the reference).  Testing a
 relation for canonicity costs one unit per permutation applied, and a
 world count whose n! - 1 permutations the budget cannot pay for is
 refused before they are listed.  Only a hit becomes a model object, and
-every returned witness is re-checked through semantics.Evaluator before
-it leaves this module.
+every returned witness is re-checked before it leaves this module: a
+semantics.Evaluator runs the search's bank once over the model object.
 
 Complete mode decides satisfiability outright instead of walking the
 whole bounded space.  Both logics admit a small-model argument through
@@ -282,16 +282,14 @@ def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals):
                {c for _, args in atoms for c in args})
 
 
-def _revalidate(model, fs, logic: str, false_somewhere: F.Formula | None = None,
-                world: int | None = None) -> None:
-    ev = S.Evaluator(model, logic)
-    ev.masks([*fs] if false_somewhere is None else [*fs, false_somewhere])
-    for f in fs:
+def _revalidate(model, bank: S.CompiledBank, n_valid: int, world: int | None = None) -> None:
+    """Re-check a witness (see _bounded_scan) with one run of its search's bank."""
+    ev = S.Evaluator(model, bank.logic, bank)
+    for f in bank.formulas[:n_valid]:
         if not ev.valid(f):
             raise SearchError(f"internal error: witness fails {F.print_formula(f)}")
-    if false_somewhere is not None:
-        if ev.holds(false_somewhere, world):
-            raise SearchError("internal error: countermodel does not falsify the goal")
+    if len(bank.roots) > n_valid and ev.holds(bank.formulas[n_valid], world):
+        raise SearchError("internal error: countermodel does not falsify the goal")
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +603,14 @@ def _quickxplain(items, refuted) -> list:
 # Public operations
 
 
-def _bounded_scan(bank: S.CompiledBank, valid_fs, falsify: F.Formula | None,
-                  cfg: SearchConfig, budget: _Budget, max_n: int,
-                  frame_mode: str = "require"):
-    """Scan sizes 1..max_n over bank, compiled from valid_fs followed by
-    falsify when it is given; returns (model, world) or None.
+def _bounded_scan(bank: S.CompiledBank, n_valid: int, cfg: SearchConfig, budget: _Budget,
+                  max_n: int, frame_mode: str = "require"):
+    """Scan sizes 1..max_n for a model where the first n_valid inputs of
+    bank are valid; returns (model, world) or None.
 
-    When falsify is given the world is the least world where it fails,
-    and candidate models must additionally make it false somewhere.
+    When bank has a goal after them, the world is the least world where
+    it fails, and candidate models must additionally make it false
+    somewhere.
     Each candidate costs one budget unit; in complete mode this is the
     canonical re-scan below a constructed witness: each candidate costs
     one unit per compiled op, and running out of budget returns None
@@ -626,7 +624,7 @@ def _bounded_scan(bank: S.CompiledBank, valid_fs, falsify: F.Formula | None,
     including it, or per lane when there is none, so the budget runs out
     where the one-candidate-at-a-time loop's would.
     """
-    n_valid = len(valid_fs)
+    goal = len(bank.roots) > n_valid
     k = len(bank.atoms)
     cost = len(bank.ops) if cfg.complete else 1
     try:
@@ -647,7 +645,7 @@ def _bounded_scan(bank: S.CompiledBank, valid_fs, falsify: F.Formula | None,
                         passed = lanes.low
                         for r in bank.roots[:n_valid]:
                             passed &= lanes.whole(out[r])
-                        if falsify is not None:
+                        if goal:
                             passed &= ~lanes.empty(~out[bank.roots[n_valid]] & lanes.full)
                     while passed:
                         lane = ((passed & -passed).bit_length() - 1) // n
@@ -661,12 +659,11 @@ def _bounded_scan(bank: S.CompiledBank, valid_fs, falsify: F.Formula | None,
                         continue
                     budget.tick(cost * (lane + 1))
                     world = None
-                    if falsify is not None:
+                    if goal:
                         false_at = ~out[bank.roots[n_valid]] >> (lane * n) & full
                         world = (false_at & -false_at).bit_length() - 1
                     model = _model(cfg.logic, n, rows, bank.atoms, vals)
-                    _revalidate(model, valid_fs, cfg.logic,
-                                false_somewhere=falsify, world=world)
+                    _revalidate(model, bank, n_valid, world)
                     return model, world
     except BudgetExceeded:
         if cfg.complete:
@@ -684,19 +681,19 @@ def _search(valid_fs: list[F.Formula], falsify: F.Formula | None, cfg: SearchCon
     _check_cfg(cfg)
     bank = S.CompiledBank(every, cfg.logic)
     budget = _Budget(cfg.node_budget)
-    if not cfg.complete:
-        return _bounded_scan(bank, valid_fs, falsify, cfg, budget, cfg.max_worlds)
-    exact = _exact_sdl if cfg.logic == "sdl" else _exact_e
     n = len(valid_fs)  # the goal, if any, is input n: to be false somewhere
+    if not cfg.complete:
+        return _bounded_scan(bank, n, cfg, budget, cfg.max_worlds)
+    exact = _exact_sdl if cfg.logic == "sdl" else _exact_e
     got = exact(bank, range(n), [] if falsify is None else [(n, False)], budget)
     if got is None:
         return None
     witness, worlds = got
-    found = _bounded_scan(bank, valid_fs, falsify, cfg, _Budget(cfg.node_budget), witness.n)
+    found = _bounded_scan(bank, n, cfg, _Budget(cfg.node_budget), witness.n)
     if found is not None:
         return found
     world = None if falsify is None else worlds[0]
-    _revalidate(witness, valid_fs, cfg.logic, false_somewhere=falsify, world=world)
+    _revalidate(witness, bank, n, world)
     return witness, world
 
 
@@ -755,13 +752,13 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
     probe_cfg = SearchConfig(logic="e", frame=frame, max_worlds=cfg.max_worlds,
                              node_budget=cfg.node_budget)
 
-    def probe(valid_fs, falsify, frame_mode):
-        found = _bounded_scan(bank, valid_fs, falsify, probe_cfg, _Budget(cfg.node_budget),
+    def probe(n_valid, frame_mode):
+        found = _bounded_scan(bank, n_valid, probe_cfg, _Budget(cfg.node_budget),
                               cfg.max_worlds, frame_mode)
         return None if found is None else found[0]
 
-    counterexample = probe([], schema, "require")
-    witness = probe([schema], None, "violate")
+    counterexample = probe(0, "require")  # the schema is the goal to falsify
+    witness = probe(1, "violate")
     if witness is not None:
         for check in S.check_frame(witness, frame):
             if check.holds:

@@ -171,13 +171,30 @@ class PreferenceModel(_ModelBase):
 
 
 def model_from_dict(d: Mapping, require_serial: bool = True):
+    """The model a document describes (as ``to_dict`` writes it); a
+    document of another shape raises SemanticsError naming the field."""
+    if not isinstance(d, Mapping):
+        raise SemanticsError("a model must be a JSON object")
+    worlds, relation = d.get("worlds"), d.get("relation", [])
+    valuation, domain = d.get("valuation", {}), d.get("domain", ())
+
+    def seq(x, ok=lambda v: isinstance(v, int)) -> bool:
+        return isinstance(x, (list, tuple)) and all(map(ok, x))
+
+    for name, ok, what in (
+            ("worlds", seq(worlds), "a list of world numbers"),
+            ("relation", seq(relation, lambda p: seq(p) and len(p) == 2),
+             "a list of [s, t] world pairs"),
+            ("valuation", isinstance(valuation, Mapping) and all(map(seq, valuation.values())),
+             "an object from atoms to lists of world numbers"),
+            ("domain", seq(domain, lambda c: isinstance(c, str)), "a list of names")):
+        if not ok:
+            raise SemanticsError(f"model field {name!r} must be {what}")
     kind = d.get("kind", "preference")
-    worlds = d["worlds"]
     n = len(worlds)
     if sorted(worlds) != list(range(n)):
         raise SemanticsError("worlds must be the dense range 0..n-1")
-    args = (n, [tuple(p) for p in d.get("relation", [])],
-            dict(d.get("valuation", {})), d.get("domain", ()))
+    args = (n, [tuple(p) for p in relation], dict(valuation), domain)
     if kind == "kripke":
         return KripkeModel(*args, require_serial=require_serial)
     if kind == "preference":
@@ -195,18 +212,21 @@ def model_from_json(text: str, require_serial: bool = True):
 
 class Evaluator:
     """Truth sets of ground formulas over one model: formulas are
-    compiled by CompiledBank and run on the model, memoized per formula."""
+    compiled by CompiledBank and run on the model, memoized per formula;
+    a bank given already compiled seeds the memo with one run."""
 
-    def __init__(self, model: _ModelBase, logic: str):
+    def __init__(self, model: _ModelBase, logic: str, bank: CompiledBank | None = None):
         if logic not in ("sdl", "e"):
             raise SemanticsError(f"unknown logic {logic!r}")
         if logic == "sdl" and not isinstance(model, KripkeModel):
             raise SemanticsError("logic sdl evaluates over Kripke models")
         if logic == "e" and not isinstance(model, PreferenceModel):
             raise SemanticsError("logic e evaluates over preference models")
+        if bank is not None and bank.logic != logic:
+            raise SemanticsError(f"a bank of logic {bank.logic} cannot evaluate {logic}")
         self.model = model
         self.logic = logic
-        self._memo: dict[F.Formula, int] = {}
+        self._memo = {} if bank is None else dict(zip(bank.formulas, bank.masks(model)))
 
     def masks(self, fs: Iterable[F.Formula]) -> list[int]:
         """The masks of fs; those not seen yet are compiled in one bank."""
@@ -287,7 +307,7 @@ class CompiledBank:
             raise SemanticsError(f"unknown logic {logic!r}")
         self.logic = logic
         try:
-            self.formulas = [F.desugar(f, logic) for f in formulas]
+            self.formulas = tuple(F.desugar(f, logic) for f in formulas)
         except F.FormulaError as ex:
             raise SemanticsError(str(ex)) from None
         index: dict[F.Formula, int] = {}
@@ -313,7 +333,7 @@ class CompiledBank:
         # one post-order over all inputs: children left to right, and a
         # node met again keeps its slot
         try:
-            self.roots = [F.fold(f, compile_node, index) for f in self.formulas]
+            self.roots = tuple(F.fold(f, compile_node, index) for f in self.formulas)
         except SemanticsError:
             # name the first node a top-down walk rejects, so that a
             # quantifier is reported before the variables it binds
@@ -324,8 +344,8 @@ class CompiledBank:
         self.index = index
         self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
         slot = {a: i for i, a in enumerate(self.atoms)}
-        self.ops = [("atom", slot[op[1]]) if op[0] == "atom" else op for op in ops]
-        self.modal = [i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig")]
+        self.ops = tuple(("atom", slot[op[1]]) if op[0] == "atom" else op for op in ops)
+        self.modal = tuple(i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig"))
 
     def run(self, n: int, rows: tuple[int, ...], vals, modal=None,
             valid: int = 0, lanes: int = 1) -> list[int] | None:

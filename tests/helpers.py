@@ -84,11 +84,16 @@ def gen_model(rng: random.Random, logic: str, max_worlds: int = 4,
     return cls(n, pairs, valuation, domain)
 
 
+def atoms_of(f: F.Formula) -> tuple[F.Atom, ...]:
+    """Distinct atoms occurring in f, reserved atom excluded."""
+    return tuple(g for g in F.subformulas(f) if isinstance(g, F.Atom) and g.pred != F.RESERVED_ATOM)
+
+
 def brute_sat(logic: str, globals_, locals_, max_n: int = 3) -> bool:
     """Enumeration oracle: is there a model of at most max_n worlds making
     every global valid and each local true somewhere?"""
     fs = list(globals_) + list(locals_)
-    atoms = sorted({S.atom_key(a) for f in fs for a in F.atoms_of(f)})
+    atoms = sorted({S.atom_key(a) for f in fs for a in atoms_of(f)})
     iterator = S.iter_preference_models if logic == "e" else S.iter_serial_kripke_models
     bank = S.CompiledBank(fs, logic)  # what Evaluator runs, compiled once
     n_globals = len(globals_)

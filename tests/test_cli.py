@@ -272,6 +272,39 @@ class TestFailuresAreNotVerdicts:
         assert self.program("model", "p") == 0
         assert self.program("check", "p") == 1
 
+    GOOD_MODEL = {"kind": "preference", "worlds": [0], "relation": [[0, 0]],
+                  "valuation": {"p": [0]}, "domain": []}
+    WORLDS = "model field 'worlds' must be a list of world numbers"
+    RELATION = "model field 'relation' must be a list of [s, t] world pairs"
+    VALUATION = "model field 'valuation' must be an object from atoms to lists of world numbers"
+    DOMAIN = "model field 'domain' must be a list of names"
+
+    @pytest.mark.parametrize("doc, message", [
+        # shapes that used to crash the reader
+        ({}, WORLDS), ([1, 2], "a model must be a JSON object"),
+        ("x", "a model must be a JSON object"), (None, "a model must be a JSON object"),
+        ({"worlds": 3}, WORLDS), ({"worlds": ["a", 0]}, WORLDS),
+        ({"relation": [[0]]}, RELATION), ({"relation": [0]}, RELATION),
+        ({"relation": [["a", "b"]]}, RELATION), ({"relation": [[0, 0, 0]]}, RELATION),
+        ({"valuation": {"p": 5}}, VALUATION), ({"valuation": [1]}, VALUATION),
+        ({"valuation": {"p": ["a"]}}, VALUATION), ({"domain": 5}, DOMAIN),
+        ({"domain": ["c", 1]}, DOMAIN),
+        # shapes that were input errors already, with their messages
+        ({"worlds": [0, 2]}, "worlds must be the dense range 0..n-1"),
+        ({"worlds": []}, "a model needs at least one world"),
+        ({"relation": [[0, 3]]}, "relation pair (0,3) out of range"),
+        ({"valuation": {"p": [4]}}, "world 4 out of range 0..0"),
+        ({"valuation": {"p(": [0]}}, "bad atom key 'p('"),
+        ({"kind": "foo"}, "unknown model kind 'foo'"),
+    ], ids=repr)
+    def test_a_malformed_model_file_is_an_input_error(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.GOOD_MODEL | doc if isinstance(doc, dict) and doc
+                                   else doc))
+        for logic in ("e", "sdl"):
+            assert self.program("eval", "p", "--model", path, "--logic", logic) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestJsonReports:
     def test_consistency_report_schema(self):
@@ -662,9 +695,9 @@ def _bench_gen():
 
 class TestOneBankPerSearch:
     """A command compiles its search's inputs once: the exact procedure,
-    the canonical re-scan, the MUS and both correspondence probes read
-    that bank, and only the Evaluator's re-validation of each witness
-    compiles another."""
+    the canonical re-scan, both correspondence probes and the Evaluator
+    that re-checks each witness read that bank.  Only the MUS compiles
+    another."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -676,9 +709,9 @@ class TestOneBankPerSearch:
                 super().__init__(*args)
 
         class Checker(S.Evaluator):
-            def __init__(self, *args):
+            def __init__(self, *args, **kwargs):
                 counts["evaluators"] += 1
-                super().__init__(*args)
+                super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(S, "CompiledBank", Bank)
         monkeypatch.setattr(S, "Evaluator", Checker)
@@ -687,13 +720,14 @@ class TestOneBankPerSearch:
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
     @pytest.mark.parametrize("logic", ["e", "sdl"])
-    def test_kb_consistency_builds_two(self, logic, family, n, builds, tmp_path):
+    def test_kb_consistency_builds_one_in_e_two_in_sdl(self, logic, family, n, builds,
+                                                       tmp_path):
         kb = tmp_path / "family.kb"
         kb.write_text(getattr(_bench_gen(), f"{family}_kb")(n, logic))
         _, payload = run_json("kb", "consistency", kb, "--logic", logic, "--complete")
-        # E: the search and the witness's re-validation; SDL: the search and the MUS
+        # E: the search, whose bank re-checks the witness; SDL: the search and the MUS
         assert payload["verdict"] == ("model_found" if logic == "e" else "unsatisfiable")
-        assert builds == {"banks": 2, "evaluators": int(logic == "e")}
+        assert builds == {"banks": 1 + (logic == "sdl"), "evaluators": int(logic == "e")}
 
     @pytest.mark.parametrize("argv", [
         ("check", "O p -> p", "--logic", "e", "--complete"),
@@ -713,7 +747,7 @@ class TestOneBankPerSearch:
     def test_one_per_search_and_one_per_witness(self, argv, builds):
         _, payload = run_json(*argv)
         witnesses = int(payload["witness"] is not None)
-        assert builds == {"banks": 1 + witnesses, "evaluators": witnesses}
+        assert builds == {"banks": 1, "evaluators": witnesses}
 
     @pytest.mark.parametrize("schema", ["O{p | p}", "O{p | q}", "O{p | q} -> ~O{~p | q}"])
     def test_correspondence_probes_share_one(self, schema, builds):
@@ -721,7 +755,7 @@ class TestOneBankPerSearch:
         detail = payload["detail"]
         witnesses = sum(detail[k] is not None
                         for k in ("frame_counterexample", "violating_witness"))
-        assert builds == {"banks": 1 + witnesses, "evaluators": witnesses}
+        assert builds == {"banks": 1, "evaluators": witnesses}
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

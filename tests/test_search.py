@@ -13,7 +13,7 @@ from deon import search as SE
 from deon import semantics as S
 
 import oracles
-from helpers import P, Q, R, brute_sat, gen_formula, gen_model
+from helpers import P, Q, R, atoms_of, brute_sat, gen_formula, gen_model
 
 CFG_E = SE.SearchConfig(logic="e")
 CFG_EC = SE.SearchConfig(logic="e", complete=True)
@@ -215,7 +215,7 @@ class TestExactAgainstEnumeration:
             f = gen_formula(rng, logic, 2)
             got = SE.decide_valid(f, SE.SearchConfig(logic=logic, complete=True))
             fo = E.translate(f, logic)
-            atoms = [S.atom_key(a) for a in F.atoms_of(f)]
+            atoms = [S.atom_key(a) for a in atoms_of(f)]
             iterator = (S.iter_preference_models if logic == "e"
                         else S.iter_serial_kripke_models)
             fo_everywhere = all(E.fo_eval(fo, m, logic)
@@ -230,7 +230,7 @@ class TestExactAgainstEnumeration:
 
 
 @pytest.mark.parametrize("logic", ["sdl", "e"])
-def test_witness_revalidation_compiles_one_bank(logic, monkeypatch):
+def test_witness_revalidation_compiles_no_bank(logic, monkeypatch):
     rng = random.Random(41)
     banks = []
 
@@ -245,13 +245,57 @@ def test_witness_revalidation_compiles_one_bank(logic, monkeypatch):
         fs = [gen_formula(rng, logic, 3) for _ in range(rng.randint(0, 4))]
         valid = [F.Or(f, F.Not(f)) for f in fs]
         goal = F.And(P, F.Not(P))
+        bank = S.CompiledBank(valid + [goal], logic)
         banks.clear()
-        SE._revalidate(model, valid, logic, false_somewhere=goal, world=0)
-        assert len(banks) == 1
+        SE._revalidate(model, bank, len(valid), world=0)
+        assert banks == []
         with pytest.raises(SE.SearchError, match="witness fails"):
-            SE._revalidate(model, valid + [F.Not(F.Or(P, F.Not(P)))], logic)
+            SE._revalidate(model, S.CompiledBank(valid + [F.Not(F.Or(P, F.Not(P)))], logic),
+                           len(valid) + 1)
         with pytest.raises(SE.SearchError, match="does not falsify"):
-            SE._revalidate(model, valid, logic, false_somewhere=F.Not(goal), world=0)
+            SE._revalidate(model, S.CompiledBank(valid + [F.Not(goal)], logic), len(valid),
+                           world=0)
+
+
+@pytest.mark.parametrize("complete", [False, True])
+@pytest.mark.parametrize("logic", ["sdl", "e"])
+def test_a_search_leaves_its_bank_as_compiled(logic, complete, monkeypatch):
+    # the re-check trusts the ops its search read: after the search they
+    # must still be what a fresh compile of the same inputs gives
+    rng = random.Random(43)
+    plain, read = S.CompiledBank, []
+
+    class Kept(plain):
+        def __init__(self, formulas, logic):
+            formulas = list(formulas)
+            read.append((formulas, self))
+            super().__init__(formulas, logic)
+
+    monkeypatch.setattr(S, "CompiledBank", Kept)
+    fields = ("formulas", "roots", "ops", "modal", "atoms", "index")
+    cfg = SE.SearchConfig(logic=logic, complete=complete, max_worlds=2)
+    for _ in range(20):
+        fs = [gen_formula(rng, logic, 2) for _ in range(rng.randint(1, 3))]
+        read.clear()
+        SE.find_model(fs[1:], cfg)
+        SE.entails(fs[1:], fs[0], cfg)
+        assert len(read) == 2
+        for formulas, bank in read:
+            fresh = plain(formulas, logic)
+            assert all(type(getattr(bank, f)) is tuple for f in fields[:4])
+            assert all(getattr(bank, f) == getattr(fresh, f) for f in fields)
+
+
+def test_evaluator_reads_a_bank_of_its_own_logic_only():
+    rng = random.Random(47)
+    for logic, other in (("sdl", "e"), ("e", "sdl")):
+        model = gen_model(rng, logic)
+        fs = [gen_formula(rng, logic, 3) for _ in range(6)]
+        bank = S.CompiledBank(fs, logic)
+        seeded, lazy = S.Evaluator(model, logic, bank), S.Evaluator(model, logic)
+        assert [seeded.mask(f) for f in bank.formulas] == lazy.masks(fs)
+        with pytest.raises(S.SemanticsError, match=f"bank of logic {other}"):
+            S.Evaluator(model, logic, S.CompiledBank([P], other))
 
 
 def _exact(logic, globals_, locals_, budget, **kw):
@@ -269,7 +313,7 @@ class TestExactE:
     @staticmethod
     def check_witness(got, globals_, locals_):
         model, worlds = got
-        SE._revalidate(model, globals_, "e")
+        SE._revalidate(model, S.CompiledBank(globals_, "e"), len(globals_))
         ev = S.Evaluator(model, "e")
         assert all(ev.holds(f, w) for f, w in zip(locals_, worlds))
 
@@ -314,7 +358,7 @@ class TestExactE:
                 return rng.choice([F.And, F.Or, F.Implies])(modal(), boolean(2))
 
             gl, lo = [modal()], []
-            while len({a for f in gl + lo for a in F.atoms_of(f)}) < max(12, 0.75 * len(pool)):
+            while len({a for f in gl + lo for a in atoms_of(f)}) < max(12, 0.75 * len(pool)):
                 (gl if rng.random() < 0.7 else lo).append(modal())
             got = _exact("e", gl, lo, SE._Budget(10_000_000))
             if got is not None:
@@ -383,10 +427,11 @@ def _both_scans(case, budget: int):
     valid, falsify, cfg, mode = case
     bank = S.CompiledBank(valid + ([falsify] if falsify is not None else []), cfg.logic)
     got = []
-    for scan in (partial(SE._bounded_scan, bank), oracles.sequential_scan):
+    for scan in (partial(SE._bounded_scan, bank, len(valid)),
+                 partial(oracles.sequential_scan, valid, falsify)):
         b = SE._Budget(budget)
         try:
-            found = scan(valid, falsify, cfg, b, cfg.max_worlds, mode)
+            found = scan(cfg, b, cfg.max_worlds, mode)
         except SE.BudgetExceeded:
             found = SE.BudgetExceeded
         got.append((found, max(b.left, -1)))
