@@ -270,7 +270,7 @@ def cmd_eval(text, model_path, world, logic, sig):
     """Evaluate a formula at a world of a finite model."""
     rep = Report("eval")
     with open(model_path, "r", encoding="utf-8") as fh:
-        model = S.model_from_json(fh.read(), require_serial=(logic == "sdl"))
+        model = S.model_from_json(fh.read())
     f = F.parse(text, _signature(sig, text), logic=logic)
     if not F.is_ground(f):
         f = F.ground(f, model.domain)

@@ -152,7 +152,8 @@ def embed(f: F.Formula, logic: str) -> L.LTerm:
     that many individual terms."""
     if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
-    ops = _OPS["sdl" if logic == "sdl" else "e"]
+    F.check_logic(logic, EmbedError)
+    ops = _OPS[logic]
 
     def visit(g: F.Formula, kids: list[L.LTerm]) -> L.LTerm:
         if type(g) is F.Atom:
@@ -432,6 +433,7 @@ def occurrences(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, li
         raise EmbedError(f"cannot embed {f!r}")
     if mode not in ("global", "local"):
         raise EmbedError(f"unknown validity mode {mode!r}")
+    F.check_logic(logic, EmbedError)
     sdl, whole = logic == "sdl", mode == "global"
     text, program, names = _occurrences(f, sdl, whole, frozenset())
     if any(_BINDER_NAME.fullmatch(n) for n in names):
@@ -775,6 +777,8 @@ def print_program(program: list, name: str = "goal", role: str = "conjecture",
     at its first entry, and pushes what it writes after its left operand
     (a list) and at its end (a tuple), in both syntaxes, which an atom
     pops up to the next list."""
+    if logic is not None:
+        F.check_logic(logic, EmbedError)
     show: list[str] = []
     tptp: list[str] = []
     sorts: set[str] = set()

@@ -56,6 +56,12 @@ class FormulaError(Exception):
     """Malformed signature, term or formula."""
 
 
+def check_logic(logic: str, error: type[Exception] = FormulaError) -> None:
+    """Raise ``error`` unless logic is one the decision procedures know."""
+    if logic not in ("sdl", "e"):
+        raise error(f"unknown logic {logic!r}")
+
+
 class ParseError(FormulaError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -426,6 +432,7 @@ def desugar(f: Formula, logic: str) -> Formula:
     refcounting alone still frees nodes.  An SDL Oblig gets no form, nor
     does any node above it, so it raises on every call.
     """
+    check_logic(logic)
     sdl = logic == "sdl"
     table = _DESUGAR_SDL if sdl else _DESUGAR_E
     slot = Formula._sdl_form if sdl else Formula._e_form
@@ -658,8 +665,7 @@ def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     with its message and place, is that of the plain pass; a text with
     nothing to fold is read once, unfolded.
     """
-    if logic not in ("sdl", "e"):
-        raise FormulaError(f"unknown logic {logic!r}")
+    check_logic(logic)
     groups: dict[str, list[str]] = {}
     toks = tokens(text, groups)
     if groups:

@@ -230,8 +230,7 @@ def _render_norm(norm: Norm, suffix: str, body: F.Formula, cond: F.Formula,
 
 def ground_kb(kb: KnowledgeBase, logic: str) -> list[Labeled]:
     """Expand norms over the individuals and render for the logic."""
-    if logic not in ("sdl", "e"):
-        raise KBError(f"unknown logic {logic!r}")
+    F.check_logic(logic, KBError)
     out: list[Labeled] = []
     for norm in kb.norms:
         for suffix, body, cond in _instances(norm, kb.individuals):

@@ -16,8 +16,9 @@ ruled out before the search reaches position i, because unit
 propagation only assigns values that every model extending the current
 decisions shares.  ``solve`` returns that model read as a binary number
 whose most significant bit is order[0].  A caller may add clauses
-between queries (``add``), and may ask whether propagation alone
-refutes some assumptions (``conflicts``).
+between queries (``add``), may ask whether propagation alone refutes
+some assumptions (``conflicts``), and may query from the assignment an
+enumeration (``models``) waits at.
 """
 
 from __future__ import annotations
@@ -174,26 +175,36 @@ class Solver:
     def models(self, order, assume, budget, keep=None):
         """Yield the models in increasing order, as ``solve`` reads them.
 
-        After each model the search backtracks to the deepest decision
-        among order[:keep] (default: all of order) and flips it, which is
-        what a clause blocking that model's assignment to order[:keep]
-        would make chronological backtracking do; so the next model is
-        the least one that differs from it there.  Variables outside
-        ``order`` that some clause mentions are decided last, in index
-        order; no clause constrains the others.  Each assigned
-        literal costs one budget unit.  The assignment is back at the
-        root trail when the generator finishes or is closed.
+        Each model is yielded with every decision after order[:keep]
+        (default: all of order) undone: the assignment is the root trail,
+        the assumptions and the decisions on order[:keep], closed under
+        unit propagation.  Queries (``solve``, ``conflicts``) may run on
+        it while the generator waits, and leave it in place; ``add`` may
+        not.  On resume the search flips the deepest decision not yet
+        flipped, which is what a clause blocking that model's assignment
+        to order[:keep] would make chronological backtracking do; so the
+        next model is the least one that differs from it there.
+        Variables outside ``order`` that some clause mentions are decided
+        last, in index order; no clause constrains the others.  Each
+        assigned literal costs one budget unit.  The assignment is back
+        at the root trail when the generator finishes or is closed.
         """
         val = self.val
         keep = len(order) if keep is None else keep
         trail: list[int] = []
         seq = [*order, *self.tail]  # a variable seen again is assigned already
+
+        def undo(start):
+            for l in trail[start:]:
+                val[l] = val[-l] = 0
+            del trail[start:]
+
         try:
             if not self._assume(assume, trail):
                 return
             self._charge(budget, len(trail))
             stack: list[tuple[int, int, int, bool]] = []  # (trail length, lit, seq index, flipped)
-            i, ok, limit = 0, True, len(seq)
+            i, ok = 0, True
             while True:
                 if ok:
                     while i < len(seq) and val[seq[i]]:
@@ -202,25 +213,26 @@ class Solver:
                         model = 0
                         for v in order:
                             model = model << 1 | (val[v] > 0)
+                        start = len(trail)
+                        while stack and stack[-1][2] >= keep:
+                            start = stack.pop()[0]
+                        undo(start)
                         yield model
-                        ok, limit = False, keep
+                        ok = False
                 if ok:  # decide the next open variable, false first
                     start, lit, flipped = len(trail), -seq[i], False
                 else:  # flip the deepest decision not yet flipped
-                    while stack and (stack[-1][3] or stack[-1][2] >= limit):
+                    while stack and stack[-1][3]:
                         stack.pop()
                     if not stack:
                         return
                     start, lit, i, _ = stack.pop()
-                    for l in trail[start:]:
-                        val[l] = val[-l] = 0
-                    del trail[start:]
+                    undo(start)
                     lit, flipped = -lit, True
                 stack.append((start, lit, i, flipped))
                 val[lit], val[-lit] = 1, -1
                 trail.append(lit)
-                ok, limit = self._propagate(trail, start), len(seq)
+                ok = self._propagate(trail, start)
                 budget.tick(len(trail) - start)
         finally:
-            for l in trail:
-                val[l] = val[-l] = 0
+            undo(0)

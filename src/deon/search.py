@@ -96,8 +96,7 @@ class SearchConfig:
     node_budget: int = field(default_factory=_default_budget)
 
     def __post_init__(self):
-        if self.logic not in ("sdl", "e"):
-            raise SearchError(f"unknown logic {self.logic!r}")
+        F.check_logic(self.logic, SearchError)
         if self.max_worlds < 1:
             raise SearchError("max_worlds must be at least 1")
 
@@ -347,8 +346,8 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
     some core type.  The least such types become the model, which one
     compiled run over them re-checks.
 
-    Each question is one query to a sat.Solver holding the Tseitin
-    clauses of the cone, the globals as units, the clause
+    The candidates and the questions come from one sat.Solver holding
+    the Tseitin clauses of the cone, the globals as units, the clause
     "box_i false or body_i" for every box, and one variable per
     obligation m equivalent to "cond_m implies body_m".  The order
     argument, which makes the result the one of a plain loop over
@@ -359,12 +358,19 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
       first, so its first model is the least gbits with a non-empty core
       together with that core's least type.  Unit propagation fixes a
       global root that is a box or obligation before any decision.
-    * A realizability query fixes the modal variables by assumptions and
-      decides only the atoms, most significant first, so its model is
-      the least type with the asked property; the containment
-      "core cond_m-types inside cond_j" is the query for core, cond_m
-      and not cond_j coming back empty, and otherwise its model is a
-      separator type the witness may need.
+    * The candidate search waits at each candidate backtracked to its
+      last modal decision (``Solver.models`` with ``keep`` the modal
+      variables), so the assignment there is the root units and the
+      decided modal literals closed under unit propagation.  Every modal
+      literal of the candidate is decided or propagated from those, so
+      this is also the closure of the root units and all of them: the
+      assignment a query assuming the whole candidate would reach.
+    * A realizability query runs on that assignment under only its own
+      literals and decides only the atoms, most significant first, so
+      its model is the least type with the asked property; the
+      containment "core cond_m-types inside cond_j" is the query for
+      core, cond_m and not cond_j coming back empty, and otherwise its
+      model is a separator type the witness may need.
     * A candidate that fails is blocked: the candidate search resumes
       past its modal assignment (``Solver.models`` with ``keep`` the
       modal variables), the backtrack a clause blocking exactly that
@@ -392,18 +398,16 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
     for m, (body, cond) in enumerate(obls):
         clauses += sat.TSEITIN["imp"](n_ops + 1 + m, cond + 1, body + 1)
     types = [v for _, v in reversed(atoms)]
-    solver = sat.Solver(n_ops + len(obls), clauses)  # answers the queries
+    solver = sat.Solver(n_ops + len(obls), clauses)
 
     def least(*lits):
-        t = solver.solve(types, fixed + list(lits), budget)
+        t = solver.solve(types, lits, budget)
         if t is None:
             raise _Unrealizable
         return t
 
-    for model in sat.Solver(n_ops + len(obls), clauses).models(
-            modal_vars[::-1] + types, (), budget, keep=len(modal_vars)):
+    for model in solver.models(modal_vars[::-1] + types, (), budget, keep=len(modal_vars)):
         gbits = model >> k
-        fixed = [v if gbits >> i & 1 else -v for i, v in enumerate(modal_vars)]
         true_obls = [m for m in range(len(obls)) if gbits >> (nboxes + m) & 1]
         try:
             box_types = [least(-(b + 1)) for i, b in enumerate(boxes) if not gbits >> i & 1]
@@ -411,7 +415,7 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
             for j, (body, cond) in enumerate(obls):
                 if gbits >> (nboxes + j) & 1:
                     continue
-                found = [(m, solver.solve(types, fixed + [obls[m][1] + 1, -(cond + 1)], budget))
+                found = [(m, solver.solve(types, [obls[m][1] + 1, -(cond + 1)], budget))
                          for m in true_obls]
                 # a true obligation whose core cond_m-types lie inside cond_j's
                 # must not see the witness among its cond_m-and-not-body_m types

@@ -16,8 +16,8 @@ One compiled evaluator, ``CompiledBank``, gives every connective and
 modal operator its meaning.  Model checking (``Evaluator``), bounded
 search and both type-elimination procedures (run over type space with
 the modal ops bound to chosen bits) go through it, and ``deon.sat``
-reads its op array as clauses for System E complete mode and
-propositional compliance.
+reads its op array as clauses for complete mode in both logics, every
+MUS check and propositional compliance.
 """
 
 from __future__ import annotations
@@ -145,14 +145,14 @@ class KripkeModel(_ModelBase):
     """Finite Kripke model; the relation is accessibility.
 
     SDL asks for seriality (every world sees some world); construction
-    checks it unless require_serial=False.
+    checks it.
     """
 
     kind = "kripke"
 
-    def __init__(self, n_worlds, relation, valuation, domain=(), require_serial: bool = True):
+    def __init__(self, n_worlds, relation, valuation, domain=()):
         super().__init__(n_worlds, relation, valuation, domain)
-        if require_serial and not self.is_serial():
+        if not self.is_serial():
             bad = next(w for w in range(self.n) if not self.rows[w])
             raise SemanticsError(f"accessibility is not serial: world {bad} has no successor")
 
@@ -170,7 +170,7 @@ class PreferenceModel(_ModelBase):
         return self.relation
 
 
-def model_from_dict(d: Mapping, require_serial: bool = True):
+def model_from_dict(d: Mapping):
     """The model a document describes (as ``to_dict`` writes it); a
     document of another shape raises SemanticsError naming the field."""
     if not isinstance(d, Mapping):
@@ -196,14 +196,14 @@ def model_from_dict(d: Mapping, require_serial: bool = True):
         raise SemanticsError("worlds must be the dense range 0..n-1")
     args = (n, [tuple(p) for p in relation], dict(valuation), domain)
     if kind == "kripke":
-        return KripkeModel(*args, require_serial=require_serial)
+        return KripkeModel(*args)
     if kind == "preference":
         return PreferenceModel(*args)
     raise SemanticsError(f"unknown model kind {kind!r}")
 
 
-def model_from_json(text: str, require_serial: bool = True):
-    return model_from_dict(json.loads(text), require_serial=require_serial)
+def model_from_json(text: str):
+    return model_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,7 @@ class Evaluator:
     a bank given already compiled seeds the memo with one run."""
 
     def __init__(self, model: _ModelBase, logic: str, bank: CompiledBank | None = None):
-        if logic not in ("sdl", "e"):
-            raise SemanticsError(f"unknown logic {logic!r}")
+        F.check_logic(logic, SemanticsError)
         if logic == "sdl" and not isinstance(model, KripkeModel):
             raise SemanticsError("logic sdl evaluates over Kripke models")
         if logic == "e" and not isinstance(model, PreferenceModel):
@@ -303,8 +302,7 @@ class CompiledBank:
     """
 
     def __init__(self, formulas: Iterable[F.Formula], logic: str):
-        if logic not in ("sdl", "e"):
-            raise SemanticsError(f"unknown logic {logic!r}")
+        F.check_logic(logic, SemanticsError)
         self.logic = logic
         try:
             self.formulas = tuple(F.desugar(f, logic) for f in formulas)

@@ -23,6 +23,7 @@ from deon import cli
 from deon import embed as E
 from deon import formula as F
 from deon import lam as L
+from deon import sat
 from deon import search as SE
 from deon import semantics as S
 
@@ -697,11 +698,12 @@ class TestOneBankPerSearch:
     """A command compiles its search's inputs once: the exact procedure,
     the canonical re-scan, both correspondence probes and the Evaluator
     that re-checks each witness read that bank.  Only the MUS compiles
-    another."""
+    another.  Each exact decision builds one solver, which answers its
+    candidate search and every question it asks."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        counts = {"banks": 0, "evaluators": 0}
+        counts = {"banks": 0, "evaluators": 0, "solvers": 0}
 
         class Bank(S.CompiledBank):
             def __init__(self, *args):
@@ -713,8 +715,14 @@ class TestOneBankPerSearch:
                 counts["evaluators"] += 1
                 super().__init__(*args, **kwargs)
 
+        class Solver(sat.Solver):
+            def __init__(self, *args):
+                counts["solvers"] += 1
+                super().__init__(*args)
+
         monkeypatch.setattr(S, "CompiledBank", Bank)
         monkeypatch.setattr(S, "Evaluator", Checker)
+        monkeypatch.setattr(sat, "Solver", Solver)
         return counts
 
     @pytest.mark.parametrize("n", [1, 4])
@@ -725,9 +733,12 @@ class TestOneBankPerSearch:
         kb = tmp_path / "family.kb"
         kb.write_text(getattr(_bench_gen(), f"{family}_kb")(n, logic))
         _, payload = run_json("kb", "consistency", kb, "--logic", logic, "--complete")
-        # E: the search, whose bank re-checks the witness; SDL: the search and the MUS
+        # E: the search, whose bank re-checks the witness; SDL: the search and
+        # the MUS, which builds a solver for each of its checks
         assert payload["verdict"] == ("model_found" if logic == "e" else "unsatisfiable")
-        assert builds == {"banks": 1 + (logic == "sdl"), "evaluators": int(logic == "e")}
+        mus_checks = {("gdpr", 1): 13, ("gdpr", 4): 18, ("chisholm", 1): 11, ("chisholm", 4): 17}
+        assert builds == {"banks": 1 + (logic == "sdl"), "evaluators": int(logic == "e"),
+                          "solvers": 1 if logic == "e" else 1 + mus_checks[family, n]}
 
     @pytest.mark.parametrize("argv", [
         ("check", "O p -> p", "--logic", "e", "--complete"),
@@ -747,7 +758,8 @@ class TestOneBankPerSearch:
     def test_one_per_search_and_one_per_witness(self, argv, builds):
         _, payload = run_json(*argv)
         witnesses = int(payload["witness"] is not None)
-        assert builds == {"banks": 1, "evaluators": witnesses}
+        assert builds == {"banks": 1, "evaluators": witnesses,
+                          "solvers": int("--complete" in argv)}
 
     @pytest.mark.parametrize("schema", ["O{p | p}", "O{p | q}", "O{p | q} -> ~O{~p | q}"])
     def test_correspondence_probes_share_one(self, schema, builds):
@@ -755,7 +767,17 @@ class TestOneBankPerSearch:
         detail = payload["detail"]
         witnesses = sum(detail[k] is not None
                         for k in ("frame_counterexample", "violating_witness"))
-        assert builds == {"banks": 1, "evaluators": witnesses}
+        assert builds == {"banks": 1, "evaluators": witnesses, "solvers": 0}
+
+    @pytest.mark.parametrize("argv, solvers", [
+        # the search and the detachment questions
+        (("kb", "comply", FIXTURES / "gdpr_e.kb", "--logic", "e", "--complete"), 2),
+        # the search and one per MUS check
+        (("kb", "consistency", FIXTURES / "gdpr_sdl.kb", "--logic", "sdl", "--complete"), 17),
+    ], ids=["comply-e", "consistency-sdl"])
+    def test_one_solver_per_decision(self, argv, solvers, builds):
+        run_json(*argv)
+        assert builds["solvers"] == solvers
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

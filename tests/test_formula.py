@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from deon import embed as E
 from deon import formula as F
+from deon import kb as K
 from deon import lam as L
+from deon import search as SE
 from deon import semantics as S
 
 import oracles
@@ -341,6 +343,41 @@ class TestDesugar:
             assert len(F._TABLE) == before
         finally:
             gc.enable()
+
+
+_BOX_P = F.Box(P)
+_ONE_WORLD = S.PreferenceModel(1, [(0, 0)], {"p": [0]})
+_TAKES_A_LOGIC = {
+    "parse": (F.FormulaError, lambda lg: F.parse("p", sig, logic=lg)),
+    "desugar": (F.FormulaError, lambda lg: F.desugar(_BOX_P, lg)),
+    "CompiledBank": (S.SemanticsError, lambda lg: S.CompiledBank([P], lg)),
+    "Evaluator": (S.SemanticsError, lambda lg: S.Evaluator(_ONE_WORLD, lg)),
+    "eval_formula": (S.SemanticsError, lambda lg: S.eval_formula(_ONE_WORLD, 0, P, lg)),
+    "SearchConfig": (SE.SearchError, lambda lg: SE.SearchConfig(logic=lg)),
+    "ground_kb": (K.KBError,
+                  lambda lg: K.ground_kb(K.load_kb("[signature]\npred p/0\n[facts]\np\n"), lg)),
+    "embed": (E.EmbedError, lambda lg: E.embed(_BOX_P, lg)),
+    "occurrences": (E.EmbedError, lambda lg: E.occurrences(_BOX_P, lg)),
+    "translation": (E.EmbedError, lambda lg: E.translation(_BOX_P, lg)),
+    "translate": (E.EmbedError, lambda lg: E.translate(_BOX_P, lg)),
+    "print_program": (E.EmbedError, lambda lg: E.print_program(
+        E.occurrences(_BOX_P, "e")[1], "goal", "conjecture", lg)),
+    "emit_tptp": (E.EmbedError, lambda lg: E.emit_tptp(
+        E.translate(_BOX_P, "e"), "goal", "conjecture", lg)),
+}
+
+
+class TestUnknownLogic:
+    """Every public function whose result depends on its logic reads
+    only "sdl" and "e", and rejects any other name with one message in
+    its module's error class."""
+
+    @pytest.mark.parametrize("logic", ["bogus", "SDL", "E", ""])
+    @pytest.mark.parametrize("name", sorted(_TAKES_A_LOGIC))
+    def test_is_an_error(self, name, logic):
+        error, call = _TAKES_A_LOGIC[name]
+        with pytest.raises(error, match=f"^unknown logic {re.escape(repr(logic))}$"):
+            call(logic)
 
 
 class TestTokenize:

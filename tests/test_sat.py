@@ -83,7 +83,10 @@ class TestLeastModel:
         assert 50 < unsat < 550  # both outcomes are exercised
 
     def test_enumeration_steps_over_each_prefix(self):
-        rng = random.Random(4)
+        """The models, one per assignment to order[:keep]; at each, the
+        enumeration waits at that prefix, and a query on the same solver
+        answers as if it assumed the prefix, then leaves it in place."""
+        rng, ask = random.Random(4), random.Random(41)
         for _ in range(300):
             f, names, var, extra, solver = instance(rng)
             keep = rng.randint(0, len(names))
@@ -93,8 +96,19 @@ class TestLeastModel:
                 if m >> drop not in seen:
                     seen.add(m >> drop)
                     want.append(m)
-            got = list(solver.models([var[a] for a in names], (), BUDGET, keep=keep))
+            order = [var[a] for a in names]
+            root = list(solver.val)
+            got = []
+            for m in solver.models(order, (), BUDGET, keep=keep):
+                got.append(m)
+                for _ in range(2):
+                    assume = [ask.choice([1, -1]) * var[a]
+                              for a in ask.sample(names, ask.randint(0, len(names)))]
+                    least = [x for x in brute_models(f, names, var, extra + [[l] for l in assume])
+                             if x >> drop == m >> drop]
+                    assert solver.solve(order, assume, BUDGET) == (least[0] if least else None)
             assert got == want
+            assert solver.val == root
 
     def test_assumptions_and_reuse(self):
         rng = random.Random(5)
