@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 from . import formula as F
 from . import sat
@@ -185,21 +185,13 @@ def load_kb(text: str) -> KnowledgeBase:
 
 
 def _instances(norm: Norm, individuals: tuple[str, ...]):
-    if not norm.binders:
-        yield "", norm.body, norm.cond
-        return
-    if not individuals:
+    if norm.binders and not individuals:
         raise KBError(f"norm {norm.id} has binders but the individual set is empty")
-    def assign(i, body, cond, picked):
-        if i == len(norm.binders):
-            yield "[" + ",".join(picked) + "]", body, cond
-            return
-        for c in individuals:
-            yield from assign(i + 1,
-                              F.subst_var(body, norm.binders[i], F.Const(c)),
-                              F.subst_var(cond, norm.binders[i], F.Const(c)),
-                              picked + [c])
-    yield from assign(0, norm.body, norm.cond, [])
+    for picked in product(individuals, repeat=len(norm.binders)):
+        body, cond = norm.body, norm.cond
+        for x, c in zip(norm.binders, map(F.Const, picked)):
+            body, cond = F.subst_var(body, x, c), F.subst_var(cond, x, c)
+        yield "[" + ",".join(picked) + "]" if picked else "", body, cond
 
 
 def _render_norm(norm: Norm, suffix: str, body: F.Formula, cond: F.Formula,

@@ -295,26 +295,31 @@ def _revalidate(model, bank: S.CompiledBank, n_valid: int, world: int | None = N
 # Complete decision, system E
 
 
-def _sigma(fs) -> dict[F.Formula, None]:
-    """Distinct subformulas of fs, in pre-order."""
-    sigma: dict[F.Formula, None] = {}
-    for f in fs:
-        for g in F.subformulas(f):
-            sigma[g] = None
-    return sigma
-
-
 def _inputs(bank: S.CompiledBank, globals_at, locals_):
     """For both exact procedures, the inputs of bank at globals_at (valid)
-    and locals_ ((position, truth) pairs, that truth somewhere): Σ in
-    pre-order, the sorted slots it reaches (the cone), the global roots,
-    the local literals and the cone's (atom id, variable) pairs, sorted."""
-    sigma = _sigma([bank.formulas[i] for i in chain(globals_at, (i for i, _ in locals_))])
-    cone = sorted(bank.index[g] for g in sigma)
+    and locals_ ((position, truth) pairs, that truth somewhere): their
+    slots in pre-order, the same sorted (the cone), the global roots, the
+    local literals and the cone's (atom id, variable) pairs, sorted.
+
+    The walk reads the op array alone: from the roots at the positions,
+    in order, it visits operands left to right (an atom's is an atom id,
+    not a slot) and keeps a slot at its first visit.  That is the order
+    of F.subformulas over the desugared inputs, merged: each desugared
+    node is one slot, whose operands are its children's in F.children
+    order, and a slot seen before has had all its descendants seen.
+    """
+    ops = bank.ops
+    seen: dict[int, None] = {}
+    stack = [bank.roots[i] for i in chain(globals_at, (i for i, _ in locals_))][::-1]
+    while stack:
+        if (s := stack.pop()) not in seen:
+            seen[s] = None
+            stack.extend(ops[s][:0:-1] if ops[s][0] != "atom" else ())
+    cone = sorted(seen)
     gs = [bank.roots[i] for i in globals_at]
     ls = [bank.roots[i] + 1 if truth else -(bank.roots[i] + 1) for i, truth in locals_]
-    atoms = sorted((bank.ops[s][1], s + 1) for s in cone if bank.ops[s][0] == "atom")
-    return sigma, cone, gs, ls, atoms
+    atoms = sorted((ops[s][1], s + 1) for s in cone if ops[s][0] == "atom")
+    return list(seen), cone, gs, ls, atoms
 
 
 def _valuation(bank: S.CompiledBank, atoms, world_type, low: int = 0) -> list[int]:
@@ -335,8 +340,9 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
     positions (see _inputs).  Returns (model, local_worlds) or None.
 
     A candidate is a truth assignment gbits to the boxes and obligations
-    of the cone (bit i for the i-th box, then one per obligation, each
-    in pre-order) whose core, the types over the cone's atoms (bit i of
+    of the cone, read off the op array by tag (bit i for the i-th
+    ``boxe`` op, then one per ``oblig`` op, each in the pre-order of
+    _inputs), whose core, the types over the cone's atoms (bit i of
     a type is atom i) where the globals and the true boxes' bodies hold,
     is not empty.  It is realizable when every false box has a core type
     falsifying its body, every false obligation j has a witness type in
@@ -379,21 +385,20 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
       next model is the next candidate of the loop.  The search ends at
       the least realizable gbits, or with None when no candidate is left.
     """
-    sigma, cone, gs, ls, atoms = _inputs(bank, globals_at, locals_)
-    slot = bank.index
-    modal_fs = ([f for f in sigma if isinstance(f, F.Box)]
-                + [f for f in sigma if isinstance(f, F.Oblig)])
-    nboxes = sum(isinstance(f, F.Box) for f in modal_fs)
-    boxes = [slot[f.sub] for f in modal_fs[:nboxes]]
-    obls = [(slot[f.body], slot[f.cond]) for f in modal_fs[nboxes:]]
+    pre, cone, gs, ls, atoms = _inputs(bank, globals_at, locals_)
+    ops = bank.ops
+    modal = [s for tag in ("boxe", "oblig") for s in pre if ops[s][0] == tag]
+    nboxes = sum(ops[s][0] == "boxe" for s in modal)
+    boxes = [ops[s][1] for s in modal[:nboxes]]
+    obls = [ops[s][1:] for s in modal[nboxes:]]  # (body, cond) slots
     # the gbits bit of each modal op of the bank; none outside the cone
-    bit = {slot[f]: 1 << i for i, f in enumerate(modal_fs)}
+    bit = {s: 1 << i for i, s in enumerate(modal)}
     bits = [bit.get(s, 0) for s in bank.modal]
-    k, n_ops = len(atoms), len(bank.ops)
+    k, n_ops = len(atoms), len(ops)
 
     # variable s + 1 is slot s; variable n_ops + 1 + m is "cond_m implies body_m"
-    modal_vars = [slot[f] + 1 for f in modal_fs]
-    clauses = list(sat.bank_clauses(bank.ops, cone))
+    modal_vars = [s + 1 for s in modal]
+    clauses = list(sat.bank_clauses(ops, cone))
     clauses += [[g + 1] for g in gs] + [[-v, b + 1] for v, b in zip(modal_vars, boxes)]
     for m, (body, cond) in enumerate(obls):
         clauses += sat.TSEITIN["imp"](n_ops + 1 + m, cond + 1, body + 1)
@@ -472,16 +477,16 @@ def _exact_sdl(bank: S.CompiledBank, globals_at, locals_, budget: _Budget,
     asked for a type with O_j equivalent to body_j for every j: one such
     world seeing itself is a serial model.
 
-    A type assigns truth to the k atoms of the cone and its p
-    O-subformulas (in pre-order); its index has atom i at bit i and O_j
-    at bit k + j.  The types are never listed: S, the current type set,
-    is the models of a sat.Solver holding the Tseitin clauses of the
-    cone, the globals as units and the clauses learned so far.  The
-    solver decides O_p-1 ... O_0, then atom k-1 ... 0, false first, so
-    its least model under assumptions is the least type index with that
-    property.  The bodies follow in the order, body_p-1 ... body_0
-    (propagation fixes them), so a type is read as its index shifted
-    left by p, with bit j the truth of body_j.
+    A type assigns truth to the k atoms of the cone and its p ``boxs``
+    ops (its O-subformulas, in the pre-order of _inputs); its index has
+    atom i at bit i and O_j at bit k + j.  The types are never listed:
+    S, the current type set, is the models of a sat.Solver holding the
+    Tseitin clauses of the cone, the globals as units and the clauses
+    learned so far.  The solver decides O_p-1 ... O_0, then atom k-1
+    ... 0, false first, so its least model under assumptions is the
+    least type index with that property.  The bodies follow in the
+    order, body_p-1 ... body_0 (propagation fixes them), so a type is
+    read as its index shifted left by p, with bit j the truth of body_j.
 
     A type with true O's T needs a successor in S satisfying every body
     of T (seriality), and for each false O_j one that also falsifies
@@ -508,11 +513,11 @@ def _exact_sdl(bank: S.CompiledBank, globals_at, locals_, budget: _Budget,
     reference), and builds the same model.  One compiled run re-checks
     it.
     """
-    sigma, cone, gs, ls, atoms = _inputs(bank, globals_at, locals_)
-    boxes = [f for f in sigma if isinstance(f, F.ObligM)]
+    pre, cone, gs, ls, atoms = _inputs(bank, globals_at, locals_)
+    boxes = [s for s in pre if bank.ops[s][0] == "boxs"]
     k, p = len(atoms), len(boxes)
-    o_var = [bank.index[b] + 1 for b in boxes]
-    body = [bank.index[b.sub] + 1 for b in boxes]
+    o_var = [s + 1 for s in boxes]
+    body = [bank.ops[s][1] + 1 for s in boxes]
     order = o_var[::-1] + [v for _, v in reversed(atoms)] + body[::-1]
     clauses = list(sat.bank_clauses(bank.ops, cone)) + [[g + 1] for g in gs]
     n_vars = len(bank.ops)
@@ -709,7 +714,7 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
     if found is not None:
         return ModelFound(found[0])
     if cfg.complete:
-        return DecidedUnsatisfiable(len(_sigma(fs)))
+        return DecidedUnsatisfiable(len(set().union(*map(F.subformulas, fs))))
     return NoModelUpTo(cfg.max_worlds)
 
 
@@ -720,7 +725,7 @@ def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
     if found is not None:
         return CountermodelFound(*found)
     if cfg.complete:
-        return Valid(len(_sigma(assumptions + [goal])))
+        return Valid(len(set().union(*map(F.subformulas, assumptions + [goal]))))
     return NoModelUpTo(cfg.max_worlds)
 
 

@@ -291,9 +291,10 @@ class CompiledBank:
     every distinct node becomes one op in an array, children before
     parents.  A run walks the array once over raw relation rows and
     valuation masks (one int per atom, in the sorted order of
-    ``atoms``), so a caller needs no model object.  ``index`` maps each
-    desugared node to its slot, ``roots`` lists the slots of the input
-    formulas and ``modal`` the slots of the modal ops in op order.
+    ``atoms``), so a caller needs no model object.  ``roots`` lists the
+    slots of the input formulas, ``modal`` the slots of the modal ops in
+    op order; an op's operands are its children's slots, in F.children
+    order, or for ``atom`` an index into ``atoms``.
 
     One run can also evaluate many valuations over one relation side by
     side, each in its own lane of every mask (bitslicing, as in Biham's
@@ -339,7 +340,6 @@ class CompiledBank:
                 for g in F.subformulas(f):
                     compile_node(g, [])
             raise
-        self.index = index
         self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
         slot = {a: i for i, a in enumerate(self.atoms)}
         self.ops = tuple(("atom", slot[op[1]]) if op[0] == "atom" else op for op in ops)

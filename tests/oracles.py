@@ -322,14 +322,17 @@ def mask_exact_sdl(globals_, locals_, budget):
     to bit i and O-subformula j to bit k + j.  Returns (model,
     local_worlds) or None, as search._exact_sdl does."""
     bank = S.CompiledBank(globals_ + locals_, "sdl")
-    sigma = SE._sigma(bank.formulas)
+    sigma = dict.fromkeys(g for f in bank.formulas for g in F.subformulas(f))
     boxes = [f for f in sigma if isinstance(f, F.ObligM)]
+    index: dict[F.Formula, int] = {}  # the compiler's slots: one per node, post-order
+    for f in bank.formulas:
+        F.fold(f, lambda g, kids: len(index), index)
     k, p = len(bank.atoms), len(boxes)
     n_types = 1 << (k + p)
     budget.tick(max(1, ((len(sigma) + (1 << p)) * n_types) >> 6))  # before any mask
     full = (1 << n_types) - 1
 
-    box_bit = {bank.index[b]: k + j for j, b in enumerate(boxes)}
+    box_bit = {index[b]: k + j for j, b in enumerate(boxes)}
     tm = bank.run(n_types, (), [bit_mask(i, n_types) for i in range(k)],
                   [bit_mask(box_bit[s], n_types) for s in bank.modal])
 
@@ -340,7 +343,7 @@ def mask_exact_sdl(globals_, locals_, budget):
     # [b*2^k, (b+1)*2^k)
     block = (1 << (1 << k)) - 1
     pattern_mask = [block << (b << k) for b in range(1 << p)]
-    body_mask = [tm[bank.index[box.sub]] for box in boxes]
+    body_mask = [tm[index[box.sub]] for box in boxes]
 
     while survivors:
         budget.tick(max(1, ((1 << p) * n_types) >> 6))

@@ -206,6 +206,20 @@ class TestExitCodes:
         assert run("eval", "p", "--model", model).exit_code == 0
         assert run("eval", "~p", "--model", model).exit_code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "p", "--logic", "e", "--complete", "--frame", "total"),
+         "complete mode decides the unrestricted frame only"),
+        (("kb", "consistency", FIXTURES / "gdpr_e.kb", "--logic", "e", "--complete",
+          "--frame", "reflexive"), "complete mode decides the unrestricted frame only"),
+        (("check", "p", "--logic", "sdl", "--frame", "reflexive", "--bound", "2"),
+         "SDL search supports only the (implied) serial frame"),
+        (("kb", "comply", FIXTURES / "gdpr_sdl.kb", "--logic", "sdl", "--complete",
+          "--frame", "transitive"), "SDL search supports only the (implied) serial frame"),
+    ])
+    def test_a_frame_the_search_cannot_decide_is_an_input_error(self, argv, message):
+        r = run(*argv)
+        assert (r.exit_code, r.stdout, r.stderr) == (3, "", f"error: {message}\n")
+
 
 class TestFailuresAreNotVerdicts:
     def program(self, *args):

@@ -133,6 +133,42 @@ class TestGround:
         assert grounded["n:fd"] == F.Implies(F.Atom("p"), F.ObligM(F.Atom("b")))
         assert grounded["n:dd"] == F.ObligM(F.Implies(F.Atom("p"), F.Atom("b")))
 
+    def test_two_binders_ground_lexicographically(self):
+        text = ("[signature]\npred r/2\npred q/1\n[individuals]\na\nb\nc\n"
+                "[norms]\nn1: O{ r(x, y) | q(y) } forall x, y\n")
+        base = KB.load_kb(text)
+        pairs = [(x, y) for x in "abc" for y in "abc"]
+
+        def r(x, y):
+            return F.Atom("r", (F.Const(x), F.Const(y)))
+
+        def q(y):
+            return F.Atom("q", (F.Const(y),))
+
+        assert [lf.label for lf in KB.ground_kb(base, "e")] == [
+            "n1[a,a]", "n1[a,b]", "n1[a,c]", "n1[b,a]", "n1[b,b]", "n1[b,c]",
+            "n1[c,a]", "n1[c,b]", "n1[c,c]"]
+        assert KB.ground_kb(base, "e") == [KB.Labeled(f"n1[{x},{y}]", F.Oblig(r(x, y), q(y)))
+                                           for x, y in pairs]
+        assert KB.ground_kb(base, "sdl") == [
+            lf for x, y in pairs for lf in (
+                KB.Labeled(f"n1[{x},{y}]:fd", F.Implies(q(y), F.ObligM(r(x, y)))),
+                KB.Labeled(f"n1[{x},{y}]:dd", F.ObligM(F.Implies(q(y), r(x, y)))))]
+
+    def test_a_repeated_binder_takes_the_first_individual(self):
+        # the file format refuses forall x, x; a norm built directly grounds
+        # it, and the second binding finds no x left to substitute
+        with pytest.raises(KB.KBError, match="variable 'x' already bound"):
+            KB.load_kb("[signature]\npred r/2\n[individuals]\na\nb\n"
+                       "[norms]\nn1: O{ r(x, x) | true } forall x, x\n")
+        x = F.Var("x")
+        norm = KB.Norm("n1", "obligation", F.Atom("r", (x, x)), F.TOP, ("x", "x"))
+        base = KB.KnowledgeBase(F.Signature({"r": 2}, frozenset("ab")), ("a", "b"), (norm,), ())
+        grounded = KB.ground_kb(base, "e")
+        assert [lf.label for lf in grounded] == ["n1[a,a]", "n1[a,b]", "n1[b,a]", "n1[b,b]"]
+        assert [lf.formula for lf in grounded] == [
+            F.Oblig(F.Atom("r", (F.Const(c), F.Const(c))), F.TOP) for c in "aabb"]
+
     def test_empty_domain_with_binders_rejected(self):
         text = ("[signature]\npred e/1\n[norms]\nn: O{ e(d) | true } forall d\n")
         base = KB.load_kb(text)

@@ -25,7 +25,6 @@ ALLOWED = {
     "embed.lower.walk": "lowering a normal form to first order",
     "embed.fo_eval": "first-order evaluation",
     # bounded depths
-    "kb._instances.assign": "depth is the number of a norm's binders",
     "search._quickxplain.shrink": "depth is log n in the input count",
 }
 

@@ -272,7 +272,7 @@ def test_a_search_leaves_its_bank_as_compiled(logic, complete, monkeypatch):
             super().__init__(formulas, logic)
 
     monkeypatch.setattr(S, "CompiledBank", Kept)
-    fields = ("formulas", "roots", "ops", "modal", "atoms", "index")
+    fields = ("formulas", "roots", "ops", "modal", "atoms")
     cfg = SE.SearchConfig(logic=logic, complete=complete, max_worlds=2)
     for _ in range(20):
         fs = [gen_formula(rng, logic, 2) for _ in range(rng.randint(1, 3))]
@@ -305,6 +305,54 @@ def _exact(logic, globals_, locals_, budget, **kw):
     exact = SE._exact_sdl if logic == "sdl" else SE._exact_e
     return exact(S.CompiledBank(globals_ + locals_, logic), range(n),
                  [(i, True) for i in range(n, n + len(locals_))], budget, **kw)
+
+
+@pytest.mark.parametrize("logic", ["sdl", "e"])
+def test_the_slot_walk_lists_the_subformulas_in_pre_order(logic):
+    # _inputs reads the inputs' Σ off the op array: the slots of the
+    # distinct subformulas of the chosen (desugared) inputs, in the
+    # pre-order F.subformulas gives them formula by formula
+    rng = random.Random(53)
+    for _ in range(300):
+        fs = [gen_formula(rng, logic, rng.randint(0, 4)) for _ in range(rng.randint(1, 6))]
+        bank = S.CompiledBank(fs, logic)
+        slot: dict = {}  # the compiler's numbering: one per node, children first
+        for f in bank.formulas:
+            F.fold(f, lambda g, kids: len(slot), slot)
+        positions = rng.sample(range(len(fs)), rng.randint(1, len(fs)))
+        cut = rng.randint(0, len(positions))
+        globals_at = positions[:cut]
+        locals_ = [(i, rng.random() < 0.5) for i in positions[cut:]]
+        chosen = [bank.formulas[i] for i in globals_at + [i for i, _ in locals_]]
+        sigma = dict.fromkeys(g for f in chosen for g in F.subformulas(f))
+        assert SE._inputs(bank, globals_at, locals_)[0] == [slot[g] for g in sigma]
+
+
+def test_an_exact_decision_walks_no_formula(monkeypatch):
+    rng = random.Random(59)
+    cases = []
+    for logic in ("e", "sdl"):
+        for _ in range(60):
+            gl = [gen_formula(rng, logic, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            lo = [gen_formula(rng, logic, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+            cases.append((logic, S.CompiledBank(gl + lo, logic), len(gl), len(lo)))
+
+    def walk(*args, **kwargs):
+        raise AssertionError("an exact decision walked a formula")
+
+    monkeypatch.setattr(F, "subformulas", walk)
+    monkeypatch.setattr(F, "fold", walk)
+    procedures = {"e": [("e", SE._exact_e)],
+                  "sdl": [("sdl", SE._exact_sdl),
+                          ("sdl-reflexive", partial(SE._exact_sdl, reflexive=True))]}
+    seen = set()
+    for logic, bank, n, m in cases:
+        for name, exact in procedures[logic]:
+            got = exact(bank, range(n), [(i, True) for i in range(n, n + m)],
+                        SE._Budget(10**8))
+            seen.add((name, got is None, m > 0))
+    assert seen == {(name, unsat, local) for name in ("e", "sdl", "sdl-reflexive")
+                    for unsat in (False, True) for local in (False, True)}
 
 
 class TestExactE:
