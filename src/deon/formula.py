@@ -210,9 +210,7 @@ class Var(Term):
 
 
 class Formula(_Node):
-    # what `desugar` gives in each logic: None until it is known
-    __slots__ = _derived = ("_sdl_form", "_e_form")
-    _derive = staticmethod(lambda *fields: (None, None))
+    __slots__ = ()
 
 
 class Atom(Formula):
@@ -397,66 +395,41 @@ def ground(f: Formula, domain: Iterable[str | Const]) -> Formula:
     return fold(f, visit)
 
 
-# Derived operator -> its rewrite over already desugared children; nodes
-# of any other class keep their class.
-_DESUGAR_SDL = {
-    Box: ObligM,
-    Dia: lambda s: Not(ObligM(Not(s))),
-    Perm: lambda s: Not(ObligM(Not(s))),
-    Forb: lambda s: ObligM(Not(s)),
+# Each logic's derived operators -> their rewrite over CHILD, the place of
+# the operand, which is each rule's leftmost leaf; nodes of any other class
+# keep their class.  No signature declares CHILD's empty name.
+CHILD = Atom("")
+DESUGAR = {
+    "sdl": {Box: ObligM(CHILD),
+            Dia: Not(ObligM(Not(CHILD))),
+            Perm: Not(ObligM(Not(CHILD))),
+            Forb: ObligM(Not(CHILD))},
+    "e": {Dia: Not(Box(Not(CHILD))),
+          ObligM: Oblig(CHILD, TOP),
+          Perm: Not(Oblig(Not(CHILD), TOP)),
+          Forb: Oblig(Not(CHILD), TOP)},
 }
-_DESUGAR_E = {
-    Dia: lambda s: Not(Box(Not(s))),
-    ObligM: lambda s: Oblig(s, TOP),
-    Perm: lambda s: Not(Oblig(Not(s), TOP)),
-    Forb: lambda s: Oblig(Not(s), TOP),
-}
-
-
-_SAME = "same"  # the form of a node that is already primitive
+SDL_DYADIC = "dyadic obligation is not part of the SDL language"
 
 
 def desugar(f: Formula, logic: str) -> Formula:
     """Rewrite derived operators to the logic's primitive ones.
 
     SDL: box/dia/P/F reduce to monadic O.  E: monadic O/P/F reduce to
-    the dyadic operator, dia to ~box~.  Used by the decision procedures;
-    evaluation handles every node directly.
-
-    Each node keeps its form once it is computed, in its slot for the
-    logic (`_sdl_form`, `_e_form`), so a node is desugared once per logic
-    in its life.  The walk is `fold`'s post-order, but it stops at the
-    nodes whose form is known instead of at those in a per-call memo,
-    so a formula desugared before costs O(1).  A node that is its own
-    form keeps `_SAME` rather than itself: no node refers to itself, so
-    refcounting alone still frees nodes.  An SDL Oblig gets no form, nor
-    does any node above it, so it raises on every call.
+    the dyadic operator, dia to ~box~.  One `fold`, which rebuilds a
+    derived node's rule in `DESUGAR` over its child's form; the compiler
+    reads the rules itself (`semantics.CompiledBank`).
     """
     check_logic(logic)
-    sdl = logic == "sdl"
-    table = _DESUGAR_SDL if sdl else _DESUGAR_E
-    slot = Formula._sdl_form if sdl else Formula._e_form
-    form, keep = slot.__get__, slot.__set__
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if form(g) is not None:
-            stack.pop()
-            continue
-        kids = children(g)
-        todo = [c for c in kids if form(c) is None]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        if sdl and type(g) is Oblig:
-            raise FormulaError("dyadic obligation is not part of the SDL language")
-        kids = [c if h is _SAME else h for c, h in zip(kids, map(form, kids))]
-        rule = table.get(type(g))
-        h = rule(*kids) if rule else _rebuild(g, kids)
-        keep(g, _SAME if h is g else h)
-    h = form(f)
-    return f if h is _SAME else h
+    rules = DESUGAR[logic]
+
+    def visit(g: Formula, kids: list[Formula]) -> Formula:
+        if logic == "sdl" and type(g) is Oblig:
+            raise FormulaError(SDL_DYADIC)
+        rule = rules.get(type(g))
+        return fold(rule, _rebuild, {CHILD: kids[0]}) if rule else _rebuild(g, kids)
+
+    return fold(f, visit)
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,9 @@ class Labeled:
 
 
 _MODAL = (F.Box, F.Dia, F.Oblig, F.ObligM, F.Perm, F.Forb)
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NORM_RE = re.compile(
-    r"(?P<id>[A-Za-z][A-Za-z0-9_]*)\s*:\s*(?P<kind>[OPF])\s*\{(?P<inner>.*)\}"
+    r"\s*(?P<id>[A-Za-z][A-Za-z0-9_]*)\s*:\s*(?P<kind>[OPF])\s*\{(?P<inner>.*)\}"
     r"\s*(?:forall\s+(?P<binders>[A-Za-z][A-Za-z0-9_]*(?:\s*,\s*[A-Za-z][A-Za-z0-9_]*)*))?\s*$"
 )
 
@@ -94,11 +95,12 @@ def load_kb(text: str) -> KnowledgeBase:
     predicates: dict[str, int] = {}
     individuals: list[str] = []
     known: set[str] = set()  # the individuals, for the duplicate check
-    norm_lines: list[tuple[int, str]] = []
+    norm_lines: list[tuple[int, str]] = []  # each with its leading blanks
     fact_lines: list[tuple[int, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("["):
@@ -118,14 +120,14 @@ def load_kb(text: str) -> KnowledgeBase:
             for name in re.split(r"[,\s]+", line):
                 if not name:
                     continue
-                if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+                if not _NAME_RE.fullmatch(name):
                     raise KBError(f"bad individual name {name!r}", lineno)
                 if name in known:
                     raise KBError(f"duplicate individual {name!r}", lineno)
                 known.add(name)
                 individuals.append(name)
         elif section == "norms":
-            norm_lines.append((lineno, line))
+            norm_lines.append((lineno, code))
         elif section == "facts":
             fact_lines.append((lineno, line))
         else:
@@ -146,24 +148,26 @@ def load_kb(text: str) -> KnowledgeBase:
         if nid in seen_ids:
             raise KBError(f"duplicate norm id {nid!r}", lineno)
         seen_ids.add(nid)
-        binders = tuple(b.strip() for b in (m.group("binders") or "").split(",") if b.strip())
-        inner = m.group("inner")
-        wrapped = f"O{{{inner}}}"
-        for b in binders:
-            wrapped = f"forall {b}. {wrapped}"
+        # Parsed in place, so that an error names its column in the line:
+        # one line "forall b." per binder b, with b at its own column (at
+        # least 8, as "forall " comes before it), then the O{...} at its
+        # own.  Only the binders are variables: a loose one is an unknown
+        # constant.
+        at = m.start("binders")
+        placed = [(b.group(), at + b.start()) for b in _NAME_RE.finditer(m.group("binders") or "")]
+        binders = tuple(b for b, _ in placed)
+        wrapped = [" " * (col - 7) + f"forall {b}." for b, col in placed]
+        kind = m.start("kind")
+        wrapped.append(" " * kind + "O" + line[kind + 1:m.end("inner") + 1])
         try:
-            parsed = F.parse(wrapped, sig, logic="e")
+            core = F.parse("\n".join(wrapped), sig, logic="e")
         except F.ParseError as ex:
-            raise KBError(f"in norm {nid}: {ex}", lineno) from ex
-        core = parsed
+            raise KBError(f"in norm {nid}: column {ex.col}: {ex.message}", lineno) from ex
         for _ in binders:
             core = core.body
         body, cond = core.body, core.cond
         _boolean_only(body, "norm body", lineno)
         _boolean_only(cond, "norm condition", lineno)
-        loose = (F.free_vars(body) | F.free_vars(cond)) - set(binders)
-        if loose:
-            raise KBError(f"norm {nid}: unbound variables {sorted(loose)}", lineno)
         norms.append(Norm(nid, KINDS[m.group("kind")], body, cond, binders))
 
     facts: list[F.Formula] = []

@@ -304,7 +304,7 @@ def _inputs(bank: S.CompiledBank, globals_at, locals_):
     The walk reads the op array alone: from the roots at the positions,
     in order, it visits operands left to right (an atom's is an atom id,
     not a slot) and keeps a slot at its first visit.  That is the order
-    of F.subformulas over the desugared inputs, merged: each desugared
+    of F.subformulas over the inputs' F.desugar forms, merged: each such
     node is one slot, whose operands are its children's in F.children
     order, and a slot seen before has had all its descendants seen.
     """
@@ -681,27 +681,30 @@ def _bounded_scan(bank: S.CompiledBank, n_valid: int, cfg: SearchConfig, budget:
     return None
 
 
-def _search(valid_fs: list[F.Formula], falsify: F.Formula | None, cfg: SearchConfig):
+def _compile(fs: list[F.Formula], cfg: SearchConfig) -> S.CompiledBank:
+    """The one bank of a search's inputs, once they and cfg are checked."""
+    _require_ground(fs)
+    _check_cfg(cfg)
+    return S.CompiledBank(fs, cfg.logic)
+
+
+def _search(bank: S.CompiledBank, n: int, cfg: SearchConfig):
     """find_model and entails: (model, world) as _bounded_scan gives it,
     or None; complete mode decides first, then re-scans canonically,
-    both over one bank of the formulas with the goal to falsify last."""
-    every = valid_fs + ([] if falsify is None else [falsify])
-    _require_ground(every)
-    _check_cfg(cfg)
-    bank = S.CompiledBank(every, cfg.logic)
+    both over bank: its first n inputs valid, input n (if any) false."""
     budget = _Budget(cfg.node_budget)
-    n = len(valid_fs)  # the goal, if any, is input n: to be false somewhere
+    goal = len(bank.roots) > n
     if not cfg.complete:
         return _bounded_scan(bank, n, cfg, budget, cfg.max_worlds)
     exact = _exact_sdl if cfg.logic == "sdl" else _exact_e
-    got = exact(bank, range(n), [] if falsify is None else [(n, False)], budget)
+    got = exact(bank, range(n), [(n, False)] if goal else [], budget)
     if got is None:
         return None
     witness, worlds = got
     found = _bounded_scan(bank, n, cfg, _Budget(cfg.node_budget), witness.n)
     if found is not None:
         return found
-    world = None if falsify is None else worlds[0]
+    world = worlds[0] if goal else None
     _revalidate(witness, bank, n, world)
     return witness, world
 
@@ -710,22 +713,24 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
     """First canonical model making every formula valid, or a negative
     verdict; complete mode turns exhaustion into DecidedUnsatisfiable."""
     fs = list(fs)
-    found = _search(fs, None, cfg)
+    bank = _compile(fs, cfg)
+    found = _search(bank, len(fs), cfg)
     if found is not None:
         return ModelFound(found[0])
     if cfg.complete:
-        return DecidedUnsatisfiable(len(set().union(*map(F.subformulas, fs))))
+        return DecidedUnsatisfiable(bank.subformulas)
     return NoModelUpTo(cfg.max_worlds)
 
 
 def entails(assumptions, goal: F.Formula, cfg: SearchConfig) -> Verdict:
     """Countermodel search: assumptions valid, goal false at some world."""
     assumptions = list(assumptions)
-    found = _search(assumptions, goal, cfg)
+    bank = _compile(assumptions + [goal], cfg)
+    found = _search(bank, len(assumptions), cfg)
     if found is not None:
         return CountermodelFound(*found)
     if cfg.complete:
-        return Valid(len(set().union(*map(F.subformulas, assumptions + [goal]))))
+        return Valid(bank.subformulas)
     return NoModelUpTo(cfg.max_worlds)
 
 
@@ -794,9 +799,7 @@ def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
     fs = list(fs)
     if not cfg.complete:
         raise SearchError("minimal_unsat_subset needs complete mode")
-    _require_ground(fs)
-    _check_cfg(cfg)
-    bank = S.CompiledBank(fs, cfg.logic)
+    bank = _compile(fs, cfg)
     exact = partial(_exact_sdl, reflexive=True) if cfg.logic == "sdl" else _exact_e
 
     def refuted(positions) -> bool:

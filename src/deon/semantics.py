@@ -287,14 +287,24 @@ class CompiledBank:
     """The evaluator: compiles a formula list once, then runs it over any
     number of finite structures.
 
-    The formulas are desugared to the logic's primitive operators and
-    every distinct node becomes one op in an array, children before
-    parents.  A run walks the array once over raw relation rows and
-    valuation masks (one int per atom, in the sorted order of
-    ``atoms``), so a caller needs no model object.  ``roots`` lists the
-    slots of the input formulas, ``modal`` the slots of the modal ops in
-    op order; an op's operands are its children's slots, in F.children
-    order, or for ``atom`` an index into ``atoms``.
+    The formulas are compiled as given, in one post-order fold over them
+    all (children left to right; a node met again keeps its slot), into
+    an array of ops, children before parents.  A primitive node becomes
+    one op; a derived one compiles its rewrite rule (``F.DESUGAR``)
+    with the placeholder ``F.CHILD`` bound to its child's slot.  Ops are
+    interned by their tuple, so the array is that of the desugared
+    formulas compiled one op per node, in the same order: each rule
+    meets its placeholder before any constant subtree (TOP) in
+    post-order, as the fold over a desugared node meets its child
+    first.  No formula node is built.
+
+    A run walks the array once over raw relation rows and valuation
+    masks (one int per atom, in the sorted order of ``atoms``), so a
+    caller needs no model object.  ``roots`` lists the slots of the
+    input formulas, ``modal`` the slots of the modal ops in op order;
+    an op's operands are its children's slots, in F.children order, or
+    for ``atom`` an index into ``atoms``.  ``subformulas`` counts the
+    distinct subformulas of the inputs: the nodes the fold visits.
 
     One run can also evaluate many valuations over one relation side by
     side, each in its own lane of every mask (bitslicing, as in Biham's
@@ -305,44 +315,45 @@ class CompiledBank:
     def __init__(self, formulas: Iterable[F.Formula], logic: str):
         F.check_logic(logic, SemanticsError)
         self.logic = logic
-        try:
-            self.formulas = tuple(F.desugar(f, logic) for f in formulas)
-        except F.FormulaError as ex:
-            raise SemanticsError(str(ex)) from None
-        index: dict[F.Formula, int] = {}
-        ops: list[tuple] = []
-
+        self.formulas = tuple(formulas)
         tags = {F.Not: "not", F.And: "and", F.Or: "or", F.Implies: "imp", F.Iff: "iff"}
         tags.update({F.ObligM: "boxs"} if logic == "sdl" else {F.Box: "boxe", F.Oblig: "oblig"})
+        rules = F.DESUGAR[logic]
+        slot: dict[tuple, int] = {}  # the ops, interned
+        intern = slot.setdefault
 
         def compile_node(f: F.Formula, kids: list[int]) -> int:
             """The slot of f, whose children have the slots kids."""
-            if isinstance(f, F.Atom):
+            tag = tags.get(type(f))
+            if tag is not None:
+                return intern((tag, *kids), len(slot))
+            if type(f) in rules:
+                return F.fold(rules[type(f)], compile_node, {F.CHILD: kids[0]})
+            if type(f) is F.Atom:
                 op = ("false",) if f.pred == F.RESERVED_ATOM else ("atom", atom_key(f))
-            elif type(f) in tags:
-                op = (tags[type(f)], *kids)
-            elif isinstance(f, (F.Forall, F.Exists)):
+                return intern(op, len(slot))
+            if isinstance(f, (F.Forall, F.Exists)):
                 raise SemanticsError("formula is not ground: quantifier present "
                                      "(expand with formula.ground first)")
-            else:
-                raise SemanticsError(f"cannot compile {f!r} for logic {logic}")
-            ops.append(op)
-            return len(ops) - 1
+            raise SemanticsError(F.SDL_DYADIC if type(f) is F.Oblig
+                                 else f"cannot compile {f!r} for logic {logic}")
 
-        # one post-order over all inputs: children left to right, and a
-        # node met again keeps its slot
+        memo: dict[F.Formula, int] = {}
         try:
-            self.roots = tuple(F.fold(f, compile_node, index) for f in self.formulas)
+            self.roots = tuple(F.fold(f, compile_node, memo) for f in self.formulas)
         except SemanticsError:
-            # name the first node a top-down walk rejects, so that a
-            # quantifier is reported before the variables it binds
-            for f in self.formulas:
-                for g in F.subformulas(f):
+            # name an SDL dyadic obligation in any input first, then the
+            # first node a top-down walk rejects, so that a quantifier is
+            # reported before the variables it binds
+            walk = [g for f in self.formulas for g in F.subformulas(f)]
+            for g in sorted(walk, key=lambda g: type(g) is not F.Oblig):
+                if type(g) not in tags and type(g) not in rules:
                     compile_node(g, [])
             raise
-        self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
-        slot = {a: i for i, a in enumerate(self.atoms)}
-        self.ops = tuple(("atom", slot[op[1]]) if op[0] == "atom" else op for op in ops)
+        self.subformulas = len(memo)
+        self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in slot if op[0] == "atom"}))
+        index = {a: i for i, a in enumerate(self.atoms)}
+        self.ops = tuple(("atom", index[op[1]]) if op[0] == "atom" else op for op in slot)
         self.modal = tuple(i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig"))
 
     def run(self, n: int, rows: tuple[int, ...], vals, modal=None,

@@ -3,7 +3,8 @@ optimality rule, validity and frame conditions read off a model, alpha
 equality and named capture-avoiding substitution of λ-terms, the λ
 reduction sequence searched and named afresh at every step, the names
 a λ-term's binders avoid read off the named term, schema instantiation
-of formulas, the bounded scan one candidate at a time, SDL type
+of formulas, the compiler that desugars first and makes one op per
+node, the bounded scan one candidate at a time, SDL type
 elimination over explicit 2^(k+p)-bit type masks, the front-to-back
 deletion shrink of an unsatisfiable set, the recursive-descent formula
 parser, signature inference scanning each group to its ")", the λ-term
@@ -267,6 +268,30 @@ def instantiate(schema: F.Formula, mapping) -> F.Formula:
     return F.fold(schema, visit)
 
 
+def desugared_bank(fs, logic: str) -> tuple:
+    """(ops, roots, atoms, modal) as semantics.CompiledBank names them,
+    by desugaring first: each input rewritten by F.desugar, then one op
+    per distinct node of the desugared formulas, in one post-order fold
+    over them all."""
+    tags = {F.Not: "not", F.And: "and", F.Or: "or", F.Implies: "imp", F.Iff: "iff"}
+    tags.update({F.ObligM: "boxs"} if logic == "sdl" else {F.Box: "boxe", F.Oblig: "oblig"})
+    ops: list[tuple] = []
+
+    def visit(g: F.Formula, kids: list[int]) -> int:
+        if isinstance(g, F.Atom):
+            ops.append(("false",) if g.pred == F.RESERVED_ATOM else ("atom", S.atom_key(g)))
+        else:
+            ops.append((tags[type(g)], *kids))
+        return len(ops) - 1
+
+    memo: dict[F.Formula, int] = {}
+    roots = tuple(F.fold(F.desugar(f, logic), visit, memo) for f in fs)
+    atoms = tuple(sorted({op[1] for op in ops if op[0] == "atom"}))
+    ops = [("atom", atoms.index(op[1])) if op[0] == "atom" else op for op in ops]
+    modal = tuple(i for i, op in enumerate(ops) if op[0] in ("boxs", "boxe", "oblig"))
+    return tuple(ops), roots, atoms, modal
+
+
 def sequential_scan(valid_fs, falsify, cfg, budget, max_n, frame_mode="require"):
     """search._bounded_scan one candidate at a time: every valuation of
     each canonical relation in ascending order, charged before it runs
@@ -322,10 +347,11 @@ def mask_exact_sdl(globals_, locals_, budget):
     to bit i and O-subformula j to bit k + j.  Returns (model,
     local_worlds) or None, as search._exact_sdl does."""
     bank = S.CompiledBank(globals_ + locals_, "sdl")
-    sigma = dict.fromkeys(g for f in bank.formulas for g in F.subformulas(f))
+    forms = [F.desugar(f, "sdl") for f in bank.formulas]
+    sigma = dict.fromkeys(g for f in forms for g in F.subformulas(f))
     boxes = [f for f in sigma if isinstance(f, F.ObligM)]
     index: dict[F.Formula, int] = {}  # the compiler's slots: one per node, post-order
-    for f in bank.formulas:
+    for f in forms:
         F.fold(f, lambda g, kids: len(index), index)
     k, p = len(bank.atoms), len(boxes)
     n_types = 1 << (k + p)

@@ -14,6 +14,7 @@ from deon import kb as KB
 from deon import search as SE
 from deon import semantics as S
 
+import oracles
 from helpers import P, Q, R, brute_sat
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -68,6 +69,18 @@ class TestLoad:
         with pytest.raises(KB.KBError) as err:
             KB.load_kb(text)
         assert str(err.value) == "line 5: duplicate individual 'd1'"
+
+    @pytest.mark.parametrize("norm, error", [
+        ("n1: O{ s(x) | true } forall x", "column 8: unknown predicate 's'"),
+        ("n1: O{ s(a) | true }", "column 8: unknown predicate 's'"),
+        ("  n1: O{ s(a) | true }", "column 10: unknown predicate 's'"),
+        ("n1: O{ r(x, x) | true } forall x, x", "column 35: variable 'x' already bound"),
+    ])
+    def test_a_norm_error_names_its_column_in_the_line(self, norm, error):
+        text = "[signature]\npred r/2\n[individuals]\na\n[norms]\n" + norm + "\n"
+        with pytest.raises(KB.KBError) as err:
+            KB.load_kb(text)
+        assert str(err.value) == f"line 6: in norm n1: {error}"
 
     def test_error_carries_line(self):
         with pytest.raises(KB.KBError, match="line 3"):
@@ -366,6 +379,16 @@ def chisholm_kb(n: int) -> str:
     for i in range(1, n + 1):
         lines += [f"t{i}: O{{ p{i + 1} | p{i} }}", f"n{i}: O{{ ~p{i + 1} | ~p{i} }}"]
     return "\n".join(lines + ["[facts]", "~p1"]) + "\n"
+
+
+@pytest.mark.parametrize("logic", ["sdl", "e"])
+def test_the_families_compile_as_desugaring_first_did(logic):
+    for n in (1, 2, 4, 8):
+        for text in (gdpr_kb(n, logic), chisholm_kb(n)):
+            fs = [lf.formula for lf in KB.ground_kb(KB.load_kb(text), logic)]
+            bank = S.CompiledBank(fs, logic)
+            got = (bank.ops, bank.roots, bank.atoms, bank.modal)
+            assert got == oracles.desugared_bank(fs, logic)
 
 
 class TestScaling:

@@ -310,20 +310,21 @@ def _exact(logic, globals_, locals_, budget, **kw):
 @pytest.mark.parametrize("logic", ["sdl", "e"])
 def test_the_slot_walk_lists_the_subformulas_in_pre_order(logic):
     # _inputs reads the inputs' Σ off the op array: the slots of the
-    # distinct subformulas of the chosen (desugared) inputs, in the
+    # distinct subformulas of the chosen desugared inputs, in the
     # pre-order F.subformulas gives them formula by formula
     rng = random.Random(53)
     for _ in range(300):
         fs = [gen_formula(rng, logic, rng.randint(0, 4)) for _ in range(rng.randint(1, 6))]
         bank = S.CompiledBank(fs, logic)
-        slot: dict = {}  # the compiler's numbering: one per node, children first
-        for f in bank.formulas:
+        forms = [F.desugar(f, logic) for f in bank.formulas]
+        slot: dict = {}  # the desugared compile's numbering: one per node, children first
+        for f in forms:
             F.fold(f, lambda g, kids: len(slot), slot)
         positions = rng.sample(range(len(fs)), rng.randint(1, len(fs)))
         cut = rng.randint(0, len(positions))
         globals_at = positions[:cut]
         locals_ = [(i, rng.random() < 0.5) for i in positions[cut:]]
-        chosen = [bank.formulas[i] for i in globals_at + [i for i, _ in locals_]]
+        chosen = [forms[i] for i in globals_at + [i for i, _ in locals_]]
         sigma = dict.fromkeys(g for f in chosen for g in F.subformulas(f))
         assert SE._inputs(bank, globals_at, locals_)[0] == [slot[g] for g in sigma]
 

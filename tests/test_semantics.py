@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -214,6 +215,48 @@ class TestCompiledBank:
                 for g in (f, F.desugar(f, logic)):
                     holds = E.fo_eval(E.translate(F.Implies(z, g), logic), mw, logic)
                     assert holds == bool(mask >> w & 1)
+
+    @pytest.mark.parametrize("logic", ["sdl", "e"])
+    def test_compiles_as_desugaring_first_did(self, logic):
+        """The op array against the reference that desugars each input
+        and then makes one op per node: inputs mix derived operators
+        (monadic O in E too) with their desugared forms, which must share
+        slots.  The compile's fold visits each distinct input node once."""
+        rng = random.Random(61)
+        for _ in range(1_500):
+            fs = [gen_formula(rng, logic, rng.randint(0, 4)) for _ in range(rng.randint(1, 5))]
+            if logic == "e":
+                fs += [F.ObligM(f) for f in rng.sample(fs, rng.randint(0, len(fs)))]
+            fs += [F.desugar(f, logic) for f in rng.sample(fs, min(2, len(fs)))]
+            bank = S.CompiledBank(fs, logic)
+            got = (bank.ops, bank.roots, bank.atoms, bank.modal)
+            assert got == oracles.desugared_bank(fs, logic)
+            assert bank.formulas == tuple(fs)
+            assert bank.subformulas == len(set().union(*map(F.subformulas, fs)))
+
+    def test_compiling_builds_no_formula_node(self):
+        """With the collector off, the table holds exactly the live nodes:
+        compiling fresh formulas full of derived operators adds none."""
+        gc.disable()
+        try:
+            fs = [F.Implies(F.Dia(F.Atom(f"fresh{i}")), F.Perm(F.And(F.Atom(f"fresh{i}"), Q)))
+                  for i in range(2_000)]
+            forbidden = [F.Forb(F.Box(F.Atom(f"fresh{i}"))) for i in range(2_000)]
+            monadic = [F.ObligM(F.Atom(f"fresh{i}")) for i in range(2_000)]
+            before = len(F._TABLE)
+            banks = [S.CompiledBank(fs + forbidden, "sdl"), S.CompiledBank(fs + monadic, "e")]
+            assert len(F._TABLE) == before and all(len(b.ops) > 8_000 for b in banks)
+        finally:
+            gc.enable()
+
+    def test_an_sdl_dyadic_obligation_is_named_first(self):
+        """As when every input was desugared before compiling: the dyadic
+        obligation is reported before a variable or quantifier met first."""
+        px = F.Atom("P", (F.Var("x"),))
+        for fs in ([px, F.Oblig(P, Q)], [F.Forall("x", px), F.Box(F.Oblig(P, Q))]):
+            with pytest.raises(S.SemanticsError) as err:
+                S.CompiledBank(fs, "sdl")
+            assert str(err.value) == "dyadic obligation is not part of the SDL language"
 
     def test_first_rejected_node_top_down(self):
         """A quantifier is named before the variable it binds."""
