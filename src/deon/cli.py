@@ -717,7 +717,7 @@ def _leaf(run: Callable, *params: Param) -> Command:
 HELP = Param("help", "--help", None, False, help="Show this message and exit.")
 TEXT = Param("text")
 KBFILE = Param("kbfile", kind="PATH")
-LOGIC = Param("logic", "--logic", ("sdl", "e"), "e", True)
+LOGIC = Param("logic", "--logic", tuple(F.LOGICS), "e", True)
 FRAME = Param("frame", "--frame", default="", help="comma list: serial,reflexive,total,transitive")
 BOUND = Param("bound", "--bound", "INTEGER", 3, True, "maximum world count for bounded search")
 COMPLETE = Param("complete", "--complete", None, False, help="decide instead of bounding")
@@ -734,7 +734,7 @@ MAIN = Command("Deontic-logic workbench: SDL and system E over finite models.", 
     "check": _leaf(cmd_check, TEXT, *SEARCH, SIG, FORMAT),
     "model": _leaf(cmd_model, Param("texts", many=True), *SEARCH, SIG, FORMAT),
     "translate": _leaf(cmd_translate, TEXT,
-                       Param("logic", "--logic", ("sdl", "e"), "sdl", True,
+                       Param("logic", "--logic", tuple(F.LOGICS), "sdl", True,
                              "sdl demonstrates the guarded standard translation"),
                        Param("local", "--local", None, False,
                              help="local validity at the actual world"),

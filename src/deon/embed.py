@@ -126,33 +126,30 @@ def _neg(a: L.LTerm) -> L.LTerm:
     return L.App(NOT_PW, a)
 
 
-# Per logic, each operator's embedding as a function of its operands'.
+# Per logic, each primitive operator's embedding as a function of its
+# operands', and dia's (`--show-steps` shows it); the rest go by their rules.
 _PW = {F.Not: _neg, F.And: lambda a, b: L.app(AND_PW, a, b),
        F.Or: lambda a, b: L.app(OR_PW, a, b), F.Implies: lambda a, b: L.app(IMP_PW, a, b),
        F.Iff: lambda a, b: L.app(IFF_PW, a, b)}
-_OPS = {"sdl": {**_PW, F.Box: lambda a: L.App(SDL_BOX, a), F.Dia: lambda a: L.App(SDL_DIA, a),
-                F.ObligM: lambda a: L.App(SDL_BOX, a),
-                F.Perm: lambda a: _neg(L.App(SDL_BOX, _neg(a))),
-                F.Forb: lambda a: L.App(SDL_BOX, _neg(a))},
+_OPS = {"sdl": {**_PW, F.ObligM: lambda a: L.App(SDL_BOX, a),
+                F.Dia: lambda a: L.App(SDL_DIA, a)},
         "e": {**_PW, F.Box: lambda a: L.App(E_BOX, a), F.Dia: lambda a: L.App(E_DIA, a),
-              F.Oblig: lambda body, cond: L.app(E_OBLIG, body, cond),
-              F.ObligM: lambda a: L.app(E_OBLIG, a, _TOP_E),
-              F.Perm: lambda a: _neg(L.app(E_OBLIG, _neg(a), _TOP_E)),
-              F.Forb: lambda a: L.app(E_OBLIG, _neg(a), _TOP_E)}}
+              F.Oblig: lambda body, cond: L.app(E_OBLIG, body, cond)}}
 
 
 def embed(f: F.Formula, logic: str) -> L.LTerm:
-    """The embedding of f in SDL if logic is "sdl", else in system E,
-    unnormalized, by one fold over its distinct subformulas.  It needs no
-    type check of its own, since every node is checked as it is built.
-    It has type i>o: every combinator above is closed and well typed and
-    takes arguments of type i>o; the quantifier combinators instead take
-    a lambda over an individual whose body is an embedding; and an atom's
+    """The embedding of f in the logic, unnormalized, by one fold over its
+    distinct subformulas, in which a derived node other than dia folds
+    its rule (`F.LOGICS`) over its child's term.  It needs no type check
+    of its own, since every node is checked as it is built.  It has type
+    i>o: every combinator above is closed and well typed and takes
+    arguments of type i>o; the quantifier combinators instead take a
+    lambda over an individual whose body is an embedding; and an atom's
     constant takes its arity from the atom, so it is applied to exactly
     that many individual terms."""
     if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
-    F.check_logic(logic, EmbedError)
+    rules = F.check_logic(logic, EmbedError).rules
     ops = _OPS[logic]
 
     def visit(g: F.Formula, kids: list[L.LTerm]) -> L.LTerm:
@@ -162,16 +159,13 @@ def embed(f: F.Formula, logic: str) -> L.LTerm:
             comb = FORALL_PW if type(g) is F.Forall else EXISTS_PW
             return L.App(comb, L.Abs(g.var, L.I, kids[0]))
         build = ops.get(type(g))
-        if build is None and logic == "sdl" and type(g) is F.Oblig:
-            raise EmbedError("dyadic obligation is not part of the SDL language")
-        if build is None:
-            raise EmbedError(f"cannot embed {g!r}")
-        return build(*kids)
+        if build is not None:
+            return build(*kids)
+        if type(g) in rules:
+            return F.fold(rules[type(g)], visit, {F.CHILD: kids[0]})
+        raise EmbedError(F.SDL_DYADIC if type(g) is F.Oblig else f"cannot embed {g!r}")
 
     return F.fold(f, visit)
-
-
-_TOP_E = embed(F.TOP, "e")
 
 
 def vld(t: L.LTerm, mode: str = "global") -> L.LTerm:
@@ -351,9 +345,8 @@ _LOGICAL = frozenset({"not", "or", "and", "imp", "iff", "Pi"})
 _BINDER_NAME = re.compile(r"[vq]\d+")
 _AW = FOConst(AW.name)
 # where an occurrence stands, as `L.show` parenthesizes it: at the top of
-# a scope (0), as an operand (1), or as the operand of a negation that
-# has no node of its own (a derived operator's)
-_OPERAND, _NEGATED = 1, 2
+# a scope (0) or as an operand
+_OPERAND = 1
 
 
 def translation(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, FOFormula]:
@@ -370,7 +363,7 @@ def translation(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, FO
     binder (dia and exists as not Pi not) whose scope holds the operand
     at the new world or over the new individual; O{b | c} opens one for
     its worlds w and one more for the y below them, and holds c at both.
-    Derived operators are read as _OPS embeds them.  Soundness:
+    Derived operators are read as `embed` embeds them.  Soundness:
 
     - each rule is the beta-normal form of its combinator applied to
       beta-normal operands, since substituting a variable or the
@@ -433,17 +426,21 @@ def occurrences(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, li
         raise EmbedError(f"cannot embed {f!r}")
     if mode not in ("global", "local"):
         raise EmbedError(f"unknown validity mode {mode!r}")
-    F.check_logic(logic, EmbedError)
-    sdl, whole = logic == "sdl", mode == "global"
-    text, program, names = _occurrences(f, sdl, whole, frozenset())
+    lg, whole = F.check_logic(logic, EmbedError), mode == "global"
+    text, program, names = _occurrences(f, lg, whole, frozenset())
     if any(_BINDER_NAME.fullmatch(n) for n in names):
-        text, program, _ = _occurrences(f, sdl, whole, names)
+        text, program, _ = _occurrences(f, lg, whole, names)
     return text, program
 
 
-def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
-    """Pass 1 of `translation`, with binder names primed against avoid:
-    the normal form's text, the first-order program and f's free names."""
+def _occurrences(f: F.Formula, lg: F.Logic, whole: bool, avoid: frozenset | set):
+    """Pass 1 of `translation` in the logic lg, with binder names primed
+    against avoid: the normal form's text, the first-order program and
+    f's free names.  A derived node is walked as its rule, with `F.CHILD`
+    bound in the env to the node's child and its own env, in which the
+    child is walked; dia in a serial logic keeps a case of its own, as
+    its combinator's normal form is not its rule's."""
+    rules, modal, child = lg.rules, lg.modal, F.CHILD
     fo_avoid = avoid | {n.replace("_", "'") for n in avoid}  # as `lower` avoids them
     text: list[str] = []
     program: list = []
@@ -549,15 +546,14 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
             text.append(item)
             continue
         g, d, w, env, ctx = item
-        if ctx == _NEGATED:
-            negate()
-            text.append("¬")
-            ctx = _OPERAND
         t = type(g)
-        while t is F.Not:
-            negate()
-            text.append("¬")
-            g, ctx = g.sub, _OPERAND
+        while t is F.Not or g is child and g in env:
+            if t is F.Not:
+                negate()
+                text.append("¬")
+                g, ctx = g.sub, _OPERAND
+            else:  # a rule's operand, in the env of its operator
+                g, env = env[g]
             t = type(g)
         if t is F.Atom:
             head, args = atom(g, env)
@@ -571,7 +567,7 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
                 text.append("(")
                 stack.append(")")
             stack += [(g.right, d, w, env, _OPERAND), op, (g.left, d, w, env, _OPERAND)]
-        elif t is F.Forall or t is F.Exists or not sdl and (t is F.Box or t is F.Dia):
+        elif t is F.Forall or t is F.Exists or modal.get(t) == "boxe":
             if t is F.Box and type(g.sub) is F.Atom:
                 eta(g.sub, d, env, ctx)
                 continue
@@ -586,42 +582,33 @@ def _occurrences(f: F.Formula, sdl: bool, whole: bool, avoid: frozenset | set):
                 negate()
                 text.append(f"¬Π(λ{v}. ¬")
                 stack += [")", (*scope, _OPERAND)]
-        elif sdl and (t is F.Box or t is F.ObligM or t is F.Forb or t is F.Perm):
-            if t is F.Perm:  # not box not
-                negate()
-                text.append("¬")
+        elif modal.get(t) == "boxs":
             v = bind(d)
             program += [FOOr, FONot]
             text.append(f"Π(λ{v}. ¬({relation(R_ACC.name, w, d)}) ∨ ")
-            negated = t is F.Forb or t is F.Perm
-            stack += [")", (g.sub, d + 1, d, env, _NEGATED if negated else _OPERAND)]
-        elif sdl and t is F.Dia:
+            stack += [")", (g.sub, d + 1, d, env, _OPERAND)]
+        elif t is F.Dia and lg.serial:
             negate()
             v = bind(d)
             negate()
             program.append(FOAnd)
             text.append(f"¬Π(λ{v}. ¬(({relation(R_ACC.name, w, d)}) ∧ ")
             stack += ["))", (g.sub, d + 1, d, env, _OPERAND)]
-        elif sdl and t is F.Oblig:
-            raise EmbedError("dyadic obligation is not part of the SDL language")
-        elif not sdl and (t is F.Oblig or t is F.ObligM or t is F.Forb or t is F.Perm):
-            if t is F.Perm:  # not O{not a | true}
-                negate()
-                text.append("¬")
-            body, cond = (g.body, g.cond) if t is F.Oblig else (g.sub, F.TOP)
-            negated = t is F.Forb or t is F.Perm
+        elif modal.get(t) == "oblig":
             text.append(f"Π(λ{bind(d)}. (")
             program += [FOImp, FOAnd]
-            stack += [")", (body, d + 1, d, env, _NEGATED if negated else _OPERAND),
-                      ("Rb", d, None, env, 0), (cond, d + 2, d + 1, env, _OPERAND),
-                      ("best", d, None, env, 0), (cond, d + 1, d, env, _OPERAND)]
+            stack += [")", (g.body, d + 1, d, env, _OPERAND),
+                      ("Rb", d, None, env, 0), (g.cond, d + 2, d + 1, env, _OPERAND),
+                      ("best", d, None, env, 0), (g.cond, d + 1, d, env, _OPERAND)]
+        elif t in rules:
+            stack.append((rules[t], d, w, {**env, child: (g.sub, env)}, ctx))
         elif g == "best":  # every c-world y: the second binder of O{b | c}
             text.append(f" ∧ Π(λ{bind(d + 1)}. ")
             program.append(FOImp)
         elif g == "Rb":
             text.append(f" → ({relation(R_BET.name, d, d + 1)}))) → ")
         else:
-            raise EmbedError(f"cannot embed {g!r}")
+            raise EmbedError(F.SDL_DYADIC if t is F.Oblig else f"cannot embed {g!r}")
     return "".join(text), program, names
 
 
@@ -652,8 +639,12 @@ def fo_eval(f: FOFormula, model: S._ModelBase, logic: str,
             env: dict[str, object] | None = None) -> bool:
     """Evaluate a closed lowered formula against a finite model: the
     world sort is the model's worlds, the individual sort its domain,
-    R/Rb its relation, and predicates its valuation."""
-    env = env or {}
+    R/Rb its relation, and predicates its valuation.  env, the values of
+    the enclosing binders, is given by the recursive calls; a top-level
+    call, without it, has its logic checked."""
+    if env is None:
+        F.check_logic(logic, EmbedError)
+        env = {}
 
     def term(t: FOTerm):
         if isinstance(t, FOVar):
@@ -777,8 +768,7 @@ def print_program(program: list, name: str = "goal", role: str = "conjecture",
     at its first entry, and pushes what it writes after its left operand
     (a list) and at its end (a tuple), in both syntaxes, which an atom
     pops up to the next list."""
-    if logic is not None:
-        F.check_logic(logic, EmbedError)
+    serial = logic is not None and F.check_logic(logic, EmbedError).serial
     show: list[str] = []
     tptp: list[str] = []
     sorts: set[str] = set()
@@ -837,11 +827,11 @@ def print_program(program: list, name: str = "goal", role: str = "conjecture",
                 stack += (_END[wrap], _TEXT[e])
             wrap = 1
     lines = []
-    if WORLD in sorts or logic == "sdl":
+    if WORLD in sorts or serial:
         lines.append("fof(world_nonempty, axiom, ? [W] : world(W)).")
     if INDIV in sorts:
         lines.append("fof(indiv_nonempty, axiom, ? [X] : indiv(X)).")
-    if logic == "sdl":
+    if serial:
         lines.append("fof(seriality, axiom, ! [W] : (world(W) => "
                      "(? [V] : (world(V) & r(W,V))))).")
     lines.append(f"fof({name}, {role}, {''.join(tptp)}).")
@@ -854,6 +844,6 @@ def fo_show(f: FOFormula) -> str:
 
 def emit_tptp(f: FOFormula, name: str, role: str, logic: str | None = None) -> str:
     """A complete TPTP FOF problem: sort nonemptiness axioms for the
-    sorts the formula quantifies over, the SDL seriality axiom when
-    logic is sdl, then the formula itself under the given name/role."""
+    sorts the formula quantifies over, the seriality axiom when logic is
+    serial (sdl), then the formula itself under the given name/role."""
     return print_program(_program(f), name, role, logic)[1]

@@ -56,10 +56,11 @@ class FormulaError(Exception):
     """Malformed signature, term or formula."""
 
 
-def check_logic(logic: str, error: type[Exception] = FormulaError) -> None:
-    """Raise ``error`` unless logic is one the decision procedures know."""
-    if logic not in ("sdl", "e"):
-        raise error(f"unknown logic {logic!r}")
+def check_logic(logic: str, error: type[Exception] = FormulaError) -> Logic:
+    """The record of logic in `LOGICS`; ``error`` if there is none."""
+    if isinstance(logic, str) and logic in LOGICS:
+        return LOGICS[logic]
+    raise error(f"unknown logic {logic!r}")
 
 
 class ParseError(FormulaError):
@@ -395,19 +396,31 @@ def ground(f: Formula, domain: Iterable[str | Const]) -> Formula:
     return fold(f, visit)
 
 
-# Each logic's derived operators -> their rewrite over CHILD, the place of
-# the operand, which is each rule's leftmost leaf; nodes of any other class
-# keep their class.  No signature declares CHILD's empty name.
+# The place of a rule's operand, which is each rule's leftmost leaf.  No
+# signature declares its empty name.
 CHILD = Atom("")
-DESUGAR = {
-    "sdl": {Box: ObligM(CHILD),
-            Dia: Not(ObligM(Not(CHILD))),
-            Perm: Not(ObligM(Not(CHILD))),
-            Forb: ObligM(Not(CHILD))},
-    "e": {Dia: Not(Box(Not(CHILD))),
-          ObligM: Oblig(CHILD, TOP),
-          Perm: Not(Oblig(Not(CHILD), TOP)),
-          Forb: Oblig(Not(CHILD), TOP)},
+
+
+class Logic(NamedTuple):
+    """All that sets a logic apart, so that no module compares names."""
+
+    name: str
+    rules: Mapping[type, Formula]  # each derived operator's rewrite over CHILD
+    modal: Mapping[type, str]  # each primitive modal class's op tag (semantics)
+    serial: bool  # serial Kripke models; else preference models
+
+
+LOGICS = {
+    "sdl": Logic("sdl", {Box: ObligM(CHILD),
+                         Dia: Not(ObligM(Not(CHILD))),
+                         Perm: Not(ObligM(Not(CHILD))),
+                         Forb: ObligM(Not(CHILD))},
+                 {ObligM: "boxs"}, True),
+    "e": Logic("e", {Dia: Not(Box(Not(CHILD))),
+                     ObligM: Oblig(CHILD, TOP),
+                     Perm: Not(Oblig(Not(CHILD), TOP)),
+                     Forb: Oblig(Not(CHILD), TOP)},
+               {Box: "boxe", Oblig: "oblig"}, False),
 }
 SDL_DYADIC = "dyadic obligation is not part of the SDL language"
 
@@ -417,16 +430,15 @@ def desugar(f: Formula, logic: str) -> Formula:
 
     SDL: box/dia/P/F reduce to monadic O.  E: monadic O/P/F reduce to
     the dyadic operator, dia to ~box~.  One `fold`, which rebuilds a
-    derived node's rule in `DESUGAR` over its child's form; the compiler
-    reads the rules itself (`semantics.CompiledBank`).
+    derived node's rule in the logic's `rules` over its child's form;
+    the compiler reads the rules itself (`semantics.CompiledBank`).
     """
-    check_logic(logic)
-    rules = DESUGAR[logic]
+    lg = check_logic(logic)
 
     def visit(g: Formula, kids: list[Formula]) -> Formula:
-        if logic == "sdl" and type(g) is Oblig:
+        if type(g) is Oblig and Oblig not in lg.modal:
             raise FormulaError(SDL_DYADIC)
-        rule = rules.get(type(g))
+        rule = lg.rules.get(type(g))
         return fold(rule, _rebuild, {CHILD: kids[0]}) if rule else _rebuild(g, kids)
 
     return fold(f, visit)
@@ -620,15 +632,12 @@ _INFIX = {"<->": (_PREC_IFF, Iff, _PREC_IFF), "->": (_PREC_IMP, Implies, _PREC_I
           "|": (_PREC_OR, Or, _PREC_OR), "&": (_PREC_AND, And, _PREC_AND)}
 
 
-def _oblig_top(sub: Formula) -> Formula:
-    return Oblig(sub, TOP)
-
-
 def parse(text: str, sig: Signature, logic: str = "e") -> Formula:
     """Parse text against a signature.
 
-    logic selects the obligation sublanguage: in "e" the monadic O is
-    sugar for O{.|true}; in "sdl" the dyadic O{...} is rejected.
+    logic selects the obligation sublanguage from its record: in "e"
+    the monadic O is read through its rule, as O{.|true}; in "sdl",
+    whose `modal` has no dyadic O, O{...} is rejected.
 
     The text is folded first (`tokens` with a group table, `_fold`):
     each group whose text repeats is cut into tokens once, and each of
@@ -686,7 +695,9 @@ def _read(text: str, toks: list[str], groups: dict[str, list[str]], sig: Signatu
     unfolded.
     """
     preds, consts = sig.predicates, sig.constants
-    monadic_o = ObligM if logic == "sdl" else _oblig_top
+    lg = LOGICS[logic]
+    rule = lg.rules.get(ObligM)  # E's monadic O is read through its rule
+    monadic_o = ObligM if rule is None else lambda sub: fold(rule, _rebuild, {CHILD: sub})
     braces = _brackets(toks, True)[1] if "{" in text else None
     end = close = len(toks) - 1  # the end of input, and where it is placed
     scope: list[str] = []  # bound variables, innermost last
@@ -711,7 +722,7 @@ def _read(text: str, toks: list[str], groups: dict[str, list[str]], sig: Signatu
         op = _PREFIX.get(t)
         if op is None and t in SOFT_KEYWORDS and not (t in preds or t in consts or t in scope):
             if t == "O" and toks[i + 1] == "{":
-                if logic == "sdl":
+                if Oblig not in lg.modal:
                     raise fail("dyadic obligation O{...} requires logic e", i)
                 pipe, shut = braces[i + 1]
                 if shut is None or shut >= end:

@@ -96,7 +96,7 @@ def load_kb(text: str) -> KnowledgeBase:
     individuals: list[str] = []
     known: set[str] = set()  # the individuals, for the duplicate check
     norm_lines: list[tuple[int, str]] = []  # each with its leading blanks
-    fact_lines: list[tuple[int, str]] = []
+    fact_lines: list[tuple[int, str]] = []  # each with its leading blanks
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
@@ -129,7 +129,7 @@ def load_kb(text: str) -> KnowledgeBase:
         elif section == "norms":
             norm_lines.append((lineno, code))
         elif section == "facts":
-            fact_lines.append((lineno, line))
+            fact_lines.append((lineno, code))
         else:
             raise KBError("content before any section header", lineno)
 
@@ -150,9 +150,9 @@ def load_kb(text: str) -> KnowledgeBase:
         seen_ids.add(nid)
         # Parsed in place, so that an error names its column in the line:
         # one line "forall b." per binder b, with b at its own column (at
-        # least 8, as "forall " comes before it), then the O{...} at its
-        # own.  Only the binders are variables: a loose one is an unknown
-        # constant.
+        # least 8, as "forall " comes before it), then the norm at its own,
+        # read as O{...}: an error at its kind letter names the kind.  Only
+        # the binders are variables: a loose one is an unknown constant.
         at = m.start("binders")
         placed = [(b.group(), at + b.start()) for b in _NAME_RE.finditer(m.group("binders") or "")]
         binders = tuple(b for b, _ in placed)
@@ -162,7 +162,10 @@ def load_kb(text: str) -> KnowledgeBase:
         try:
             core = F.parse("\n".join(wrapped), sig, logic="e")
         except F.ParseError as ex:
-            raise KBError(f"in norm {nid}: column {ex.col}: {ex.message}", lineno) from ex
+            msg = ex.message
+            if (ex.line, ex.col) == (len(wrapped), kind + 1):
+                msg = msg.replace("O{", m.group("kind") + "{")
+            raise KBError(f"in norm {nid}: column {ex.col}: {msg}", lineno) from ex
         for _ in binders:
             core = core.body
         body, cond = core.body, core.cond
@@ -173,9 +176,9 @@ def load_kb(text: str) -> KnowledgeBase:
     facts: list[F.Formula] = []
     for lineno, line in fact_lines:
         try:
-            f = F.parse(line, sig, logic="e")
+            f = F.parse(line, sig, logic="e")  # in place, for the column
         except F.ParseError as ex:
-            raise KBError(str(ex), lineno) from ex
+            raise KBError(f"column {ex.col}: {ex.message}", lineno) from ex
         _boolean_only(f, "fact", lineno)
         if not F.is_ground(f):
             raise KBError("facts must be ground", lineno)
@@ -199,9 +202,9 @@ def _instances(norm: Norm, individuals: tuple[str, ...]):
 
 
 def _render_norm(norm: Norm, suffix: str, body: F.Formula, cond: F.Formula,
-                 logic: str) -> list[Labeled]:
+                 lg: F.Logic) -> list[Labeled]:
     label = norm.id + suffix
-    if logic == "e":
+    if F.Oblig in lg.modal:  # the logic has the dyadic obligation
         if norm.kind == "obligation":
             out = F.Oblig(body, cond)
         elif norm.kind == "prohibition":
@@ -226,13 +229,13 @@ def _render_norm(norm: Norm, suffix: str, body: F.Formula, cond: F.Formula,
 
 def ground_kb(kb: KnowledgeBase, logic: str) -> list[Labeled]:
     """Expand norms over the individuals and render for the logic."""
-    F.check_logic(logic, KBError)
+    lg = F.check_logic(logic, KBError)
     out: list[Labeled] = []
     for norm in kb.norms:
         for suffix, body, cond in _instances(norm, kb.individuals):
-            out.extend(_render_norm(norm, suffix, body, cond, logic))
+            out.extend(_render_norm(norm, suffix, body, cond, lg))
     for i, fact in enumerate(kb.facts, start=1):
-        rendered = F.Box(fact) if logic == "e" else fact
+        rendered = F.Box(fact) if F.Box in lg.modal else fact  # a global box settles it
         out.append(Labeled(f"fact{i}", rendered))
     return out
 

@@ -173,9 +173,10 @@ def _require_ground(fs) -> None:
 
 
 def _check_cfg(cfg: SearchConfig) -> None:
-    if cfg.logic == "sdl" and not (cfg.frame.none() or cfg.frame.flags() == ("serial",)):
+    serial = F.LOGICS[cfg.logic].serial
+    if serial and not (cfg.frame.none() or cfg.frame.flags() == ("serial",)):
         raise SearchError("SDL search supports only the (implied) serial frame")
-    if cfg.complete and cfg.logic == "e" and not cfg.frame.none():
+    if cfg.complete and not serial and not cfg.frame.none():
         raise SearchError("complete mode decides the unrestricted frame only")
 
 
@@ -246,9 +247,10 @@ def _canonical_relations(n: int, cfg: SearchConfig, budget: _Budget,
     """
     enum = _Enum(n, budget)
     full = (1 << n) - 1
+    serial = F.LOGICS[cfg.logic].serial
     for rel in range(1 << (n * n)):
         rows = tuple((rel >> (s * n)) & full for s in range(n))
-        if cfg.logic == "sdl" and not all(rows):
+        if serial and not all(rows):
             continue
         if not cfg.frame.none():
             ok = S.frame_holds(n, rows, cfg.frame)
@@ -275,7 +277,7 @@ def _lane_column(q: int, n: int, count: int) -> int:
 
 def _model(logic: str, n: int, rows: tuple[int, ...], atoms, vals):
     """The public model object for a raw candidate, over its atoms' constants."""
-    cls = S.KripkeModel if logic == "sdl" else S.PreferenceModel
+    cls = S.KripkeModel if F.LOGICS[logic].serial else S.PreferenceModel
     relation = [(s, t) for s in range(n) for t in S._bits(rows[s])]
     return cls(n, relation, {a: list(S._bits(v)) for a, v in zip(atoms, vals)},
                {c for _, args in atoms for c in args})
@@ -461,7 +463,7 @@ def _exact_e(bank: S.CompiledBank, globals_at, locals_, budget: _Budget):
                     for w, (j, _) in enumerate(witnesses, len(base_types)))):
         raise SearchError("internal error: a chosen world type fails the compiled check")
     rows = [0] * len(base_types) + [tm[obls[j][1]] for j, _ in witnesses]
-    return _model("e", n, rows, bank.atoms, vals), local_worlds
+    return _model(bank.logic, n, rows, bank.atoms, vals), local_worlds
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,7 @@ def _exact_sdl(bank: S.CompiledBank, globals_at, locals_, budget: _Budget,
     if not (all(tm[g] == (1 << n) - 1 for g in gs)
             and all((tm[abs(l) - 1] >> w & 1) == (l > 0) for l, w in zip(ls, local_worlds))):
         raise SearchError("internal error: a closed type set fails the compiled check")
-    return _model("sdl", n, rows, bank.atoms, vals), local_worlds
+    return _model(bank.logic, n, rows, bank.atoms, vals), local_worlds
 
 
 def _quickxplain(items, refuted) -> list:
@@ -696,7 +698,7 @@ def _search(bank: S.CompiledBank, n: int, cfg: SearchConfig):
     goal = len(bank.roots) > n
     if not cfg.complete:
         return _bounded_scan(bank, n, cfg, budget, cfg.max_worlds)
-    exact = _exact_sdl if cfg.logic == "sdl" else _exact_e
+    exact = _exact_sdl if F.LOGICS[cfg.logic].serial else _exact_e
     got = exact(bank, range(n), [(n, False)] if goal else [], budget)
     if got is None:
         return None
@@ -758,12 +760,12 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
     schema is still valid.
     """
     _require_ground([schema])
-    if cfg.logic != "e":
+    if F.LOGICS[cfg.logic].serial:
         raise SearchError("correspondence probes run over preference models")
     if frame.none():
         raise SearchError("correspondence needs at least one frame condition")
-    bank = S.CompiledBank([schema], "e")
-    probe_cfg = SearchConfig(logic="e", frame=frame, max_worlds=cfg.max_worlds,
+    bank = S.CompiledBank([schema], cfg.logic)
+    probe_cfg = SearchConfig(logic=cfg.logic, frame=frame, max_worlds=cfg.max_worlds,
                              node_budget=cfg.node_budget)
 
     def probe(n_valid, frame_mode):
@@ -800,7 +802,7 @@ def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
     if not cfg.complete:
         raise SearchError("minimal_unsat_subset needs complete mode")
     bank = _compile(fs, cfg)
-    exact = partial(_exact_sdl, reflexive=True) if cfg.logic == "sdl" else _exact_e
+    exact = partial(_exact_sdl, reflexive=True) if F.LOGICS[cfg.logic].serial else _exact_e
 
     def refuted(positions) -> bool:
         return exact(bank, sorted(positions), (), _Budget(cfg.node_budget)) is None

@@ -216,11 +216,10 @@ class Evaluator:
     a bank given already compiled seeds the memo with one run."""
 
     def __init__(self, model: _ModelBase, logic: str, bank: CompiledBank | None = None):
-        F.check_logic(logic, SemanticsError)
-        if logic == "sdl" and not isinstance(model, KripkeModel):
-            raise SemanticsError("logic sdl evaluates over Kripke models")
-        if logic == "e" and not isinstance(model, PreferenceModel):
-            raise SemanticsError("logic e evaluates over preference models")
+        serial = F.check_logic(logic, SemanticsError).serial
+        if not isinstance(model, KripkeModel if serial else PreferenceModel):
+            raise SemanticsError(f"logic {logic} evaluates over "
+                                 f"{'Kripke' if serial else 'preference'} models")
         if bank is not None and bank.logic != logic:
             raise SemanticsError(f"a bank of logic {bank.logic} cannot evaluate {logic}")
         self.model = model
@@ -290,7 +289,8 @@ class CompiledBank:
     The formulas are compiled as given, in one post-order fold over them
     all (children left to right; a node met again keeps its slot), into
     an array of ops, children before parents.  A primitive node becomes
-    one op; a derived one compiles its rewrite rule (``F.DESUGAR``)
+    one op, tagged by the logic's ``modal`` if it is modal; a derived
+    one compiles its rewrite rule (the logic's ``rules``, ``F.LOGICS``)
     with the placeholder ``F.CHILD`` bound to its child's slot.  Ops are
     interned by their tuple, so the array is that of the desugared
     formulas compiled one op per node, in the same order: each rule
@@ -313,12 +313,12 @@ class CompiledBank:
     """
 
     def __init__(self, formulas: Iterable[F.Formula], logic: str):
-        F.check_logic(logic, SemanticsError)
+        lg = F.check_logic(logic, SemanticsError)
         self.logic = logic
         self.formulas = tuple(formulas)
-        tags = {F.Not: "not", F.And: "and", F.Or: "or", F.Implies: "imp", F.Iff: "iff"}
-        tags.update({F.ObligM: "boxs"} if logic == "sdl" else {F.Box: "boxe", F.Oblig: "oblig"})
-        rules = F.DESUGAR[logic]
+        tags = {F.Not: "not", F.And: "and", F.Or: "or", F.Implies: "imp", F.Iff: "iff",
+                **lg.modal}
+        rules = lg.rules
         slot: dict[tuple, int] = {}  # the ops, interned
         intern = slot.setdefault
 
@@ -354,7 +354,7 @@ class CompiledBank:
         self.atoms: tuple[AtomKey, ...] = tuple(sorted({op[1] for op in slot if op[0] == "atom"}))
         index = {a: i for i, a in enumerate(self.atoms)}
         self.ops = tuple(("atom", index[op[1]]) if op[0] == "atom" else op for op in slot)
-        self.modal = tuple(i for i, op in enumerate(self.ops) if op[0] in ("boxs", "boxe", "oblig"))
+        self.modal = tuple(i for i, op in enumerate(self.ops) if op[0] in lg.modal.values())
 
     def run(self, n: int, rows: tuple[int, ...], vals, modal=None,
             valid: int = 0, lanes: int = 1) -> list[int] | None:

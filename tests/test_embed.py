@@ -171,9 +171,11 @@ class TestNormalFormBuilder:
         F.And(F.Atom("v0"), F.And(F.Atom("v0_"), F.Box(F.Atom("q1")))),
         F.Atom("q0"),
         F.Forall("v0", F.Box(F.Atom("P1", (F.Var("v0"),)))),
+        # an atom named as the rules' placeholder, F.CHILD, is read as an atom
+        F.Perm(F.Forb(F.And(F.CHILD, F.Box(F.CHILD)))),
     ], ids=["shadowing", "free", "free-z", "primed", "eta-const", "eta-var", "atom",
             "nested-conditions", "exists-through-vacuous", "perm-box-dia", "binder-names",
-            "q0", "bound-v0"])
+            "q0", "bound-v0", "placeholder"])
     def test_hand_cases(self, f):
         for logic in ("sdl", "e"):
             if logic == "sdl" and F.Oblig in map(type, F.subformulas(f)):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deon import cli
 from deon import embed as E
 from deon import formula as F
 from deon import kb as K
@@ -298,7 +301,7 @@ class TestDesugar:
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_one_form_per_node(self, logic):
         rng = random.Random(21)
-        derived = F.DESUGAR[logic]
+        derived = F.LOGICS[logic].rules
         for _ in range(500):
             f = gen_formula(rng, logic, rng.randint(0, 5), quantifiers=rng.random() < 0.3)
             g = F.desugar(f, logic)
@@ -334,6 +337,7 @@ _TAKES_A_LOGIC = {
         E.occurrences(_BOX_P, "e")[1], "goal", "conjecture", lg)),
     "emit_tptp": (E.EmbedError, lambda lg: E.emit_tptp(
         E.translate(_BOX_P, "e"), "goal", "conjecture", lg)),
+    "fo_eval": (E.EmbedError, lambda lg: E.fo_eval(E.translate(_BOX_P, "e"), _ONE_WORLD, lg)),
 }
 
 
@@ -348,6 +352,59 @@ class TestUnknownLogic:
         error, call = _TAKES_A_LOGIC[name]
         with pytest.raises(error, match=f"^unknown logic {re.escape(repr(logic))}$"):
             call(logic)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "deon"
+
+
+def logic_name_tests(path: Path) -> list[str]:
+    """"file:line" of each ==, !=, in or not in in the file that has the
+    string "sdl" or "e" as an operand, or inside a literal tuple, list or
+    set operand."""
+    def names(x: ast.expr) -> bool:
+        return (isinstance(x, ast.Constant) and x.value in ("sdl", "e")
+                or isinstance(x, (ast.Tuple, ast.List, ast.Set)) and any(map(names, x.elts)))
+
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) and (names(a) or names(b))
+                   for op, a, b in zip(node.ops, operands, operands[1:])):
+                found.add(f"{path.name}:{node.lineno}")
+    return sorted(found)
+
+
+class TestLogicRecords:
+    """What sets a logic apart is its record in F.LOGICS: no module
+    compares a logic's name, and the CLI offers the table's logics."""
+
+    def test_no_module_compares_a_logic_name(self):
+        assert [hit for path in sorted(SRC.glob("*.py")) for hit in logic_name_tests(path)] == []
+
+    def test_the_scan_finds_each_comparison(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text('a == "sdl"\nif "e" != b.logic: pass\nc in ("sdl", "e")\n'
+                       'd not in ["x", "e"]\n0 < x == "e"\n'
+                       'e == "sd"\nf in {"e": 1}\ng = "sdl"\nh("e")\n', encoding="utf-8")
+        assert logic_name_tests(src) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]
+
+    def test_the_logic_choices_are_the_table(self):
+        params, stack = [], [cli.MAIN]
+        while stack:
+            cmd = stack.pop()
+            params += [p for p in cmd.params if p.dest == "logic"]
+            stack += (cmd.commands or {}).values()
+        assert len(params) >= 2 and all(p.kind == tuple(F.LOGICS) for p in params)
+
+    def test_each_derived_operator_is_defined_once(self):
+        # by its rule; only dia keeps an embedding of its own too
+        for name, lg in F.LOGICS.items():
+            assert set(E._OPS[name]) & set(lg.rules) == {F.Dia}
+
+    def test_each_record_is_filed_under_its_name(self):
+        assert {name: lg.name for name, lg in F.LOGICS.items()} == {"sdl": "sdl", "e": "e"}
+        assert all(F.check_logic(name) is lg for name, lg in F.LOGICS.items())
 
 
 class TestTokenize:

@@ -75,12 +75,29 @@ class TestLoad:
         ("n1: O{ s(a) | true }", "column 8: unknown predicate 's'"),
         ("  n1: O{ s(a) | true }", "column 10: unknown predicate 's'"),
         ("n1: O{ r(x, x) | true } forall x, x", "column 35: variable 'x' already bound"),
+        # an error at the norm's own brace names its kind; an inner O{...} keeps its own
+        ("n1: F{ r(a, a) | r( }", "column 5: unterminated F{...}"),
+        ("n1: P{ r(a, a) | r( }", "column 5: unterminated P{...}"),
+        ("n1: P{ r(a, a) }", "column 5: P{...} needs a '|' separating body and condition"),
+        ("n1: F{ O{ r(a, a) } | true }", "column 8: O{...} needs a '|' separating body "
+                                         "and condition"),
     ])
     def test_a_norm_error_names_its_column_in_the_line(self, norm, error):
         text = "[signature]\npred r/2\n[individuals]\na\n[norms]\n" + norm + "\n"
         with pytest.raises(KB.KBError) as err:
             KB.load_kb(text)
         assert str(err.value) == f"line 6: in norm n1: {error}"
+
+    @pytest.mark.parametrize("fact, error", [
+        ("   q", "column 4: unknown predicate 'q'"),
+        ("r(a, a) & \tr(a, b)", "column 17: unknown constant 'b'"),
+        ("  r(a, a) | # a comment", "column 13: expected a formula, found 'end of input'"),
+    ])
+    def test_a_fact_error_names_its_column_in_the_line(self, fact, error):
+        text = "[signature]\npred r/2\n[individuals]\na\n[facts]\n" + fact + "\n"
+        with pytest.raises(KB.KBError) as err:
+            KB.load_kb(text)
+        assert str(err.value) == f"line 6: {error}"
 
     def test_error_carries_line(self):
         with pytest.raises(KB.KBError, match="line 3"):
