@@ -436,10 +436,16 @@ def occurrences(f: F.Formula, logic: str, mode: str = "global") -> tuple[str, li
 def _occurrences(f: F.Formula, lg: F.Logic, whole: bool, avoid: frozenset | set):
     """Pass 1 of `translation` in the logic lg, with binder names primed
     against avoid: the normal form's text, the first-order program and
-    f's free names.  A derived node is walked as its rule, with `F.CHILD`
-    bound in the env to the node's child and its own env, in which the
-    child is walked; dia in a serial logic keeps a case of its own, as
-    its combinator's normal form is not its rule's."""
+    f's free names.  A derived node is walked as its rule, and pushes the
+    pair of its child and its env on ``pending``; the rule's `F.CHILD`
+    pops it and walks the child in that env.  That is sound because each
+    rule of `F.LOGICS` holds `F.CHILD` once, outside any `Oblig`
+    condition (which the walk visits twice), and no derived node: a rule
+    entered meets its `F.CHILD` before any other rule is entered, and
+    ``pending`` is empty whenever a node of f is walked, so an atom of f
+    with the placeholder's name reads as an atom.  Dia in a serial logic
+    keeps a case of its own, as its combinator's normal form is not its
+    rule's."""
     rules, modal, child = lg.rules, lg.modal, F.CHILD
     fo_avoid = avoid | {n.replace("_", "'") for n in avoid}  # as `lower` avoids them
     text: list[str] = []
@@ -450,6 +456,7 @@ def _occurrences(f: F.Formula, lg: F.Logic, whole: bool, avoid: frozenset | set)
     atoms: dict = {}  # per atom: the text of its head, its FO arguments if closed
     free: dict[str, list] = {}  # per free individual variable, an entry like a binder's
     etas: dict[int, list] = {}  # the eta-contracted binder by depth
+    pending: list = []  # (child, env) of each rule entered, until its CHILD
     count = 0
 
     def bind(d: int) -> str:
@@ -547,13 +554,13 @@ def _occurrences(f: F.Formula, lg: F.Logic, whole: bool, avoid: frozenset | set)
             continue
         g, d, w, env, ctx = item
         t = type(g)
-        while t is F.Not or g is child and g in env:
+        while t is F.Not or g is child and pending:
             if t is F.Not:
                 negate()
                 text.append("¬")
                 g, ctx = g.sub, _OPERAND
             else:  # a rule's operand, in the env of its operator
-                g, env = env[g]
+                g, env = pending.pop()
             t = type(g)
         if t is F.Atom:
             head, args = atom(g, env)
@@ -601,7 +608,8 @@ def _occurrences(f: F.Formula, lg: F.Logic, whole: bool, avoid: frozenset | set)
                       ("Rb", d, None, env, 0), (g.cond, d + 2, d + 1, env, _OPERAND),
                       ("best", d, None, env, 0), (g.cond, d + 1, d, env, _OPERAND)]
         elif t in rules:
-            stack.append((rules[t], d, w, {**env, child: (g.sub, env)}, ctx))
+            stack.append((rules[t], d, w, env, ctx))
+            pending.append((g.sub, env))
         elif g == "best":  # every c-world y: the second binder of O{b | c}
             text.append(f" ∧ Π(λ{bind(d + 1)}. ")
             program.append(FOImp)

@@ -253,14 +253,13 @@ class TaskResult:
 
 
 def consistency(kb: KnowledgeBase, cfg: SE.SearchConfig) -> TaskResult:
-    """Model search over the grounded set; in complete mode an
-    unsatisfiable outcome carries a minimal unsatisfiable core."""
+    """Model search over the grounded set; in complete mode an unsatisfiable
+    outcome carries the minimal core shrunk from the search's refutation."""
     labeled = ground_kb(kb, cfg.logic)
-    fs = [lf.formula for lf in labeled]
-    verdict = SE.find_model(fs, cfg)
+    verdict = SE.find_model([lf.formula for lf in labeled], cfg)
     mus = None
     if isinstance(verdict, SE.DecidedUnsatisfiable):
-        mus = tuple(labeled[j].label for j in SE.minimal_unsat_subset(fs, cfg))
+        mus = tuple(labeled[j].label for j in SE.minimal_unsat_subset(verdict, cfg))
     return TaskResult("consistency", verdict, tuple(lf.label for lf in labeled), mus)
 
 

@@ -5,7 +5,7 @@ increasing world count, then relation bits ascending, then valuation
 bits ascending, with non-canonical representatives under world
 permutation pruned away.  Candidates stay raw relation rows and
 valuation masks, run through one semantics.CompiledBank per search
-(shared by the exact procedure and the re-scan), and bit-parallel: one
+(shared by exact procedure, re-scan and MUS), and bit-parallel: one
 run decides a chunk of up to 2^CHUNK_BITS valuations of one relation,
 each in its own lane of the masks.  The hit is the least canonical lane
 that passes, and the chunk is charged what a loop over one candidate at
@@ -121,9 +121,10 @@ class NoModelUpTo:
 class DecidedUnsatisfiable:
     """The input has no model: by filtration it would have one of at
     most 2^subformulas worlds, subformulas being its number of distinct
-    subformulas."""
+    subformulas.  bank, neither compared nor printed, is the search's."""
 
     subformulas: int
+    bank: S.CompiledBank = field(compare=False, repr=False)
     tag = "unsatisfiable"
 
 
@@ -684,10 +685,13 @@ def _bounded_scan(bank: S.CompiledBank, n_valid: int, cfg: SearchConfig, budget:
 
 
 def _compile(fs: list[F.Formula], cfg: SearchConfig) -> S.CompiledBank:
-    """The one bank of a search's inputs, once they and cfg are checked."""
-    _require_ground(fs)
+    """The one bank of a search's inputs, once cfg is checked."""
     _check_cfg(cfg)
-    return S.CompiledBank(fs, cfg.logic)
+    try:
+        return S.CompiledBank(fs, cfg.logic)
+    except S.SemanticsError:  # the compiler is the ground check: word it as one
+        _require_ground(fs)
+        raise
 
 
 def _search(bank: S.CompiledBank, n: int, cfg: SearchConfig):
@@ -720,7 +724,7 @@ def find_model(fs, cfg: SearchConfig) -> Verdict:
     if found is not None:
         return ModelFound(found[0])
     if cfg.complete:
-        return DecidedUnsatisfiable(bank.subformulas)
+        return DecidedUnsatisfiable(bank.subformulas, bank)
     return NoModelUpTo(cfg.max_worlds)
 
 
@@ -759,14 +763,13 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
     the bound; (b) is there a model violating the frame in which the
     schema is still valid.
     """
-    _require_ground([schema])
     if F.LOGICS[cfg.logic].serial:
         raise SearchError("correspondence probes run over preference models")
-    if frame.none():
-        raise SearchError("correspondence needs at least one frame condition")
-    bank = S.CompiledBank([schema], cfg.logic)
     probe_cfg = SearchConfig(logic=cfg.logic, frame=frame, max_worlds=cfg.max_worlds,
                              node_budget=cfg.node_budget)
+    bank = _compile([schema], probe_cfg)  # names a non-ground schema first
+    if frame.none():
+        raise SearchError("correspondence needs at least one frame condition")
 
     def probe(n_valid, frame_mode):
         found = _bounded_scan(bank, n_valid, probe_cfg, _Budget(cfg.node_budget),
@@ -784,32 +787,29 @@ def correspondence(schema: F.Formula, frame: S.FrameConditions,
                                 counterexample is None, counterexample, witness)
 
 
-def minimal_unsat_subset(fs, cfg: SearchConfig) -> list[int]:
-    """A minimal unsatisfiable subset, found by QuickXplain.
+def minimal_unsat_subset(verdict: DecidedUnsatisfiable, cfg: SearchConfig) -> list[int]:
+    """A minimal unsatisfiable subset, found by QuickXplain from the
+    search's refutation: it shrinks the bank the verdict keeps.
 
-    Returns the core as ascending positions in fs (equal formulas are
-    one object, so only positions tell them apart).  QuickXplain runs
-    over the positions in reverse, so the core is the one a
-    front-to-back deletion loop keeps.  Its oracle only decides: the
-    complete procedure over the positions of one bank of fs, with no
-    canonical re-scan, each satisfiable answer re-checked by one
-    compiled run (SDL first tries a one-world reflexive model).
-    Requires complete mode and an input the oracle refutes; both the
-    result's unsatisfiability and the satisfiability of every
+    Returns the core as ascending positions in the refuted input (equal
+    formulas are one object, so only positions tell them apart).
+    QuickXplain runs over the positions in reverse, so the core is the
+    one a front-to-back deletion loop keeps.  Its oracle only decides:
+    the complete procedure of the bank's logic, with no canonical
+    re-scan, each satisfiable answer re-checked by one compiled run (SDL
+    first tries a one-world reflexive model) under cfg's node budget.
+    The core's unsatisfiability and the satisfiability of every
     one-element-removed subset are re-verified.
     """
-    fs = list(fs)
-    if not cfg.complete:
-        raise SearchError("minimal_unsat_subset needs complete mode")
-    bank = _compile(fs, cfg)
-    exact = partial(_exact_sdl, reflexive=True) if F.LOGICS[cfg.logic].serial else _exact_e
+    if not isinstance(verdict, DecidedUnsatisfiable):
+        raise SearchError("minimal_unsat_subset shrinks a DecidedUnsatisfiable input")
+    bank = verdict.bank
+    exact = partial(_exact_sdl, reflexive=True) if F.LOGICS[bank.logic].serial else _exact_e
 
     def refuted(positions) -> bool:
         return exact(bank, sorted(positions), (), _Budget(cfg.node_budget)) is None
 
-    if not refuted(range(len(fs))):
-        raise SearchError("minimal_unsat_subset expects an unsatisfiable input set")
-    core = sorted(_quickxplain(range(len(fs) - 1, -1, -1), refuted))
+    core = sorted(_quickxplain(range(len(bank.roots) - 1, -1, -1), refuted))
     if not refuted(core):
         raise SearchError("internal error: shrunken core is satisfiable")
     for i in range(len(core)):

@@ -330,8 +330,8 @@ class CompiledBank:
             if type(f) in rules:
                 return F.fold(rules[type(f)], compile_node, {F.CHILD: kids[0]})
             if type(f) is F.Atom:
-                op = ("false",) if f.pred == F.RESERVED_ATOM else ("atom", atom_key(f))
-                return intern(op, len(slot))
+                op = ("atom", atom_key(f))  # a variable is refused under the reserved name too
+                return intern(("false",) if f.pred == F.RESERVED_ATOM else op, len(slot))
             if isinstance(f, (F.Forall, F.Exists)):
                 raise SemanticsError("formula is not ground: quantifier present "
                                      "(expand with formula.ground first)")

@@ -312,8 +312,9 @@ def test_criterion_9_mus_contract_on_inconsistent_fixtures():
     checked = 0
     for logic, fs in cases:
         cfg = SE.SearchConfig(logic=logic, complete=True)
-        assert isinstance(SE.find_model(fs, cfg), SE.DecidedUnsatisfiable)
-        core = [fs[i] for i in SE.minimal_unsat_subset(fs, cfg)]
+        verdict = SE.find_model(fs, cfg)
+        assert isinstance(verdict, SE.DecidedUnsatisfiable)
+        core = [fs[i] for i in SE.minimal_unsat_subset(verdict, cfg)]
         assert isinstance(SE.find_model(core, cfg), SE.DecidedUnsatisfiable)
         for i in range(len(core)):
             rest = core[:i] + core[i + 1:]

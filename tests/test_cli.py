@@ -710,10 +710,10 @@ def _bench_gen():
 
 class TestOneBankPerSearch:
     """A command compiles its search's inputs once: the exact procedure,
-    the canonical re-scan, both correspondence probes and the Evaluator
-    that re-checks each witness read that bank.  Only the MUS compiles
-    another.  Each exact decision builds one solver, which answers its
-    candidate search and every question it asks."""
+    the canonical re-scan, both correspondence probes, the Evaluator
+    that re-checks each witness and the MUS, which shrinks the search's
+    refutation, read that bank.  Each exact decision builds one solver,
+    which answers its candidate search and every question it asks."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -747,11 +747,11 @@ class TestOneBankPerSearch:
         kb = tmp_path / "family.kb"
         kb.write_text(getattr(_bench_gen(), f"{family}_kb")(n, logic))
         _, payload = run_json("kb", "consistency", kb, "--logic", logic, "--complete")
-        # E: the search, whose bank re-checks the witness; SDL: the search and
-        # the MUS, which builds a solver for each of its checks
+        # E: the search, whose bank re-checks the witness; SDL: the search,
+        # whose bank the MUS shrinks with a solver for each of its checks
         assert payload["verdict"] == ("model_found" if logic == "e" else "unsatisfiable")
-        mus_checks = {("gdpr", 1): 13, ("gdpr", 4): 18, ("chisholm", 1): 11, ("chisholm", 4): 17}
-        assert builds == {"banks": 1 + (logic == "sdl"), "evaluators": int(logic == "e"),
+        mus_checks = {("gdpr", 1): 12, ("gdpr", 4): 17, ("chisholm", 1): 10, ("chisholm", 4): 16}
+        assert builds == {"banks": 1, "evaluators": int(logic == "e"),
                           "solvers": 1 if logic == "e" else 1 + mus_checks[family, n]}
 
     @pytest.mark.parametrize("argv", [
@@ -783,15 +783,20 @@ class TestOneBankPerSearch:
                         for k in ("frame_counterexample", "violating_witness"))
         assert builds == {"banks": 1, "evaluators": witnesses, "solvers": 0}
 
-    @pytest.mark.parametrize("argv, solvers", [
-        # the search and the detachment questions
-        (("kb", "comply", FIXTURES / "gdpr_e.kb", "--logic", "e", "--complete"), 2),
-        # the search and one per MUS check
-        (("kb", "consistency", FIXTURES / "gdpr_sdl.kb", "--logic", "sdl", "--complete"), 17),
-    ], ids=["comply-e", "consistency-sdl"])
-    def test_one_solver_per_decision(self, argv, solvers, builds):
+    @pytest.mark.parametrize("argv, banks, solvers", [
+        # the search and the detachment questions, a bank and a solver each
+        (("kb", "comply", FIXTURES / "gdpr_e.kb", "--logic", "e", "--complete"), 2, 2),
+        # the search, whose bank the MUS shrinks with one solver per check
+        (("kb", "consistency", FIXTURES / "gdpr_sdl.kb", "--logic", "sdl", "--complete"),
+         1, 16),
+        # both, with the detachment questions' bank and solver
+        (("kb", "comply", FIXTURES / "gdpr_sdl.kb", "--logic", "sdl", "--complete"), 2, 17),
+        (("kb", "comply", FIXTURES / "chisholm_sdl.kb", "--logic", "sdl", "--complete"),
+         2, 12),
+    ], ids=["comply-e", "consistency-sdl", "comply-sdl-gdpr", "comply-sdl-chisholm"])
+    def test_one_solver_per_decision(self, argv, banks, solvers, builds):
         run_json(*argv)
-        assert builds["solvers"] == solvers
+        assert (builds["banks"], builds["solvers"]) == (banks, solvers)
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

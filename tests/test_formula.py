@@ -402,6 +402,24 @@ class TestLogicRecords:
         for name, lg in F.LOGICS.items():
             assert set(E._OPS[name]) & set(lg.rules) == {F.Dia}
 
+    def test_each_rule_holds_its_child_once_and_no_derived_node(self):
+        # embed._occurrences binds CHILD through a stack of pending operands:
+        # a rule must meet its CHILD exactly once, and before entering any
+        # other rule, so not in an Oblig condition (walked twice)
+        for lg in F.LOGICS.values():
+            for rule in lg.rules.values():
+                conds, stack = [], [(rule, False)]
+                while stack:
+                    g, in_cond = stack.pop()
+                    assert type(g) not in lg.rules
+                    if g is F.CHILD:
+                        conds.append(in_cond)
+                    elif type(g) is F.Oblig:
+                        stack += [(g.body, in_cond), (g.cond, True)]
+                    else:
+                        stack += [(k, in_cond) for k in F.children(g)]
+                assert conds == [False]
+
     def test_each_record_is_filed_under_its_name(self):
         assert {name: lg.name for name, lg in F.LOGICS.items()} == {"sdl": "sdl", "e": "e"}
         assert all(F.check_logic(name) is lg for name, lg in F.LOGICS.items())

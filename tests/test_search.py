@@ -69,6 +69,12 @@ class TestFindModel:
         with pytest.raises(SE.SearchError, match="^quantified input: expand"):
             SE.find_model([P, quantified], CFG_E)
 
+    def test_a_variable_under_the_reserved_name_is_not_ground(self):
+        # the compiler, the only ground check, must not read it as false
+        reserved = F.Atom(F.RESERVED_ATOM, (F.Var("x"),))
+        with pytest.raises(SE.SearchError, match=r"^formula has free variables: \['x'\]$"):
+            SE.find_model([reserved], CFG_E)
+
     def test_frame_restricted_search(self):
         cfg = SE.SearchConfig(logic="e", frame=S.FrameConditions(reflexive=True))
         v = SE.find_model([P], cfg)
@@ -356,6 +362,33 @@ def test_an_exact_decision_walks_no_formula(monkeypatch):
                     for unsat in (False, True) for local in (False, True)}
 
 
+@pytest.mark.parametrize("complete", [False, True])
+@pytest.mark.parametrize("logic", ["sdl", "e"])
+def test_a_ground_search_walks_no_formula_outside_the_compiler(logic, complete, monkeypatch):
+    # the compiler is the only ground check: a walk of the inputs is left
+    # for the words of a refusal
+    def walk(f):
+        raise AssertionError("a search walked a formula outside the compiler")
+
+    rng = random.Random(53)
+    cases = [[P, F.Not(P), Q]] + [[gen_formula(rng, logic, 2) for _ in range(rng.randint(1, 3))]
+                                  for _ in range(20)]
+    for name in ("subformulas", "is_ground", "free_vars"):
+        monkeypatch.setattr(F, name, walk)
+    cfg = SE.SearchConfig(logic=logic, complete=complete, max_worlds=2)
+    refuted = 0
+    for fs in cases:
+        verdict = SE.find_model(fs, cfg)
+        SE.entails(fs[1:], fs[0], cfg)
+        SE.decide_valid(fs[0], cfg)
+        if isinstance(verdict, SE.DecidedUnsatisfiable):
+            SE.minimal_unsat_subset(verdict, cfg)
+            refuted += 1
+        if not F.LOGICS[logic].serial:  # the probes run over preference models
+            SE.correspondence(fs[0], S.FrameConditions(reflexive=True), cfg)
+    assert (refuted > 0) == complete
+
+
 class TestExactE:
     """System E complete mode (the lazy SAT search) on global/local sets."""
 
@@ -600,32 +633,37 @@ class TestCorrespondence:
 class TestMus:
     def test_simple_core(self):
         fs = [P, F.Not(P), Q]
-        core = [fs[i] for i in SE.minimal_unsat_subset(fs, CFG_EC)]
+        core = [fs[i] for i in SE.minimal_unsat_subset(SE.find_model(fs, CFG_EC), CFG_EC)]
         assert core == [P, F.Not(P)]
 
     def test_already_minimal_unchanged(self):
         fs = [P, F.Not(P)]
-        assert [fs[i] for i in SE.minimal_unsat_subset(fs, CFG_EC)] == fs
+        verdict = SE.find_model(fs, CFG_EC)
+        assert [fs[i] for i in SE.minimal_unsat_subset(verdict, CFG_EC)] == fs
 
     def test_precondition_enforced(self):
-        with pytest.raises(SE.SearchError):
-            SE.minimal_unsat_subset([P], CFG_EC)
-        with pytest.raises(SE.SearchError):
-            SE.minimal_unsat_subset([P, F.Not(P)], CFG_E)
+        # the MUS shrinks a refutation: a model or a bounded miss is none
+        found, missed = SE.find_model([P], CFG_EC), SE.find_model([P, F.Not(P)], CFG_E)
+        assert isinstance(found, SE.ModelFound) and isinstance(missed, SE.NoModelUpTo)
+        for verdict in (found, missed):
+            with pytest.raises(SE.SearchError, match="shrinks a DecidedUnsatisfiable"):
+                SE.minimal_unsat_subset(verdict, CFG_EC)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_input_errors_come_before_the_bank(self, logic):
-        # the bank would raise SemanticsError on the quantifier
+        # the search that hands the MUS its verdict names them; the bank
+        # alone would raise SemanticsError on the quantifier
         cfg = SE.SearchConfig(logic=logic, complete=True)
         px = F.Atom("P1", (F.Var("x"),))
         with pytest.raises(SE.SearchError, match="quantified input"):
-            SE.minimal_unsat_subset([P, F.Not(P), F.Forall("x", px)], cfg)
-        with pytest.raises(SE.SearchError, match="expects an unsatisfiable input set"):
-            SE.minimal_unsat_subset([P, Q, F.Not(R)], cfg)
+            SE.find_model([P, F.Not(P), F.Forall("x", px)], cfg)
         reflexive = SE.SearchConfig(logic="sdl", complete=True,
                                     frame=S.FrameConditions(reflexive=True))
         with pytest.raises(SE.SearchError, match="only the"):
-            SE.minimal_unsat_subset([P, F.Not(P)], reflexive)
+            SE.find_model([P, F.Not(P)], reflexive)
+        # a rejected config is named before a non-ground input
+        with pytest.raises(SE.SearchError, match="only the"):
+            SE.find_model([P, F.Forall("x", px)], reflexive)
 
     @pytest.mark.parametrize("logic", ["sdl", "e"])
     def test_same_core_as_front_to_back_deletion(self, logic):
@@ -635,7 +673,8 @@ class TestMus:
         while done < 300:
             fs = [gen_formula(rng, logic, 2) for _ in range(rng.randint(2, 7))]
             if _exact(logic, fs, [], SE._Budget(10**7)) is None:
-                assert SE.minimal_unsat_subset(fs, cfg) == oracles.deletion_mus(fs, cfg)
+                core = SE.minimal_unsat_subset(SE.find_model(fs, cfg), cfg)
+                assert core == oracles.deletion_mus(fs, cfg)
                 done += 1
 
     def test_contract_on_random_cores(self):
@@ -645,9 +684,10 @@ class TestMus:
             logic = rng.choice(["sdl", "e"])
             fs = [gen_formula(rng, logic, 2) for _ in range(rng.randint(2, 5))]
             cfg = SE.SearchConfig(logic=logic, complete=True)
-            if not isinstance(SE.find_model(fs, cfg), SE.DecidedUnsatisfiable):
+            verdict = SE.find_model(fs, cfg)
+            if not isinstance(verdict, SE.DecidedUnsatisfiable):
                 continue
-            core = [fs[i] for i in SE.minimal_unsat_subset(fs, cfg)]
+            core = [fs[i] for i in SE.minimal_unsat_subset(verdict, cfg)]
             assert isinstance(SE.find_model(core, cfg), SE.DecidedUnsatisfiable)
             for i in range(len(core)):
                 rest = core[:i] + core[i + 1:]
