@@ -26,8 +26,8 @@ as the same pair for ~b, and a permission as c -> ~O~b; unconditional
 norms collapse to the single monadic formula.
 
 Compliance decides each detachment question with one query to a deon.sat
-solver shared by the run, so the node budget, not the atom count, limits
-it.
+solver shared by the run, which decides the facts' atoms and the
+question's alone: the node budget, not the atom count, limits it.
 """
 
 from __future__ import annotations
@@ -296,10 +296,14 @@ def _entailed(premises, goals, budget: SE._Budget):
     for f in fs:
         _boolean_only(f, "an entailment's input", None)
     bank = S.CompiledBank(fs, "e")
-    units = [[r + 1] for r in bank.roots[:len(premises)]]
-    solver = sat.Solver(len(bank.ops), chain(sat.bank_clauses(bank.ops), units))
-    goal_roots = bank.roots[len(premises):]
-    return lambda j: solver.solve((), [-(goal_roots[j] + 1)], budget) is None
+    _, _, roots, _, atoms = SE._inputs(bank, range(len(premises)), ())
+    solver = sat.Solver(len(bank.ops), chain(sat.bank_clauses(bank.ops), ([r + 1] for r in roots)))
+    facts = [v for _, v in atoms if not solver.val[v]]  # the root trail fixes the others
+
+    def entailed(j):
+        _, _, _, goal, atoms = SE._inputs(bank, (), [(len(premises) + j, False)])
+        return solver.solve(facts + [v for _, v in atoms], goal, budget) is None
+    return entailed
 
 
 def prop_entails(premises, goal: F.Formula) -> bool:

@@ -9,16 +9,17 @@ atoms and modal ops are assigned, unit propagation fixes every other
 slot, so a model is decided by those variables alone.
 
 The solver propagates with two watched literals and backtracks
-chronologically over a fixed variable order, trying false before true
-and learning nothing.  Its first model is therefore the least one in
-that order: every model whose assignment to order[:i] is smaller is
-ruled out before the search reaches position i, because unit
-propagation only assigns values that every model extending the current
-decisions shares.  ``solve`` returns that model read as a binary number
-whose most significant bit is order[0].  A caller may add clauses
-between queries (``add``), may ask whether propagation alone refutes
-some assumptions (``conflicts``), and may query from the assignment an
-enumeration (``models``) waits at.
+chronologically over the variable order a query gives, deciding no
+other variable (the cone-of-influence reduction of model checking),
+trying false before true and learning nothing.  Its first model is
+therefore the least one in that order: every model whose assignment to
+order[:i] is smaller is ruled out before the search reaches position i,
+because unit propagation only assigns values that every model extending
+the current decisions shares.  ``solve`` returns that model read as a
+binary number whose most significant bit is order[0].  A caller may add
+clauses between queries (``add``), may ask whether propagation alone
+refutes some assumptions (``conflicts``), and may query from the
+assignment an enumeration (``models``) waits at.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class Solver:
         self.val = [0] * (2 * n + 1)
         self.watch: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.units: list[int] = []
-        self.used: set[int] = set()  # the variables some clause mentions
         self.root: list[int] = []
         self.paid = 0
         self._attach(clauses)
@@ -75,10 +75,8 @@ class Solver:
         units, watch = self.units, self.watch
         for clause in clauses:
             c = list(dict.fromkeys(clause))  # a copy: propagation reorders it
-            vs = set(map(abs, c))
-            if len(vs) < len(c):  # holds both polarities of a variable
+            if len(set(map(abs, c))) < len(c):  # holds both polarities of a variable
                 continue
-            self.used |= vs
             if len(c) == 1:
                 units.append(c[0])
             else:
@@ -92,7 +90,6 @@ class Solver:
             self.val[l] = self.val[-l] = 0
         self.root, self.ok = [], True
         self.ok = self._assume(self.units, self.root)
-        self.tail = sorted(self.used)
 
     def add(self, clause) -> None:
         """Add a non-empty clause and settle the root trail again."""
@@ -184,15 +181,18 @@ class Solver:
         flipped, which is what a clause blocking that model's assignment
         to order[:keep] would make chronological backtracking do; so the
         next model is the least one that differs from it there.
-        Variables outside ``order`` that some clause mentions are decided
-        last, in index order; no clause constrains the others.  Each
+        Only ``order`` is decided: it must hold every free variable
+        (atom or modal op) the root trail leaves open in the cone of the
+        root units and the assumptions.  Propagation fixes the rest of
+        the cone, and any other clause is a Tseitin definition or has a
+        literal on a variable nothing else constrains (SDL's reflexive
+        selector), so the assignment extends to a model of all.  Each
         assigned literal costs one budget unit.  The assignment is back
         at the root trail when the generator finishes or is closed.
         """
         val = self.val
         keep = len(order) if keep is None else keep
         trail: list[int] = []
-        seq = [*order, *self.tail]  # a variable seen again is assigned already
 
         def undo(start):
             for l in trail[start:]:
@@ -203,13 +203,13 @@ class Solver:
             if not self._assume(assume, trail):
                 return
             self._charge(budget, len(trail))
-            stack: list[tuple[int, int, int, bool]] = []  # (trail length, lit, seq index, flipped)
+            stack: list[tuple[int, int, int, bool]] = []  # (trail length, lit, i, flipped)
             i, ok = 0, True
             while True:
                 if ok:
-                    while i < len(seq) and val[seq[i]]:
+                    while i < len(order) and val[order[i]]:
                         i += 1
-                    if i == len(seq):
+                    if i == len(order):
                         model = 0
                         for v in order:
                             model = model << 1 | (val[v] > 0)
@@ -220,7 +220,7 @@ class Solver:
                         yield model
                         ok = False
                 if ok:  # decide the next open variable, false first
-                    start, lit, flipped = len(trail), -seq[i], False
+                    start, lit, flipped = len(trail), -order[i], False
                 else:  # flip the deepest decision not yet flipped
                     while stack and stack[-1][3]:
                         stack.pop()

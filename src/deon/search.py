@@ -299,10 +299,10 @@ def _revalidate(model, bank: S.CompiledBank, n_valid: int, world: int | None = N
 
 
 def _inputs(bank: S.CompiledBank, globals_at, locals_):
-    """For both exact procedures, the inputs of bank at globals_at (valid)
-    and locals_ ((position, truth) pairs, that truth somewhere): their
-    slots in pre-order, the same sorted (the cone), the global roots, the
-    local literals and the cone's (atom id, variable) pairs, sorted.
+    """For the exact procedures and kb, the inputs of bank at globals_at
+    (valid) and locals_ ((position, truth) pairs, that truth somewhere):
+    their slots in pre-order, the same sorted (the cone), the global
+    roots, the local literals and the cone's (atom id, variable) pairs, sorted.
 
     The walk reads the op array alone: from the roots at the positions,
     in order, it visits operands left to right (an atom's is an atom id,

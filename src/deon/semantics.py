@@ -6,7 +6,7 @@ formula is computed bottom-up with integer bitwise operations.
 
 Kripke models carry an accessibility relation (serial in SDL use);
 preference models carry an unconstrained betterness relation, where
-``better[s]`` holds the worlds s is at least as good as.  In system E
+``rows[s]`` holds the worlds s is at least as good as.  In system E
 the box quantifies over all worlds and the dyadic obligation uses the
 optimality rule: O(b/c) holds iff every c-world that is at least as
 good as all c-worlds satisfies b.  Both are therefore world-independent
@@ -164,10 +164,6 @@ class PreferenceModel(_ModelBase):
     """Finite preference model; rows[s] is the set of t with s >= t."""
 
     kind = "preference"
-
-    @property
-    def better(self):
-        return self.relation
 
 
 def model_from_dict(d: Mapping):

@@ -6,11 +6,35 @@ import random
 
 from deon import formula as F
 from deon import lam as L
+from deon import search as SE
 from deon import semantics as S
 
 P, Q, R = F.Atom("p"), F.Atom("q"), F.Atom("r")
 SIG = F.Signature({"p": 0, "q": 0, "r": 0, "P1": 1, "Q1": 1},
                   frozenset({"c0", "c1", "c2"}))
+
+
+class BudgetLog(list):
+    """The node budgets a command draws, in the order it draws them:
+    detachment, search, canonical re-scan, each MUS check."""
+
+    def units(self) -> list[int]:
+        """The units each budget has charged; one that ran out shows
+        more than its total."""
+        return [b.total - b.left for b in self]
+
+
+def record_budgets(monkeypatch) -> BudgetLog:
+    """Record every search._Budget made while monkeypatch is in place."""
+    log = BudgetLog()
+
+    class Recorded(SE._Budget):
+        def __init__(self, total: int):
+            super().__init__(total)
+            log.append(self)
+
+    monkeypatch.setattr(SE, "_Budget", Recorded)
+    return log
 
 
 def gen_formula(rng: random.Random, logic: str, depth: int,

@@ -28,7 +28,7 @@ from deon import search as SE
 from deon import semantics as S
 
 import oracles
-from helpers import balanced, gen_formula
+from helpers import balanced, gen_formula, record_budgets
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -742,8 +742,7 @@ class TestOneBankPerSearch:
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
     @pytest.mark.parametrize("logic", ["e", "sdl"])
-    def test_kb_consistency_builds_one_in_e_two_in_sdl(self, logic, family, n, builds,
-                                                       tmp_path):
+    def test_kb_consistency_builds_one_bank(self, logic, family, n, builds, tmp_path):
         kb = tmp_path / "family.kb"
         kb.write_text(getattr(_bench_gen(), f"{family}_kb")(n, logic))
         _, payload = run_json("kb", "consistency", kb, "--logic", logic, "--complete")
@@ -797,6 +796,29 @@ class TestOneBankPerSearch:
     def test_one_solver_per_decision(self, argv, banks, solvers, builds):
         run_json(*argv)
         assert (builds["banks"], builds["solvers"]) == (banks, solvers)
+
+
+class TestBudgetUnits:
+    """The node budget units `kb consistency --complete` charges on the
+    GDPR-N and Chisholm-N families, one budget after another: the search,
+    then the canonical re-scan (E) or each MUS check (SDL)."""
+
+    # (search, the later budgets together, budgets drawn)
+    UNITS = {("gdpr", "e", 4): (53, 41, 2), ("gdpr", "e", 64): (833, 641, 2),
+             ("gdpr", "sdl", 4): (53, 462, 18), ("gdpr", "sdl", 64): (833, 13_753, 30),
+             ("chisholm", "e", 4): (32, 23, 2), ("chisholm", "e", 64): (392, 263, 2),
+             ("chisholm", "sdl", 4): (43, 368, 17), ("chisholm", "sdl", 64): (643, 10_048, 29)}
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("family", ["gdpr", "chisholm"])
+    @pytest.mark.parametrize("logic", ["e", "sdl"])
+    def test_kb_consistency(self, logic, family, n, monkeypatch, tmp_path):
+        kb = tmp_path / "family.kb"
+        kb.write_text(getattr(_bench_gen(), f"{family}_kb")(n, logic))
+        budgets = record_budgets(monkeypatch)
+        run_json("kb", "consistency", kb, "--logic", logic, "--complete")
+        units = budgets.units()
+        assert (units[0], sum(units[1:]), len(units)) == self.UNITS[family, logic, n]
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -15,13 +15,14 @@ from deon import search as SE
 from deon import semantics as S
 
 import oracles
-from helpers import P, Q, R, brute_sat
+from helpers import P, Q, R, brute_sat, record_budgets
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 CFG_E = SE.SearchConfig(logic="e")
 CFG_EC = SE.SearchConfig(logic="e", complete=True)
 CFG_SC = SE.SearchConfig(logic="sdl", complete=True)
+CFG_EC_100K = SE.SearchConfig(logic="e", complete=True, node_budget=100_000)
 
 MINIMAL_GDPR = """
 # the scenario exactly as published: three rules, one situation fact
@@ -458,12 +459,14 @@ class TestScaling:
         assert isinstance(verdict, SE.CountermodelFound)
         assert time.perf_counter() - t0 < 15.0
 
-    @pytest.mark.parametrize("n", [12, 30])
+    @pytest.mark.parametrize("n", [12, 30, 1024])
     def test_e_compliance_with_both_facts(self, n):
         # by construction: every a1 and a2 instance is detached, and only
         # a1 (process lawfully) is violated; 2N atoms are past the old
-        # 22-atom cap of the truth-table detachment
-        report = KB.compliance(KB.load_kb(gdpr_facts_kb(n)), CFG_EC)
+        # 22-atom cap of the truth-table detachment.  At N = 1024 it runs
+        # under 100,000 units, which only a linear detachment fits
+        cfg = CFG_EC if n < 1024 else CFG_EC_100K
+        report = KB.compliance(KB.load_kb(gdpr_facts_kb(n)), cfg)
         individuals = range(1, n + 1)
         assert [label for label, _ in report.detached] == \
             [f"a1[d{i}]" for i in individuals] + [f"a2[d{i}]" for i in individuals]
@@ -472,10 +475,26 @@ class TestScaling:
         assert report.consistent
 
     def test_compliance_runs_out_of_budget_not_memory(self, monkeypatch):
+        # detachment charges 2,051 units at N = 256, the search 3,840
         monkeypatch.setenv("DEON_NODE_BUDGET", "1000")
         cfg = SE.SearchConfig(logic="e", complete=True)
         with pytest.raises(SE.BudgetExceeded):
-            KB.compliance(KB.load_kb(gdpr_facts_kb(64)), cfg)
+            KB.compliance(KB.load_kb(gdpr_facts_kb(256)), cfg)
+
+    def test_detachment_grows_linearly(self, monkeypatch):
+        # each question decides only the facts' atoms and its own, so four
+        # times the individuals is about four times the units, where a
+        # quadratic detachment would take about sixteen
+        budgets = record_budgets(monkeypatch)
+
+        def detachment_units(n):
+            budgets.clear()
+            KB.compliance(KB.load_kb(gdpr_facts_kb(n)), CFG_EC_100K)
+            return budgets.units()[0]
+
+        at_1024 = detachment_units(1024)
+        assert at_1024 <= 10_000
+        assert at_1024 <= 4.5 * detachment_units(256)
 
     def test_sdl_decided_without_type_masks(self):
         # GDPR-SDL-6 has 2^31 types: a mask over them would be a 256 MB

@@ -172,3 +172,32 @@ class TestLeastModel:
         solver = sat.Solver(20, [[v, v + 1] for v in range(1, 20)])
         with pytest.raises(SE.BudgetExceeded):
             solver.solve(range(1, 21), (), SE._Budget(5))
+
+
+class TestCone:
+    """A query decides the variables of its order and no others: with
+    the free variables of its cone in the order it costs what its cone
+    costs, whatever other clauses the solver holds."""
+
+    A = F.And(F.Or(ATOMS[0], ATOMS[1]), F.Implies(ATOMS[2], F.Not(ATOMS[0])))
+    B = F.Or(F.Iff(ATOMS[3], ATOMS[4]), F.Not(ATOMS[5]))  # atoms disjoint from A's
+
+    def test_a_query_decides_only_its_cone(self):
+        runs = []
+        for fs in ([self.A], [self.A, self.B]):
+            bank = S.CompiledBank(fs, "e")
+            solver = sat.Solver(len(bank.ops), sat.bank_clauses(bank.ops))
+            _, cone_a, _, root, atoms = SE._inputs(bank, (), [(0, True)])
+            others = [s + 1 for s in range(len(bank.ops)) if s not in cone_a]
+            assert len(others) == 6 * (len(fs) - 1)  # B's slots
+
+            class Untouched(SE._Budget):  # each charge: nothing outside A's cone is assigned
+                def tick(self, n=1):
+                    assert not any(solver.val[v] for v in others)
+                    super().tick(n)
+
+            budget = Untouched(10**6)
+            found = list(solver.models([v for _, v in atoms], root, budget))
+            runs.append((found, budget.total - budget.left))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [0b010, 0b011, 0b100, 0b110]  # a0 a1 a2, a0 most significant
