@@ -122,19 +122,13 @@ def _embed_term(t: F.Term) -> L.LTerm:
     return L.Var(t.name, L.I)
 
 
-def _neg(a: L.LTerm) -> L.LTerm:
-    return L.App(NOT_PW, a)
-
-
-# Per logic, each primitive operator's embedding as a function of its
-# operands', and dia's (`--show-steps` shows it); the rest go by their rules.
-_PW = {F.Not: _neg, F.And: lambda a, b: L.app(AND_PW, a, b),
-       F.Or: lambda a, b: L.app(OR_PW, a, b), F.Implies: lambda a, b: L.app(IMP_PW, a, b),
-       F.Iff: lambda a, b: L.app(IFF_PW, a, b)}
-_OPS = {"sdl": {**_PW, F.ObligM: lambda a: L.App(SDL_BOX, a),
-                F.Dia: lambda a: L.App(SDL_DIA, a)},
-        "e": {**_PW, F.Box: lambda a: L.App(E_BOX, a), F.Dia: lambda a: L.App(E_DIA, a),
-              F.Oblig: lambda body, cond: L.app(E_OBLIG, body, cond)}}
+# Each primitive operator's combinator, applied to its operands': a
+# connective's by its class, a modal operator's by its op tag (the
+# logic's ``modal``), and dia's by whether the logic is serial
+# (`--show-steps` shows it); the rest go by their rules.
+_PW = {F.Not: NOT_PW, F.And: AND_PW, F.Or: OR_PW, F.Implies: IMP_PW, F.Iff: IFF_PW}
+_OPS = {"boxs": SDL_BOX, "boxe": E_BOX, "oblig": E_OBLIG}
+_DIA = {True: SDL_DIA, False: E_DIA}
 
 
 def embed(f: F.Formula, logic: str) -> L.LTerm:
@@ -149,8 +143,9 @@ def embed(f: F.Formula, logic: str) -> L.LTerm:
     that many individual terms."""
     if not isinstance(f, F.Formula):
         raise EmbedError(f"cannot embed {f!r}")
-    rules = F.check_logic(logic, EmbedError).rules
-    ops = _OPS[logic]
+    lg = F.check_logic(logic, EmbedError)
+    rules = lg.rules
+    ops = {**_PW, F.Dia: _DIA[lg.serial], **{cls: _OPS[tag] for cls, tag in lg.modal.items()}}
 
     def visit(g: F.Formula, kids: list[L.LTerm]) -> L.LTerm:
         if type(g) is F.Atom:
@@ -158,9 +153,9 @@ def embed(f: F.Formula, logic: str) -> L.LTerm:
         if type(g) is F.Forall or type(g) is F.Exists:
             comb = FORALL_PW if type(g) is F.Forall else EXISTS_PW
             return L.App(comb, L.Abs(g.var, L.I, kids[0]))
-        build = ops.get(type(g))
-        if build is not None:
-            return build(*kids)
+        comb = ops.get(type(g))
+        if comb is not None:
+            return L.app(comb, *kids)
         if type(g) in rules:
             return F.fold(rules[type(g)], visit, {F.CHILD: kids[0]})
         raise EmbedError(F.SDL_DYADIC if type(g) is F.Oblig else f"cannot embed {g!r}")

@@ -26,8 +26,9 @@ as the same pair for ~b, and a permission as c -> ~O~b; unconditional
 norms collapse to the single monadic formula.
 
 Compliance decides each detachment question with one query to a deon.sat
-solver shared by the run, which decides the facts' atoms and the
-question's alone: the node budget, not the atom count, limits it.
+solver shared by the run, which decides the question's atoms and those
+of the facts they meet alone: the node budget, not the atom count,
+limits it.
 """
 
 from __future__ import annotations
@@ -290,19 +291,42 @@ def _entailed(premises, goals, budget: SE._Budget):
     """A function telling whether the premises propositionally entail
     goal j: one sat.Solver holds the Tseitin clauses of them all, with
     the premises' roots as units, and goal j is entailed iff assuming
-    its root false leaves no model (charged to budget)."""
+    its root false leaves no model (charged to budget).
+
+    Goal 0 decides every premise atom the root trail leaves open, a
+    later goal only its own atoms and those of the premises' components
+    (premises meet where their cones share a slot) that hold one.  That
+    is sound once goal 0 is not entailed, so the caller asks it first
+    (compliance asks ``false``): the premises are then satisfiable, so
+    are the other components, and as they share no open variable with
+    the question, any model of the question extends to them."""
     premises = list(premises)
     fs = premises + list(goals)
     for f in fs:
         _boolean_only(f, "an entailment's input", None)
     bank = S.CompiledBank(fs, "e")
-    _, _, roots, _, atoms = SE._inputs(bank, range(len(premises)), ())
-    solver = sat.Solver(len(bank.ops), chain(sat.bank_clauses(bank.ops), ([r + 1] for r in roots)))
-    facts = [v for _, v in atoms if not solver.val[v]]  # the root trail fixes the others
+    ops = bank.ops
+    cone, _, roots, _, atoms = SE._inputs(bank, range(len(premises)), ())
+    solver = sat.Solver(len(ops), chain(sat.bank_clauses(ops), ([r + 1] for r in roots)))
+    part = {s: s for s in cone}
+
+    def find(s):
+        while part[s] != s:
+            part[s] = s = part[part[s]]
+        return s
+    for s in cone:
+        for c in ops[s][1:] if ops[s][0] != "atom" else ():
+            part[find(c)] = find(s)
+    open_atoms: dict[int, list] = {}  # component -> its open (atom id, variable) pairs
+    for a, v in atoms:
+        if not solver.val[v]:  # the root trail fixes the others
+            open_atoms.setdefault(find(v - 1), []).append((a, v))
 
     def entailed(j):
         _, _, _, goal, atoms = SE._inputs(bank, (), [(len(premises) + j, False)])
-        return solver.solve(facts + [v for _, v in atoms], goal, budget) is None
+        met = {find(v - 1) for _, v in atoms if v - 1 in part} if j else open_atoms
+        order = [v for _, v in sorted(chain(*(open_atoms.get(c, ()) for c in met)))]
+        return solver.solve(order + [v for _, v in atoms], goal, budget) is None
     return entailed
 
 

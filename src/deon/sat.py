@@ -186,9 +186,13 @@ class Solver:
         root units and the assumptions.  Propagation fixes the rest of
         the cone, and any other clause is a Tseitin definition or has a
         literal on a variable nothing else constrains (SDL's reflexive
-        selector), so the assignment extends to a model of all.  Each
-        assigned literal costs one budget unit.  The assignment is back
-        at the root trail when the generator finishes or is closed.
+        selector), so the assignment extends to a model of all.  The
+        order may leave out the cone of some root units that shares no
+        open variable with the rest, when those units are known to be
+        satisfiable together (``kb._entailed``): their model extends the
+        assignment as well.  Each assigned literal costs one budget
+        unit.  The assignment is back at the root trail when the
+        generator finishes or is closed.
         """
         val = self.val
         keep = len(order) if keep is None else keep

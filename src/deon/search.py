@@ -201,52 +201,29 @@ def _apply_bits(bits: int, table: tuple[int, ...]) -> int:
     return out
 
 
-class _Enum:
-    """Per-size canonical enumeration state.  Testing a relation charges
-    one budget unit per permutation applied to it."""
-
-    def __init__(self, n: int, budget: _Budget):
-        # the first relation that reaches rel_status is canonical (the
-        # frame filters are invariant under permutation), so it applies
-        # all n! - 1 permutations: refuse before listing them
-        if factorial(n) - 1 > budget.left:
-            raise BudgetExceeded(budget.total)
-        self.budget = budget
-        perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
-        self.rel_tables = [_perm_rel_table(n, p) for p in perms]
-        self.world_tables = perms
-
-    def rel_status(self, rel: int) -> tuple[bool, list[tuple[int, ...]]]:
-        """Is rel minimal among its permutations, and its stabilizer."""
-        stab = []
-        for applied, (tab, wt) in enumerate(zip(self.rel_tables, self.world_tables), 1):
-            pr = _apply_bits(rel, tab)
-            if pr < rel:
-                self.budget.tick(applied)
-                return False, []
-            if pr == rel:
-                stab.append(wt)
-        self.budget.tick(len(self.rel_tables))
-        return True, stab
-
-    @staticmethod
-    def val_canonical(vals: tuple[int, ...], stab: list[tuple[int, ...]]) -> bool:
-        for wt in stab:
-            perm_vals = tuple(_apply_bits(v, wt) for v in vals)
-            if perm_vals < vals:
-                return False
-        return True
+def _val_canonical(vals: tuple[int, ...], stab: list[tuple[int, ...]]) -> bool:
+    """Is the valuation least among its images under the stabilizer's
+    world permutations (an empty stabilizer keeps every valuation)."""
+    return all(tuple(_apply_bits(v, wt) for v in vals) >= vals for wt in stab)
 
 
 def _canonical_relations(n: int, cfg: SearchConfig, budget: _Budget,
                          frame_mode: str = "require"):
     """Relations of exactly n worlds that are least among their
-    permutations, ascending, as (rows, stabilizer).
+    permutations, ascending, as (rows, stabilizer): the world
+    permutations that fix the relation, for _val_canonical.
 
     frame_mode "require" keeps relations satisfying cfg.frame, "violate"
-    keeps those failing at least one requested condition.
+    keeps those failing at least one requested condition.  Testing a
+    relation charges one budget unit per permutation applied to it.
     """
-    enum = _Enum(n, budget)
+    # the first relation that reaches the test is canonical (the frame
+    # filters are invariant under permutation), so it applies all
+    # n! - 1 permutations: refuse before listing them
+    if factorial(n) - 1 > budget.left:
+        raise BudgetExceeded(budget.total)
+    perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
+    tables = [(_perm_rel_table(n, p), p) for p in perms]
     full = (1 << n) - 1
     serial = F.LOGICS[cfg.logic].serial
     for rel in range(1 << (n * n)):
@@ -259,8 +236,16 @@ def _canonical_relations(n: int, cfg: SearchConfig, budget: _Budget,
                 continue
             if frame_mode == "violate" and ok:
                 continue
-        minimal, stab = enum.rel_status(rel)
-        if minimal:
+        stab = []
+        for applied, (tab, perm) in enumerate(tables, 1):
+            pr = _apply_bits(rel, tab)
+            if pr < rel:
+                budget.tick(applied)
+                break
+            if pr == rel:
+                stab.append(perm)
+        else:
+            budget.tick(len(tables))
             yield rows, stab
 
 
@@ -631,10 +616,12 @@ def _bounded_scan(bank: S.CompiledBank, n_valid: int, cfg: SearchConfig, budget:
     The valuations of each relation go through the compiled bank in
     chunks of up to 2^CHUNK_BITS lanes, lane b of chunk h holding
     valuation bits h * lanes + b: the low atoms take every value inside
-    a chunk and the others are constant.  The least canonical lane that
-    passes is the hit; the chunk is charged one cost per lane up to and
-    including it, or per lane when there is none, so the budget runs out
-    where the one-candidate-at-a-time loop's would.
+    a chunk and the others are constant.  One run of the bank gives
+    every lane's root masks, from which each lane's verdict is read.
+    The least canonical lane that passes is the hit; the chunk is
+    charged one cost per lane up to and including it, or per lane when
+    there is none, so the budget runs out where the
+    one-candidate-at-a-time loop's would.
     """
     goal = len(bank.roots) > n_valid
     k = len(bank.atoms)
@@ -651,19 +638,17 @@ def _bounded_scan(bank: S.CompiledBank, n_valid: int, cfg: SearchConfig, budget:
                 for high in range(1 << ((k - low_atoms) * n)):
                     masks = columns + [(high >> (i * n) & full) * lanes.low
                                        for i in range(k - low_atoms)]
-                    out = bank.run(n, rows, masks, valid=n_valid, lanes=count)
-                    passed = 0
-                    if out is not None:
-                        passed = lanes.low
-                        for r in bank.roots[:n_valid]:
-                            passed &= lanes.whole(out[r])
-                        if goal:
-                            passed &= ~lanes.empty(~out[bank.roots[n_valid]] & lanes.full)
+                    out = bank.run(n, rows, masks, lanes=count)
+                    passed = lanes.low
+                    for r in bank.roots[:n_valid]:
+                        passed &= lanes.whole(out[r])
+                    if goal:
+                        passed &= ~lanes.empty(~out[bank.roots[n_valid]] & lanes.full)
                     while passed:
                         lane = ((passed & -passed).bit_length() - 1) // n
                         vbits = high << (low_atoms * n) | lane
                         vals = tuple((vbits >> (i * n)) & full for i in range(k))
-                        if not stab or _Enum.val_canonical(vals, stab):
+                        if _val_canonical(vals, stab):
                             break
                         passed &= passed - 1
                     else:

@@ -353,7 +353,7 @@ class CompiledBank:
         self.modal = tuple(i for i, op in enumerate(self.ops) if op[0] in lg.modal.values())
 
     def run(self, n: int, rows: tuple[int, ...], vals, modal=None,
-            valid: int = 0, lanes: int = 1) -> list[int] | None:
+            lanes: int = 1) -> list[int]:
         """Truth mask of every slot over ``lanes`` n-world structures.
 
         The structures share the relation ``rows`` and each has its own
@@ -365,23 +365,16 @@ class CompiledBank:
 
         Given ``modal``, the i-th modal op takes modal[i] instead of
         being computed from ``rows``: that binds the box and obligation
-        bits a type-space caller has chosen.  Given ``valid``, the first
-        ``valid`` input formulas must hold at every world: the run stops
-        with None at the first root slot after which no lane has them
-        all, so a rejected chunk costs only the ops up to that slot.  A
-        lane's own verdict is read from the returned root masks.
+        bits a type-space caller has chosen.  The run always walks every
+        op; a lane's verdict is read from the returned root masks.
         """
         ln = Lanes(n, lanes)
         full, low, empty, whole, spread = ln.full, ln.low, ln.empty, ln.whole, ln.spread
         bound = None if modal is None else iter(modal)
         if bound is None and self.modal:
             seen = [r * low for r in rows]  # rows[w] in every block
-        stops = sorted(set(self.roots[:valid]))
-        stops.append(-1)
-        si = 0
-        alive = low
         out: list[int] = []
-        for i, op in enumerate(self.ops):
+        for op in self.ops:
             tag = op[0]
             if tag == "atom":
                 m = vals[op[1]]
@@ -421,12 +414,6 @@ class CompiledBank:
                             bad |= at & empty(c & ~seen[w])
                     m ^= spread(bad)
             out.append(m)
-            if i == stops[si]:
-                if m != full:
-                    alive &= whole(m)
-                    if not alive:
-                        return None
-                si += 1
         return out
 
     def masks(self, model: _ModelBase) -> list[int]:

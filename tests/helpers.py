@@ -122,10 +122,11 @@ def brute_sat(logic: str, globals_, locals_, max_n: int = 3) -> bool:
     bank = S.CompiledBank(fs, logic)  # what Evaluator runs, compiled once
     n_globals = len(globals_)
     for n in range(1, max_n + 1):
+        full = (1 << n) - 1
         for m in iterator(n, atoms):
-            # the run stops at the first global that is not valid
-            out = bank.run(n, m.rows, [m.valuation[a] for a in bank.atoms], valid=n_globals)
-            if out is not None and all(out[r] for r in bank.roots[n_globals:]):
+            out = bank.run(n, m.rows, [m.valuation[a] for a in bank.atoms])
+            if (all(out[r] == full for r in bank.roots[:n_globals])
+                    and all(out[r] for r in bank.roots[n_globals:])):
                 return True
     return False
 

@@ -309,10 +309,10 @@ def sequential_scan(valid_fs, falsify, cfg, budget, max_n, frame_mode="require")
                 for vbits in range(1 << (k * n)):
                     budget.tick(cost)
                     vals = tuple((vbits >> (i * n)) & full for i in range(k))
-                    if stab and not SE._Enum.val_canonical(vals, stab):
+                    if not SE._val_canonical(vals, stab):
                         continue
-                    out = bank.run(n, rows, vals, valid=n_valid)
-                    if out is None:
+                    out = bank.run(n, rows, vals)
+                    if not all(out[r] == full for r in bank.roots[:n_valid]):
                         continue
                     world = None
                     if falsify is not None:

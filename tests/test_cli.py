@@ -799,9 +799,11 @@ class TestOneBankPerSearch:
 
 
 class TestBudgetUnits:
-    """The node budget units `kb consistency --complete` charges on the
-    GDPR-N and Chisholm-N families, one budget after another: the search,
-    then the canonical re-scan (E) or each MUS check (SDL)."""
+    """The node budget units a command charges, one budget after another:
+    `kb consistency --complete` on the GDPR-N and Chisholm-N families
+    (the search, then the canonical re-scan (E) or each MUS check (SDL)),
+    and the bounded scan of `check`, `model`, `kb consistency` and the
+    `correspondence` probes."""
 
     # (search, the later budgets together, budgets drawn)
     UNITS = {("gdpr", "e", 4): (53, 41, 2), ("gdpr", "e", 64): (833, 641, 2),
@@ -819,6 +821,33 @@ class TestBudgetUnits:
         run_json("kb", "consistency", kb, "--logic", logic, "--complete")
         units = budgets.units()
         assert (units[0], sum(units[1:]), len(units)) == self.UNITS[family, logic, n]
+
+    # every budget the bounded scan draws (correspondence: each probe's),
+    # and the exit code
+    SCANS = {
+        ("check", "p -> p", "--logic", "e"): ([2_049], 2),
+        ("check", "O{p|q} -> O{p|q & r}", "--logic", "e"): ([111], 1),
+        ("model", "O p & ~p", "--logic", "e"): ([1], 0),
+        ("model", "p & ~p", "--logic", "e"): ([2_049], 2),
+        ("check", "p -> p", "--logic", "sdl"): ([1_373], 2),
+        ("check", "O(p -> q) -> (O p -> O q)", "--logic", "sdl"): ([5_367], 2),
+        ("model", "O p & ~p", "--logic", "sdl"): ([1_373], 2),
+        ("model", "p & ~p", "--logic", "sdl"): ([1_373], 2),
+        ("kb", "consistency", FIXTURES / "gdpr_e.kb", "--logic", "e", "--bound", "2"): ([1], 0),
+        ("kb", "consistency", FIXTURES / "chisholm_sdl.kb", "--logic", "sdl", "--bound", "2"):
+            ([109], 2),
+        ("correspondence", "cv", "--frame", "transitive"): ([20_912, 2], 0),
+    }
+
+    @pytest.mark.parametrize("argv", SCANS, ids=lambda a: " ".join(
+        x.name if isinstance(x, Path) else x for x in a))
+    def test_bounded_scan(self, argv, monkeypatch):
+        # at --bound 3 unless the argv gives its own
+        monkeypatch.delenv("DEON_NODE_BUDGET", raising=False)
+        budgets = record_budgets(monkeypatch)
+        bound = () if "--bound" in argv else ("--bound", "3")
+        result = run(*argv, *bound)
+        assert (budgets.units(), result.exit_code) == self.SCANS[argv]
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -398,9 +398,13 @@ class TestLogicRecords:
         assert len(params) >= 2 and all(p.kind == tuple(F.LOGICS) for p in params)
 
     def test_each_derived_operator_is_defined_once(self):
-        # by its rule; only dia keeps an embedding of its own too
-        for name, lg in F.LOGICS.items():
-            assert set(E._OPS[name]) & set(lg.rules) == {F.Dia}
+        # by its rule; only dia keeps an embedding of its own too, picked
+        # by seriality, and the modal embeddings are keyed by op tag
+        assert not set(E._OPS) & set(F.LOGICS)
+        assert set(E._OPS) == {tag for lg in F.LOGICS.values() for tag in lg.modal.values()}
+        assert set(E._DIA) == {lg.serial for lg in F.LOGICS.values()}
+        for lg in F.LOGICS.values():
+            assert not (set(E._PW) | set(lg.modal)) & set(lg.rules)
 
     def test_each_rule_holds_its_child_once_and_no_derived_node(self):
         # embed._occurrences binds CHILD through a stack of pending operands:

@@ -342,6 +342,40 @@ class TestPropEntails:
         assert not KB.prop_entails(chain + [atoms[0]], F.Not(atoms[-1]))
         assert KB.prop_entails(chain + [atoms[0], F.Not(atoms[-1])], F.BOT)
 
+    def test_questions_after_the_first_agree_with_the_truth_table(self):
+        # disjunctive premises over two groups of atoms fall into one or
+        # two components; a later question decides only the components
+        # its goal meets, once goal 0 (false) finds the premises
+        # satisfiable.  Three-literal clauses need decisions, not just
+        # propagation, so a question that leaves out a component it
+        # meets is caught
+        rng = random.Random(37)
+        groups = [[F.Atom(a) for a in "pqrs"], [F.Atom(a) for a in "tuvw"]]
+
+        def literal(group):
+            a = rng.choice(group)
+            return a if rng.random() < 0.5 else F.Not(a)
+
+        def anywhere():
+            return literal(rng.choice(groups))
+
+        asked = 0
+        for _ in range(400):
+            premises = []
+            for _ in range(rng.randint(2, 12)):
+                g = rng.choice(groups)
+                premises.append(F.Or(F.Or(literal(g), literal(g)), literal(g)))
+            goals = [rng.choice([anywhere, lambda: F.Or(anywhere(), anywhere()),
+                                 lambda: F.And(anywhere(), anywhere())])() for _ in range(4)]
+            entailed = KB._entailed(premises, [F.BOT] + goals, SE._Budget(10**6))
+            if entailed(0):
+                continue
+            for j, goal in enumerate(goals, 1):
+                asked += 1
+                assert entailed(j) == KB.prop_entails(premises, goal) == \
+                    (not brute_sat("e", premises, [F.Not(goal)], max_n=1))
+        assert asked > 1000
+
 
 class TestCtdSignature:
     """The central behavioral contrast at corpus scale (spot size here;
@@ -495,6 +529,23 @@ class TestScaling:
         at_1024 = detachment_units(1024)
         assert at_1024 <= 10_000
         assert at_1024 <= 4.5 * detachment_units(256)
+
+    def test_detachment_with_disjunctive_facts_grows_linearly(self, monkeypatch):
+        # erase(di) | kill(di) leaves both atoms open for every individual;
+        # a question decides only the ones its goal meets, so four times
+        # the individuals is about four times the units (it was 15.7x
+        # when each question decided every open fact atom)
+        budgets = record_budgets(monkeypatch)
+
+        def detachment_units(n):
+            budgets.clear()
+            text = gdpr_kb(n, "e") + "".join(f"erase(d{i}) | kill(d{i})\n"
+                                             for i in range(1, n + 1))
+            report = KB.compliance(KB.load_kb(text), CFG_EC_100K)
+            assert report.detached == report.violations == ()
+            return budgets.units()[0]
+
+        assert detachment_units(256) <= 4.5 * detachment_units(64)
 
     def test_sdl_decided_without_type_masks(self):
         # GDPR-SDL-6 has 2^31 types: a mask over them would be a 256 MB
